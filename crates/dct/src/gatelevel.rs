@@ -27,7 +27,7 @@ use aix_image::Image;
 use aix_netlist::{bus_from_u64, bus_to_u64, Netlist, NetlistError};
 use aix_sim::{golden_lane_word, PackedTimedSimulator, SimEngine, TimedSimulator, LANES};
 use aix_sta::{analyze, ClockConstraint, NetDelays};
-use aix_synth::{optimize, recover_area, size_for_performance};
+use aix_synth::{compile, Effort};
 use std::sync::Arc;
 
 /// Datapath operand width in bits.
@@ -443,11 +443,7 @@ fn build_mac_netlist(library: &Arc<Library>, mult_truncation: u32) -> Result<Net
     for (i, &net) in sum.iter().take(ACC_WIDTH).enumerate() {
         nl.mark_output(format!("out[{i}]"), net);
     }
-    let mut optimized = optimize(&nl)?;
-    let sized = size_for_performance(&mut optimized, NetDelays::fresh, 400)?;
-    recover_area(&mut optimized, NetDelays::fresh, sized.final_delay_ps, 25)?;
-    optimized.validate()?;
-    Ok(optimized)
+    compile(&nl, Effort::Ultra)
 }
 
 #[cfg(test)]

@@ -49,6 +49,11 @@ pub enum NetlistError {
         /// The rejected delay value, rendered as text.
         delay: String,
     },
+    /// A delay annotation an incremental timer cannot keep in step with
+    /// cell swaps: it carries no per-gate derating factor (raw, re-scaled,
+    /// table-based or combined-model annotations) or was built for a
+    /// different netlist. The payload says which.
+    NotRetimeable(&'static str),
 }
 
 impl fmt::Display for NetlistError {
@@ -83,6 +88,9 @@ impl fmt::Display for NetlistError {
                 f,
                 "net {net} has invalid delay annotation {delay} ps (must be finite and >= 0)"
             ),
+            NetlistError::NotRetimeable(why) => {
+                write!(f, "delay annotation cannot be re-timed incrementally: {why}")
+            }
         }
     }
 }

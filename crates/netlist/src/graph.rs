@@ -30,7 +30,7 @@ impl Schedule {
     }
 
     /// Evaluation order as [`GateId`]s.
-    pub fn gate_order(&self) -> impl Iterator<Item = GateId> + '_ {
+    pub fn gate_order(&self) -> impl DoubleEndedIterator<Item = GateId> + '_ {
         self.order.iter().map(|&g| GateId(g))
     }
 
@@ -211,6 +211,26 @@ mod tests {
         nl.mark_output("z", y);
         let rebuilt = nl.schedule().unwrap();
         assert_eq!(rebuilt.order().len(), 2, "mutation invalidates the cache");
+        let inv_x2 = nl.library().upsize(inv).unwrap();
+        nl.set_cell(crate::GateId(1), inv_x2);
+        assert_eq!(nl.gate(crate::GateId(1)).cell, inv_x2);
+        assert!(
+            std::sync::Arc::ptr_eq(&rebuilt, &nl.schedule().unwrap()),
+            "a cell swap keeps the topology and the cache"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pin counts")]
+    fn set_cell_rejects_a_different_arity() {
+        let lib = Arc::new(Library::nangate45_like());
+        let inv = lib.find(CellFunction::Inv, DriveStrength::X1).unwrap();
+        let nand = lib.find(CellFunction::Nand2, DriveStrength::X1).unwrap();
+        let mut nl = Netlist::new("chain", lib);
+        let a = nl.add_input("a");
+        let x = nl.add_gate(inv, &[a]).unwrap()[0];
+        nl.mark_output("y", x);
+        nl.set_cell(crate::GateId(0), nand);
     }
 
     #[test]

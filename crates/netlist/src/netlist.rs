@@ -322,6 +322,27 @@ impl Netlist {
         &mut self.gates[id.index()]
     }
 
+    /// Swaps the library cell of gate `id` (drive-strength resizing). The
+    /// connections stay as they are, so unlike [`gate_mut`](Self::gate_mut)
+    /// this keeps the cached [`schedule`](Self::schedule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range or if `cell` has different input or
+    /// output pin counts from the gate's current cell.
+    pub fn set_cell(&mut self, id: GateId, cell: CellId) {
+        let gate = &mut self.gates[id.index()];
+        let (old, new) = (
+            self.library.cell(gate.cell).function,
+            self.library.cell(cell).function,
+        );
+        assert!(
+            old.input_count() == new.input_count() && old.output_count() == new.output_count(),
+            "set_cell must keep the pin counts of gate {id}"
+        );
+        gate.cell = cell;
+    }
+
     /// The net with the given id.
     ///
     /// # Panics
@@ -429,7 +450,7 @@ impl Netlist {
     /// The levelized evaluation schedule, computed once per topology and
     /// shared (via `Arc`) by every evaluator. Mutating the topology with
     /// [`add_gate`](Self::add_gate) or [`gate_mut`](Self::gate_mut)
-    /// invalidates the cache.
+    /// invalidates the cache; [`set_cell`](Self::set_cell) does not.
     ///
     /// # Errors
     ///
@@ -454,10 +475,16 @@ impl Netlist {
         fanout
     }
 
+    /// The fixed load each primary-output port adds to its net, in fF.
+    pub const OUTPUT_PORT_LOAD_FF: f64 = 2.0;
+
     /// Capacitive load on each net in femtofarads: the sum of the input-pin
     /// capacitances of all sinks, plus a fixed port load for primary outputs.
+    ///
+    /// The sum runs in gate-id then pin order, then port order. Floating
+    /// point addition is not associative, so code that re-derives one
+    /// net's load must add in the same order to get the same bits.
     pub fn net_loads_ff(&self) -> Vec<f64> {
-        const OUTPUT_PORT_LOAD_FF: f64 = 2.0;
         let mut loads = vec![0.0; self.nets.len()];
         for (_, gate) in self.gates() {
             let cap = self.library.cell(gate.cell).input_cap_ff;
@@ -466,7 +493,7 @@ impl Netlist {
             }
         }
         for (_, net) in &self.outputs {
-            loads[net.index()] += OUTPUT_PORT_LOAD_FF;
+            loads[net.index()] += Self::OUTPUT_PORT_LOAD_FF;
         }
         loads
     }

@@ -320,6 +320,18 @@ pub fn counter(name: &str, fields: Vec<(String, Value)>) {
     });
 }
 
+/// Adds `by` to counter `name` and emits one `counter` event carrying
+/// `by` as its first field, so a pass that tallies thousands of steps
+/// writes one line. Prefer the [`count_by!`] macro.
+pub fn counter_by(name: &str, by: u64, fields: Vec<(String, Value)>) {
+    with_state(|state| {
+        *state.counters.entry(name.to_owned()).or_insert(0) += by;
+        let mut all = vec![("by".to_owned(), Value::from(by))];
+        all.extend(fields);
+        state.emit(EventKind::Counter, name, all);
+    });
+}
+
 /// Sets gauge `name` to `value` and emits a `gauge` event. Prefer the
 /// [`gauge!`] macro.
 pub fn gauge(name: &str, value: f64, fields: Vec<(String, Value)>) {
@@ -386,6 +398,22 @@ macro_rules! count {
         if $crate::enabled() {
             $crate::counter(
                 $name,
+                vec![$((stringify!($key).to_owned(), $crate::Value::from($value))),*],
+            );
+        }
+    };
+}
+
+/// Adds an amount to a named counter, emitting one `counter` event with a
+/// `by` field. No-op (amount and fields unevaluated) when the recorder is
+/// disabled.
+#[macro_export]
+macro_rules! count_by {
+    ($name:expr, $by:expr $(, $key:ident = $value:expr)* $(,)?) => {
+        if $crate::enabled() {
+            $crate::counter_by(
+                $name,
+                u64::try_from($by).unwrap_or(u64::MAX),
                 vec![$((stringify!($key).to_owned(), $crate::Value::from($value))),*],
             );
         }
@@ -577,6 +605,28 @@ mod tests {
             .collect();
         assert_eq!(siblings.len(), 1, "no temp residue: {siblings:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn count_by_adds_its_amount_in_one_event() {
+        let _serial = serial();
+        let _ = uninstall();
+        let mut evaluated = false;
+        count_by!("moves", {
+            evaluated = true;
+            5usize
+        });
+        assert!(!evaluated, "the amount is not evaluated when disabled");
+        install(Recorder::in_memory("count_by", true));
+        count_by!("moves", 5usize, pass = "sizing");
+        count_by!("moves", 2u64);
+        let rec = uninstall().unwrap();
+        assert_eq!(rec.snapshot().counter("moves"), 7);
+        assert_eq!(rec.events().len(), 3, "one event per call");
+        assert_eq!(rec.events()[1].int_field("by"), Some(5));
+        assert_eq!(rec.events()[1].str_field("pass"), Some("sizing"));
+        let summary = TraceSummary::from_events(rec.events(), true).unwrap();
+        assert_eq!(summary.counters, vec![("moves".to_owned(), 7)]);
     }
 
     #[test]

@@ -20,6 +20,25 @@ pub mod sim {
     pub const TIMED_EVENT_GROUPS: &str = "timed_event_groups";
 }
 
+/// Synthesis-pass events (`aix-synth` sizing and area recovery): one span
+/// per pass and, when the pass ends, one `count_by` event per tally.
+pub mod synth {
+    /// Span over one timing-driven sizing pass (`size_for_performance`).
+    pub const SPAN_SIZING: &str = "synth_sizing";
+    /// Span over one area-recovery pass (`recover_area`).
+    pub const SPAN_AREA_RECOVERY: &str = "synth_area_recovery";
+    /// Counter: cell swaps tried (upsizes in sizing, downsizes in
+    /// recovery).
+    pub const MOVES_TRIED: &str = "synth_moves_tried";
+    /// Counter: tried swaps that were kept.
+    pub const MOVES_ACCEPTED: &str = "synth_moves_accepted";
+    /// Counter: tried swaps that were undone.
+    pub const ROLLBACKS: &str = "synth_rollbacks";
+    /// Counter: gates whose arrival times the incremental timer
+    /// recomputed after swaps.
+    pub const GATES_RETIMED: &str = "synth_gates_retimed";
+}
+
 /// `aix serve` daemon events: one request span per accepted request, plus
 /// lifecycle counters matched by `aix serve status` statistics.
 pub mod serve {

@@ -81,7 +81,8 @@ pub struct TraceSummary {
     pub events: usize,
     /// Per-span-name aggregates, name-sorted.
     pub stages: Vec<StageSummary>,
-    /// Counter event occurrences by name, name-sorted.
+    /// Counter totals by name, name-sorted: each event adds its `by`
+    /// field, or 1 when it has none.
     pub counters: Vec<(String, u64)>,
     /// Last value per gauge name, name-sorted.
     pub gauges: Vec<(String, f64)>,
@@ -211,7 +212,10 @@ impl TraceSummary {
                         agg.max_us = Some(agg.max_us.unwrap_or(0).max(us));
                     }
                 }
-                EventKind::Counter => *counters.entry(event.name.clone()).or_insert(0) += 1,
+                EventKind::Counter => {
+                    let by = event.int_field("by").and_then(|v| u64::try_from(v).ok());
+                    *counters.entry(event.name.clone()).or_insert(0) += by.unwrap_or(1);
+                }
                 EventKind::Gauge => {
                     let value = match event.field("value") {
                         Some(Value::Float(v)) => *v,

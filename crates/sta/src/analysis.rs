@@ -47,60 +47,101 @@ impl TimingReport {
 /// Runs STA: propagates arrival times in topological order and records the
 /// critical (maximum) delay over all primary outputs.
 ///
+/// The walk follows the netlist's cached levelized
+/// [`Schedule`](aix_netlist::Schedule). Any topological order gives the same
+/// arrivals bit for bit: a gate's arrival depends only on its own inputs,
+/// whose arrivals are final before the gate is visited.
+///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
 pub fn analyze(netlist: &Netlist, delays: &NetDelays) -> Result<TimingReport, NetlistError> {
-    let order = netlist.topological_order()?;
+    let schedule = netlist.schedule()?;
     let mut arrival = vec![0.0f64; netlist.net_count()];
-    for gate_id in order {
-        let gate = netlist.gate(gate_id);
-        let input_arrival = gate
-            .inputs
-            .iter()
-            .map(|n| arrival[n.index()])
-            .fold(0.0f64, f64::max);
-        for &out in &gate.outputs {
-            arrival[out.index()] = input_arrival + delays.of(out.index());
-        }
+    for gate_id in schedule.gate_order() {
+        retime_gate(netlist, gate_id, delays.as_slice(), &mut arrival);
     }
-    let per_output: Vec<f64> = netlist
-        .outputs()
+    Ok(TimingReport::from_arrivals(netlist, arrival))
+}
+
+/// Sets the arrival of each output of `gate_id`: the latest input arrival
+/// plus the output's arc delay. Returns whether any output arrival changed
+/// (bitwise). Shared by [`analyze`] and the incremental timer so both do
+/// the same arithmetic.
+pub(crate) fn retime_gate(
+    netlist: &Netlist,
+    gate_id: GateId,
+    delays: &[f64],
+    arrival: &mut [f64],
+) -> bool {
+    let gate = netlist.gate(gate_id);
+    let input_arrival = gate
+        .inputs
         .iter()
-        .map(|(_, net)| arrival[net.index()])
-        .collect();
-    // Seed with the first output so a netlist whose outputs all arrive at
-    // exactly 0 ps (pass-through or constant outputs) still reports a
-    // critical output; ties keep the earliest port. An outputless netlist
-    // reports `None` and a 0 ps delay.
-    let (critical_output, max_delay) = per_output.iter().enumerate().fold(
+        .map(|n| arrival[n.index()])
+        .fold(0.0f64, f64::max);
+    let mut changed = false;
+    for &out in &gate.outputs {
+        let t = input_arrival + delays[out.index()];
+        changed |= t.to_bits() != arrival[out.index()].to_bits();
+        arrival[out.index()] = t;
+    }
+    changed
+}
+
+/// The latest-arriving primary output and its arrival time.
+///
+/// Seeded with the first output so a netlist whose outputs all arrive at
+/// exactly 0 ps (pass-through or constant outputs) still reports a
+/// critical output; ties keep the earliest port. An outputless netlist
+/// reports `None` and a 0 ps delay.
+pub(crate) fn latest_output(netlist: &Netlist, arrival: &[f64]) -> (Option<usize>, f64) {
+    netlist.outputs().iter().enumerate().fold(
         (None, 0.0f64),
-        |(best, max), (i, &t)| {
+        |(best, max), (i, (_, net))| {
+            let t = arrival[net.index()];
             if best.is_none() || t > max {
                 (Some(i), t)
             } else {
                 (best, max)
             }
         },
-    );
-    Ok(TimingReport {
-        arrival_ps: arrival,
-        max_delay_ps: max_delay,
-        critical_output,
-        per_output_ps: per_output,
-    })
+    )
+}
+
+impl TimingReport {
+    fn from_arrivals(netlist: &Netlist, arrival: Vec<f64>) -> Self {
+        let per_output = netlist
+            .outputs()
+            .iter()
+            .map(|(_, net)| arrival[net.index()])
+            .collect();
+        let (critical_output, max_delay) = latest_output(netlist, &arrival);
+        Self {
+            arrival_ps: arrival,
+            max_delay_ps: max_delay,
+            critical_output,
+            per_output_ps: per_output,
+        }
+    }
 }
 
 /// Extracts the gates along the critical path, inputs first.
 ///
 /// Walks back from the latest-arriving output through, at every gate, the
 /// input whose arrival time dominates.
-pub fn critical_path(
+pub fn critical_path(netlist: &Netlist, report: &TimingReport) -> Vec<GateId> {
+    walk_critical_path(netlist, &report.arrival_ps, report.critical_output)
+}
+
+/// The walk behind [`critical_path`], over raw arrivals so the
+/// incremental timer shares it.
+pub(crate) fn walk_critical_path(
     netlist: &Netlist,
-    delays: &NetDelays,
-    report: &TimingReport,
+    arrival: &[f64],
+    critical_output: Option<usize>,
 ) -> Vec<GateId> {
-    let Some(out_idx) = report.critical_output() else {
+    let Some(out_idx) = critical_output else {
         return Vec::new();
     };
     let mut path = Vec::new();
@@ -109,15 +150,14 @@ pub fn critical_path(
         path.push(gate);
         let g = netlist.gate(gate);
         let Some(&next) = g.inputs.iter().max_by(|a, b| {
-            report.arrival_ps[a.index()]
-                .partial_cmp(&report.arrival_ps[b.index()])
+            arrival[a.index()]
+                .partial_cmp(&arrival[b.index()])
                 .expect("arrival times are finite")
         }) else {
             break;
         };
         net = next;
     }
-    let _ = delays;
     path.reverse();
     path
 }
@@ -205,7 +245,7 @@ mod tests {
         assert_eq!(report.max_delay_ps(), 0.0);
         assert_eq!(report.critical_output(), Some(0), "ties keep the first port");
         // No gates on the path, but the output itself is identified.
-        assert!(critical_path(&nl, &delays, &report).is_empty());
+        assert!(critical_path(&nl, &report).is_empty());
     }
 
     #[test]
@@ -247,7 +287,7 @@ mod tests {
             build_multiplier(&lib, MultiplierKind::Array, ComponentSpec::full(8)).unwrap();
         let delays = NetDelays::fresh(&nl);
         let report = analyze(&nl, &delays).unwrap();
-        let path = critical_path(&nl, &delays, &report);
+        let path = critical_path(&nl, &report);
         assert!(!path.is_empty());
         // Each consecutive pair must be connected.
         for pair in path.windows(2) {
@@ -292,7 +332,7 @@ mod tests {
         let model = AgingModel::calibrated();
         let fresh_delays = NetDelays::fresh(&nl);
         let fresh = analyze(&nl, &fresh_delays).unwrap();
-        let path = critical_path(&nl, &fresh_delays, &fresh);
+        let path = critical_path(&nl, &fresh);
         let mut pairs = vec![StressPair::default(); nl.gate_count()];
         for g in &path {
             pairs[g.index()] = StressPair::WORST;

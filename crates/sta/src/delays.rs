@@ -35,15 +35,50 @@ impl StressSource {
 /// This is the "annotated netlist" of the paper's flow: fresh delays come
 /// from the original library, aged delays from scaling each arc by the
 /// degradation factor of its driving cell under that cell's stress.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Annotations from [`fresh`](Self::fresh), [`aged`](Self::aged) and
+/// [`aged_with_stress`](Self::aged_with_stress) also remember each gate's
+/// derating factor, which does not depend on the gate's cell; that is what
+/// lets an [`IncrementalTimer`](crate::IncrementalTimer) re-time a gate
+/// after a cell swap. Equality compares the delays only.
+#[derive(Debug, Clone)]
 pub struct NetDelays {
     delays_ps: Vec<f64>,
+    derating: Derating,
+}
+
+/// The per-gate factor an annotation scaled every arc by.
+#[derive(Debug, Clone)]
+pub(crate) enum Derating {
+    /// Unknown: raw, re-scaled, table-based or combined-model delays.
+    Opaque,
+    /// The same factor for every gate.
+    Uniform(f64),
+    /// One factor per gate, indexed by gate id.
+    PerGate(Vec<f64>),
+}
+
+impl Derating {
+    /// The factor of gate `gate_index`, `None` for opaque annotations.
+    pub(crate) fn of(&self, gate_index: usize) -> Option<f64> {
+        match self {
+            Derating::Opaque => None,
+            Derating::Uniform(factor) => Some(*factor),
+            Derating::PerGate(factors) => factors.get(gate_index).copied(),
+        }
+    }
+}
+
+impl PartialEq for NetDelays {
+    fn eq(&self, other: &Self) -> bool {
+        self.delays_ps == other.delays_ps
+    }
 }
 
 impl NetDelays {
     /// Fresh (design-time) delays: the synthesis-library view.
     pub fn fresh(netlist: &Netlist) -> Self {
-        Self::build(netlist, |_gate_index, _cell| 1.0)
+        Self::build(netlist, Derating::Uniform(1.0))
     }
 
     /// Delays under a uniform aging scenario evaluated analytically from
@@ -70,10 +105,18 @@ impl NetDelays {
         lifetime: Lifetime,
     ) -> Self {
         // `build` applies the cell's BTI sensitivity via `aged_delay_ps`;
-        // the closure supplies the raw physics factor.
-        Self::build(netlist, |gate_index, _cell| {
-            model.pair_delay_factor(stress.pair_for(gate_index), lifetime)
-        })
+        // the derating supplies the raw physics factor, computed once for a
+        // uniform source.
+        let factor = |pair| model.pair_delay_factor(pair, lifetime).max(1.0);
+        let derating = match stress {
+            StressSource::Uniform(pair) => Derating::Uniform(factor(*pair)),
+            StressSource::PerGate(_) => Derating::PerGate(
+                (0..netlist.gate_count())
+                    .map(|gate_index| factor(stress.pair_for(gate_index)))
+                    .collect(),
+            ),
+        };
+        Self::build(netlist, derating)
     }
 
     /// Delays under the combined BTI + HCI model: duty-cycle stress per
@@ -112,7 +155,7 @@ impl NetDelays {
                     cell.aged_delay_ps(loads[id.index()], base.max(1.0));
             }
         }
-        Self { delays_ps: delays }
+        Self::opaque(delays)
     }
 
     /// Delays looked up from pre-generated degradation tables — the exact
@@ -133,21 +176,33 @@ impl NetDelays {
                 delays[id.index()] = cell.delay_ps(loads[id.index()]) * factor;
             }
         }
-        Self { delays_ps: delays }
+        Self::opaque(delays)
     }
 
-    fn build(netlist: &Netlist, factor: impl Fn(usize, &aix_cells::Cell) -> f64) -> Self {
+    /// Every gate-driven net's delay: the driving cell at the net's load,
+    /// derated by the gate's factor (already clamped to at least 1).
+    fn build(netlist: &Netlist, derating: Derating) -> Self {
         let mut delays = vec![0.0; netlist.net_count()];
         let loads = netlist.net_loads_ff();
         for (id, net) in netlist.nets() {
             if let NetDriver::Gate { gate, .. } = net.driver {
                 let g = netlist.gate(gate);
                 let cell = netlist.library().cell(g.cell);
-                delays[id.index()] =
-                    cell.aged_delay_ps(loads[id.index()], factor(gate.index(), cell).max(1.0));
+                let factor = derating.of(gate.index()).expect("built with a known derating");
+                delays[id.index()] = cell.aged_delay_ps(loads[id.index()], factor);
             }
         }
-        Self { delays_ps: delays }
+        Self {
+            delays_ps: delays,
+            derating,
+        }
+    }
+
+    fn opaque(delays_ps: Vec<f64>) -> Self {
+        Self {
+            delays_ps,
+            derating: Derating::Opaque,
+        }
     }
 
     /// Builds an annotation directly from per-net delays (indexed by net
@@ -155,7 +210,7 @@ impl NetDelays {
     /// annotations; normal flows should prefer the `fresh`/`aged`
     /// constructors.
     pub fn from_raw(delays_ps: Vec<f64>) -> Self {
-        Self { delays_ps }
+        Self::opaque(delays_ps)
     }
 
     /// A copy with every gate-driven net's delay multiplied by
@@ -168,7 +223,7 @@ impl NetDelays {
                 delays[id.index()] *= factor(gate.index());
             }
         }
-        Self { delays_ps: delays }
+        Self::opaque(delays)
     }
 
     /// The delay contributed by the driver of net `net_index`.
@@ -179,6 +234,16 @@ impl NetDelays {
     /// All per-net delays (indexed by net id).
     pub fn as_slice(&self) -> &[f64] {
         &self.delays_ps
+    }
+
+    /// The per-gate derating factors this annotation was built with.
+    pub(crate) fn derating(&self) -> &Derating {
+        &self.derating
+    }
+
+    /// The per-net delays, without copying them.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        self.delays_ps
     }
 }
 

@@ -31,12 +31,14 @@
 
 mod analysis;
 mod delays;
+mod incremental;
 mod required;
 mod sdf;
 mod slack;
 
 pub use analysis::{analyze, critical_path, TimingReport};
 pub use delays::{NetDelays, StressSource};
+pub use incremental::IncrementalTimer;
 pub use required::SlackReport;
 pub use sdf::to_sdf;
 pub use slack::ClockConstraint;

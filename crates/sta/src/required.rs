@@ -1,7 +1,7 @@
 //! Required-time propagation and per-net slack.
 
 use crate::{NetDelays, TimingReport};
-use aix_netlist::{NetId, Netlist, NetlistError};
+use aix_netlist::{NetId, Netlist, NetlistError, Schedule};
 
 /// Per-net required times and slacks against a clock constraint.
 ///
@@ -45,19 +45,40 @@ impl SlackReport {
         report: &TimingReport,
         clock_ps: f64,
     ) -> Result<Self, NetlistError> {
+        let schedule = netlist.schedule()?;
+        Ok(Self::from_parts(
+            netlist,
+            &schedule,
+            delays.as_slice(),
+            report.arrivals(),
+            clock_ps,
+        ))
+    }
+
+    /// The backward pass over raw per-net delays and arrivals, walking
+    /// `schedule` in reverse. Shared with the incremental timer. Like the
+    /// forward pass, any reverse topological order gives the same bits: a
+    /// net's required time is a minimum over its readers, all of which are
+    /// final before its driver is visited.
+    pub(crate) fn from_parts(
+        netlist: &Netlist,
+        schedule: &Schedule,
+        delays: &[f64],
+        arrivals: &[f64],
+        clock_ps: f64,
+    ) -> Self {
         let mut required = vec![f64::INFINITY; netlist.net_count()];
         for (_, net) in netlist.outputs() {
             required[net.index()] = required[net.index()].min(clock_ps);
         }
-        let order = netlist.topological_order()?;
-        for gate_id in order.into_iter().rev() {
+        for gate_id in schedule.gate_order().rev() {
             let gate = netlist.gate(gate_id);
             // Required time at the gate's inputs: the tightest output
             // requirement minus that output's arc delay.
             let input_required = gate
                 .outputs
                 .iter()
-                .map(|n| required[n.index()] - delays.of(n.index()))
+                .map(|n| required[n.index()] - delays[n.index()])
                 .fold(f64::INFINITY, f64::min);
             for &input in &gate.inputs {
                 let r = &mut required[input.index()];
@@ -66,19 +87,19 @@ impl SlackReport {
         }
         let slack = required
             .iter()
-            .enumerate()
-            .map(|(i, &r)| {
+            .zip(arrivals)
+            .map(|(&r, &arrival)| {
                 if r.is_finite() {
-                    r - report.arrivals()[i]
+                    r - arrival
                 } else {
                     f64::INFINITY
                 }
             })
             .collect();
-        Ok(Self {
+        Self {
             required_ps: required,
             slack_ps: slack,
-        })
+        }
     }
 
     /// Required time at a net (infinite if it reaches no output).

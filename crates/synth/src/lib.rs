@@ -10,8 +10,12 @@
 //! * [`size_for_performance`] — greedy critical-path drive-strength
 //!   upsizing, the timing-driven optimization that gives highly optimized
 //!   netlists their near-critical "slack wall".
+//! * [`recover_area`] — slack-driven downsizing back to the achieved
+//!   delay. Both passes time their moves with one
+//!   [`aix_sta::IncrementalTimer`].
 //! * [`Synthesizer`] — effort-driven mapping of adders/multipliers/MACs to
-//!   architectures, composing generation, optimization and sizing.
+//!   architectures, composing generation and the [`compile`] recipe
+//!   (optimization, sizing, area recovery).
 //! * [`aging_aware_synthesize`] — the DAC'16 baseline: re-size cells using
 //!   degradation-aware timing until the *aged* netlist meets the fresh
 //!   constraint, trading area and power for resilience.
@@ -35,10 +39,12 @@
 
 mod aging_aware;
 mod opt;
+#[cfg(test)]
+mod oracle;
 mod sizing;
 mod synthesizer;
 
 pub use aging_aware::{aging_aware_synthesize, AgingAwareOutcome};
 pub use opt::{constant_propagation, optimize, sweep_dead_gates};
 pub use sizing::{recover_area, size_for_performance, RecoveryOutcome, SizingOutcome};
-pub use synthesizer::{Effort, ParseEffortError, Synthesizer};
+pub use synthesizer::{compile, Effort, ParseEffortError, Synthesizer};

@@ -1,8 +1,8 @@
 //! Timing-driven drive-strength sizing.
 
 use aix_netlist::{Netlist, NetlistError};
-use aix_sta::{analyze, critical_path, NetDelays, SlackReport};
-
+use aix_obs::names::synth as names;
+use aix_sta::{IncrementalTimer, NetDelays};
 
 /// Result of a sizing run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,29 +38,38 @@ impl SizingOutcome {
 ///
 /// # Errors
 ///
-/// Propagates STA errors (cyclic netlists).
+/// Propagates STA errors (cyclic netlists), and
+/// [`NetlistError::NotRetimeable`] when `delay_fn` returns an annotation
+/// the incremental timer cannot re-time: only `NetDelays::fresh`, `aged`
+/// and `aged_with_stress` can be. `delay_fn` is called once; every move
+/// after that is timed incrementally, bit-identical to re-running it.
 pub fn size_for_performance(
     netlist: &mut Netlist,
     delay_fn: impl Fn(&Netlist) -> NetDelays,
     max_iterations: usize,
 ) -> Result<SizingOutcome, NetlistError> {
+    let _span = aix_obs::span!(
+        names::SPAN_SIZING,
+        gates = netlist.gate_count(),
+        max_iterations = max_iterations,
+    );
     let delays = delay_fn(netlist);
-    let initial = analyze(netlist, &delays)?.max_delay_ps();
+    let mut timer = IncrementalTimer::new(netlist, delays)?;
+    let initial = timer.max_delay_ps();
     let mut current = initial;
     let mut upsized = 0usize;
     let mut iterations = 0usize;
+    let mut rollbacks = 0usize;
     // Gates proven unhelpful to upsize (reverted moves).
-    let mut locked = vec![false; netlist.gate_count()];
+    let mut locked = vec![false; timer.netlist().gate_count()];
     while iterations < max_iterations {
         iterations += 1;
-        let delays = delay_fn(netlist);
-        let report = analyze(netlist, &delays)?;
-        let path = critical_path(netlist, &delays, &report);
+        let netlist = timer.netlist();
         // Candidate: the path gate with the largest arc delay that can
         // still be upsized and is not locked.
         let mut candidate = None;
         let mut worst = 0.0f64;
-        for &gate_id in &path {
+        for gate_id in timer.critical_path() {
             if locked[gate_id.index()] {
                 continue;
             }
@@ -68,7 +77,7 @@ pub fn size_for_performance(
             let arc: f64 = gate
                 .outputs
                 .iter()
-                .map(|n| delays.of(n.index()))
+                .map(|n| timer.delays()[n.index()])
                 .fold(0.0, f64::max);
             if arc > worst && netlist.library().upsize(gate.cell).is_some() {
                 worst = arc;
@@ -81,24 +90,41 @@ pub fn size_for_performance(
             .library()
             .upsize(old_cell)
             .expect("candidate filter guarantees an upsize exists");
-        netlist.gate_mut(gate_id).cell = new_cell;
-        let new_delay = analyze(netlist, &delay_fn(netlist))?.max_delay_ps();
+        timer.set_cell(gate_id, new_cell);
+        let new_delay = timer.max_delay_ps();
         if new_delay < current - 1e-9 {
             current = new_delay;
             upsized += 1;
         } else {
             // Revert: upsizing here hurt (input capacitance outweighed
             // drive) or did not help.
-            netlist.gate_mut(gate_id).cell = old_cell;
+            timer.set_cell(gate_id, old_cell);
             locked[gate_id.index()] = true;
+            rollbacks += 1;
         }
     }
+    record_pass("sizing", upsized + rollbacks, upsized, rollbacks, &timer);
     Ok(SizingOutcome {
         initial_delay_ps: initial,
         final_delay_ps: current,
         upsized_gates: upsized,
         iterations,
     })
+}
+
+/// Emits a pass's tallies as `count_by` events (one relaxed load when no
+/// recorder is installed).
+fn record_pass(
+    pass: &str,
+    tried: usize,
+    accepted: usize,
+    rollbacks: usize,
+    timer: &IncrementalTimer<'_>,
+) {
+    aix_obs::count_by!(names::MOVES_TRIED, tried, pass = pass);
+    aix_obs::count_by!(names::MOVES_ACCEPTED, accepted, pass = pass);
+    aix_obs::count_by!(names::ROLLBACKS, rollbacks, pass = pass);
+    aix_obs::count_by!(names::GATES_RETIMED, timer.gates_retimed(), pass = pass);
 }
 
 /// Result of an area-recovery run.
@@ -127,22 +153,30 @@ pub struct RecoveryOutcome {
 ///
 /// # Errors
 ///
-/// Propagates STA errors (cyclic netlists).
+/// As for [`size_for_performance`].
 pub fn recover_area(
     netlist: &mut Netlist,
     delay_fn: impl Fn(&Netlist) -> NetDelays,
     target_ps: f64,
     max_rounds: usize,
 ) -> Result<RecoveryOutcome, NetlistError> {
+    let _span = aix_obs::span!(
+        names::SPAN_AREA_RECOVERY,
+        gates = netlist.gate_count(),
+        target_ps = target_ps,
+        max_rounds = max_rounds,
+    );
     let area_before = netlist.stats().area_um2;
-    let mut downsized = 0usize;
+    let delays = delay_fn(netlist);
+    let mut timer = IncrementalTimer::new(netlist, delays)?;
+    let (mut downsized, mut tried, mut rollbacks) = (0usize, 0usize, 0usize);
     for _ in 0..max_rounds {
-        let delays = delay_fn(netlist);
-        let report = analyze(netlist, &delays)?;
-        if report.max_delay_ps() > target_ps {
+        if timer.max_delay_ps() > target_ps {
             break;
         }
-        let slack = SlackReport::compute(netlist, &delays, &report, target_ps)?;
+        let slack = timer.slack_report(target_ps);
+        let netlist = timer.netlist();
+        let loads = timer.loads();
         // Candidate gates: every output arc has enough slack to absorb a
         // conservative estimate of the downsizing penalty.
         let mut moved = Vec::new();
@@ -150,7 +184,6 @@ pub fn recover_area(
             let Some(weaker) = netlist.library().downsize(gate.cell) else {
                 continue;
             };
-            let loads = netlist.net_loads_ff();
             let old_cell = netlist.library().cell(gate.cell);
             let new_cell = netlist.library().cell(weaker);
             let worst_penalty = gate
@@ -173,27 +206,28 @@ pub fn recover_area(
         if moved.is_empty() {
             break;
         }
-        for &(gate_id, _, weaker) in &moved {
-            netlist.gate_mut(gate_id).cell = weaker;
-        }
+        tried += moved.len();
+        timer.set_cells(moved.iter().map(|&(gate_id, _, weaker)| (gate_id, weaker)));
         // Roll back overshoots one gate at a time (rare thanks to the
         // safety factor).
-        while analyze(netlist, &delay_fn(netlist))?.max_delay_ps() > target_ps {
+        while timer.max_delay_ps() > target_ps {
             let Some((gate_id, original, _)) = moved.pop() else {
                 break;
             };
-            netlist.gate_mut(gate_id).cell = original;
+            timer.set_cell(gate_id, original);
+            rollbacks += 1;
         }
         downsized += moved.len();
         if moved.is_empty() {
             break;
         }
     }
-    let final_delay = analyze(netlist, &delay_fn(netlist))?.max_delay_ps();
+    record_pass("area_recovery", tried, downsized, rollbacks, &timer);
+    let final_delay = timer.max_delay_ps();
     Ok(RecoveryOutcome {
         downsized_gates: downsized,
         area_before_um2: area_before,
-        area_after_um2: netlist.stats().area_um2,
+        area_after_um2: timer.netlist().stats().area_um2,
         final_delay_ps: final_delay,
     })
 }
@@ -204,6 +238,7 @@ mod tests {
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_cells::Library;
     use aix_netlist::{bus_from_u64, bus_to_u64};
+    use aix_sta::analyze;
     use std::sync::Arc;
 
     #[test]

@@ -1,7 +1,7 @@
 //! Effort-driven component synthesis: architecture selection, cleanup and
 //! timing-driven sizing, composing the rest of the crate.
 
-use crate::{optimize, size_for_performance};
+use crate::{optimize, recover_area, size_for_performance};
 use aix_arith::{build_adder, build_mac, build_multiplier, AdderKind, ComponentSpec, MultiplierKind};
 use aix_cells::Library;
 use aix_faults::{env_probe, FaultStage};
@@ -94,6 +94,29 @@ impl std::str::FromStr for Effort {
     }
 }
 
+/// The synthesis recipe every [`Synthesizer`] call ends with: cleanup
+/// ([`optimize`]), then — at efforts that size — timing-driven sizing
+/// against fresh delays and area recovery at the delay sizing achieved,
+/// then validation. Generators outside this crate that build their own
+/// netlists call it to get the same "ultra compile" treatment.
+///
+/// # Errors
+///
+/// Propagates optimization, timing and validation errors.
+pub fn compile(netlist: &Netlist, effort: Effort) -> Result<Netlist, NetlistError> {
+    let mut optimized = optimize(netlist)?;
+    if effort.sizing_iterations() > 0 {
+        let sized =
+            size_for_performance(&mut optimized, NetDelays::fresh, effort.sizing_iterations())?;
+        // Timing closure is followed by area recovery at the achieved
+        // constraint — this produces the slack wall characteristic of
+        // timing-closed netlists.
+        recover_area(&mut optimized, NetDelays::fresh, sized.final_delay_ps, 25)?;
+    }
+    optimized.validate()?;
+    Ok(optimized)
+}
+
 /// Component synthesizer: maps arithmetic specifications to optimized,
 /// sized gate-level netlists over a cell library.
 ///
@@ -132,28 +155,6 @@ impl Synthesizer {
         &self.library
     }
 
-    fn finish(&self, netlist: Netlist) -> Result<Netlist, NetlistError> {
-        let mut optimized = optimize(&netlist)?;
-        if self.effort.sizing_iterations() > 0 {
-            let sized = size_for_performance(
-                &mut optimized,
-                NetDelays::fresh,
-                self.effort.sizing_iterations(),
-            )?;
-            // Timing closure is followed by area recovery at the achieved
-            // constraint — this produces the slack wall characteristic of
-            // timing-closed netlists.
-            crate::recover_area(
-                &mut optimized,
-                NetDelays::fresh,
-                sized.final_delay_ps,
-                25,
-            )?;
-        }
-        optimized.validate()?;
-        Ok(optimized)
-    }
-
     /// Synthesizes an adder.
     ///
     /// # Errors
@@ -170,7 +171,7 @@ impl Synthesizer {
             FaultStage::Synth,
             &format!("adder w{} p{}", spec.width(), spec.precision()),
         );
-        self.finish(build_adder(&self.library, self.effort.adder_kind(), spec)?)
+        compile(&build_adder(&self.library, self.effort.adder_kind(), spec)?, self.effort)
     }
 
     /// Synthesizes an adder with an explicit architecture override (used by
@@ -184,7 +185,7 @@ impl Synthesizer {
         kind: AdderKind,
         spec: ComponentSpec,
     ) -> Result<Netlist, NetlistError> {
-        self.finish(build_adder(&self.library, kind, spec)?)
+        compile(&build_adder(&self.library, kind, spec)?, self.effort)
     }
 
     /// Synthesizes a multiplier.
@@ -203,11 +204,10 @@ impl Synthesizer {
             FaultStage::Synth,
             &format!("multiplier w{} p{}", spec.width(), spec.precision()),
         );
-        self.finish(build_multiplier(
-            &self.library,
-            self.effort.multiplier_kind(),
-            spec,
-        )?)
+        compile(
+            &build_multiplier(&self.library, self.effort.multiplier_kind(), spec)?,
+            self.effort,
+        )
     }
 
     /// Synthesizes a multiplier with an explicit architecture override.
@@ -220,7 +220,7 @@ impl Synthesizer {
         kind: MultiplierKind,
         spec: ComponentSpec,
     ) -> Result<Netlist, NetlistError> {
-        self.finish(build_multiplier(&self.library, kind, spec)?)
+        compile(&build_multiplier(&self.library, kind, spec)?, self.effort)
     }
 
     /// Synthesizes a multiply-accumulate unit.
@@ -239,7 +239,7 @@ impl Synthesizer {
             FaultStage::Synth,
             &format!("mac w{} p{}", spec.width(), spec.precision()),
         );
-        self.finish(build_mac(&self.library, spec)?)
+        compile(&build_mac(&self.library, spec)?, self.effort)
     }
 }
 

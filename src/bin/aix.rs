@@ -1045,7 +1045,9 @@ fn flow(options: &HashMap<String, String>) -> CliResult {
     let library = match get(options, "--library") {
         Some(path) => read_library(path)?,
         None => {
-            aix::obs::progress!("(no --library given: characterizing the IDCT components, ~minutes)");
+            aix::obs::progress!(
+                "(no --library given: characterizing the IDCT components, well under a second)"
+            );
             let engine =
                 CharacterizationEngine::new(Arc::clone(&cells), parse_engine_options(options)?);
             let configs: Vec<CharacterizationConfig> = [
