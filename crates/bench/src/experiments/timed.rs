@@ -1,6 +1,6 @@
 //! Timed-engine throughput: scalar event-driven simulation (one event
 //! queue per vector) versus the packed timed engine (64 vectors per `u64`
-//! word through one shared event calendar).
+//! word through one levelized waveform walk).
 //!
 //! Not a paper figure — this tracks the substrate itself. The measured
 //! speedup lands as `timed:` records in `out/BENCH_timed.json`, so the

@@ -1,5 +1,7 @@
 //! Fixed-point 8-point DCT-II basis coefficients.
 
+use std::sync::OnceLock;
+
 /// Fractional bits of the Q-format coefficients (Q12, the precision typical
 /// of hardware DCT implementations).
 pub const COEFF_FRACTION_BITS: u32 = 12;
@@ -37,6 +39,16 @@ fn normalization(u: usize) -> f64 {
 /// ```
 pub fn dct_coefficient(u: usize, x: usize) -> i32 {
     assert!(u < 8 && x < 8, "8-point basis indices");
+    // Every MAC of every encode and decode reads the basis: build the
+    // table once instead of calling `cos` per read.
+    static BASIS: OnceLock<[[i32; 8]; 8]> = OnceLock::new();
+    let basis =
+        BASIS.get_or_init(|| std::array::from_fn(|u| std::array::from_fn(|x| basis_entry(u, x))));
+    basis[u][x]
+}
+
+/// `C[u][x]` in Q12, computed from its defining expression.
+fn basis_entry(u: usize, x: usize) -> i32 {
     let angle = (2.0 * x as f64 + 1.0) * u as f64 * std::f64::consts::PI / 16.0;
     (normalization(u) / 2.0 * angle.cos() * SCALE).round() as i32
 }

@@ -11,7 +11,7 @@
 //! [`GateLevelConfig::sim_engine`]): the scalar [`TimedSimulator`] steps
 //! every MAC of every block through one simulator, while the packed
 //! [`PackedTimedSimulator`] runs up to 64 blocks lane-parallel, each lane a
-//! persistent stream through one shared event calendar. Each lane's MAC
+//! persistent stream, all lanes stepped in one waveform walk. Each lane's MAC
 //! sequence is exact per-vector timed simulation either way, but the
 //! engines see different inter-block stimulus histories (a MAC's timing
 //! depends on the *previous* MAC's inputs, and the blocks preceding a
@@ -353,8 +353,8 @@ impl GateLevelPipeline {
     }
 
     /// Builds the lane-batched MAC closure driving the packed timed
-    /// simulator: one lane per block, all lanes stepped through one shared
-    /// event calendar per MAC.
+    /// simulator: one lane per block, all lanes stepped in one waveform
+    /// walk per MAC.
     fn batch_mac_closure<'a, 'nl: 'a>(
         &'a self,
         sim: &'a mut PackedTimedSimulator<'nl>,

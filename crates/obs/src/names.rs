@@ -15,8 +15,10 @@ pub mod sim {
     /// Span over one packed *timed* (event-driven) measurement — the
     /// lane-parallel twin of a scalar `TimedSimulator` sweep.
     pub const SPAN_TIMED_PACKED: &str = "sim_timed_packed";
-    /// Counter: event groups applied by the packed timed engine (one group
-    /// covers up to 64 lanes of the same net at the same tick).
+    /// Counter: waveform entries the packed timed engine built over one
+    /// `measure_errors` or timed-activity call, emitted once per call with
+    /// the total as `by`. One entry is one net changing in up to 64 lanes
+    /// at one instant.
     pub const TIMED_EVENT_GROUPS: &str = "timed_event_groups";
 }
 

@@ -312,6 +312,11 @@ where
     if !batch.is_empty() {
         flush(&batch, &mut sim, &mut ones)?;
     }
+    aix_obs::count_by!(
+        aix_obs::names::sim::TIMED_EVENT_GROUPS,
+        sim.waveform_entries(),
+        consumer = "activity_timed"
+    );
     Ok(Activity::from_parts(
         ones,
         sim.transition_counts().to_vec(),

@@ -71,8 +71,8 @@ where
 /// [`measure_errors`] with an explicit engine choice.
 ///
 /// `Packed` runs the lane-parallel timed engine
-/// ([`PackedTimedSimulator`]): 64 vectors advance through one shared event
-/// calendar per batch, with per-lane sample-at-clock and settle state. The
+/// ([`PackedTimedSimulator`]): 64 vectors advance through one levelized
+/// waveform propagation per batch, with per-lane sample-at-clock state. The
 /// two paths are byte-identical — every per-lane outcome equals the scalar
 /// engine's, and floating-point accumulation happens in stimulus order on
 /// both.
@@ -163,8 +163,8 @@ where
                      stats: &mut ErrorStats,
                      total_abs_error: &mut f64|
      -> Result<(), NetlistError> {
-        // The packed timed engine advances all lanes through one shared
-        // event calendar; sampled and settled words come out together.
+        // The packed timed engine advances all lanes in one netlist walk;
+        // sampled and settled words come out together.
         let outcome = sim.step_stream_batch(batch, clock_ps)?;
         let sampled_words = outcome.sampled_words();
         let settled_words = outcome.settled_words();
@@ -198,6 +198,11 @@ where
     if !batch.is_empty() {
         flush(&batch, &mut stats, &mut total_abs_error)?;
     }
+    aix_obs::count_by!(
+        aix_obs::names::sim::TIMED_EVENT_GROUPS,
+        sim.waveform_entries(),
+        consumer = "measure_errors"
+    );
     if stats.vectors > 0 {
         stats.mean_abs_error = total_abs_error / stats.vectors as f64;
     }

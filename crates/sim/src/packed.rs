@@ -8,12 +8,11 @@
 //! [`simulate_faults`]) this turns 64 full netlist walks into one.
 //!
 //! Timed simulation is packed too:
-//! [`PackedTimedSimulator`](crate::PackedTimedSimulator) lane-parallelizes
-//! the event-driven engine itself — one shared event calendar batched per
-//! femtosecond tick, 64 vectors per word, per-lane sample-at-clock and
-//! settle state — and is bit-identical to the scalar
-//! [`TimedSimulator`](crate::TimedSimulator) per lane. DESIGN.md records
-//! the suppression-invariant argument for why that holds.
+//! [`PackedTimedSimulator`](crate::PackedTimedSimulator) propagates
+//! per-net waveforms on the femtosecond tick grid in one levelized walk,
+//! 64 vectors per word with per-lane sample-at-clock state, and is
+//! bit-identical to the scalar [`TimedSimulator`](crate::TimedSimulator)
+//! per lane. DESIGN.md records the argument for why that holds.
 //!
 //! [`measure_errors`]: crate::measure_errors
 //! [`Activity`]: crate::Activity
@@ -34,7 +33,7 @@ pub const LANES: usize = 64;
 /// Both engines produce byte-identical results (the differential suite in
 /// `tests/sim_equivalence.rs` pins this for functional and timed runs
 /// alike); `Packed` is the default because it evaluates 64 vectors per
-/// netlist walk or shared event calendar. Select explicitly with
+/// netlist walk, timed or not. Select explicitly with
 /// `--sim-engine scalar|packed` on the CLI or the `AIX_SIM_ENGINE`
 /// environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -1,82 +1,54 @@
-//! Lane-parallel (packed) event-driven timed simulation.
+//! Lane-parallel (packed) timed simulation by levelized waveform
+//! propagation.
 //!
 //! [`PackedTimedSimulator`] simulates up to [`LANES`] = 64 independent
-//! stimulus vectors per `u64` word through *timed* gate-level evaluation:
-//! the same per-net transport delays, clock-edge sampling, settle times and
-//! glitch counts as the scalar [`TimedSimulator`](crate::TimedSimulator),
-//! but with every gate evaluation ([`CellFunction::eval_words`]) and every
-//! net transition shared across all lanes.
+//! stimulus vectors per `u64` word with the same per-net transport delays,
+//! clock-edge sampling, settle times and glitch counts as the scalar
+//! [`TimedSimulator`](crate::TimedSimulator), but without an event queue:
+//! one step walks the netlist once in topological order and builds every
+//! net's *waveform* — the instants at which some lane of the net changes,
+//! each carrying the net's new lane word.
 //!
-//! Two properties make the engine exact rather than approximate:
+//! * **Instants.** An instant is a femtosecond tick
+//!   ([`crate::TICKS_PER_PS`]) plus a *pass*. A gate evaluated at
+//!   `(tick, pass)` drives its outputs at `(tick + delay, 0)`, or at
+//!   `(tick, pass + 1)` when the sum stays on the same tick (a zero delay,
+//!   or saturation at `u64::MAX`) — the scalar engine's same-tick re-visit.
+//! * **Gates.** A gate's output waveform is a pure function of its input
+//!   waveforms: merge their instants, evaluate
+//!   [`CellFunction::eval_words`] on whole lane words at each, and append
+//!   an entry only where lanes change against the output's latest entry.
+//!   Because each net's delay is a per-net constant, the scalar engine
+//!   schedules a net's events in time order, so its "last scheduled" value
+//!   is exactly that latest entry.
 //!
-//! * **Integer tick grid.** All event times are femtosecond ticks
-//!   ([`crate::TICKS_PER_PS`]), shared with the scalar engine, so
-//!   "simultaneous" is decidable and both engines batch the same instants.
-//! * **Event groups.** The calendar maps ticks to `Vec<EventGroup>` (a
-//!   flat hash map plus a min-heap of distinct ticks): one group carries a
-//!   net's new lane word plus the mask of lanes that actually change.
-//!   Lanes whose delays drive a transition to the same (net, tick) share
-//!   one group, one calendar operation, and one gate re-evaluation — on
-//!   balanced adders most lanes do, which is where the speedup over 64
-//!   scalar event queues comes from.
-//!
-//! Per lane, the sequence of transitions on every net is identical to what
-//! a scalar simulator stepping that lane's stimulus stream would apply
-//! (single driver per net, suppression against the last scheduled value,
-//! sampling before any event at `t >= t_clock`), so per-lane outcomes are
-//! bit-identical — `tests/sim_equivalence.rs` pins this differentially.
+//! Within one instant the evaluation order cannot matter: an evaluation
+//! only reads values settled at that instant and writes later ones. Per
+//! lane, every net's sequence of transitions therefore equals what the
+//! scalar engine applies when stepping that lane's stimulus stream, and
+//! outcomes are bit-identical — `tests/sim_equivalence.rs` and this
+//! crate's `tests/timed_proptests.rs` pin this differentially.
 
 use crate::packed::{lane_mask, PackedEvaluator, LANES};
 use crate::timed::{ps_to_ticks, quantize_delays, ticks_to_ps};
 use crate::StepOutcome;
 use aix_cells::{CellFunction, MAX_INPUTS, MAX_OUTPUTS};
-use aix_netlist::{Netlist, NetlistError};
+use aix_netlist::{Netlist, NetlistError, Schedule};
 use aix_sta::NetDelays;
-use std::cmp::Reverse;
-use std::collections::{hash_map, BinaryHeap, HashMap};
-use std::hash::{BuildHasher, Hasher};
+use std::sync::Arc;
 
-/// Multiplicative mixing hasher for tick keys: ticks are already
-/// well-spread integers, so one multiply-rotate replaces SipHash on the
-/// calendar's hottest path (one lookup per scheduled event group).
-#[derive(Default)]
-struct TickHasher(u64);
-
-impl Hasher for TickHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("tick keys hash through write_u64");
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.0 = value.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(29);
-    }
-}
-
-#[derive(Default, Clone)]
-struct TickHasherBuilder;
-
-impl BuildHasher for TickHasherBuilder {
-    type Hasher = TickHasher;
-
-    fn build_hasher(&self) -> TickHasher {
-        TickHasher::default()
-    }
-}
-
-/// One batch of lane transitions on a single net at a single tick.
+/// One waveform entry: a net's lane word from instant `(tick, pass)` on.
 #[derive(Debug, Clone, Copy)]
-struct EventGroup {
-    net: u32,
-    /// New lane word of the net (only bits under `mask` are meaningful).
-    values: u64,
-    /// Lanes this group transitions, as scheduled. Application re-masks
-    /// against the current word, mirroring the scalar engine's "skip if
-    /// already at that value" rule per lane.
-    mask: u64,
+struct Entry {
+    tick: u64,
+    word: u64,
+    pass: u32,
+}
+
+impl Entry {
+    fn instant(&self) -> (u64, u32) {
+        (self.tick, self.pass)
+    }
 }
 
 /// How the lanes of a [`PackedTimedSimulator`] are being fed. The two
@@ -94,9 +66,10 @@ enum Mode {
     Streams,
 }
 
-/// Per-lane results of one packed timed step: the lane-parallel twin of
-/// [`StepOutcome`]. Use [`outcome_for_lane`](Self::outcome_for_lane) for an
-/// exact scalar-shaped view of one lane.
+/// Per-lane results of one packed timed step: the sampled and settled
+/// output words plus the lanes that erred. Per-lane settle instants and
+/// transition totals come from
+/// [`PackedTimedSimulator::lane_outcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedStepOutcome {
     lanes: usize,
@@ -106,10 +79,6 @@ pub struct PackedStepOutcome {
     settled_words: Vec<u64>,
     /// Mask of lanes whose sampled word differs from their settled word.
     error_lanes: u64,
-    /// Per-lane settle instant in ticks (0 when the lane saw no event).
-    settle_ticks: Vec<u64>,
-    /// Per-lane transition counts, glitches included.
-    transitions: Vec<u64>,
 }
 
 impl PackedStepOutcome {
@@ -140,39 +109,10 @@ impl PackedStepOutcome {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
         (self.error_lanes >> lane) & 1 == 1
     }
-
-    /// Settle time of lane `lane` in picoseconds.
-    pub fn settle_ps(&self, lane: usize) -> f64 {
-        assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        ticks_to_ps(self.settle_ticks[lane])
-    }
-
-    /// Net transitions applied in lane `lane`, glitches included.
-    pub fn transitions(&self, lane: usize) -> u64 {
-        assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        self.transitions[lane]
-    }
-
-    /// The scalar [`StepOutcome`] lane `lane` would have produced —
-    /// bit-identical to stepping a [`crate::TimedSimulator`] through the
-    /// same stimulus stream.
-    pub fn outcome_for_lane(&self, lane: usize) -> StepOutcome {
-        assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        let pick = |words: &[u64]| -> Vec<bool> {
-            words.iter().map(|&w| (w >> lane) & 1 == 1).collect()
-        };
-        StepOutcome {
-            sampled: pick(&self.sampled_words),
-            settled: pick(&self.settled_words),
-            timing_error: self.timing_error(lane),
-            settle_ps: ticks_to_ps(self.settle_ticks[lane]),
-            transitions: self.transitions[lane],
-        }
-    }
 }
 
-/// Lane-parallel event-driven simulator with per-net transport delays on
-/// the femtosecond tick grid.
+/// Lane-parallel timed simulator with per-net transport delays on the
+/// femtosecond tick grid.
 ///
 /// Feed it either one logical stream in 64-vector chunks
 /// ([`step_stream_batch`](Self::step_stream_batch) — what
@@ -184,10 +124,10 @@ impl PackedStepOutcome {
 #[derive(Debug)]
 pub struct PackedTimedSimulator<'nl> {
     netlist: &'nl Netlist,
+    /// The netlist's shared levelized schedule.
+    schedule: Arc<Schedule>,
     /// Per-gate function, flattened for cache-friendly dispatch.
     functions: Vec<CellFunction>,
-    /// Per-gate topological level, flattened from the [`Schedule`].
-    gate_level: Vec<u32>,
     /// Flattened gate connectivity: gate *g* reads the nets
     /// `gate_inputs[input_offsets[g]..input_offsets[g + 1]]` and drives
     /// `gate_outputs[output_offsets[g]..output_offsets[g + 1]]`.
@@ -197,28 +137,22 @@ pub struct PackedTimedSimulator<'nl> {
     output_offsets: Vec<u32>,
     /// Per-net transport delay in ticks.
     delays_ticks: Vec<u64>,
-    /// Per-net fanout gate ids.
-    fanout: Vec<Vec<u32>>,
-    /// Current lane word of every net.
+    /// Primary-output nets, in port order.
+    output_nets: Vec<u32>,
+    /// Lane word of every net before the latest step.
+    initial: Vec<u64>,
+    /// Current lane word of every net (settled after a completed step).
     values: Vec<u64>,
-    /// Most recently scheduled lane word per net, for per-lane event
-    /// suppression.
-    scheduled: Vec<u64>,
-    /// Event calendar: tick → groups scheduled for that instant. A flat
-    /// hash map (O(1) scheduling) paired with `tick_heap` for ordered
-    /// draining — measurably faster than a `BTreeMap` calendar, whose
-    /// node traffic dominated the profile.
-    queue: HashMap<u64, Vec<EventGroup>, TickHasherBuilder>,
-    /// Min-heap of the distinct ticks present in `queue` (each exactly
-    /// once: pushed only when its map entry is created).
-    tick_heap: BinaryHeap<Reverse<u64>>,
-    /// Recycled per-tick group buffers: the calendar would otherwise
-    /// allocate and free one `Vec` per distinct event instant.
-    free_groups: Vec<Vec<EventGroup>>,
+    /// Lane words the primary inputs switch to at `t = 0`, input order.
+    input_words: Vec<u64>,
+    /// The latest step's waveforms in one flat arena: net *n* owns
+    /// `arena[spans[n].0..spans[n].1]`, in instant order.
+    arena: Vec<Entry>,
+    spans: Vec<(u32, u32)>,
+    /// Scratch: output entries of the gate being propagated, per pin.
+    pin_entries: [Vec<Entry>; MAX_OUTPUTS],
     /// Functional reference for stream initialization.
     golden: PackedEvaluator<'nl>,
-    /// Scratch: settled lane words of the latest golden evaluation.
-    settled_net: Vec<u64>,
     /// Last-lane settled bit per net from the previous batch (stream-batch
     /// mode): lane 0 of the next batch starts from this state.
     prev_bits: Vec<u64>,
@@ -226,19 +160,13 @@ pub struct PackedTimedSimulator<'nl> {
     /// Lane count pinned by the first `step_streams` call.
     stream_lanes: usize,
     started: bool,
-    /// Dirty gates of the current tick, bucketed by topological level:
-    /// draining the buckets in order yields levelized evaluation without
-    /// a per-tick sort (which dominated the profile on small components).
-    level_buckets: Vec<Vec<u32>>,
-    dirty_stamp: Vec<u64>,
-    dirty_epoch: u64,
     /// Cumulative per-net transition counts across all lanes.
     transition_counts: Vec<u64>,
-    /// Per-lane scratch for the current step.
-    settle_ticks: [u64; LANES],
-    step_transitions: [u64; LANES],
-    /// Event groups applied since construction (observability).
-    groups_applied: u64,
+    /// Waveform entries built since construction or the last reset.
+    entries_built: u64,
+    /// Sampling instant and lane count of the latest step.
+    clock_ticks: u64,
+    lanes: usize,
 }
 
 impl<'nl> PackedTimedSimulator<'nl> {
@@ -257,53 +185,44 @@ impl<'nl> PackedTimedSimulator<'nl> {
             .gates()
             .map(|(_, g)| netlist.library().cell(g.cell).function)
             .collect();
-        let mut gate_level = Vec::with_capacity(netlist.gate_count());
         let mut gate_inputs = Vec::new();
         let mut input_offsets = Vec::with_capacity(netlist.gate_count() + 1);
         let mut gate_outputs = Vec::new();
         let mut output_offsets = Vec::with_capacity(netlist.gate_count() + 1);
         input_offsets.push(0);
         output_offsets.push(0);
-        for (id, g) in netlist.gates() {
-            gate_level.push(schedule.level(id));
+        for (_, g) in netlist.gates() {
             gate_inputs.extend(g.inputs.iter().map(|n| n.raw()));
             input_offsets.push(gate_inputs.len() as u32);
             gate_outputs.extend(g.outputs.iter().map(|n| n.raw()));
             output_offsets.push(gate_outputs.len() as u32);
         }
-        let fanout = netlist
-            .fanout()
-            .into_iter()
-            .map(|sinks| sinks.into_iter().map(|(g, _)| g.raw()).collect())
-            .collect();
+        let nets = netlist.net_count();
         Ok(Self {
             netlist,
+            schedule,
             functions,
-            gate_level,
             gate_inputs,
             input_offsets,
             gate_outputs,
             output_offsets,
             delays_ticks,
-            fanout,
-            values: vec![0; netlist.net_count()],
-            scheduled: vec![0; netlist.net_count()],
-            queue: HashMap::default(),
-            tick_heap: BinaryHeap::new(),
-            free_groups: Vec::new(),
+            output_nets: netlist.outputs().iter().map(|(_, n)| n.raw()).collect(),
+            initial: vec![0; nets],
+            values: vec![0; nets],
+            input_words: vec![0; netlist.inputs().len()],
+            arena: Vec::new(),
+            spans: vec![(0, 0); nets],
+            pin_entries: Default::default(),
             golden,
-            settled_net: vec![0; netlist.net_count()],
-            prev_bits: vec![0; netlist.net_count()],
+            prev_bits: vec![0; nets],
             mode: None,
             stream_lanes: 0,
             started: false,
-            level_buckets: vec![Vec::new(); schedule.level_count() as usize],
-            dirty_stamp: vec![0; netlist.gate_count()],
-            dirty_epoch: 0,
-            transition_counts: vec![0; netlist.net_count()],
-            settle_ticks: [0; LANES],
-            step_transitions: [0; LANES],
-            groups_applied: 0,
+            transition_counts: vec![0; nets],
+            entries_built: 0,
+            clock_ticks: 0,
+            lanes: 0,
         })
     }
 
@@ -317,6 +236,13 @@ impl<'nl> PackedTimedSimulator<'nl> {
     /// [`crate::TimedSimulator::transition_counts`].
     pub fn transition_counts(&self) -> &[u64] {
         &self.transition_counts
+    }
+
+    /// Waveform entries built since construction or the last
+    /// [`reset`](Self::reset): one entry is one net changing in at least
+    /// one lane at one instant.
+    pub fn waveform_entries(&self) -> u64 {
+        self.entries_built
     }
 
     /// Current lane word of every net (settled after a completed step).
@@ -355,38 +281,31 @@ impl<'nl> PackedTimedSimulator<'nl> {
             (1..=LANES).contains(&lanes),
             "batch of {lanes} vectors (expected 1..={LANES})"
         );
-        let mask = lane_mask(lanes);
         // One functional walk gives the settled state of every lane; the
         // per-lane *previous* state is the settled state one lane earlier.
         self.golden.eval_batch(batch)?;
-        self.settled_net.copy_from_slice(self.golden.net_words());
+        let settled = self.golden.net_words();
         if !self.started {
             // Lane 0 of the very first batch starts from its own settled
             // state: zero input transitions, reproducing the scalar
             // engine's untimed first step.
-            for (prev, &w) in self.prev_bits.iter_mut().zip(&self.settled_net) {
+            for (prev, &w) in self.prev_bits.iter_mut().zip(settled) {
                 *prev = w & 1;
             }
             self.started = true;
         }
-        for i in 0..self.values.len() {
-            let shifted = (self.settled_net[i] << 1) | self.prev_bits[i];
-            self.values[i] = shifted;
-            self.scheduled[i] = shifted;
+        for ((start, &w), &prev) in self.initial.iter_mut().zip(settled).zip(&self.prev_bits) {
+            *start = (w << 1) | prev;
         }
-        // Input transitions at t = 0 (per-lane suppressed against the
-        // shifted previous state).
-        for &net in self.netlist.inputs() {
-            let target = self.settled_net[net.index()];
-            self.schedule_event(net.raw(), target, mask, 0);
+        for (word, &net) in self.input_words.iter_mut().zip(self.netlist.inputs()) {
+            *word = settled[net.index()];
         }
-        let outcome = self.run(ps_to_ticks(clock_ps), mask, lanes);
         // Chain the stream: the next batch's lane 0 follows this batch's
         // last lane.
-        for (prev, &w) in self.prev_bits.iter_mut().zip(&self.settled_net) {
+        for (prev, &w) in self.prev_bits.iter_mut().zip(settled) {
             *prev = (w >> (lanes - 1)) & 1;
         }
-        Ok(outcome)
+        Ok(self.propagate(ps_to_ticks(clock_ps), lanes))
     }
 
     /// Simulates one clock cycle of up to 64 *independent* streams: lane
@@ -420,21 +339,19 @@ impl<'nl> PackedTimedSimulator<'nl> {
             (1..=LANES).contains(&lanes),
             "batch of {lanes} vectors (expected 1..={LANES})"
         );
-        let mask = lane_mask(lanes);
         if !self.started {
-            self.stream_lanes = lanes;
             self.golden.eval_batch(batch)?;
             self.values.copy_from_slice(self.golden.net_words());
-            self.scheduled.copy_from_slice(&self.values);
+            self.initial.copy_from_slice(&self.values);
+            self.stream_lanes = lanes;
+            self.lanes = lanes;
             self.started = true;
-            let settled = self.snapshot_output_words();
+            let settled = self.output_words(|net| self.values[net]);
             return Ok(PackedStepOutcome {
                 lanes,
                 sampled_words: settled.clone(),
                 settled_words: settled,
                 error_lanes: 0,
-                settle_ticks: vec![0; lanes],
-                transitions: vec![0; lanes],
             });
         }
         assert_eq!(
@@ -450,179 +367,205 @@ impl<'nl> PackedTimedSimulator<'nl> {
                 });
             }
         }
-        for (pos, &net) in self.netlist.inputs().iter().enumerate() {
-            let mut word = 0u64;
-            for (lane, vector) in batch.iter().enumerate() {
-                word |= u64::from(vector[pos]) << lane;
-            }
-            self.schedule_event(net.raw(), word, mask, 0);
+        for (pos, word) in self.input_words.iter_mut().enumerate() {
+            *word = batch
+                .iter()
+                .enumerate()
+                .fold(0, |w, (lane, vector)| w | (u64::from(vector[pos]) << lane));
         }
-        Ok(self.run(ps_to_ticks(clock_ps), mask, lanes))
+        self.initial.copy_from_slice(&self.values);
+        Ok(self.propagate(ps_to_ticks(clock_ps), lanes))
     }
 
     /// Resets to the uninitialized state (either mode may follow),
-    /// clearing transition counters.
+    /// clearing transition counters and the waveform-entry count.
     pub fn reset(&mut self) {
-        self.queue.clear();
-        self.tick_heap.clear();
+        self.arena.clear();
+        self.spans.fill((0, 0));
         self.mode = None;
         self.started = false;
         self.stream_lanes = 0;
-        for count in &mut self.transition_counts {
-            *count = 0;
-        }
+        self.lanes = 0;
+        self.entries_built = 0;
+        self.transition_counts.fill(0);
     }
 
-    fn schedule_event(&mut self, net: u32, values: u64, mask: u64, time: u64) {
-        let slot = &mut self.scheduled[net as usize];
-        let changed = (*slot ^ values) & mask;
-        if changed == 0 {
-            return;
-        }
-        *slot = (*slot & !changed) | (values & changed);
-        let group = EventGroup {
-            net,
-            values: *slot,
-            mask: changed,
-        };
-        match self.queue.entry(time) {
-            hash_map::Entry::Occupied(mut entry) => entry.get_mut().push(group),
-            hash_map::Entry::Vacant(entry) => {
-                let mut groups = self.free_groups.pop().unwrap_or_default();
-                groups.push(group);
-                entry.insert(groups);
-                self.tick_heap.push(Reverse(time));
-            }
-        }
-    }
-
-    /// Re-evaluates `gate` for all lanes and schedules per-lane output
-    /// changes one per-net delay later. Lanes whose inputs did not change
-    /// recompute their already-scheduled value and are suppressed, so extra
-    /// lane evaluations are no-ops — the key to scalar equivalence.
-    fn evaluate_gate(&mut self, gate: u32, now: u64, active_mask: u64) {
-        let g = gate as usize;
-        let function = self.functions[g];
-        let in_range = self.input_offsets[g] as usize..self.input_offsets[g + 1] as usize;
-        let inputs = &self.gate_inputs[in_range];
-        let mut in_buf = [0u64; MAX_INPUTS];
-        for (slot, &net) in in_buf.iter_mut().zip(inputs) {
-            *slot = self.values[net as usize];
-        }
-        let mut out_buf = [0u64; MAX_OUTPUTS];
-        function.eval_words(&in_buf[..inputs.len()], &mut out_buf);
-        let out_range = self.output_offsets[g] as usize..self.output_offsets[g + 1] as usize;
-        for (pin, out_idx) in out_range.enumerate() {
-            let out_net = self.gate_outputs[out_idx];
-            let delay = self.delays_ticks[out_net as usize];
-            self.schedule_event(out_net, out_buf[pin], active_mask, now.saturating_add(delay));
-        }
-    }
-
-    /// Drains the event calendar, sampling outputs at `clock_ticks` with
-    /// the same edge-exclusive rule as the scalar engine.
-    fn run(&mut self, clock_ticks: u64, active_mask: u64, lanes: usize) -> PackedStepOutcome {
-        self.settle_ticks[..lanes].fill(0);
-        let mut sampled: Option<Vec<u64>> = None;
-        // Per-lane transition totals as bit-sliced vertical counters:
-        // plane *i* holds bit *i* of every lane's count, so accumulating
-        // one group is a short ripple-carry over whole words instead of a
-        // loop over its set lanes.
-        let mut trans_planes = [0u64; 24];
-        while let Some(Reverse(now)) = self.tick_heap.pop() {
-            // Sample *before* applying this instant's batch: an arrival
-            // exactly on the clock edge has zero setup margin.
-            if sampled.is_none() && now >= clock_ticks {
-                sampled = Some(self.snapshot_output_words());
-            }
-            let mut groups = self.queue.remove(&now).expect("popped tick has groups");
-            self.dirty_epoch += 1;
-            let epoch = self.dirty_epoch;
-            let mut tick_changed = 0u64;
-            for group in &groups {
-                let net = group.net as usize;
-                let changed = (self.values[net] ^ group.values) & group.mask;
-                if changed == 0 {
-                    continue;
+    /// The scalar [`StepOutcome`] lane `lane` produced in the latest step —
+    /// bit-identical to stepping a [`crate::TimedSimulator`] through the
+    /// same stimulus stream. Derived from the retained waveforms, so it is
+    /// valid until the next step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` was not active in the latest step.
+    pub fn lane_outcome(&self, lane: usize) -> StepOutcome {
+        assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
+        let bit = 1u64 << lane;
+        let pick = |words: Vec<u64>| -> Vec<bool> { words.iter().map(|w| w & bit != 0).collect() };
+        let sampled = pick(self.output_words(|net| self.sampled_word(net)));
+        let settled = pick(self.output_words(|net| self.values[net]));
+        let mut settle_ticks = 0u64;
+        let mut transitions = 0u64;
+        for (net, &(start, end)) in self.spans.iter().enumerate() {
+            let mut prev = self.initial[net];
+            for entry in &self.arena[start as usize..end as usize] {
+                if (entry.word ^ prev) & bit != 0 {
+                    transitions += 1;
+                    settle_ticks = settle_ticks.max(entry.tick);
                 }
-                self.values[net] = (self.values[net] & !changed) | (group.values & changed);
+                prev = entry.word;
+            }
+        }
+        StepOutcome {
+            timing_error: sampled != settled,
+            sampled,
+            settled,
+            settle_ps: ticks_to_ps(settle_ticks),
+            transitions,
+        }
+    }
+
+    /// Builds every net's waveform for one step from `initial` and
+    /// `input_words`, then samples the outputs at `clock_ticks` with the
+    /// same edge-exclusive rule as the scalar engine.
+    fn propagate(&mut self, clock_ticks: u64, lanes: usize) -> PackedStepOutcome {
+        let mask = lane_mask(lanes);
+        self.clock_ticks = clock_ticks;
+        self.lanes = lanes;
+        self.arena.clear();
+        // Input transitions at t = 0 (per-lane suppressed against the
+        // previous state).
+        for (&net, &word) in self.netlist.inputs().iter().zip(&self.input_words) {
+            let net = net.index();
+            let start = self.arena_len();
+            let changed = (self.initial[net] ^ word) & mask;
+            if changed != 0 {
+                self.arena.push(Entry {
+                    tick: 0,
+                    word: self.initial[net] ^ changed,
+                    pass: 0,
+                });
                 self.transition_counts[net] += u64::from(changed.count_ones());
-                self.groups_applied += 1;
-                tick_changed |= changed;
-                let mut carry = changed;
-                for plane in &mut trans_planes {
-                    if carry == 0 {
-                        break;
-                    }
-                    let next = *plane & carry;
-                    *plane ^= carry;
-                    carry = next;
-                }
-                debug_assert_eq!(carry, 0, "per-lane transition count overflow");
-                for &gate in &self.fanout[net] {
-                    if self.dirty_stamp[gate as usize] != epoch {
-                        self.dirty_stamp[gate as usize] = epoch;
-                        self.level_buckets[self.gate_level[gate as usize] as usize].push(gate);
-                    }
-                }
             }
-            // Ticks are processed in order, so `now` is each lane's
-            // settle-time maximum.
-            let mut bits = tick_changed;
-            while bits != 0 {
-                let lane = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.settle_ticks[lane] = now;
-            }
-            groups.clear();
-            self.free_groups.push(groups);
-            // Evaluate one instant's gates in levelized order: within a
-            // tick the order cannot change results (evaluations only read
-            // this tick's fully-applied `values` and schedule future
-            // events), and draining per-level buckets gives that order
-            // deterministically without a per-tick sort.
-            let mut buckets = std::mem::take(&mut self.level_buckets);
-            for bucket in &mut buckets {
-                for &gate in bucket.iter() {
-                    self.evaluate_gate(gate, now, active_mask);
-                }
-                bucket.clear();
-            }
-            self.level_buckets = buckets;
+            self.spans[net] = (start, self.arena_len());
         }
-        for (lane, count) in self.step_transitions[..lanes].iter_mut().enumerate() {
-            let mut total = 0u64;
-            for (i, &plane) in trans_planes.iter().enumerate() {
-                total |= ((plane >> lane) & 1) << i;
-            }
-            *count = total;
+        let schedule = Arc::clone(&self.schedule);
+        for &gate in schedule.order() {
+            self.propagate_gate(gate as usize, mask);
         }
-        let settled = self.snapshot_output_words();
-        let sampled = sampled.unwrap_or_else(|| settled.clone());
-        let mut error_lanes = 0u64;
-        for (&s, &g) in sampled.iter().zip(&settled) {
-            error_lanes |= (s ^ g) & active_mask;
+        self.entries_built += self.arena.len() as u64;
+        for (net, &(start, end)) in self.spans.iter().enumerate() {
+            self.values[net] = if start < end {
+                self.arena[end as usize - 1].word
+            } else {
+                self.initial[net]
+            };
         }
-        aix_obs::count!(
-            aix_obs::names::sim::TIMED_EVENT_GROUPS,
-            groups = self.groups_applied,
-            lanes = lanes
-        );
+        let sampled = self.output_words(|net| self.sampled_word(net));
+        let settled = self.output_words(|net| self.values[net]);
+        let error_lanes = sampled
+            .iter()
+            .zip(&settled)
+            .fold(0, |lanes, (&s, &g)| lanes | ((s ^ g) & mask));
         PackedStepOutcome {
             lanes,
             sampled_words: sampled,
             settled_words: settled,
             error_lanes,
-            settle_ticks: self.settle_ticks[..lanes].to_vec(),
-            transitions: self.step_transitions[..lanes].to_vec(),
         }
     }
 
-    fn snapshot_output_words(&self) -> Vec<u64> {
-        self.netlist
-            .outputs()
+    /// Builds the output waveforms of `gate` by merging the instants of its
+    /// input waveforms and evaluating all lanes at each. Lanes whose
+    /// inputs did not change recompute their latest output word and are
+    /// suppressed, so evaluating at the union of instants is exact.
+    fn propagate_gate(&mut self, gate: usize, mask: u64) {
+        let inputs = &self.gate_inputs
+            [self.input_offsets[gate] as usize..self.input_offsets[gate + 1] as usize];
+        let outputs = &self.gate_outputs
+            [self.output_offsets[gate] as usize..self.output_offsets[gate + 1] as usize];
+        let mut heads = [0usize; MAX_INPUTS];
+        let mut ends = [0usize; MAX_INPUTS];
+        let mut in_words = [0u64; MAX_INPUTS];
+        let mut active = false;
+        for (k, &net) in inputs.iter().enumerate() {
+            let (start, end) = self.spans[net as usize];
+            heads[k] = start as usize;
+            ends[k] = end as usize;
+            in_words[k] = self.initial[net as usize];
+            active |= start < end;
+        }
+        if active {
+            let function = self.functions[gate];
+            let mut latest = [0u64; MAX_OUTPUTS];
+            for (slot, &net) in latest.iter_mut().zip(outputs) {
+                *slot = self.initial[net as usize];
+            }
+            let n = inputs.len();
+            loop {
+                let mut next: Option<(u64, u32)> = None;
+                for k in 0..n {
+                    if heads[k] < ends[k] {
+                        let at = self.arena[heads[k]].instant();
+                        if next.is_none_or(|best| at < best) {
+                            next = Some(at);
+                        }
+                    }
+                }
+                let Some((tick, pass)) = next else { break };
+                // Several entries of one net at one instant are a
+                // zero-width glitch: the gate sees only the last word.
+                for k in 0..n {
+                    while heads[k] < ends[k] && self.arena[heads[k]].instant() == (tick, pass) {
+                        in_words[k] = self.arena[heads[k]].word;
+                        heads[k] += 1;
+                    }
+                }
+                let mut out_words = [0u64; MAX_OUTPUTS];
+                function.eval_words(&in_words[..n], &mut out_words);
+                for (pin, &net) in outputs.iter().enumerate() {
+                    let changed = (latest[pin] ^ out_words[pin]) & mask;
+                    if changed == 0 {
+                        continue;
+                    }
+                    latest[pin] ^= changed;
+                    let at = tick.saturating_add(self.delays_ticks[net as usize]);
+                    self.pin_entries[pin].push(Entry {
+                        tick: at,
+                        word: latest[pin],
+                        pass: if at == tick { pass + 1 } else { 0 },
+                    });
+                    self.transition_counts[net as usize] += u64::from(changed.count_ones());
+                }
+            }
+        }
+        for (pin, &net) in outputs.iter().enumerate() {
+            let start = self.arena_len();
+            self.arena.append(&mut self.pin_entries[pin]);
+            self.spans[net as usize] = (start, self.arena_len());
+        }
+    }
+
+    /// The arena's length as a waveform offset.
+    fn arena_len(&self) -> u32 {
+        u32::try_from(self.arena.len()).expect("waveform arena outgrew u32 offsets")
+    }
+
+    /// Lane word of `net` at the sampling instant of the latest step: its
+    /// last entry strictly before the clock edge.
+    fn sampled_word(&self, net: usize) -> u64 {
+        let (start, end) = self.spans[net];
+        self.arena[start as usize..end as usize]
             .iter()
-            .map(|(_, n)| self.values[n.index()])
+            .rev()
+            .find(|entry| entry.tick < self.clock_ticks)
+            .map_or(self.initial[net], |entry| entry.word)
+    }
+
+    fn output_words(&self, word_of: impl Fn(usize) -> u64) -> Vec<u64> {
+        self.output_nets
+            .iter()
+            .map(|&net| word_of(net as usize))
             .collect()
     }
 }
@@ -630,11 +573,11 @@ impl<'nl> PackedTimedSimulator<'nl> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OperandSource;
     use crate::{TimedSimulator, UniformOperands};
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_cells::Library;
     use aix_sta::{analyze, NetDelays};
-    use crate::OperandSource;
 
     fn adder(kind: AdderKind, width: usize) -> Netlist {
         let lib = std::sync::Arc::new(Library::nangate45_like());
@@ -655,10 +598,10 @@ mod tests {
         }
         let mut lane = 0;
         for chunk in vectors.chunks(LANES) {
-            let out = packed.step_stream_batch(chunk, clock_ps).unwrap();
+            packed.step_stream_batch(chunk, clock_ps).unwrap();
             for l in 0..chunk.len() {
                 assert_eq!(
-                    out.outcome_for_lane(l),
+                    packed.lane_outcome(l),
                     scalar_outcomes[lane],
                     "vector {lane} diverged"
                 );
@@ -702,8 +645,9 @@ mod tests {
         let delays = NetDelays::fresh(&nl);
         let clock = analyze(&nl, &delays).unwrap().max_delay_ps() * 0.3;
         for count in [1usize, 63, 64, 65] {
-            let vectors: Vec<Vec<bool>> =
-                UniformOperands::new(8, count as u64).vectors(count).collect();
+            let vectors: Vec<Vec<bool>> = UniformOperands::new(8, count as u64)
+                .vectors(count)
+                .collect();
             assert_stream_matches_scalar(&nl, &delays, clock, vectors);
         }
     }
@@ -723,10 +667,10 @@ mod tests {
         let mut packed = PackedTimedSimulator::new(&nl, &delays).unwrap();
         for step in 0..40 {
             let batch: Vec<Vec<bool>> = streams.iter().map(|s| s[step].clone()).collect();
-            let out = packed.step_streams(&batch, clock).unwrap();
+            packed.step_streams(&batch, clock).unwrap();
             for (lane, scalar) in scalars.iter_mut().enumerate() {
                 let expect = scalar.step(&streams[lane][step], clock).unwrap();
-                assert_eq!(out.outcome_for_lane(lane), expect, "step {step} lane {lane}");
+                assert_eq!(packed.lane_outcome(lane), expect, "step {step} lane {lane}");
             }
         }
     }
@@ -764,6 +708,7 @@ mod tests {
         sim.step_streams(&batch, 100.0).unwrap();
         sim.reset();
         assert!(sim.transition_counts().iter().all(|&c| c == 0));
+        assert_eq!(sim.waveform_entries(), 0);
         sim.step_stream_batch(&batch, 100.0).unwrap();
     }
 }

@@ -1,0 +1,234 @@
+//! Property-based differential tests of the packed timed engine on the
+//! cases that are hard for levelized waveform propagation: random DAGs
+//! with multi-output cells, repeated fanin, constants and duplicate output
+//! ports, under raw delay annotations with zero-delay nets, equal-tick
+//! collisions and delays that saturate the tick grid. Every lane of
+//! `step_stream_batch` and `step_streams` must equal a scalar
+//! `TimedSimulator` stepping that lane's stream — the full `StepOutcome`
+//! and the per-net transition totals — at 1, 63, 64 and 65 lanes.
+
+use aix_cells::{CellFunction, DriveStrength, Library};
+use aix_netlist::Netlist;
+use aix_sim::{PackedTimedSimulator, StepOutcome, TimedSimulator, LANES};
+use aix_sta::NetDelays;
+use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::Arc;
+
+/// Combinational functions only, multi-output adders included.
+const COMB: [CellFunction; 15] = [
+    CellFunction::Inv,
+    CellFunction::Buf,
+    CellFunction::Nand2,
+    CellFunction::Nand3,
+    CellFunction::Nor2,
+    CellFunction::Nor3,
+    CellFunction::And2,
+    CellFunction::Or2,
+    CellFunction::Xor2,
+    CellFunction::Xnor2,
+    CellFunction::Aoi21,
+    CellFunction::Oai21,
+    CellFunction::Mux2,
+    CellFunction::HalfAdder,
+    CellFunction::FullAdder,
+];
+
+/// Per-net delays in ps. Repeated small values make equal-tick
+/// collisions common; 0.0004 ps rounds to a zero-tick delay and 0.0006 ps
+/// to one tick; the last two saturate the grid, alone or in sequence.
+const DELAYS_PS: [f64; 10] = [0.0, 0.0, 1.0, 1.0, 2.0, 0.0004, 0.0006, 3.5, 1.2e16, 1e300];
+
+/// Clock periods in ps, from "sample before anything moves" to "never
+/// sample", with edges that land exactly on integer arrival sums.
+const CLOCKS_PS: [f64; 8] = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 1.5e16, f64::MAX / 4.0];
+
+/// Lane counts around the 64-lane word boundary.
+const LANE_COUNTS: [usize; 4] = [1, 63, 64, 65];
+
+/// A reproducible netlist recipe: each gate picks a function and draws its
+/// operands (by index, modulo the growing net pool) from everything built
+/// so far, so operands repeat freely and any recipe is acyclic.
+#[derive(Debug, Clone)]
+struct Recipe {
+    inputs: usize,
+    constants: bool,
+    gates: Vec<(usize, [usize; 3])>,
+    /// Pool nets marked as an output port a second time.
+    duplicate_ports: Vec<usize>,
+}
+
+fn build(recipe: &Recipe, library: &Arc<Library>) -> Netlist {
+    let mut nl = Netlist::new("random", library.clone());
+    let mut pool = Vec::new();
+    for i in 0..recipe.inputs {
+        pool.push(nl.add_input(format!("in{i}")));
+    }
+    if recipe.constants {
+        pool.push(nl.constant(false));
+        pool.push(nl.constant(true));
+    }
+    for (index, (function_pick, operand_picks)) in recipe.gates.iter().enumerate() {
+        let function = COMB[function_pick % COMB.len()];
+        let cell = library
+            .find(function, DriveStrength::X1)
+            .expect("library covers every combinational function");
+        let operands: Vec<_> = operand_picks[..function.input_count()]
+            .iter()
+            .map(|pick| pool[pick % pool.len()])
+            .collect();
+        let outputs = nl.add_gate(cell, &operands).expect("arity matches");
+        for (pin, net) in outputs.iter().enumerate() {
+            nl.mark_output(format!("g{index}_{pin}"), *net);
+            pool.push(*net);
+        }
+    }
+    for (index, pick) in recipe.duplicate_ports.iter().enumerate() {
+        nl.mark_output(format!("dup{index}"), pool[pick % pool.len()]);
+    }
+    nl.validate().expect("recipe builds a valid netlist");
+    nl
+}
+
+/// One generated case: netlist, delay picks per net, clock, lane count
+/// and stimulus seed.
+#[derive(Debug, Clone)]
+struct Case {
+    recipe: Recipe,
+    delay_picks: Vec<usize>,
+    clock_pick: usize,
+    lanes_pick: usize,
+    seed: u64,
+}
+
+impl Case {
+    fn delays(&self, netlist: &Netlist) -> NetDelays {
+        NetDelays::from_raw(
+            (0..netlist.net_count())
+                .map(|net| {
+                    DELAYS_PS[self.delay_picks[net % self.delay_picks.len()] % DELAYS_PS.len()]
+                })
+                .collect(),
+        )
+    }
+
+    fn clock_ps(&self) -> f64 {
+        CLOCKS_PS[self.clock_pick % CLOCKS_PS.len()]
+    }
+
+    fn lanes(&self) -> usize {
+        LANE_COUNTS[self.lanes_pick % LANE_COUNTS.len()]
+    }
+
+    fn vectors(&self, rng: &mut StdRng, count: usize, inputs: usize) -> Vec<Vec<bool>> {
+        (0..count)
+            .map(|_| (0..inputs).map(|_| rng.gen()).collect())
+            .collect()
+    }
+}
+
+fn case_strategy() -> impl Strategy<Value = Case> {
+    let recipe = (
+        1usize..=4,
+        any::<bool>(),
+        proptest::collection::vec((0usize..64, [0usize..64, 0usize..64, 0usize..64]), 1..=14),
+        proptest::collection::vec(0usize..64, 0..=2),
+    )
+        .prop_map(|(inputs, constants, gates, duplicate_ports)| Recipe {
+            inputs,
+            constants,
+            gates,
+            duplicate_ports,
+        });
+    (
+        recipe,
+        proptest::collection::vec(0usize..64, 1..=24),
+        0usize..64,
+        0usize..64,
+        any::<u64>(),
+    )
+        .prop_map(|(recipe, delay_picks, clock_pick, lanes_pick, seed)| Case {
+            recipe,
+            delay_picks,
+            clock_pick,
+            lanes_pick,
+            seed,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One stream chunked into 64-lane batches equals one scalar simulator
+    /// stepping the whole stream.
+    #[test]
+    fn stream_batches_equal_scalar_steps(case in case_strategy()) {
+        let library = Arc::new(Library::nangate45_like());
+        let netlist = build(&case.recipe, &library);
+        let delays = case.delays(&netlist);
+        let clock = case.clock_ps();
+        let mut rng = StdRng::seed_from_u64(case.seed);
+        let vectors = case.vectors(&mut rng, case.lanes(), netlist.inputs().len());
+        let mut scalar = TimedSimulator::new(&netlist, &delays).unwrap();
+        let mut packed = PackedTimedSimulator::new(&netlist, &delays).unwrap();
+        let mut index = 0;
+        for batch in vectors.chunks(LANES) {
+            let outcome = packed.step_stream_batch(batch, clock).unwrap();
+            for (lane, vector) in batch.iter().enumerate() {
+                let expected = scalar.step(vector, clock).unwrap();
+                prop_assert_eq!(outcome.timing_error(lane), expected.timing_error);
+                prop_assert_eq!(packed.lane_outcome(lane), expected, "vector {}", index);
+                index += 1;
+            }
+        }
+        prop_assert_eq!(packed.transition_counts(), scalar.transition_counts());
+    }
+
+    /// Independent streams, one per lane (65 streams take a 64-lane and a
+    /// 1-lane simulator), each equal to a dedicated scalar simulator.
+    #[test]
+    fn independent_streams_equal_scalar_steps(case in case_strategy()) {
+        const STEPS: usize = 4;
+        let library = Arc::new(Library::nangate45_like());
+        let netlist = build(&case.recipe, &library);
+        let delays = case.delays(&netlist);
+        let clock = case.clock_ps();
+        let mut rng = StdRng::seed_from_u64(case.seed);
+        let streams: Vec<Vec<Vec<bool>>> = (0..case.lanes())
+            .map(|_| case.vectors(&mut rng, STEPS, netlist.inputs().len()))
+            .collect();
+        let mut scalar_totals = vec![0u64; netlist.net_count()];
+        let mut packed_totals = vec![0u64; netlist.net_count()];
+        for group in streams.chunks(LANES) {
+            let mut scalars: Vec<TimedSimulator> = group
+                .iter()
+                .map(|_| TimedSimulator::new(&netlist, &delays).unwrap())
+                .collect();
+            let mut packed = PackedTimedSimulator::new(&netlist, &delays).unwrap();
+            for step in 0..STEPS {
+                let batch: Vec<Vec<bool>> = group.iter().map(|s| s[step].clone()).collect();
+                let outcome = packed.step_streams(&batch, clock).unwrap();
+                for (lane, scalar) in scalars.iter_mut().enumerate() {
+                    let expected: StepOutcome = scalar.step(&group[lane][step], clock).unwrap();
+                    prop_assert_eq!(outcome.timing_error(lane), expected.timing_error);
+                    prop_assert_eq!(
+                        packed.lane_outcome(lane),
+                        expected,
+                        "step {} lane {}",
+                        step,
+                        lane
+                    );
+                }
+            }
+            for scalar in &scalars {
+                for (total, &count) in scalar_totals.iter_mut().zip(scalar.transition_counts()) {
+                    *total += count;
+                }
+            }
+            for (total, &count) in packed_totals.iter_mut().zip(packed.transition_counts()) {
+                *total += count;
+            }
+        }
+        prop_assert_eq!(packed_totals, scalar_totals);
+    }
+}

@@ -319,8 +319,8 @@ global flags (any command):
   --sim-engine scalar|packed      simulation engine for value-mode AND timed
                                   runs (error rates, activity, fault coverage;
                                   also AIX_SIM_ENGINE). packed evaluates 64
-                                  vectors per word — for timed runs through
-                                  one shared event calendar — and is the
+                                  vectors per word — for timed runs in one
+                                  levelized waveform walk — and is the
                                   default; both engines produce byte-identical
                                   results
   --trace[=FILE]                  record a structured JSONL event trace

@@ -167,13 +167,13 @@ fn assert_timed_engines_agree(
     let mut packed = PackedTimedSimulator::new(netlist, delays).expect("packed timed simulator");
     let mut index = 0usize;
     for batch in vectors.chunks(aix::sim::LANES) {
-        let outcome = packed
+        packed
             .step_stream_batch(batch, clock_ps)
             .expect("packed timed step");
         for (lane, vector) in batch.iter().enumerate() {
             let expected = scalar.step(vector, clock_ps).expect("scalar timed step");
             assert_eq!(
-                outcome.outcome_for_lane(lane),
+                packed.lane_outcome(lane),
                 expected,
                 "{name}: vector {index} (lane {lane}) diverges"
             );
