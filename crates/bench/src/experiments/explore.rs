@@ -15,7 +15,6 @@ use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_core::{append_bench_json, default_bench_json_path, ComponentKind, EngineOptions};
 use aix_explore::{explore, Candidate, ExploreConfig, ScoreContext, Score, score_candidate};
 use aix_cells::Library;
-use aix_sim::SimEngine;
 use aix_sta::{analyze, NetDelays};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -74,7 +73,7 @@ fn compare(
         "search must complete cleanly without fault injection"
     );
 
-    // Same stimuli/clock/engine as the search, rebuilt from public parts so
+    // Same stimuli and clock as the search, rebuilt from public parts so
     // the baseline scores line up exactly with the front's.
     let exact = Candidate::exact(kind, width)
         .build(cells)
@@ -90,7 +89,6 @@ fn compare(
         scenario,
         ScoreContext::stimuli_for(kind, width, config.vectors, SEED),
         clock_ps,
-        SimEngine::Packed,
     );
     let ladder = truncation_ladder(&context, kind, width, 8);
 

@@ -13,7 +13,6 @@ pub mod fig7;
 pub mod fig8a;
 pub mod fig8b;
 pub mod fig8c;
-pub mod fleet;
 pub mod headline;
 pub mod import;
 pub mod schedule;

@@ -1,10 +1,11 @@
-//! Simulation-engine throughput: scalar (one vector per netlist walk)
-//! versus packed (64 vectors per `u64` word) functional simulation.
+//! Simulation-engine throughput: the scalar reference loops in
+//! [`aix_sim::oracle`] (one vector per netlist walk) versus the production
+//! packed functions (64 vectors per `u64` word).
 //!
 //! Not a paper figure — this tracks the substrate itself. The measured
 //! speedup lands as a `sim:` record in `out/BENCH_characterize.json`, so
 //! the bench trajectory shows whether the packed kernel keeps paying for
-//! itself; the run also cross-checks that both engines return identical
+//! itself; the run also cross-checks that both paths return identical
 //! `Activity` and `FaultCoverage`, making it a quick differential smoke.
 
 use crate::{Options, Table};
@@ -12,18 +13,17 @@ use aix_arith::{build_adder, build_multiplier, AdderKind, ComponentSpec, Multipl
 use aix_cells::Library;
 use aix_core::{append_bench_json, default_bench_json_path};
 use aix_netlist::Netlist;
-use aix_sim::{
-    full_fault_list, simulate_faults_with, Activity, NormalOperands, OperandSource, SimEngine,
-};
+use aix_sim::{full_fault_list, oracle, simulate_faults, Activity, NormalOperands, OperandSource};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Wall time and result of one engine's activity collection.
-fn time_activity(netlist: &Netlist, stimuli: &[Vec<bool>], engine: SimEngine) -> (f64, Activity) {
+/// Wall time and result of one activity collection.
+fn time_activity(
+    collect: impl FnOnce() -> Result<Activity, aix_netlist::NetlistError>,
+) -> (f64, Activity) {
     let start = Instant::now();
-    let activity = Activity::collect_with(netlist, stimuli.iter().cloned(), engine)
-        .expect("simulation of a validated netlist");
+    let activity = collect().expect("simulation of a validated netlist");
     (start.elapsed().as_secs_f64(), activity)
 }
 
@@ -63,17 +63,19 @@ pub fn run(options: &Options) -> String {
         let stimuli: Vec<Vec<bool>> = NormalOperands::new(width, 11 + index as u64)
             .vectors(vectors)
             .collect();
-        let (scalar_s, scalar_activity) = time_activity(netlist, &stimuli, SimEngine::Scalar);
-        let (packed_s, packed_activity) = time_activity(netlist, &stimuli, SimEngine::Packed);
+        let (scalar_s, scalar_activity) =
+            time_activity(|| oracle::activity(netlist, stimuli.iter().cloned()));
+        let (packed_s, packed_activity) =
+            time_activity(|| Activity::collect(netlist, stimuli.iter().cloned()));
         let identical = scalar_activity == packed_activity;
         // A small fault-coverage differential rides along: boolean
-        // detection must agree exactly, whatever the engine.
+        // detection must agree exactly between oracle and packed engine.
         let faults = full_fault_list(netlist);
         let fault_stimuli = &stimuli[..stimuli.len().min(128)];
-        let scalar_cov = simulate_faults_with(netlist, &faults, fault_stimuli, SimEngine::Scalar)
-            .expect("fault simulation");
-        let packed_cov = simulate_faults_with(netlist, &faults, fault_stimuli, SimEngine::Packed)
-            .expect("fault simulation");
+        let scalar_cov =
+            oracle::simulate_faults(netlist, &faults, fault_stimuli).expect("fault simulation");
+        let packed_cov =
+            simulate_faults(netlist, &faults, fault_stimuli).expect("fault simulation");
         let identical = identical && scalar_cov == packed_cov;
 
         let scalar_vps = vectors as f64 / scalar_s.max(1e-9);

@@ -1,11 +1,12 @@
-//! Timed-engine throughput: scalar event-driven simulation (one event
-//! queue per vector) versus the packed timed engine (64 vectors per `u64`
-//! word through one levelized waveform walk).
+//! Timed-engine throughput: the scalar reference
+//! [`aix_sim::oracle::measure_errors`] (one event queue per vector) versus
+//! the production [`aix_sim::measure_errors`] on the packed timed engine
+//! (64 vectors per `u64` word through one levelized waveform walk).
 //!
 //! Not a paper figure — this tracks the substrate itself. The measured
 //! speedup lands as `timed:` records in `out/BENCH_timed.json`, so the
 //! bench trajectory shows whether lane-parallel timed simulation keeps
-//! paying for itself; the run also cross-checks that both engines return
+//! paying for itself; the run also cross-checks that both paths return
 //! identical [`ErrorStats`], making it a quick differential smoke for the
 //! clock-edge and event-batching semantics.
 
@@ -15,23 +16,18 @@ use aix_arith::{build_adder, build_multiplier, AdderKind, ComponentSpec, Multipl
 use aix_cells::Library;
 use aix_core::{append_bench_json, default_bench_json_path};
 use aix_netlist::Netlist;
-use aix_sim::{measure_errors_with, ErrorStats, NormalOperands, OperandSource, SimEngine};
+use aix_sim::{measure_errors, oracle, ErrorStats, NormalOperands, OperandSource};
 use aix_sta::{analyze, NetDelays};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Wall time and result of one engine's error measurement.
+/// Wall time and result of one error measurement.
 fn time_errors(
-    netlist: &Netlist,
-    delays: &NetDelays,
-    clock_ps: f64,
-    stimuli: &[Vec<bool>],
-    engine: SimEngine,
+    measure: impl FnOnce() -> Result<ErrorStats, aix_netlist::NetlistError>,
 ) -> (f64, ErrorStats) {
     let start = Instant::now();
-    let stats = measure_errors_with(netlist, delays, clock_ps, stimuli.iter().cloned(), engine)
-        .expect("timed simulation of a validated netlist");
+    let stats = measure().expect("timed simulation of a validated netlist");
     (start.elapsed().as_secs_f64(), stats)
 }
 
@@ -80,10 +76,11 @@ pub fn run(options: &Options) -> String {
         let stimuli: Vec<Vec<bool>> = NormalOperands::new(width, 23 + index as u64)
             .vectors(vectors)
             .collect();
-        let (scalar_s, scalar_stats) =
-            time_errors(netlist, &delays, clock_ps, &stimuli, SimEngine::Scalar);
+        let (scalar_s, scalar_stats) = time_errors(|| {
+            oracle::measure_errors(netlist, &delays, clock_ps, stimuli.iter().cloned())
+        });
         let (packed_s, packed_stats) =
-            time_errors(netlist, &delays, clock_ps, &stimuli, SimEngine::Packed);
+            time_errors(|| measure_errors(netlist, &delays, clock_ps, stimuli.iter().cloned()));
         let identical = scalar_stats == packed_stats;
 
         let scalar_vps = vectors as f64 / scalar_s.max(1e-9);

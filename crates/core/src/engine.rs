@@ -262,7 +262,7 @@ impl EngineOptions {
 
 /// What [`FaultPlan`] values are expected to look like, for diagnostics.
 pub const FAULT_GRAMMAR: &str = "`mode[:p=F,seed=N,stage=synth|sta|cache|serve|import,ms=N]` specs \
-     (mode panic|io|delay|shortwrite|enospc|stall|connrefused), `;`-separated";
+     (mode panic|io|delay|shortwrite|enospc), `;`-separated";
 
 /// Parses a worker-count value (`AIX_JOBS` / `--jobs`): a positive
 /// integer.

@@ -7,25 +7,19 @@
 //! naive guardband removal turns aging into nondeterministic timing errors
 //! that corrupt the image.
 //!
-//! Two timed engines back the pipeline (selected by
-//! [`GateLevelConfig::sim_engine`]): the scalar [`TimedSimulator`] steps
-//! every MAC of every block through one simulator, while the packed
-//! [`PackedTimedSimulator`] runs up to 64 blocks lane-parallel, each lane a
-//! persistent stream, all lanes stepped in one waveform walk. Each lane's MAC
-//! sequence is exact per-vector timed simulation either way, but the
-//! engines see different inter-block stimulus histories (a MAC's timing
-//! depends on the *previous* MAC's inputs, and the blocks preceding a
-//! given MAC differ between a sequential and a lane-parallel schedule), so
-//! aged runs are statistically — not bit- — equivalent across engines.
-//! Fresh runs are error-free on both and therefore bit-identical to RTL.
+//! The packed [`PackedTimedSimulator`] runs up to 64 blocks lane-parallel,
+//! each lane a persistent stream of that block's MACs, all lanes stepped in
+//! one waveform walk. Each lane's MAC sequence is exact per-vector timed
+//! simulation (a MAC's timing depends on the *previous* MAC of the same
+//! block). Fresh runs are error-free and therefore bit-identical to RTL.
 
 use crate::{engine, CoefficientImage, Quantizer};
 use aix_aging::{AgingModel, AgingScenario};
 use aix_arith::{add_into, multiply_into, AdderKind, MultiplierKind};
 use aix_cells::Library;
 use aix_image::Image;
-use aix_netlist::{bus_from_u64, bus_to_u64, Netlist, NetlistError};
-use aix_sim::{golden_lane_word, PackedTimedSimulator, SimEngine, TimedSimulator, LANES};
+use aix_netlist::{bus_from_u64, Netlist, NetlistError};
+use aix_sim::{golden_lane_word, PackedTimedSimulator, LANES};
 use aix_sta::{analyze, ClockConstraint, NetDelays};
 use aix_synth::{compile, Effort};
 use std::sync::Arc;
@@ -57,42 +51,22 @@ pub struct GateLevelConfig {
     /// full-precision critical path (zero guardband, plus the engine's
     /// one-picosecond edge margin).
     pub clock_ps: Option<f64>,
-    /// Timed simulation engine: `Scalar` steps one MAC at a time through
-    /// one simulator (blocks chained sequentially); `Packed` runs up to 64
-    /// blocks lane-parallel, each lane a persistent independent stream.
-    /// Per-MAC timing behaviour is identical, but the engines see
-    /// different inter-block stimulus histories, so aged runs are
-    /// statistically — not bit- — equivalent.
-    pub sim_engine: SimEngine,
 }
 
 impl GateLevelConfig {
-    /// Fresh circuit, exact datapath, zero-guardband clock. The engine
-    /// follows `AIX_SIM_ENGINE` (packed by default).
+    /// Fresh circuit, exact datapath, zero-guardband clock.
     pub fn fresh() -> Self {
-        Self {
-            scenario: AgingScenario::Fresh,
-            multiplier_truncation: 0,
-            clock_ps: None,
-            sim_engine: SimEngine::from_env_or_default(),
-        }
+        Self::aged(AgingScenario::Fresh)
     }
 
     /// Aged circuit at the fresh clock (the naive guardband removal of the
-    /// motivational study). The engine follows `AIX_SIM_ENGINE`.
+    /// motivational study).
     pub fn aged(scenario: AgingScenario) -> Self {
         Self {
             scenario,
             multiplier_truncation: 0,
             clock_ps: None,
-            sim_engine: SimEngine::from_env_or_default(),
         }
-    }
-
-    /// The same configuration pinned to an explicit engine.
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.sim_engine = engine;
-        self
     }
 }
 
@@ -146,7 +120,6 @@ pub struct GateLevelPipeline {
     delays: NetDelays,
     clock_ps: f64,
     fresh_cp_ps: f64,
-    sim_engine: SimEngine,
 }
 
 impl GateLevelPipeline {
@@ -177,7 +150,6 @@ impl GateLevelPipeline {
             delays,
             clock_ps,
             fresh_cp_ps,
-            sim_engine: config.sim_engine,
         })
     }
 
@@ -203,35 +175,6 @@ impl GateLevelPipeline {
     /// Propagates simulator errors; never fails for pipelines built by
     /// [`GateLevelPipeline::new`].
     pub fn decode_image(
-        &self,
-        coefficients: &CoefficientImage,
-    ) -> Result<(Image, GateLevelStats), NetlistError> {
-        match self.sim_engine {
-            SimEngine::Scalar => self.decode_image_scalar(coefficients),
-            SimEngine::Packed => self.decode_image_packed(coefficients),
-        }
-    }
-
-    fn decode_image_scalar(
-        &self,
-        coefficients: &CoefficientImage,
-    ) -> Result<(Image, GateLevelStats), NetlistError> {
-        let mut sim = TimedSimulator::new(&self.netlist, &self.delays)?;
-        let mut stats = GateLevelStats::default();
-        let (width, height) = coefficients.dimensions();
-        let mut image = Image::filled(width, height, 0);
-        let blocks_per_row = width.div_ceil(8);
-        {
-            let mut mac = self.mac_closure(&mut sim, &mut stats);
-            for (index, block) in coefficients.blocks().iter().enumerate() {
-                let pixels = engine::inverse_block(&mut mac, block);
-                image.set_block8(index % blocks_per_row, index / blocks_per_row, &pixels);
-            }
-        }
-        Ok((image, stats))
-    }
-
-    fn decode_image_packed(
         &self,
         coefficients: &CoefficientImage,
     ) -> Result<(Image, GateLevelStats), NetlistError> {
@@ -268,42 +211,6 @@ impl GateLevelPipeline {
         image: &Image,
         quantizer: Option<&Quantizer>,
     ) -> Result<(Image, GateLevelStats), NetlistError> {
-        match self.sim_engine {
-            SimEngine::Scalar => self.roundtrip_image_scalar(image, quantizer),
-            SimEngine::Packed => self.roundtrip_image_packed(image, quantizer),
-        }
-    }
-
-    fn roundtrip_image_scalar(
-        &self,
-        image: &Image,
-        quantizer: Option<&Quantizer>,
-    ) -> Result<(Image, GateLevelStats), NetlistError> {
-        let mut sim = TimedSimulator::new(&self.netlist, &self.delays)?;
-        let mut stats = GateLevelStats::default();
-        let (bw, bh) = image.block_counts();
-        let mut out = Image::filled(image.width(), image.height(), 0);
-        {
-            let mut mac = self.mac_closure(&mut sim, &mut stats);
-            for by in 0..bh {
-                for bx in 0..bw {
-                    let mut coeffs = engine::forward_block(&mut mac, &image.block8(bx, by));
-                    if let Some(q) = quantizer {
-                        q.apply(&mut coeffs);
-                    }
-                    let pixels = engine::inverse_block(&mut mac, &coeffs);
-                    out.set_block8(bx, by, &pixels);
-                }
-            }
-        }
-        Ok((out, stats))
-    }
-
-    fn roundtrip_image_packed(
-        &self,
-        image: &Image,
-        quantizer: Option<&Quantizer>,
-    ) -> Result<(Image, GateLevelStats), NetlistError> {
         let mut stats = GateLevelStats::default();
         let (bw, bh) = image.block_counts();
         let mut out = Image::filled(image.width(), image.height(), 0);
@@ -328,28 +235,6 @@ impl GateLevelPipeline {
             }
         }
         Ok((out, stats))
-    }
-
-    /// Builds the MAC closure driving the timed simulator.
-    fn mac_closure<'a, 'nl: 'a>(
-        &'a self,
-        sim: &'a mut TimedSimulator<'nl>,
-        stats: &'a mut GateLevelStats,
-    ) -> impl FnMut(i64, i64, i64) -> i64 + use<'a, 'nl> {
-        let clock = self.clock_ps;
-        move |acc, coeff, sample| {
-            let mut inputs = bus_from_u64(to_operand(coeff), WIDTH);
-            inputs.extend(bus_from_u64(to_operand(sample), WIDTH));
-            inputs.extend(bus_from_u64(to_acc(acc), ACC_WIDTH));
-            let outcome = sim
-                .step(&inputs, clock)
-                .expect("input width matches the synthesized MAC");
-            stats.mac_ops += 1;
-            if outcome.timing_error {
-                stats.timing_errors += 1;
-            }
-            from_bus(bus_to_u64(&outcome.sampled))
-        }
     }
 
     /// Builds the lane-batched MAC closure driving the packed timed
@@ -452,6 +337,7 @@ mod tests {
     use crate::{encode_image, roundtrip_psnr, FixedPointTransform};
     use aix_aging::Lifetime;
     use aix_image::{psnr, Sequence};
+    use aix_netlist::bus_to_u64;
 
     fn library() -> Arc<Library> {
         Arc::new(Library::nangate45_like())
@@ -497,27 +383,6 @@ mod tests {
         let rtl = crate::decode_image(&coeffs, &exact);
         assert_eq!(decoded, rtl, "gate level must be bit-identical to RTL");
         assert!(stats.mac_ops > 0);
-    }
-
-    #[test]
-    fn fresh_engines_agree_bit_for_bit() {
-        // Fresh runs are error-free, so sampled == settled == exact MAC on
-        // both engines and every path must reproduce RTL exactly.
-        let lib = library();
-        let frame = Sequence::Akiyo.frame(24, 16, 0);
-        let exact = FixedPointTransform::exact();
-        let coeffs = encode_image(&frame, &exact);
-        let rtl = crate::decode_image(&coeffs, &exact);
-        for engine in [aix_sim::SimEngine::Scalar, aix_sim::SimEngine::Packed] {
-            let pipeline = GateLevelPipeline::new(
-                &lib,
-                GateLevelConfig::fresh().with_engine(engine),
-            )
-            .unwrap();
-            let (decoded, stats) = pipeline.decode_image(&coeffs).unwrap();
-            assert_eq!(stats.timing_errors, 0, "{engine} engine");
-            assert_eq!(decoded, rtl, "{engine} engine must match RTL");
-        }
     }
 
     #[test]

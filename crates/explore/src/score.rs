@@ -7,8 +7,8 @@ use aix_cells::Library;
 use aix_core::{AixError, ComponentKind};
 use aix_netlist::Netlist;
 use aix_sim::{
-    golden_lane_word, golden_word, pack_batch, reference_outputs, OperandSource, PackedEvaluator,
-    SimEngine, UniformOperands, LANES,
+    golden_lane_word, golden_word, pack_batch, OperandSource, PackedEvaluator, UniformOperands,
+    LANES,
 };
 use aix_sta::{analyze, NetDelays};
 use std::sync::Arc;
@@ -23,12 +23,7 @@ pub struct ScoreContext {
     pub scenario: AgingScenario,
     /// Clock period: the exact component's aged critical-path delay, ps.
     pub clock_ps: f64,
-    /// Simulation engine for functional evaluation.
-    pub engine: SimEngine,
-    /// Seeded stimulus vectors, flattened LSB-first per the component's
-    /// input order.
-    stimuli: Vec<Vec<bool>>,
-    /// The same stimuli [`LANES`] vectors at a time, one lane word per
+    /// The seeded stimuli [`LANES`] vectors at a time, one lane word per
     /// input, so every candidate reuses one transpose.
     packed: Vec<Vec<u64>>,
     /// Exact arithmetic reference value per stimulus vector.
@@ -48,7 +43,6 @@ impl ScoreContext {
         scenario: AgingScenario,
         (stimuli, exact): (Vec<Vec<bool>>, Vec<u64>),
         clock_ps: f64,
-        engine: SimEngine,
     ) -> Self {
         assert_eq!(stimuli.len(), exact.len(), "one exact value per stimulus");
         let packed = stimuli.chunks(LANES).map(pack_batch).collect();
@@ -56,8 +50,6 @@ impl ScoreContext {
             library,
             scenario,
             clock_ps,
-            engine,
-            stimuli,
             packed,
             exact,
         }
@@ -117,7 +109,7 @@ pub(crate) fn build_optimized(
 }
 
 /// Running error statistics, fed one output word per stimulus in stimulus
-/// order so the float sums round the same way under either engine.
+/// order so the float sums round the same way on every run.
 #[derive(Default)]
 struct ErrorTally {
     erroneous: usize,
@@ -141,10 +133,9 @@ impl ErrorTally {
 /// Evaluates one candidate: functional error on the context's stimuli plus
 /// aged critical-path delay and post-optimization gate count.
 ///
-/// Deterministic for a fixed context: errors accumulate in stimulus order,
-/// and the packed and scalar engines are bit-identical. The packed engine
-/// reads each lane's value straight from the output words of the
-/// context's pre-packed batches.
+/// Deterministic for a fixed context: errors accumulate in stimulus order.
+/// The packed evaluator reads each lane's value straight from the output
+/// words of the context's pre-packed batches.
 ///
 /// # Errors
 ///
@@ -156,21 +147,11 @@ pub fn score_candidate(context: &ScoreContext, candidate: &Candidate) -> Result<
     );
     let optimized = build_optimized(candidate, &context.library)?;
     let mut tally = ErrorTally::default();
-    match context.engine {
-        SimEngine::Scalar => {
-            let outputs = reference_outputs(&optimized, &context.stimuli, SimEngine::Scalar)?;
-            for (bits, &want) in outputs.iter().zip(&context.exact) {
-                tally.add(golden_word(bits), want);
-            }
-        }
-        SimEngine::Packed => {
-            let mut packed = PackedEvaluator::new(&optimized)?;
-            for (words, exact) in context.packed.iter().zip(context.exact.chunks(LANES)) {
-                packed.eval_packed(words, exact.len())?;
-                for (lane, &want) in exact.iter().enumerate() {
-                    tally.add(golden_lane_word(packed.output_words(), lane), want);
-                }
-            }
+    let mut packed = PackedEvaluator::new(&optimized)?;
+    for (words, exact) in context.packed.iter().zip(context.exact.chunks(LANES)) {
+        packed.eval_packed(words, exact.len())?;
+        for (lane, &want) in exact.iter().enumerate() {
+            tally.add(golden_lane_word(packed.output_words(), lane), want);
         }
     }
     let vectors = context.exact.len().max(1) as f64;
@@ -200,7 +181,7 @@ mod tests {
         let delays = NetDelays::aged(&baseline, &AgingModel::calibrated(), scenario);
         let clock_ps = analyze(&baseline, &delays).unwrap().max_delay_ps();
         let stimuli = ScoreContext::stimuli_for(kind, width, 256, 42);
-        ScoreContext::new(library, scenario, stimuli, clock_ps, SimEngine::Packed)
+        ScoreContext::new(library, scenario, stimuli, clock_ps)
     }
 
     #[test]
@@ -226,26 +207,36 @@ mod tests {
         assert!(score.gate_count < exact.gate_count);
     }
 
+    /// The lane-read scoring path against a tally recomputed from the
+    /// scalar oracle's per-vector outputs.
     #[test]
-    fn packed_and_scalar_engines_score_identically() {
+    fn lane_read_scores_match_the_scalar_oracle_tally() {
         for kind in ComponentKind::ALL {
-            let packed = context(kind, 6);
-            let scalar = ScoreContext {
-                engine: SimEngine::Scalar,
-                ..packed.clone()
-            };
+            let ctx = context(kind, 6);
+            let (stimuli, exact) = ScoreContext::stimuli_for(kind, 6, 256, 42);
             for candidate in [
                 Candidate::exact(kind, 6),
                 Candidate::truncated(kind, 6, 3).unwrap(),
             ] {
-                let a = score_candidate(&packed, &candidate).unwrap();
-                let b = score_candidate(&scalar, &candidate).unwrap();
+                let netlist = build_optimized(&candidate, &ctx.library).unwrap();
+                let outputs = aix_sim::oracle::reference_outputs(&netlist, &stimuli).unwrap();
+                let mut tally = ErrorTally::default();
+                for (bits, &want) in outputs.iter().zip(&exact) {
+                    tally.add(golden_word(bits), want);
+                }
+                let vectors = exact.len() as f64;
+                let score = score_candidate(&ctx, &candidate).unwrap();
                 assert_eq!(
-                    a.mean_abs_error.to_bits(),
-                    b.mean_abs_error.to_bits(),
+                    score.mean_abs_error.to_bits(),
+                    (tally.sum_abs / vectors).to_bits(),
                     "{candidate}"
                 );
-                assert_eq!(a, b, "{candidate}");
+                assert_eq!(score.max_abs_error, tally.max_abs, "{candidate}");
+                assert_eq!(
+                    score.error_rate,
+                    tally.erroneous as f64 / vectors,
+                    "{candidate}"
+                );
             }
         }
     }

@@ -19,7 +19,6 @@ use aix_core::fsutil::write_atomic;
 use aix_core::{parallel_map, AixError, CampaignStatus, CancelToken, ComponentKind};
 use aix_faults::{FaultPlan, FaultStage};
 use aix_obs::{parse_object, render_object, Value};
-use aix_sim::SimEngine;
 use aix_sta::{analyze, NetDelays};
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -43,8 +42,6 @@ pub struct ExploreConfig {
     pub budget: usize,
     /// Stimulus vectors per candidate.
     pub vectors: usize,
-    /// Simulation engine for functional evaluation.
-    pub engine: SimEngine,
     /// Worker threads for the evaluation fan-out.
     pub jobs: usize,
     /// Content-addressed score cache directory; `None` disables caching.
@@ -66,7 +63,6 @@ impl ExploreConfig {
             seed: 1,
             budget: 64,
             vectors: 1024,
-            engine: SimEngine::Packed,
             jobs: 1,
             cache_dir: None,
             faults: None,
@@ -316,7 +312,6 @@ pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<Explore
         config.scenario,
         ScoreContext::stimuli_for(config.kind, config.width, config.vectors, config.seed),
         clock_ps,
-        config.engine,
     );
 
     // Everything that determines a score feeds the cache key context.

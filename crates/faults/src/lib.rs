@@ -14,13 +14,11 @@
 //! AIX_FAULT = spec (";" spec)*
 //! spec      = mode [":" param ("," param)*]
 //! mode      = "panic" | "io" | "delay" | "shortwrite" | "enospc"
-//!           | "stall" | "connrefused"
 //! param     = "p=" FLOAT        probability in [0, 1]   (default 1)
 //!           | "seed=" INT       decision seed           (default 0)
 //!           | "stage=" STAGE    synth | sta | cache | serve | import
 //!                               (default: all)
-//!           | "ms=" INT         delay duration, ms      (default 10;
-//!                               600000 for stall)
+//!           | "ms=" INT         delay duration, ms      (default 10)
 //! ```
 //!
 //! For example `panic:p=0.05,seed=7` panics in roughly 5 % of fault sites,
@@ -54,15 +52,6 @@ pub enum FaultMode {
     ShortWrite,
     /// A write refused up front, as a full disk (`ENOSPC`) would.
     Enospc,
-    /// A peer that accepts the connection (or request) and then never
-    /// responds — the wedged-daemon shape hedged requests must mask. At
-    /// error-channel sites this parks the thread for the spec's `ms`
-    /// (default ten minutes, i.e. "forever" at test timescales).
-    Stall,
-    /// A connection refused deterministically by seed/probability — the
-    /// dead-replica shape failover must mask. Surfaces as an
-    /// [`std::io::ErrorKind::ConnectionRefused`] error.
-    ConnRefused,
 }
 
 impl FaultMode {
@@ -73,35 +62,17 @@ impl FaultMode {
             FaultMode::Delay => "delay",
             FaultMode::ShortWrite => "shortwrite",
             FaultMode::Enospc => "enospc",
-            FaultMode::Stall => "stall",
-            FaultMode::ConnRefused => "connrefused",
         }
     }
 
     /// Whether this mode surfaces as an `std::io::Error` (rather than a
-    /// panic or a stall).
+    /// panic or a delay).
     fn is_io(self) -> bool {
         matches!(
             self,
-            FaultMode::Io | FaultMode::ShortWrite | FaultMode::Enospc | FaultMode::ConnRefused
+            FaultMode::Io | FaultMode::ShortWrite | FaultMode::Enospc
         )
     }
-}
-
-/// How an injected fault breaks one connection-handling site; returned by
-/// [`FaultPlan::connection_fault`] for request paths that can emulate the
-/// failure faithfully (park the handler, or drop the connection) instead
-/// of merely erroring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectionFault {
-    /// Accept the connection/request, then never respond: park the handler
-    /// for `ms` milliseconds before dropping the connection.
-    Stall {
-        /// How long the handler parks before the connection is dropped.
-        ms: u64,
-    },
-    /// Refuse the connection outright: drop it without a response.
-    Refused,
 }
 
 /// How an injected fault corrupts one atomic-write site; returned by
@@ -194,7 +165,7 @@ impl fmt::Display for FaultSpec {
         if let Some(stage) = self.stage {
             write!(f, ",stage={stage}")?;
         }
-        if matches!(self.mode, FaultMode::Delay | FaultMode::Stall) {
+        if self.mode == FaultMode::Delay {
             write!(f, ",ms={}", self.delay_ms)?;
         }
         Ok(())
@@ -224,7 +195,7 @@ impl fmt::Display for ParseFaultError {
         write!(
             f,
             "{}: expected `mode[:p=F,seed=N,stage=synth|sta|cache|serve|import,ms=N]` \
-             with mode panic|io|delay|shortwrite|enospc|stall|connrefused, `;`-separated",
+             with mode panic|io|delay|shortwrite|enospc, `;`-separated",
             self.what
         )
     }
@@ -252,8 +223,6 @@ impl FromStr for FaultPlan {
                 "delay" => FaultMode::Delay,
                 "shortwrite" => FaultMode::ShortWrite,
                 "enospc" => FaultMode::Enospc,
-                "stall" => FaultMode::Stall,
-                "connrefused" => FaultMode::ConnRefused,
                 other => return Err(ParseFaultError::new(format!("unknown fault mode `{other}`"))),
             };
             let mut spec = FaultSpec {
@@ -261,9 +230,7 @@ impl FromStr for FaultPlan {
                 probability: 1.0,
                 seed: 0,
                 stage: None,
-                // A stall models "never responds": default to ten minutes,
-                // effectively forever at test timescales.
-                delay_ms: if mode == FaultMode::Stall { 600_000 } else { 10 },
+                delay_ms: 10,
             };
             for param in params.into_iter().flat_map(|p| p.split(',')) {
                 let param = param.trim();
@@ -366,7 +333,7 @@ impl FaultPlan {
                 continue;
             }
             match spec.mode {
-                FaultMode::Delay | FaultMode::Stall => {
+                FaultMode::Delay => {
                     std::thread::sleep(Duration::from_millis(spec.delay_ms));
                 }
                 FaultMode::Panic => panic!(
@@ -388,15 +355,6 @@ impl FaultPlan {
                          (attempt {attempt})"
                     )))
                 }
-                FaultMode::ConnRefused => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionRefused,
-                        format!(
-                            "injected fault: connection refused at {stage} site `{site}` \
-                             (attempt {attempt})"
-                        ),
-                    ))
-                }
             }
         }
         Ok(())
@@ -411,42 +369,17 @@ impl FaultPlan {
                 continue;
             }
             match spec.mode {
-                FaultMode::Delay | FaultMode::Stall => {
+                FaultMode::Delay => {
                     std::thread::sleep(Duration::from_millis(spec.delay_ms));
                 }
                 FaultMode::Panic => panic!(
                     "injected fault: panic at {stage} site `{site}` (attempt {attempt})"
                 ),
-                FaultMode::Io
-                | FaultMode::ShortWrite
-                | FaultMode::Enospc
-                | FaultMode::ConnRefused => {
+                FaultMode::Io | FaultMode::ShortWrite | FaultMode::Enospc => {
                     unreachable!("filtered above")
                 }
             }
         }
-    }
-
-    /// The connection breakage, if any, to apply at a request-handling
-    /// site: the first firing `stall`/`connrefused` spec decides.
-    /// Connection-level paths (the serve daemon's per-request handler) use
-    /// this to emulate the failure faithfully — park the handler without
-    /// responding, or drop the connection outright — rather than sending a
-    /// well-formed error response the client could act on.
-    pub fn connection_fault(
-        &self,
-        stage: FaultStage,
-        site: &str,
-        attempt: usize,
-    ) -> Option<ConnectionFault> {
-        self.specs.iter().find_map(|spec| {
-            let fault = match spec.mode {
-                FaultMode::Stall => ConnectionFault::Stall { ms: spec.delay_ms },
-                FaultMode::ConnRefused => ConnectionFault::Refused,
-                _ => return None,
-            };
-            spec.fires(stage, site, attempt).then_some(fault)
-        })
     }
 
     /// The write corruption, if any, to apply at an atomic-write site:
@@ -674,52 +607,19 @@ mod tests {
     }
 
     #[test]
-    fn connection_fault_modes_parse_and_fire() {
-        let plan: FaultPlan = "stall:p=1,stage=serve;connrefused:seed=9,stage=serve"
-            .parse()
-            .unwrap();
-        assert_eq!(plan.specs()[0].mode, FaultMode::Stall);
-        // A stall with no explicit ms wedges effectively forever.
-        assert_eq!(plan.specs()[0].delay_ms, 600_000);
-        assert_eq!(plan.specs()[1].mode, FaultMode::ConnRefused);
-        let again: FaultPlan = plan.to_string().parse().unwrap();
-        assert_eq!(again, plan);
-
-        // connection_fault() reports the breakage shape; stage filters apply.
-        assert_eq!(
-            plan.connection_fault(FaultStage::Serve, "req-1", 1),
-            Some(ConnectionFault::Stall { ms: 600_000 })
-        );
-        assert_eq!(plan.connection_fault(FaultStage::Synth, "req-1", 1), None);
-
-        let refuse: FaultPlan = "connrefused:p=1,stage=serve".parse().unwrap();
-        assert_eq!(
-            refuse.connection_fault(FaultStage::Serve, "conn", 1),
-            Some(ConnectionFault::Refused)
-        );
-        // At guard sites connrefused surfaces as a refused-connection error;
-        // probe (no error channel) ignores it like other io-shaped faults.
-        let err = refuse.check(FaultStage::Serve, "conn", 1).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
-        refuse.probe(FaultStage::Serve, "conn", 1);
-
-        // An io-only plan offers no connection breakage.
-        let io: FaultPlan = "io:p=1".parse().unwrap();
-        assert_eq!(io.connection_fault(FaultStage::Serve, "x", 1), None);
-    }
-
-    #[test]
-    fn stall_short_ms_sleeps_then_returns() {
-        // A short explicit stall lets check() exercise the sleep path
-        // without wedging the test suite.
-        let plan: FaultPlan = "stall:p=1,ms=5,stage=serve".parse().unwrap();
-        let start = std::time::Instant::now();
-        assert!(plan.check(FaultStage::Serve, "req", 1).is_ok());
-        assert!(start.elapsed() >= Duration::from_millis(5));
-        assert_eq!(
-            plan.connection_fault(FaultStage::Serve, "req", 1),
-            Some(ConnectionFault::Stall { ms: 5 })
-        );
+    fn removed_connection_modes_are_rejected_naming_the_remaining_modes() {
+        for spec in ["stall:p=1", "connrefused:p=1"] {
+            let err = spec.parse::<FaultPlan>().unwrap_err().to_string();
+            let mode = spec.split(':').next().unwrap();
+            assert!(
+                err.contains(&format!("unknown fault mode `{mode}`")),
+                "{err}"
+            );
+            assert!(
+                err.contains("mode panic|io|delay|shortwrite|enospc,"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -68,10 +68,6 @@ pub mod serve {
     pub const QUEUE_DEPTH_INTERACTIVE: &str = "serve_queue_depth_interactive";
     /// Gauge: current depth of the bulk tier.
     pub const QUEUE_DEPTH_BULK: &str = "serve_queue_depth_bulk";
-    /// Counter: an injected `stall` fault parked a connection handler.
-    pub const CONN_STALLED: &str = "serve_conn_stalled";
-    /// Counter: an injected `connrefused` fault dropped a connection.
-    pub const CONN_REFUSED: &str = "serve_conn_refused";
 }
 
 /// Design-space explorer events (`aix-explore`): one span per search, one
@@ -115,35 +111,4 @@ pub mod import {
     pub const ALIAS_HIT: &str = "import_alias_hit";
     /// Counter: an import failed with a structured `ImportError`.
     pub const FAILED: &str = "import_failed";
-}
-
-/// Metric and span names for the replicated fleet client layer
-/// (`aix-serve::fleet`): hedging, health probing, circuit breaking and
-/// failover across a set of daemon replicas.
-pub mod fleet {
-    /// Span over one fleet-level call, covering routing, hedging and
-    /// failover until a terminal response (or exhaustion).
-    pub const SPAN_CALL: &str = "fleet_call";
-    /// Counter: a hedge request was dispatched to a second replica after
-    /// the p95-derived delay elapsed without a primary response.
-    pub const HEDGE_FIRED: &str = "fleet_hedge_fired";
-    /// Counter: the hedge (not the primary) produced the winning terminal
-    /// response.
-    pub const HEDGE_WON: &str = "fleet_hedge_won";
-    /// Counter: a call failed over to another replica after its primary
-    /// attempt failed.
-    pub const FAILOVER: &str = "fleet_failover";
-    /// Counter: a replica's circuit breaker tripped open after
-    /// consecutive failures.
-    pub const BREAKER_TRIP: &str = "fleet_breaker_trip";
-    /// Counter: a half-open trial succeeded and the breaker closed again.
-    pub const BREAKER_RECOVERED: &str = "fleet_breaker_recovered";
-    /// Counter: the retry token budget denied a hedge or failover.
-    pub const RETRY_DENIED: &str = "fleet_retry_denied";
-    /// Counter: a background health probe failed.
-    pub const PROBE_FAILED: &str = "fleet_probe_failed";
-    /// Gauge: a replica's observed p50 work-call latency, in ms.
-    pub const REPLICA_P50: &str = "fleet_replica_p50_ms";
-    /// Gauge: a replica's observed p99 work-call latency, in ms.
-    pub const REPLICA_P99: &str = "fleet_replica_p99_ms";
 }

@@ -3,8 +3,7 @@
 //! One [`Client`] wraps one TCP connection; [`Client::call`] writes a
 //! request frame and blocks for the matching response frame. The CLI's
 //! `aix serve status` / `aix serve shutdown` subcommands, the `exp-serve`
-//! load generator, the fleet layer, and the integration tests all speak
-//! through this.
+//! load generator and the integration tests all speak through this.
 
 use crate::protocol::{read_frame, write_frame, Response};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -28,21 +28,10 @@
 //! - **Admission priorities** ([`queue`]): the bounded queue carries two
 //!   tiers — interactive `select-precision` overtakes bulk
 //!   `characterize`/`verify`, and shedding stays bounded per tier.
-//! - **Replication** ([`fleet`], [`health`], [`hedge`], [`budget`]): a
-//!   client-side fleet layer makes a set of daemon replicas behave like
-//!   one reliable service — health-probed circuit breakers, p95-delayed
-//!   hedged requests, failover under a retry token budget. The engine's
-//!   determinism is what makes replication *transparent*: any replica's
-//!   answer to a given campaign is byte-identical, so the fleet can race
-//!   and fail over freely without changing results.
 
-pub mod budget;
 pub mod client;
 pub mod coalesce;
 pub mod exec;
-pub mod fleet;
-pub mod health;
-pub mod hedge;
 pub mod journal;
 pub mod protocol;
 pub mod queue;
@@ -50,6 +39,5 @@ pub mod server;
 pub mod stats;
 
 pub use client::Client;
-pub use fleet::{FleetClient, FleetConfig, FleetStats};
 pub use protocol::{Request, Response, Status, WorkRequest};
 pub use server::{install_sigterm_drain, Server, ServerConfig};

@@ -31,7 +31,6 @@ use crate::protocol::{
 use crate::queue::{Tier, TieredQueue};
 use crate::stats::ServeStats;
 use aix_core::{CancelToken, EngineOptions};
-use aix_faults::ConnectionFault;
 use aix_obs::names::serve as names;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -182,18 +181,6 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A handle that can start a graceful drain from another thread in
-    /// the same process. Chaos tests and benches that wedge a replica
-    /// with an injected `stall` need this: a `shutdown` *request* to a
-    /// stalled daemon would itself stall, but the drain flag is polled by
-    /// the accept loop regardless of connection state.
-    #[must_use]
-    pub fn drain_handle(&self) -> DrainHandle {
-        DrainHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
     /// Runs the accept loop until drain (a `shutdown` request or SIGTERM),
     /// then finishes every accepted job and returns.
     ///
@@ -233,19 +220,6 @@ impl Server {
         }
         std::thread::sleep(Duration::from_millis(100));
         Ok(())
-    }
-}
-
-/// An in-process graceful-drain trigger; see [`Server::drain_handle`].
-pub struct DrainHandle {
-    shared: Arc<Shared>,
-}
-
-impl DrainHandle {
-    /// Starts the graceful drain: the accept loop stops, accepted work
-    /// finishes, [`Server::run`] returns.
-    pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
     }
 }
 
@@ -325,28 +299,6 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => return,
         };
-        // Injected connection faults fire *before* parsing, on every frame
-        // — status probes included. A stalled daemon is a true wedge: it
-        // answers nothing, so the fleet's prober sees it fail and trips
-        // the breaker, exactly like a real hung process. (Emulating
-        // `connrefused` at accept time isn't possible once the kernel has
-        // completed the handshake, so it drops the connection instead —
-        // the client-visible shape, an immediate reset, is the same.)
-        if let Some(faults) = &shared.executor.options().faults {
-            let site = request_hash(&payload);
-            match faults.connection_fault(aix_faults::FaultStage::Serve, &site, 1) {
-                Some(ConnectionFault::Stall { ms }) => {
-                    aix_obs::count!(names::CONN_STALLED, site = site.as_str());
-                    std::thread::sleep(Duration::from_millis(ms));
-                    return;
-                }
-                Some(ConnectionFault::Refused) => {
-                    aix_obs::count!(names::CONN_REFUSED, site = site.as_str());
-                    return;
-                }
-                None => {}
-            }
-        }
         let response = match parse_request(&payload) {
             Ok(Request::Status) => Response::new(Status::Ok).with_fields(
                 shared

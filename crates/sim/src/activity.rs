@@ -1,8 +1,8 @@
 //! Switching-activity extraction and conversion to BTI stress factors.
 
-use crate::packed::{lane_mask, PackedEvaluator, SimEngine, LANES};
+use crate::packed::{lane_mask, PackedEvaluator, LANES};
 use aix_aging::{StressFactor, StressPair};
-use aix_netlist::{Evaluator, Netlist, NetlistError};
+use aix_netlist::{Netlist, NetlistError};
 
 /// Signal statistics collected from functional simulation of a vector
 /// stream: per-net signal probability and toggle counts.
@@ -34,9 +34,13 @@ impl Activity {
         }
     }
 
-    /// Simulates `vectors` input vectors drawn from `stimuli` and collects
-    /// statistics over every net, using the engine selected by
-    /// `AIX_SIM_ENGINE` (packed by default).
+    /// Simulates the input vectors drawn from `stimuli` and collects
+    /// statistics over every net.
+    ///
+    /// Runs the bit-parallel [`PackedEvaluator`], 64 vectors per netlist
+    /// walk. Every statistic is an exact integer count (popcounts on lane
+    /// words), so the result is bit-identical to the scalar
+    /// [`oracle::activity`](crate::oracle::activity).
     ///
     /// # Errors
     ///
@@ -45,71 +49,8 @@ impl Activity {
     where
         I: IntoIterator<Item = Vec<bool>>,
     {
-        Self::collect_with(netlist, stimuli, SimEngine::from_env_or_default())
-    }
-
-    /// [`collect`](Self::collect) with an explicit engine choice. Both
-    /// engines produce bit-identical `Activity` — every statistic is an
-    /// exact integer count (popcounts on lane words for the packed path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluator errors (cyclic netlist, width mismatch).
-    pub fn collect_with<I>(
-        netlist: &Netlist,
-        stimuli: I,
-        engine: SimEngine,
-    ) -> Result<Self, NetlistError>
-    where
-        I: IntoIterator<Item = Vec<bool>>,
-    {
-        let _span = aix_obs::span!("activity_collect", nets = netlist.net_count());
-        match engine {
-            SimEngine::Scalar => Self::collect_scalar(netlist, stimuli),
-            SimEngine::Packed => Self::collect_packed(netlist, stimuli),
-        }
-    }
-
-    fn collect_scalar<I>(netlist: &Netlist, stimuli: I) -> Result<Self, NetlistError>
-    where
-        I: IntoIterator<Item = Vec<bool>>,
-    {
-        let mut evaluator = Evaluator::new(netlist)?;
-        let mut ones = vec![0u64; netlist.net_count()];
-        let mut toggles = vec![0u64; netlist.net_count()];
-        let mut previous: Option<Vec<bool>> = None;
-        let mut vectors = 0u64;
-        for vector in stimuli {
-            evaluator.eval(&vector)?;
-            let values = evaluator.net_values();
-            for (i, &v) in values.iter().enumerate() {
-                if v {
-                    ones[i] += 1;
-                }
-                if let Some(prev) = &previous {
-                    if prev[i] != v {
-                        toggles[i] += 1;
-                    }
-                }
-            }
-            match &mut previous {
-                Some(prev) => prev.copy_from_slice(values),
-                None => previous = Some(values.to_vec()),
-            }
-            vectors += 1;
-        }
-        Ok(Self {
-            ones,
-            toggles,
-            vectors,
-        })
-    }
-
-    fn collect_packed<I>(netlist: &Netlist, stimuli: I) -> Result<Self, NetlistError>
-    where
-        I: IntoIterator<Item = Vec<bool>>,
-    {
-        let _span = aix_obs::span!(
+        let _collect = aix_obs::span!("activity_collect", nets = netlist.net_count());
+        let _packed = aix_obs::span!(
             "sim_packed",
             consumer = "activity_collect",
             nets = netlist.net_count()
@@ -202,6 +143,10 @@ impl Activity {
 /// glitch heavily, so dynamic power computed from this activity is the
 /// honest figure.
 ///
+/// Runs the lane-parallel [`PackedTimedSimulator`](crate::PackedTimedSimulator),
+/// 64 vectors per word, whose per-lane transition sequences equal the
+/// scalar [`oracle::timed_activity`](crate::oracle::timed_activity)'s.
+///
 /// # Errors
 ///
 /// Propagates simulator errors.
@@ -213,73 +158,8 @@ pub fn collect_timed_activity<I>(
 where
     I: IntoIterator<Item = Vec<bool>>,
 {
-    collect_timed_activity_with(netlist, delays, stimuli, SimEngine::from_env_or_default())
-}
-
-/// [`collect_timed_activity`] with an explicit engine choice. Both engines
-/// produce bit-identical `Activity`: the packed path advances 64 vectors
-/// per word through the lane-parallel timed engine, whose per-lane
-/// transition sequences equal the scalar simulator's.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn collect_timed_activity_with<I>(
-    netlist: &Netlist,
-    delays: &aix_sta::NetDelays,
-    stimuli: I,
-    engine: SimEngine,
-) -> Result<Activity, NetlistError>
-where
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _span = aix_obs::span!("activity_timed", nets = netlist.net_count());
-    match engine {
-        SimEngine::Scalar => collect_timed_activity_scalar(netlist, delays, stimuli),
-        SimEngine::Packed => collect_timed_activity_packed(netlist, delays, stimuli),
-    }
-}
-
-fn collect_timed_activity_scalar<I>(
-    netlist: &Netlist,
-    delays: &aix_sta::NetDelays,
-    stimuli: I,
-) -> Result<Activity, NetlistError>
-where
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let mut sim = crate::TimedSimulator::new(netlist, delays)?;
-    // A zero-delay evaluator supplies the settled per-net values for the
-    // ones statistics; the timed simulator supplies true transition counts.
-    let mut evaluator = Evaluator::new(netlist)?;
-    let mut ones = vec![0u64; netlist.net_count()];
-    let mut vectors = 0u64;
-    for vector in stimuli {
-        // A generous clock: only settled values and real transition counts
-        // matter here, not sampling errors.
-        sim.step(&vector, f64::MAX / 4.0)?;
-        evaluator.eval(&vector)?;
-        for (one, &value) in ones.iter_mut().zip(evaluator.net_values()) {
-            *one += u64::from(value);
-        }
-        vectors += 1;
-    }
-    Ok(Activity::from_parts(
-        ones,
-        sim.transition_counts().to_vec(),
-        vectors,
-    ))
-}
-
-fn collect_timed_activity_packed<I>(
-    netlist: &Netlist,
-    delays: &aix_sta::NetDelays,
-    stimuli: I,
-) -> Result<Activity, NetlistError>
-where
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _span = aix_obs::span!(
+    let _timed = aix_obs::span!("activity_timed", nets = netlist.net_count());
+    let _packed = aix_obs::span!(
         aix_obs::names::sim::SPAN_TIMED_PACKED,
         consumer = "activity_timed",
         nets = netlist.net_count()
@@ -292,7 +172,8 @@ where
                  sim: &mut crate::PackedTimedSimulator,
                  ones: &mut [u64]|
      -> Result<(), NetlistError> {
-        // A generous clock (see the scalar path); after the step the
+        // A generous clock: only settled values and real transition counts
+        // matter here, not sampling errors. After the step the
         // engine's net words hold each lane's settled values.
         sim.step_stream_batch(batch, f64::MAX / 4.0)?;
         let mask = lane_mask(batch.len());

@@ -1,9 +1,8 @@
 //! Timing-error statistics: the paper's motivational measurement (Fig. 1).
 
-use crate::golden::{golden_lane_word, golden_word};
-use crate::packed::{SimEngine, LANES};
+use crate::golden::golden_lane_word;
+use crate::packed::LANES;
 use crate::timed_packed::PackedTimedSimulator;
-use crate::TimedSimulator;
 use aix_netlist::{Netlist, NetlistError};
 use aix_sta::NetDelays;
 
@@ -44,59 +43,8 @@ impl ErrorStats {
     }
 }
 
-/// Clocks `netlist` at `clock_ps` with the given delay annotation and
-/// measures how often sampled outputs are wrong over `stimuli`, using the
-/// engine selected by `AIX_SIM_ENGINE` (packed by default).
-///
-/// Numeric error statistics are only meaningful for netlists whose outputs
-/// form one unsigned word (ports in LSB-first order), which holds for every
-/// generator in `aix-arith`; for wider outputs the word is truncated to the
-/// low 64 bits.
-///
-/// # Errors
-///
-/// Propagates simulator construction and width errors.
-pub fn measure_errors<I>(
-    netlist: &Netlist,
-    delays: &NetDelays,
-    clock_ps: f64,
-    stimuli: I,
-) -> Result<ErrorStats, NetlistError>
-where
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    measure_errors_with(netlist, delays, clock_ps, stimuli, SimEngine::from_env_or_default())
-}
-
-/// [`measure_errors`] with an explicit engine choice.
-///
-/// `Packed` runs the lane-parallel timed engine
-/// ([`PackedTimedSimulator`]): 64 vectors advance through one levelized
-/// waveform propagation per batch, with per-lane sample-at-clock state. The
-/// two paths are byte-identical — every per-lane outcome equals the scalar
-/// engine's, and floating-point accumulation happens in stimulus order on
-/// both.
-///
-/// # Errors
-///
-/// Propagates simulator construction and width errors.
-pub fn measure_errors_with<I>(
-    netlist: &Netlist,
-    delays: &NetDelays,
-    clock_ps: f64,
-    stimuli: I,
-    engine: SimEngine,
-) -> Result<ErrorStats, NetlistError>
-where
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    match engine {
-        SimEngine::Scalar => measure_errors_scalar(netlist, delays, clock_ps, stimuli),
-        SimEngine::Packed => measure_errors_packed(netlist, delays, clock_ps, stimuli),
-    }
-}
-
-fn new_stats() -> (ErrorStats, f64) {
+/// Empty statistics plus a zero running sum of absolute errors.
+pub(crate) fn new_stats() -> (ErrorStats, f64) {
     (
         ErrorStats {
             vectors: 0,
@@ -109,40 +57,25 @@ fn new_stats() -> (ErrorStats, f64) {
     )
 }
 
-fn measure_errors_scalar<I>(
-    netlist: &Netlist,
-    delays: &NetDelays,
-    clock_ps: f64,
-    stimuli: I,
-) -> Result<ErrorStats, NetlistError>
-where
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let mut sim = TimedSimulator::new(netlist, delays)?;
-    let (mut stats, mut total_abs_error) = new_stats();
-    for vector in stimuli {
-        let outcome = sim.step(&vector, clock_ps)?;
-        stats.vectors += 1;
-        if outcome.timing_error {
-            stats.erroneous += 1;
-            stats.wrong_bits += outcome
-                .sampled
-                .iter()
-                .zip(&outcome.settled)
-                .filter(|(s, g)| s != g)
-                .count() as u64;
-            let err = golden_word(&outcome.sampled).abs_diff(golden_word(&outcome.settled));
-            total_abs_error += err as f64;
-            stats.max_abs_error = stats.max_abs_error.max(err);
-        }
-    }
-    if stats.vectors > 0 {
-        stats.mean_abs_error = total_abs_error / stats.vectors as f64;
-    }
-    Ok(stats)
-}
-
-fn measure_errors_packed<I>(
+/// Clocks `netlist` at `clock_ps` with the given delay annotation and
+/// measures how often sampled outputs are wrong over `stimuli`.
+///
+/// Runs the lane-parallel timed engine ([`PackedTimedSimulator`]): 64
+/// vectors advance through one levelized waveform propagation per batch,
+/// with per-lane sample-at-clock state. Every per-lane outcome equals the
+/// scalar [`oracle::measure_errors`](crate::oracle::measure_errors), and
+/// floating-point accumulation happens in stimulus order, so the two are
+/// byte-identical.
+///
+/// Numeric error statistics are only meaningful for netlists whose outputs
+/// form one unsigned word (ports in LSB-first order), which holds for every
+/// generator in `aix-arith`; for wider outputs the word is truncated to the
+/// low 64 bits.
+///
+/// # Errors
+///
+/// Propagates simulator construction and width errors.
+pub fn measure_errors<I>(
     netlist: &Netlist,
     delays: &NetDelays,
     clock_ps: f64,

@@ -6,8 +6,7 @@
 //! under a stimulus set — which doubles as a measure of how thoroughly a
 //! characterization stimulus actually exercises a netlist.
 
-use crate::golden::reference_outputs;
-use crate::packed::{lane_mask, PackedEvaluator, SimEngine, LANES};
+use crate::packed::{lane_mask, PackedEvaluator, LANES};
 use aix_netlist::{NetDriver, NetId, Netlist, NetlistError};
 use std::fmt;
 
@@ -29,9 +28,9 @@ impl fmt::Display for StuckAtFault {
 /// Result of a fault-simulation campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultCoverage {
-    detected: Vec<StuckAtFault>,
-    undetected: Vec<StuckAtFault>,
-    vectors: usize,
+    pub(crate) detected: Vec<StuckAtFault>,
+    pub(crate) undetected: Vec<StuckAtFault>,
+    pub(crate) vectors: usize,
 }
 
 impl FaultCoverage {
@@ -82,75 +81,18 @@ pub fn full_fault_list(netlist: &Netlist) -> Vec<StuckAtFault> {
 
 /// Simulates every fault in `faults` against every vector in `stimuli`
 /// (single-fault simulation with fault-free reference), reporting coverage.
-/// Uses the engine selected by `AIX_SIM_ENGINE` (packed by default).
+///
+/// Runs classic parallel-pattern single-fault simulation: 64 vectors per
+/// fault per netlist walk, detection decided by XORing the faulty output
+/// words against the fault-free reference words. Detection is a boolean
+/// per fault, so the coverage equals the scalar
+/// [`oracle::simulate_faults`](crate::oracle::simulate_faults)'s (the
+/// differential suite pins this).
 ///
 /// # Errors
 ///
 /// Propagates evaluator errors (cyclic netlist, width mismatch).
 pub fn simulate_faults(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    stimuli: &[Vec<bool>],
-) -> Result<FaultCoverage, NetlistError> {
-    simulate_faults_with(netlist, faults, stimuli, SimEngine::from_env_or_default())
-}
-
-/// [`simulate_faults`] with an explicit engine choice.
-///
-/// The packed engine runs classic parallel-pattern single-fault
-/// simulation: 64 vectors per fault per netlist walk, detection decided by
-/// XORing the faulty output words against the fault-free reference words.
-/// Detection is a boolean per fault, so both engines report identical
-/// `FaultCoverage` (the differential suite pins this).
-///
-/// # Errors
-///
-/// Propagates evaluator errors (cyclic netlist, width mismatch).
-pub fn simulate_faults_with(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    stimuli: &[Vec<bool>],
-    engine: SimEngine,
-) -> Result<FaultCoverage, NetlistError> {
-    match engine {
-        SimEngine::Scalar => simulate_faults_scalar(netlist, faults, stimuli),
-        SimEngine::Packed => simulate_faults_packed(netlist, faults, stimuli),
-    }
-}
-
-fn simulate_faults_scalar(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    stimuli: &[Vec<bool>],
-) -> Result<FaultCoverage, NetlistError> {
-    // Fault-free reference responses from the shared golden helper.
-    let references = reference_outputs(netlist, stimuli, SimEngine::Scalar)?;
-    let order = netlist.topological_order()?;
-    let mut detected = Vec::new();
-    let mut undetected = Vec::new();
-    for &fault in faults {
-        let mut caught = false;
-        for (vector, reference) in stimuli.iter().zip(&references) {
-            let response = eval_with_fault(netlist, &order, vector, fault);
-            if &response != reference {
-                caught = true;
-                break;
-            }
-        }
-        if caught {
-            detected.push(fault);
-        } else {
-            undetected.push(fault);
-        }
-    }
-    Ok(FaultCoverage {
-        detected,
-        undetected,
-        vectors: stimuli.len(),
-    })
-}
-
-fn simulate_faults_packed(
     netlist: &Netlist,
     faults: &[StuckAtFault],
     stimuli: &[Vec<bool>],
@@ -194,49 +136,6 @@ fn simulate_faults_packed(
         undetected,
         vectors: stimuli.len(),
     })
-}
-
-/// Evaluates one vector with the fault folded in: a serial fault
-/// simulation pass over the precomputed topological order, forcing the
-/// faulty net's value wherever it would be driven.
-fn eval_with_fault(
-    netlist: &Netlist,
-    order: &[aix_netlist::GateId],
-    vector: &[bool],
-    fault: StuckAtFault,
-) -> Vec<bool> {
-    let mut values = vec![false; netlist.net_count()];
-    for (id, net) in netlist.nets() {
-        if let NetDriver::Constant(v) = net.driver {
-            values[id.index()] = v;
-        }
-    }
-    for (&input, &value) in netlist.inputs().iter().zip(vector) {
-        values[input.index()] = value;
-    }
-    values[fault.net.index()] = fault.value;
-    let mut in_buf = [false; aix_cells::MAX_INPUTS];
-    let mut out_buf = [false; aix_cells::MAX_OUTPUTS];
-    for &gate_id in order {
-        let gate = netlist.gate(gate_id);
-        let function = netlist.library().cell(gate.cell).function;
-        for (slot, &net) in in_buf.iter_mut().zip(&gate.inputs) {
-            *slot = values[net.index()];
-        }
-        function.eval(&in_buf[..gate.inputs.len()], &mut out_buf);
-        for (pin, &net) in gate.outputs.iter().enumerate() {
-            values[net.index()] = if net == fault.net {
-                fault.value
-            } else {
-                out_buf[pin]
-            };
-        }
-    }
-    netlist
-        .outputs()
-        .iter()
-        .map(|(_, n)| values[n.index()])
-        .collect()
 }
 
 #[cfg(test)]

@@ -3,12 +3,12 @@
 //! Every error/fault measurement in this crate compares a circuit response
 //! against a *golden* functional reference — the settled zero-delay
 //! outputs, numerically interpreted as one unsigned word where that makes
-//! sense. Historically each consumer re-derived that reference inline;
-//! centralizing it here means the scalar and packed engines share one
-//! reference implementation and cannot drift apart on the reference side.
+//! sense. Centralizing it here means the packed engines and the scalar
+//! [`oracle`](crate::oracle) share one reference implementation and cannot
+//! drift apart on the reference side.
 
-use crate::packed::{PackedEvaluator, SimEngine, LANES};
-use aix_netlist::{Evaluator, Netlist, NetlistError};
+use crate::packed::{PackedEvaluator, LANES};
+use aix_netlist::{Netlist, NetlistError};
 
 /// Numeric value of an output bit vector (port order, LSB first),
 /// truncated to the low 64 bits — the golden word the paper's error
@@ -32,11 +32,10 @@ pub fn golden_lane_word(words: &[u64], lane: usize) -> u64 {
         .fold(0u64, |word, (i, &w)| word | (((w >> lane) & 1) << i))
 }
 
-/// Fault-free functional reference responses for a stimulus set under the
-/// chosen engine. Both engines produce identical vectors (the scalar and
-/// packed evaluators implement the same zero-delay semantics); exposing
-/// the engine keeps the differential harness honest about which path
-/// computed the reference.
+/// Fault-free functional reference responses for a stimulus set, from
+/// the bit-parallel evaluator. They equal the scalar
+/// [`oracle::reference_outputs`](crate::oracle::reference_outputs) vector
+/// for vector (both implement the same zero-delay semantics).
 ///
 /// # Errors
 ///
@@ -44,24 +43,13 @@ pub fn golden_lane_word(words: &[u64], lane: usize) -> u64 {
 pub fn reference_outputs(
     netlist: &Netlist,
     stimuli: &[Vec<bool>],
-    engine: SimEngine,
 ) -> Result<Vec<Vec<bool>>, NetlistError> {
     let mut references = Vec::with_capacity(stimuli.len());
-    match engine {
-        SimEngine::Scalar => {
-            let mut evaluator = Evaluator::new(netlist)?;
-            for vector in stimuli {
-                references.push(evaluator.eval(vector)?.to_vec());
-            }
-        }
-        SimEngine::Packed => {
-            let mut packed = PackedEvaluator::new(netlist)?;
-            for batch in stimuli.chunks(LANES) {
-                packed.eval_batch(batch)?;
-                for lane in 0..batch.len() {
-                    references.push(packed.output_lane_values(lane));
-                }
-            }
+    let mut packed = PackedEvaluator::new(netlist)?;
+    for batch in stimuli.chunks(LANES) {
+        packed.eval_batch(batch)?;
+        for lane in 0..batch.len() {
+            references.push(packed.output_lane_values(lane));
         }
     }
     Ok(references)
@@ -98,21 +86,24 @@ mod tests {
     }
 
     /// The golden reference *is* the arithmetic model: an adder's reference
-    /// outputs must equal `a + b` exactly, under both engines.
+    /// outputs must equal `a + b` exactly, from the packed evaluator and
+    /// the scalar oracle alike.
     #[test]
     fn reference_outputs_match_arith_model_under_both_engines() {
         let lib = Arc::new(Library::nangate45_like());
         let width = 8;
         let nl = build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(width)).unwrap();
         let stimuli: Vec<Vec<bool>> = UniformOperands::new(width, 7).vectors(200).collect();
-        for engine in [SimEngine::Scalar, SimEngine::Packed] {
-            let refs = reference_outputs(&nl, &stimuli, engine).unwrap();
-            for (vector, outputs) in stimuli.iter().zip(&refs) {
-                let a = bus_to_u64(&vector[..width]);
-                let b = bus_to_u64(&vector[width..]);
-                assert_eq!(golden_word(outputs), a + b, "{engine}: {a}+{b}");
-            }
+        let refs = reference_outputs(&nl, &stimuli).unwrap();
+        for (vector, outputs) in stimuli.iter().zip(&refs) {
+            let a = bus_to_u64(&vector[..width]);
+            let b = bus_to_u64(&vector[width..]);
+            assert_eq!(golden_word(outputs), a + b, "{a}+{b}");
         }
+        assert_eq!(
+            refs,
+            crate::oracle::reference_outputs(&nl, &stimuli).unwrap()
+        );
     }
 
     #[test]
@@ -120,8 +111,8 @@ mod tests {
         let lib = Arc::new(Library::nangate45_like());
         let nl = build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(6)).unwrap();
         let stimuli: Vec<Vec<bool>> = UniformOperands::new(6, 3).vectors(130).collect();
-        let scalar = reference_outputs(&nl, &stimuli, SimEngine::Scalar).unwrap();
-        let packed = reference_outputs(&nl, &stimuli, SimEngine::Packed).unwrap();
+        let scalar = crate::oracle::reference_outputs(&nl, &stimuli).unwrap();
+        let packed = reference_outputs(&nl, &stimuli).unwrap();
         assert_eq!(scalar, packed);
     }
 }

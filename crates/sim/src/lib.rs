@@ -2,29 +2,19 @@
 //! switching-activity and stress-factor extraction the paper's actual-case
 //! aging analysis is built on.
 //!
-//! Three capabilities live here:
-//!
-//! * [`TimedSimulator`] / [`PackedTimedSimulator`] — event-driven
-//!   simulators with per-net transport delays on an integer femtosecond
-//!   tick grid ([`TICKS_PER_PS`]) — the Rust counterpart of gate-level
-//!   simulation with an aged `.sdf`. Outputs are sampled at the clock
-//!   edge (an arrival exactly on the edge is a setup violation); paths
-//!   that have not settled yet produce exactly the timing errors the
-//!   paper's motivational study demonstrates. The packed variant runs 64
-//!   stimulus vectors per `u64` word with per-lane sample/settle state,
-//!   bit-identical to the scalar engine.
-//! * [`ErrorStats`] / [`measure_errors`] — error-probability measurement of
-//!   a component clocked at its fresh frequency while its gates age
-//!   (reproduces Fig. 1).
-//! * [`Activity`] / [`stress_pairs`] — signal-probability extraction and
-//!   its conversion to per-gate (pMOS, nMOS) stress factors and stress
-//!   histograms (reproduces Fig. 5 and feeds actual-case STA).
-//! * [`PackedEvaluator`] / [`SimEngine`] — bit-parallel (64 vectors per
-//!   `u64` word) functional simulation backing the untimed value-mode
-//!   consumers above; select per call with `*_with` variants or globally
-//!   via the `AIX_SIM_ENGINE` environment variable. The same dispatch
-//!   now also selects the timed engine for [`measure_errors`] and
-//!   [`collect_timed_activity`].
+//! Every simulation mode has one production engine, and it is packed:
+//! [`PackedEvaluator`] evaluates 64 stimulus vectors per `u64` word, and
+//! [`PackedTimedSimulator`] propagates per-net waveforms on an integer
+//! femtosecond tick grid ([`TICKS_PER_PS`]) for 64 vectors per walk — the
+//! Rust counterpart of gate-level simulation with an aged `.sdf`. Outputs
+//! are sampled at the clock edge (an arrival exactly on the edge is a
+//! setup violation), so paths that have not settled yet produce exactly
+//! the timing errors the paper's motivational study demonstrates. The
+//! consumers built on them are [`measure_errors`] (Fig. 1),
+//! [`Activity`] / [`stress_pairs`] (Fig. 5 and actual-case STA) and
+//! [`simulate_faults`]. The scalar [`TimedSimulator`] and the loops in
+//! [`oracle`] are reference implementations the differential suites
+//! compare the packed engines against.
 //!
 //! # Examples
 //!
@@ -52,19 +42,19 @@ mod activity;
 mod errors;
 mod faults;
 mod golden;
+pub mod oracle;
 mod packed;
 mod stimuli;
 mod timed;
 mod timed_packed;
 
 pub use activity::{
-    collect_timed_activity, collect_timed_activity_with, stress_histogram, stress_pairs, Activity,
-    StressHistogram,
+    collect_timed_activity, stress_histogram, stress_pairs, Activity, StressHistogram,
 };
-pub use errors::{measure_errors, measure_errors_with, ErrorStats};
-pub use faults::{full_fault_list, simulate_faults, simulate_faults_with, FaultCoverage, StuckAtFault};
+pub use errors::{measure_errors, ErrorStats};
+pub use faults::{full_fault_list, simulate_faults, FaultCoverage, StuckAtFault};
 pub use golden::{golden_lane_word, golden_word, reference_outputs};
-pub use packed::{lane_mask, pack_batch, PackedEvaluator, SimEngine, LANES};
+pub use packed::{lane_mask, pack_batch, PackedEvaluator, LANES};
 pub use stimuli::{NormalOperands, OperandSource, SignedNormalOperands, UniformOperands, VectorStream};
 pub use timed::{ps_to_ticks, ticks_to_ps, StepOutcome, TimedSimulator, TICKS_PER_PS};
 pub use timed_packed::{PackedStepOutcome, PackedTimedSimulator};

@@ -12,7 +12,9 @@
 //! per-net waveforms on the femtosecond tick grid in one levelized walk,
 //! 64 vectors per word with per-lane sample-at-clock state, and is
 //! bit-identical to the scalar [`TimedSimulator`](crate::TimedSimulator)
-//! per lane. DESIGN.md records the argument for why that holds.
+//! per lane. DESIGN.md records the argument for why that holds. The
+//! scalar engines survive only as the reference implementations in
+//! [`oracle`](crate::oracle).
 //!
 //! [`measure_errors`]: crate::measure_errors
 //! [`Activity`]: crate::Activity
@@ -20,85 +22,10 @@
 
 use aix_cells::{CellFunction, MAX_INPUTS, MAX_OUTPUTS};
 use aix_netlist::{GateId, NetDriver, NetId, Netlist, NetlistError, Schedule};
-use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
 
 /// Number of stimulus vectors packed per machine word.
 pub const LANES: usize = 64;
-
-/// Which engine drives simulation — functional (value-mode) and timed
-/// (event-driven) consumers both dispatch on it.
-///
-/// Both engines produce byte-identical results (the differential suite in
-/// `tests/sim_equivalence.rs` pins this for functional and timed runs
-/// alike); `Packed` is the default because it evaluates 64 vectors per
-/// netlist walk, timed or not. Select explicitly with
-/// `--sim-engine scalar|packed` on the CLI or the `AIX_SIM_ENGINE`
-/// environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimEngine {
-    /// One vector per netlist walk ([`aix_netlist::Evaluator`]).
-    Scalar,
-    /// 64 vectors per word ([`PackedEvaluator`]), scalar tail for partial
-    /// batches.
-    #[default]
-    Packed,
-}
-
-impl SimEngine {
-    /// Environment variable consulted by [`SimEngine::from_env`].
-    pub const ENV_VAR: &'static str = "AIX_SIM_ENGINE";
-
-    /// Reads the engine from `AIX_SIM_ENGINE`, defaulting to [`Packed`]
-    /// when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the invalid value if the variable is set
-    /// to anything other than `scalar` or `packed`.
-    ///
-    /// [`Packed`]: SimEngine::Packed
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(value) => value
-                .parse()
-                .map_err(|()| format!("{}: invalid engine {value:?} (expected scalar|packed)", Self::ENV_VAR)),
-            Err(_) => Ok(Self::default()),
-        }
-    }
-
-    /// Like [`from_env`](Self::from_env), but an invalid value only warns
-    /// and falls back to the default — for library entry points that have
-    /// no error channel for configuration. The CLI validates strictly.
-    pub fn from_env_or_default() -> Self {
-        Self::from_env().unwrap_or_else(|message| {
-            aix_obs::warn!("{message}; using {}", Self::default());
-            Self::default()
-        })
-    }
-}
-
-impl FromStr for SimEngine {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(Self::Scalar),
-            "packed" => Ok(Self::Packed),
-            _ => Err(()),
-        }
-    }
-}
-
-impl fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Scalar => "scalar",
-            Self::Packed => "packed",
-        })
-    }
-}
 
 /// Reusable bit-parallel evaluator: one `u64` word per net, up to
 /// [`LANES`] stimulus vectors per batch.
@@ -331,19 +258,6 @@ impl<'nl> PackedEvaluator<'nl> {
             .collect()
     }
 
-    /// The numeric value of the first `bits` output ports (LSB first) in
-    /// lane `lane` — the packed counterpart of `bus_to_u64` on a scalar
-    /// result. `bits` is clamped to 64.
-    pub fn output_lane_value_u64(&self, lane: usize, bits: usize) -> u64 {
-        assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        let bits = bits.min(64).min(self.output_words.len());
-        let mut value = 0u64;
-        for (bit, &word) in self.output_words.iter().take(bits).enumerate() {
-            value |= ((word >> lane) & 1) << bit;
-        }
-        value
-    }
-
     /// The netlist this evaluator is bound to.
     pub fn netlist(&self) -> &'nl Netlist {
         self.netlist
@@ -403,16 +317,6 @@ mod tests {
 
     fn lib() -> Arc<Library> {
         Arc::new(Library::nangate45_like())
-    }
-
-    #[test]
-    fn engine_parsing_and_default() {
-        assert_eq!(SimEngine::default(), SimEngine::Packed);
-        assert_eq!("scalar".parse(), Ok(SimEngine::Scalar));
-        assert_eq!("packed".parse(), Ok(SimEngine::Packed));
-        assert!("fast".parse::<SimEngine>().is_err());
-        assert_eq!(SimEngine::Scalar.to_string(), "scalar");
-        assert_eq!(SimEngine::Packed.to_string(), "packed");
     }
 
     #[test]
@@ -566,7 +470,9 @@ mod tests {
             vec![true, true],
         ];
         packed.eval_batch(&batch).unwrap();
-        let sums: Vec<u64> = (0..4).map(|l| packed.output_lane_value_u64(l, 2)).collect();
+        let sums: Vec<u64> = (0..4)
+            .map(|l| crate::golden_lane_word(packed.output_words(), l))
+            .collect();
         assert_eq!(sums, vec![0, 1, 1, 2]);
     }
 }

@@ -5,7 +5,7 @@
 
 use aix_cells::{CellFunction, DriveStrength, Library};
 use aix_netlist::{Evaluator, Netlist};
-use aix_sim::{Activity, PackedEvaluator, SimEngine, LANES};
+use aix_sim::{oracle, Activity, PackedEvaluator, LANES};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -132,10 +132,8 @@ proptest! {
         let (recipe, stimuli) = case;
         let library = Arc::new(Library::nangate45_like());
         let netlist = build(&recipe, &library);
-        let scalar =
-            Activity::collect_with(&netlist, stimuli.iter().cloned(), SimEngine::Scalar).unwrap();
-        let packed =
-            Activity::collect_with(&netlist, stimuli.iter().cloned(), SimEngine::Packed).unwrap();
+        let scalar = oracle::activity(&netlist, stimuli.iter().cloned()).unwrap();
+        let packed = Activity::collect(&netlist, stimuli.iter().cloned()).unwrap();
         prop_assert_eq!(scalar, packed);
     }
 }

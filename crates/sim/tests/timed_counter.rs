@@ -7,8 +7,8 @@ use aix_arith::{build_multiplier, ComponentSpec, MultiplierKind};
 use aix_cells::Library;
 use aix_obs::{names, EventKind, Recorder};
 use aix_sim::{
-    collect_timed_activity_with, measure_errors_with, OperandSource, PackedTimedSimulator,
-    SimEngine, UniformOperands, LANES,
+    collect_timed_activity, measure_errors, OperandSource, PackedTimedSimulator, UniformOperands,
+    LANES,
 };
 use aix_sta::{analyze, NetDelays};
 use std::sync::Arc;
@@ -37,21 +37,8 @@ fn one_counter_event_per_measurement_with_its_entries() {
     );
 
     aix_obs::install(Recorder::in_memory("timed-counter", false));
-    let stats = measure_errors_with(
-        &netlist,
-        &delays,
-        clock,
-        vectors.iter().cloned(),
-        SimEngine::Packed,
-    )
-    .unwrap();
-    collect_timed_activity_with(
-        &netlist,
-        &delays,
-        vectors.iter().cloned(),
-        SimEngine::Packed,
-    )
-    .unwrap();
+    let stats = measure_errors(&netlist, &delays, clock, vectors.iter().cloned()).unwrap();
+    collect_timed_activity(&netlist, &delays, vectors.iter().cloned()).unwrap();
     let recorder = aix_obs::uninstall().expect("recorder installed above");
     assert_eq!(stats.vectors, vectors.len() as u64);
 

@@ -16,7 +16,7 @@ use aix_core::{
     AixError, ApproxLibrary, CancelToken, CharacterizationScenario, ComponentCharacterization,
     ComponentKind, NetlistCache,
 };
-use aix_sim::{measure_errors_with, OperandSource, SignedNormalOperands, SimEngine};
+use aix_sim::{measure_errors, OperandSource, SignedNormalOperands};
 use aix_sta::{analyze, NetDelays};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -39,10 +39,6 @@ pub struct VerifyConfig {
     /// Bound on the degradation retry loop: how many extra LSBs the
     /// `Degrade` policy may drop for one block before giving up.
     pub max_degrade_steps: usize,
-    /// Functional engine driving the RTL cross-check simulations. The
-    /// default honors `AIX_SIM_ENGINE` (packed when unset); the CLI's
-    /// `--sim-engine` overrides it per run.
-    pub sim_engine: SimEngine,
     /// Cooperative cancellation checked between entries: a cancelled or
     /// past-deadline token truncates the campaign to the entries already
     /// verified instead of running on (the report records the cut).
@@ -58,7 +54,6 @@ impl Default for VerifyConfig {
             margin_target_ps: 0.0,
             sim_vectors: 128,
             max_degrade_steps: 8,
-            sim_engine: SimEngine::from_env_or_default(),
             cancel: None,
         }
     }
@@ -297,13 +292,12 @@ fn simulate_violation(
     config: &VerifyConfig,
 ) -> Result<f64, AixError> {
     let padding = netlist.inputs().len().saturating_sub(2 * width);
-    let stats = measure_errors_with(
+    let stats = measure_errors(
         netlist,
         delays,
         constraint_ps,
         SignedNormalOperands::for_width(width, config.seed)
             .vectors_with_zeros(config.sim_vectors, padding),
-        config.sim_engine,
     )?;
     Ok(stats.error_rate())
 }

@@ -31,8 +31,8 @@ use aix::explore::ExploreConfig;
 use aix::dct::DatapathPrecision;
 use aix::faults::{FaultPlan, FaultStage};
 use aix::netlist::{to_dot, to_edif, to_verilog};
-use aix::serve::{Client, FleetClient, FleetConfig, Server, ServerConfig};
-use aix::sim::{measure_errors, OperandSource, SignedNormalOperands, SimEngine};
+use aix::serve::{Client, Server, ServerConfig};
+use aix::sim::{measure_errors, OperandSource, SignedNormalOperands};
 use aix::sta::{analyze, to_sdf, NetDelays};
 use aix::synth::Effort;
 use aix::verify::{
@@ -73,9 +73,7 @@ fn main() -> ExitCode {
         }
     }
     let options = parse_options(args);
-    let result = configure_observability(&command, &options)
-        .and_then(|_| configure_sim_engine(&options))
-        .and_then(|_| {
+    let result = configure_observability(&command, &options).and_then(|_| {
         let result = match command.as_str() {
             "import" => import_files(&files, &options),
             "characterize" => characterize(&options),
@@ -147,34 +145,6 @@ fn configure_observability(
     let recorder = aix::obs::Recorder::to_file(&path, command, aix::obs::timings_from_env())
         .map_err(|e| AixError::io(path.display().to_string(), e))?;
     aix::obs::install(recorder);
-    Ok(())
-}
-
-/// Applies `--sim-engine scalar|packed` by exporting it as
-/// `AIX_SIM_ENGINE` for the whole process, so every simulation entry
-/// point — including library-level defaults — honors one engine choice.
-/// With no flag, an already-set environment value is validated strictly
-/// so typos fail fast instead of silently falling back to the default.
-fn configure_sim_engine(options: &HashMap<String, String>) -> Result<(), AixError> {
-    match get(options, "--sim-engine") {
-        Some(value) => {
-            let engine: SimEngine = value.parse().map_err(|_| AixError::InvalidOption {
-                flag: "--sim-engine",
-                value: value.to_owned(),
-                expected: "scalar|packed",
-            })?;
-            std::env::set_var(SimEngine::ENV_VAR, engine.to_string());
-        }
-        None => {
-            if SimEngine::from_env().is_err() {
-                return Err(AixError::InvalidOption {
-                    flag: "AIX_SIM_ENGINE",
-                    value: std::env::var(SimEngine::ENV_VAR).unwrap_or_default(),
-                    expected: "scalar|packed",
-                });
-            }
-        }
-    }
     Ok(())
 }
 
@@ -289,24 +259,14 @@ commands:
                 [--effort area|medium|ultra] [--years N]
                 [--stress worst|balanced] [--samples N] [--seed N]
                 [--deadline-ms N] [--connect-timeout-ms N]
-                [--addr HOST:PORT | --addr-file FILE |
-                 --fleet ADDR1,ADDR2,...]
-                                  send one work request. --fleet routes it
-                                  through the replicated client: replicas are
-                                  health-probed with circuit breakers, a hedge
-                                  fires after the primary's p95 latency, fast
-                                  failures fail over, and hedges/failovers are
-                                  bounded by a retry token budget so retries
-                                  never amplify an overload
-  serve status  [--addr HOST:PORT | --addr-file FILE |
-                 --fleet ADDR1,ADDR2,...] [--connect-timeout-ms N]
+                [--addr HOST:PORT | --addr-file FILE]
+                                  send one work request to a daemon
+  serve status  [--addr HOST:PORT | --addr-file FILE] [--connect-timeout-ms N]
                                   print a daemon's queue depths (per admission
                                   tier), shed/coalesce counters and p50/p99
-                                  latencies; --fleet prints one block per
-                                  replica plus the fleet.* snapshot
-  serve shutdown [--addr HOST:PORT | --addr-file FILE |
-                 --fleet ADDR1,ADDR2,...] [--connect-timeout-ms N]
-                                  ask the daemon(s) to drain and exit 0
+                                  latencies
+  serve shutdown [--addr HOST:PORT | --addr-file FILE] [--connect-timeout-ms N]
+                                  ask the daemon to drain and exit 0
   trace         summarize [--file FILE] [--strict] [--no-record]
                                   render the per-stage latency/counter table of
                                   a recorded JSONL trace (newest under
@@ -316,13 +276,6 @@ commands:
   help                            show this message
 
 global flags (any command):
-  --sim-engine scalar|packed      simulation engine for value-mode AND timed
-                                  runs (error rates, activity, fault coverage;
-                                  also AIX_SIM_ENGINE). packed evaluates 64
-                                  vectors per word — for timed runs in one
-                                  levelized waveform walk — and is the
-                                  default; both engines produce byte-identical
-                                  results
   --trace[=FILE]                  record a structured JSONL event trace
                                   (default out/trace/run-<ts>-<pid>.jsonl;
                                   also AIX_TRACE=1|PATH). Set
@@ -482,9 +435,6 @@ fn parse_verify_config(options: &HashMap<String, String>) -> Result<VerifyConfig
             defaults.max_degrade_steps,
             "a step count",
         )?,
-        // `configure_sim_engine` already folded --sim-engine into the
-        // environment, which the default reflects.
-        sim_engine: defaults.sim_engine,
         cancel: None,
     })
 }
@@ -971,7 +921,6 @@ fn explore(options: &HashMap<String, String>) -> CliResult {
         });
     }
     config.vectors = parse_or(options, "--vectors", config.vectors, "a vector count")?;
-    config.engine = SimEngine::from_env().unwrap_or_default();
     config.jobs = engine.resolved_jobs();
     config.cache_dir = engine.cache_dir;
     config.faults = engine.faults;
@@ -1230,24 +1179,6 @@ fn parse_connect_timeout(options: &HashMap<String, String>) -> Result<Option<u64
     }
 }
 
-/// `--fleet addr1,addr2,...` parsed into a replica list.
-fn parse_fleet_addrs(list: &str) -> Result<Vec<String>, AixError> {
-    let addrs: Vec<String> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|a| !a.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if addrs.is_empty() {
-        return Err(AixError::InvalidOption {
-            flag: "--fleet",
-            value: list.to_owned(),
-            expected: "a comma-separated list of replica addresses",
-        });
-    }
-    Ok(addrs)
-}
-
 fn single_addr(options: &HashMap<String, String>) -> Result<String, AixError> {
     Ok(match get(options, "--addr") {
         Some(addr) => addr.to_owned(),
@@ -1261,17 +1192,19 @@ fn single_addr(options: &HashMap<String, String>) -> Result<String, AixError> {
     })
 }
 
-fn serve_call(options: &HashMap<String, String>, payload: &str) -> CliResult {
-    let connect_override = parse_connect_timeout(options)?;
-    if let Some(list) = get(options, "--fleet") {
-        return serve_fleet_admin(payload, list, connect_override);
-    }
+/// Sends `payload` to the daemon at `--addr`/`--addr-file` and prints
+/// the response fields.
+fn call_daemon(
+    options: &HashMap<String, String>,
+    payload: &str,
+    response_timeout: Duration,
+) -> Result<aix::serve::Response, AixError> {
     let addr = single_addr(options)?;
-    let timeout = aix::serve::client::connect_timeout(connect_override);
+    let timeout = aix::serve::client::connect_timeout(parse_connect_timeout(options)?);
     let mut client = Client::connect_with_timeout(&addr, timeout)
         .map_err(|e| AixError::io(addr.clone(), e))?;
     client
-        .set_response_timeout(Some(Duration::from_secs(10)))
+        .set_response_timeout(Some(response_timeout))
         .map_err(|e| AixError::io(addr.clone(), e))?;
     let response = client
         .call(payload)
@@ -1279,6 +1212,12 @@ fn serve_call(options: &HashMap<String, String>, payload: &str) -> CliResult {
     for (key, value) in response.fields() {
         println!("{key}: {value}");
     }
+    Ok(response)
+}
+
+/// `aix serve status|shutdown`: one admin request to one daemon.
+fn serve_call(options: &HashMap<String, String>, payload: &str) -> CliResult {
+    let response = call_daemon(options, payload, Duration::from_secs(10))?;
     Ok(if response.status() == "ok" {
         ExitCode::SUCCESS
     } else {
@@ -1286,63 +1225,8 @@ fn serve_call(options: &HashMap<String, String>, payload: &str) -> CliResult {
     })
 }
 
-/// Fleet-aware `status`/`shutdown`: address every replica, print a block
-/// per replica, and (for `status`) the fleet client's own `fleet.*`
-/// snapshot. Exits 0 when every replica answered.
-fn serve_fleet_admin(
-    payload: &str,
-    list: &str,
-    connect_override: Option<u64>,
-) -> CliResult {
-    let addrs = parse_fleet_addrs(list)?;
-    let timeout = aix::serve::client::connect_timeout(connect_override);
-    let mut failures = 0usize;
-    for addr in &addrs {
-        println!("[{addr}]");
-        let result = Client::connect_with_timeout(addr, timeout).and_then(|mut client| {
-            client.set_response_timeout(Some(Duration::from_secs(10)))?;
-            client.call(payload)
-        });
-        match result {
-            Ok(response) => {
-                for (key, value) in response.fields() {
-                    println!("  {key}: {value}");
-                }
-                if response.status() != "ok" {
-                    failures += 1;
-                }
-            }
-            Err(e) => {
-                println!("  error: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if payload.contains("\"op\":\"status\"") {
-        // A fresh CLI process has no call history, but the snapshot still
-        // reports the fleet shape and per-replica breaker/latency fields
-        // under the same names `serve call --fleet` uses.
-        let mut config = FleetConfig::new(addrs);
-        config.connect_timeout_ms = connect_override;
-        config.probe = false;
-        if let Ok(fleet) = FleetClient::new(config) {
-            println!("[fleet]");
-            for (key, value) in fleet.snapshot_fields() {
-                println!("  {key}: {value}");
-            }
-        }
-    }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// `aix serve call`: send one work request, either to a single daemon
-/// (`--addr`/`--addr-file`) or through the replicated fleet client
-/// (`--fleet addr1,addr2,...` — health-checked routing, hedging,
-/// failover).
+/// `aix serve call`: send one work request to a single daemon
+/// (`--addr`/`--addr-file`).
 fn serve_work_call(options: &HashMap<String, String>) -> CliResult {
     let op = get(options, "--op").unwrap_or("select-precision");
     if !matches!(op, "characterize" | "select-precision" | "verify") {
@@ -1404,7 +1288,6 @@ fn serve_work_call(options: &HashMap<String, String>) -> CliResult {
     }
     let payload = aix::obs::render_object(&fields);
 
-    let connect_override = parse_connect_timeout(options)?;
     // Bound the response wait: the deadline plus slack when one is set,
     // otherwise a generous ceiling so a wedged daemon still cannot hang
     // the CLI forever.
@@ -1413,39 +1296,7 @@ fn serve_work_call(options: &HashMap<String, String>) -> CliResult {
     } else {
         Duration::from_secs(600)
     };
-
-    let response = if let Some(list) = get(options, "--fleet") {
-        let mut config = FleetConfig::new(parse_fleet_addrs(list)?);
-        config.connect_timeout_ms = connect_override;
-        config.response_timeout = response_timeout;
-        let fleet = FleetClient::new(config).map_err(|e| AixError::io(list.to_owned(), e))?;
-        let response = fleet
-            .call(&payload)
-            .map_err(|e| AixError::io(list.to_owned(), e))?;
-        for (key, value) in response.fields() {
-            println!("{key}: {value}");
-        }
-        println!("[fleet]");
-        for (key, value) in fleet.snapshot_fields() {
-            println!("  {key}: {value}");
-        }
-        response
-    } else {
-        let addr = single_addr(options)?;
-        let timeout = aix::serve::client::connect_timeout(connect_override);
-        let mut client = Client::connect_with_timeout(&addr, timeout)
-            .map_err(|e| AixError::io(addr.clone(), e))?;
-        client
-            .set_response_timeout(Some(response_timeout))
-            .map_err(|e| AixError::io(addr.clone(), e))?;
-        let response = client
-            .call(&payload)
-            .map_err(|e| AixError::io(addr.clone(), e))?;
-        for (key, value) in response.fields() {
-            println!("{key}: {value}");
-        }
-        response
-    };
+    let response = call_daemon(options, &payload, response_timeout)?;
     Ok(if matches!(response.status(), "ok" | "partial") {
         ExitCode::SUCCESS
     } else {

@@ -12,7 +12,7 @@ use aix::arith::{
 };
 use aix::cells::Library;
 use aix::netlist::Netlist;
-use aix::sim::{reference_outputs, OperandSource, SimEngine, UniformOperands};
+use aix::sim::{oracle, reference_outputs, OperandSource, UniformOperands};
 use std::sync::Arc;
 
 fn cells() -> Arc<Library> {
@@ -28,14 +28,10 @@ const LANE_TAILS: [usize; 5] = [1, 63, 64, 65, 4_096];
 /// `stimuli`, for both engines, and that the two engines agree with each
 /// other on both netlists.
 fn assert_bit_identical(canonical: &Netlist, variant: &Netlist, stimuli: &[Vec<bool>], what: &str) {
-    let canonical_scalar =
-        reference_outputs(canonical, stimuli, SimEngine::Scalar).expect("canonical scalar");
-    let canonical_packed =
-        reference_outputs(canonical, stimuli, SimEngine::Packed).expect("canonical packed");
-    let variant_scalar =
-        reference_outputs(variant, stimuli, SimEngine::Scalar).expect("variant scalar");
-    let variant_packed =
-        reference_outputs(variant, stimuli, SimEngine::Packed).expect("variant packed");
+    let canonical_scalar = oracle::reference_outputs(canonical, stimuli).expect("canonical scalar");
+    let canonical_packed = reference_outputs(canonical, stimuli).expect("canonical packed");
+    let variant_scalar = oracle::reference_outputs(variant, stimuli).expect("variant scalar");
+    let variant_packed = reference_outputs(variant, stimuli).expect("variant packed");
     assert_eq!(
         canonical_scalar, canonical_packed,
         "{what}: canonical engines disagree"

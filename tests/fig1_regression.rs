@@ -1,61 +1,54 @@
 //! Pinned-seed regression for the Fig. 1 canonical data point: the
 //! ultra-mapped carry-select adder-32, clocked at its fresh critical path
 //! and aged ten years under worst-case stress, errs on ~5.6 % of 4000
-//! seeded signed-normal vectors (EXPERIMENTS.md). The value must survive
-//! the simulation-engine swap: both engines are asserted equal bit for
-//! bit, and the headline rate must stay inside a generous band so an
-//! engine regression (or an accidental semantics change) trips loudly.
+//! seeded signed-normal vectors (EXPERIMENTS.md). The production packed
+//! engine must equal the scalar [`oracle`] bit for bit, and the headline
+//! rate must stay inside a generous band so an engine regression (or an
+//! accidental semantics change) trips loudly. Two more inputs — adder-32
+//! and the glitch-heavy multiplier-16, both at twenty years — pin the same
+//! equality where many more outputs err.
 
 use aix::aging::{AgingModel, AgingScenario, Lifetime};
 use aix::arith::ComponentSpec;
 use aix::cells::Library;
-use aix::sim::{measure_errors_with, OperandSource, SignedNormalOperands, SimEngine};
+use aix::core::ComponentKind;
+use aix::sim::{measure_errors, oracle, ErrorStats, OperandSource, SignedNormalOperands};
 use aix::sta::{analyze, NetDelays};
-use aix::synth::{Effort, Synthesizer};
+use aix::synth::Effort;
 use std::sync::Arc;
 
-#[test]
-fn canonical_adder32_ten_year_error_rate_survives_engine_swap() {
+/// `aix error-rate`'s recipe: `ultra` synthesis, clocked at the fresh
+/// critical path, worst-case aging over `years`, 4000 signed-normal
+/// vectors on seed 1. Returns the oracle's and the production engine's
+/// statistics.
+fn error_stats(kind: ComponentKind, width: usize, years: f64) -> (ErrorStats, ErrorStats) {
     let cells = Arc::new(Library::nangate45_like());
-    let synth = Synthesizer::new(cells, Effort::Ultra);
-    let adder = synth
-        .adder(ComponentSpec::full(32))
-        .expect("adder synthesis");
-
-    let clock = analyze(&adder, &NetDelays::fresh(&adder))
+    let netlist = kind
+        .synthesize(&cells, ComponentSpec::full(width), Effort::Ultra)
+        .expect("synthesis");
+    let clock = analyze(&netlist, &NetDelays::fresh(&netlist))
         .expect("synthesized netlists are acyclic")
         .max_delay_ps();
-    let model = AgingModel::calibrated();
     let delays = NetDelays::aged(
-        &adder,
-        &model,
-        AgingScenario::worst_case(Lifetime::YEARS_10),
+        &netlist,
+        &AgingModel::calibrated(),
+        AgingScenario::worst_case(Lifetime::from_years(years)),
     );
-
-    // Exactly the Fig. 1 recipe: seed 1, 4000 signed-normal vectors.
-    let width = adder.inputs().len() / 2;
-    let padding = adder.inputs().len() - 2 * width;
+    let padding = netlist.inputs().len() - 2 * width;
     let stimuli: Vec<Vec<bool>> = SignedNormalOperands::for_width(width, 1)
         .vectors_with_zeros(4000, padding)
         .collect();
 
-    let scalar = measure_errors_with(
-        &adder,
-        &delays,
-        clock,
-        stimuli.iter().cloned(),
-        SimEngine::Scalar,
-    )
-    .expect("scalar measurement");
-    let packed = measure_errors_with(
-        &adder,
-        &delays,
-        clock,
-        stimuli.iter().cloned(),
-        SimEngine::Packed,
-    )
-    .expect("packed measurement");
+    let scalar = oracle::measure_errors(&netlist, &delays, clock, stimuli.iter().cloned())
+        .expect("scalar measurement");
+    let packed = measure_errors(&netlist, &delays, clock, stimuli.iter().cloned())
+        .expect("packed measurement");
+    (scalar, packed)
+}
 
+#[test]
+fn canonical_adder32_ten_year_error_rate_survives_engine_swap() {
+    let (scalar, packed) = error_stats(ComponentKind::Adder, 32, 10.0);
     assert_eq!(
         scalar, packed,
         "engines must agree exactly on the canonical Fig. 1 point"
@@ -71,4 +64,20 @@ fn canonical_adder32_ten_year_error_rate_survives_engine_swap() {
     );
     assert_eq!(packed.vectors, 4000);
     assert!(packed.erroneous > 0, "the aged adder must actually err");
+}
+
+#[test]
+fn twenty_year_error_rates_match_the_oracle_bit_for_bit() {
+    // Multipliers glitch far more than adders: same-tick collisions and
+    // zero-width pulses that the adder-32 input barely exercises.
+    for (kind, width) in [(ComponentKind::Adder, 32), (ComponentKind::Multiplier, 16)] {
+        let (scalar, packed) = error_stats(kind, width, 20.0);
+        assert_eq!(scalar, packed, "{kind}-{width} at 20 years");
+        assert_eq!(
+            scalar.mean_abs_error.to_bits(),
+            packed.mean_abs_error.to_bits(),
+            "{kind}-{width} at 20 years"
+        );
+        assert!(packed.erroneous > 0, "{kind}-{width} must err at 20 years");
+    }
 }

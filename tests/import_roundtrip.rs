@@ -14,7 +14,7 @@ use aix::cells::Library;
 use aix::netlist::{
     import_edif, import_verilog, to_edif, to_verilog, NetDriver, Netlist,
 };
-use aix::sim::{measure_errors_with, stress_pairs, Activity, SimEngine};
+use aix::sim::{measure_errors, oracle, stress_pairs, Activity};
 use aix::sta::{analyze, NetDelays, StressSource};
 use std::sync::Arc;
 
@@ -175,26 +175,19 @@ fn assert_equivalent(original: &Netlist, imported: &Netlist, label: &str) {
         &model,
         AgingScenario::worst_case(Lifetime::YEARS_10),
     );
-    for engine in [SimEngine::Scalar, SimEngine::Packed] {
-        let e_orig = measure_errors_with(
-            original,
-            &aged_orig,
-            fresh_clock,
-            vectors.iter().cloned(),
-            engine,
-        )
-        .expect("measure");
-        let e_imp = measure_errors_with(
-            imported,
-            &aged_imp,
-            fresh_clock,
-            vectors.iter().cloned(),
-            engine,
-        )
-        .expect("measure");
+    let scalar = [
+        oracle::measure_errors(original, &aged_orig, fresh_clock, vectors.iter().cloned()),
+        oracle::measure_errors(imported, &aged_imp, fresh_clock, vectors.iter().cloned()),
+    ];
+    let packed = [
+        measure_errors(original, &aged_orig, fresh_clock, vectors.iter().cloned()),
+        measure_errors(imported, &aged_imp, fresh_clock, vectors.iter().cloned()),
+    ];
+    for (engine, [e_orig, e_imp]) in [("scalar", scalar), ("packed", packed)] {
         assert_eq!(
-            e_orig, e_imp,
-            "{label}: {engine:?} error statistics differ"
+            e_orig.expect("measure"),
+            e_imp.expect("measure"),
+            "{label}: {engine} error statistics differ"
         );
     }
 }

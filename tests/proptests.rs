@@ -4,7 +4,7 @@ use aix::aging::{AgingModel, Lifetime, StressFactor, StressPair};
 use aix::arith::{build_adder, build_multiplier, AdderKind, ComponentSpec, MultiplierKind};
 use aix::cells::Library;
 use aix::netlist::{bus_from_u64, bus_to_u64};
-use aix::sim::{reference_outputs, OperandSource, SimEngine, TimedSimulator, UniformOperands};
+use aix::sim::{oracle, reference_outputs, OperandSource, TimedSimulator, UniformOperands};
 use aix::sta::{analyze, NetDelays};
 use aix::synth::optimize;
 use proptest::prelude::*;
@@ -195,9 +195,9 @@ proptest! {
         let stimuli: Vec<Vec<bool>> = UniformOperands::new(width, 3)
             .vectors(64)
             .collect();
-        let first = reference_outputs(&netlist, &stimuli, SimEngine::Packed)
+        let first = reference_outputs(&netlist, &stimuli)
             .expect("simulate");
-        let second = reference_outputs(&again, &stimuli, SimEngine::Packed)
+        let second = reference_outputs(&again, &stimuli)
             .expect("simulate rebuild");
         prop_assert_eq!(first, second, "variant builds must be deterministic");
     }
@@ -230,9 +230,9 @@ proptest! {
         let stimuli: Vec<Vec<bool>> = UniformOperands::new(width, 5)
             .vectors(64)
             .collect();
-        let scalar = reference_outputs(&netlist, &stimuli, SimEngine::Scalar)
+        let scalar = oracle::reference_outputs(&netlist, &stimuli)
             .expect("scalar");
-        let packed = reference_outputs(&netlist, &stimuli, SimEngine::Packed)
+        let packed = reference_outputs(&netlist, &stimuli)
             .expect("packed");
         prop_assert_eq!(scalar, packed, "engines must agree on variant netlists");
     }

@@ -1,12 +1,10 @@
 //! Integration tests of the `aix serve` daemon: concurrent fault-injected
 //! load with a zero-hang guarantee, backpressure and coalescing, deadline
-//! handling, graceful drain, crash recovery with byte-identical replay
-//! (including a torn journal tail), and fleet-level chaos — a SIGKILLed
-//! replica and a stalled replica, both survived without changing bytes.
+//! handling, graceful drain, and crash recovery with byte-identical replay
+//! (including a torn journal tail).
 
 use aix::core::EngineOptions;
-use aix::serve::health::HealthConfig;
-use aix::serve::{Client, FleetClient, FleetConfig, Server, ServerConfig};
+use aix::serve::{Client, Server, ServerConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -370,170 +368,5 @@ fn graceful_drain_refuses_new_work_and_exits_zero() {
     assert_eq!(refused.status(), "draining", "{}", refused.to_wire());
     drop(client);
     assert_eq!(child.wait().expect("exit").code(), Some(0));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The fleet campaign mix used by the chaos tests below: distinct
-/// campaigns across all three work operations.
-fn fleet_mix(requests: usize) -> Vec<String> {
-    (0..requests)
-        .map(|i| {
-            let op = ["characterize", "select-precision", "verify"][i % 3];
-            request(op, 4 + i % 3, 0)
-        })
-        .collect()
-}
-
-/// Replication under a hard crash: one of two replica daemons is
-/// SIGKILLed mid-campaign. The fleet client completes every remaining
-/// request through the survivor, the prober trips the dead replica's
-/// breaker, and every response is byte-identical to a single
-/// never-killed daemon answering the same campaigns.
-#[test]
-fn sigkilled_replica_fails_over_and_stays_byte_identical() {
-    let victim_dir = scratch("fleet-kill-victim");
-    let survivor_dir = scratch("fleet-kill-survivor");
-    let (mut victim, victim_addr) = spawn_daemon(&victim_dir, false, None);
-    let (mut survivor, survivor_addr) = spawn_daemon(&survivor_dir, false, None);
-
-    let mut config = FleetConfig::new(vec![victim_addr.clone(), survivor_addr]);
-    config.connect_timeout_ms = Some(1_000);
-    config.response_timeout = Duration::from_secs(60);
-    // A generous floor: pre-kill, a slightly slow cold campaign must not
-    // fire hedges — this test is about failover, not tail rescue.
-    config.hedge_floor = Duration::from_millis(500);
-    config.probe_timeout = Duration::from_millis(500);
-    config.health = HealthConfig {
-        failure_threshold: 3,
-        backoff_base_ms: 500,
-        backoff_cap_ms: 4_000,
-        probe_interval: Duration::from_millis(100),
-    };
-    let fleet = FleetClient::new(config).expect("two-replica fleet");
-
-    let mix = fleet_mix(9);
-    let mut wires = Vec::new();
-    for (i, payload) in mix.iter().enumerate() {
-        if i == 3 {
-            // Mid-campaign, SIGKILL one replica: no drain, no goodbye.
-            victim.kill().expect("SIGKILL the victim replica");
-            victim.wait().expect("victim reaped");
-        }
-        let response = fleet.call(payload).expect("a terminal response");
-        assert_eq!(response.status(), "ok", "request {i}: {}", response.to_wire());
-        wires.push(response.to_wire());
-    }
-
-    // The fleet must notice the death: either a call routed to the dead
-    // replica and failed over, or the prober tripped its breaker (both,
-    // usually). Give the prober time to finish the job either way.
-    let stats = fleet.stats();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let failovers = stats.failovers.load(std::sync::atomic::Ordering::Relaxed);
-        let trips = stats.breaker_trips.load(std::sync::atomic::Ordering::Relaxed);
-        if failovers >= 1 || trips >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "the fleet never noticed the SIGKILLed replica"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    drop(fleet);
-
-    // Byte-identity: a fresh daemon answering the same campaigns alone
-    // must produce exactly the bytes the fleet produced.
-    let reference_dir = scratch("fleet-kill-ref");
-    let (mut reference, reference_addr) = spawn_daemon(&reference_dir, false, None);
-    let mut client = Client::connect(&reference_addr).expect("connect reference");
-    client
-        .set_response_timeout(Some(Duration::from_secs(60)))
-        .expect("timeout");
-    for (payload, fleet_wire) in mix.iter().zip(&wires) {
-        let reference_wire = client.call(payload).expect("reference response").to_wire();
-        assert_eq!(
-            &reference_wire, fleet_wire,
-            "fleet response must be byte-identical to the reference for {payload}"
-        );
-    }
-    client.shutdown().expect("drain reference");
-    reference.wait().expect("reference exit");
-    survivor.kill().expect("stop survivor");
-    survivor.wait().expect("survivor reaped");
-    let _ = std::fs::remove_dir_all(&victim_dir);
-    let _ = std::fs::remove_dir_all(&survivor_dir);
-    let _ = std::fs::remove_dir_all(&reference_dir);
-}
-
-/// Replication under a wedge: a replica that accepts every frame and
-/// never answers (serve-stage `stall` fault). Every call's primary goes
-/// silent, the hedge rescues it on the healthy replica, and the bytes
-/// match asking the healthy replica directly.
-#[test]
-fn stalled_replica_is_hedged_around_with_identical_bytes() {
-    let dir = scratch("fleet-stall");
-    let mut stalled = ServerConfig::local_default(engine_in(
-        &dir.join("stalled"),
-        Some("stall:p=1,stage=serve"),
-    ));
-    stalled.workers = 1;
-    let mut healthy = ServerConfig::local_default(engine_in(&dir.join("healthy"), None));
-    healthy.workers = 1;
-
-    // The stalled replica cannot answer a shutdown request — its handler
-    // stalls too — so both replicas drain in-process via handles.
-    let bind = |config: ServerConfig| {
-        let mut config = config;
-        config.addr = "127.0.0.1:0".to_owned();
-        let server = Server::bind(config).expect("bind loopback");
-        let addr = server.local_addr().expect("bound address").to_string();
-        let drain = server.drain_handle();
-        (addr, drain, std::thread::spawn(move || server.run()))
-    };
-    let (stalled_addr, stalled_drain, stalled_daemon) = bind(stalled);
-    let (healthy_addr, healthy_drain, healthy_daemon) = bind(healthy);
-
-    // Stalled replica first: never-tried replicas rank first, and it
-    // never produces a latency sample, so it stays the primary and every
-    // call exercises the hedge path.
-    let mut config = FleetConfig::new(vec![stalled_addr, healthy_addr.clone()]);
-    config.connect_timeout_ms = Some(1_000);
-    config.response_timeout = Duration::from_secs(5);
-    config.hedge_floor = Duration::from_millis(100);
-    config.probe = false;
-    let fleet = FleetClient::new(config).expect("two-replica fleet");
-
-    let mix = fleet_mix(3);
-    let mut wires = Vec::new();
-    for payload in &mix {
-        let response = fleet.call(payload).expect("the hedge must rescue the call");
-        assert_eq!(response.status(), "ok", "{}", response.to_wire());
-        wires.push(response.to_wire());
-    }
-    let stats = fleet.stats();
-    assert!(
-        stats.hedges_won.load(std::sync::atomic::Ordering::Relaxed) >= 1,
-        "a hedge must have won against the stalled primary"
-    );
-    drop(fleet);
-
-    // The healthy replica asked directly must return the same bytes the
-    // fleet returned.
-    let mut client = Client::connect(&healthy_addr).expect("connect healthy replica");
-    client
-        .set_response_timeout(Some(Duration::from_secs(60)))
-        .expect("timeout");
-    for (payload, fleet_wire) in mix.iter().zip(&wires) {
-        let direct_wire = client.call(payload).expect("direct response").to_wire();
-        assert_eq!(&direct_wire, fleet_wire, "hedged bytes must match for {payload}");
-    }
-    drop(client);
-
-    stalled_drain.drain();
-    healthy_drain.drain();
-    stalled_daemon.join().expect("stalled daemon").expect("clean drain");
-    healthy_daemon.join().expect("healthy daemon").expect("clean drain");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,7 @@
-//! Differential conformance: the scalar and packed simulation engines must
-//! produce *identical* results — same `ErrorStats` (including the f64
-//! fields, bit for bit), same `Activity`, same `FaultCoverage`, and for
+//! Differential conformance: the packed simulation engines must produce
+//! *identical* results to the scalar reference loops in `aix::sim::oracle`
+//! — same `ErrorStats` (including the f64 fields, bit for bit), same
+//! `Activity`, same `FaultCoverage`, and for
 //! the timed engines the same per-vector `StepOutcome` (sampled/settled
 //! outputs, timing-error flag, settle time, transitions) and per-net
 //! transition counters — for every library component shape, fresh and
@@ -14,8 +15,8 @@ use aix::arith::{
 use aix::cells::Library;
 use aix::netlist::Netlist;
 use aix::sim::{
-    collect_timed_activity_with, full_fault_list, measure_errors_with, simulate_faults_with,
-    Activity, OperandSource, PackedTimedSimulator, SimEngine, TimedSimulator, UniformOperands,
+    collect_timed_activity, full_fault_list, measure_errors, oracle, simulate_faults, Activity,
+    OperandSource, PackedTimedSimulator, TimedSimulator, UniformOperands,
 };
 use aix::sta::{analyze, NetDelays};
 use std::sync::Arc;
@@ -37,11 +38,9 @@ fn stimuli(netlist: &Netlist, count: usize, seed: u64) -> Vec<Vec<bool>> {
 /// Asserts both engines agree exactly on all three value-mode consumers.
 fn assert_engines_agree(name: &str, netlist: &Netlist, vectors: &[Vec<bool>]) {
     let scalar_activity =
-        Activity::collect_with(netlist, vectors.iter().cloned(), SimEngine::Scalar)
-            .expect("scalar activity");
+        oracle::activity(netlist, vectors.iter().cloned()).expect("scalar activity");
     let packed_activity =
-        Activity::collect_with(netlist, vectors.iter().cloned(), SimEngine::Packed)
-            .expect("packed activity");
+        Activity::collect(netlist, vectors.iter().cloned()).expect("packed activity");
     assert_eq!(
         scalar_activity, packed_activity,
         "{name}: Activity diverges over {} vectors",
@@ -57,22 +56,10 @@ fn assert_engines_agree(name: &str, netlist: &Netlist, vectors: &[Vec<bool>]) {
         &model,
         AgingScenario::worst_case(Lifetime::YEARS_10),
     );
-    let scalar_errors = measure_errors_with(
-        netlist,
-        &aged,
-        clock,
-        vectors.iter().cloned(),
-        SimEngine::Scalar,
-    )
-    .expect("scalar error measurement");
-    let packed_errors = measure_errors_with(
-        netlist,
-        &aged,
-        clock,
-        vectors.iter().cloned(),
-        SimEngine::Packed,
-    )
-    .expect("packed error measurement");
+    let scalar_errors = oracle::measure_errors(netlist, &aged, clock, vectors.iter().cloned())
+        .expect("scalar error measurement");
+    let packed_errors = measure_errors(netlist, &aged, clock, vectors.iter().cloned())
+        .expect("packed error measurement");
     assert_eq!(
         scalar_errors, packed_errors,
         "{name}: ErrorStats diverges over {} vectors",
@@ -82,11 +69,9 @@ fn assert_engines_agree(name: &str, netlist: &Netlist, vectors: &[Vec<bool>]) {
     let faults = full_fault_list(netlist);
     let fault_vectors = &vectors[..vectors.len().min(96)];
     let scalar_coverage =
-        simulate_faults_with(netlist, &faults, fault_vectors, SimEngine::Scalar)
-            .expect("scalar fault simulation");
+        oracle::simulate_faults(netlist, &faults, fault_vectors).expect("scalar fault simulation");
     let packed_coverage =
-        simulate_faults_with(netlist, &faults, fault_vectors, SimEngine::Packed)
-            .expect("packed fault simulation");
+        simulate_faults(netlist, &faults, fault_vectors).expect("packed fault simulation");
     assert_eq!(
         scalar_coverage, packed_coverage,
         "{name}: FaultCoverage diverges over {} vectors",
@@ -292,34 +277,10 @@ fn timed_activity_agrees_across_engines() {
     );
     for count in [65usize, 500] {
         let vectors = stimuli(&netlist, count, 500);
-        let scalar = collect_timed_activity_with(
-            &netlist,
-            &delays,
-            vectors.iter().cloned(),
-            SimEngine::Scalar,
-        )
-        .expect("scalar timed activity");
-        let packed = collect_timed_activity_with(
-            &netlist,
-            &delays,
-            vectors.iter().cloned(),
-            SimEngine::Packed,
-        )
-        .expect("packed timed activity");
+        let scalar = oracle::timed_activity(&netlist, &delays, vectors.iter().cloned())
+            .expect("scalar timed activity");
+        let packed = collect_timed_activity(&netlist, &delays, vectors.iter().cloned())
+            .expect("packed timed activity");
         assert_eq!(scalar, packed, "timed Activity diverges over {count} vectors");
-    }
-}
-
-/// The environment switch drives the same engines the explicit API does.
-#[test]
-fn default_collect_matches_both_explicit_engines() {
-    let lib = cells();
-    let netlist = build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(8)).unwrap();
-    let vectors = stimuli(&netlist, 300, 7);
-    let default = Activity::collect(&netlist, vectors.iter().cloned()).unwrap();
-    for engine in [SimEngine::Scalar, SimEngine::Packed] {
-        let explicit =
-            Activity::collect_with(&netlist, vectors.iter().cloned(), engine).unwrap();
-        assert_eq!(default, explicit, "{engine} differs from the default");
     }
 }
