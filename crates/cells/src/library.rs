@@ -1,6 +1,7 @@
 //! The cell library: construction of the 45 nm-class cell set and lookup.
 
 use crate::{Cell, CellFunction, CellId, DriveStrength};
+use aix_obs::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -184,20 +185,13 @@ impl Library {
     /// library — a cell added, a delay retuned, an aging sensitivity
     /// adjusted — produces a different hash, so artifacts derived from the
     /// library (e.g. the characterization cache) can be content-addressed
-    /// against it. FNV-1a, stable across platforms and runs.
+    /// against it. FNV-1a ([`aix_obs::fnv1a`]), stable across platforms
+    /// and runs.
     pub fn content_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut hash = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
         for cell in &self.cells {
-            eat(cell.name.as_bytes());
-            eat(&[0xff]); // field separator
+            hash = fnv1a(hash, cell.name.as_bytes());
+            hash = fnv1a(hash, &[0xff]); // field separator
             for value in [
                 cell.intrinsic_ps,
                 cell.drive_resistance_ps_per_ff,
@@ -206,7 +200,7 @@ impl Library {
                 cell.leakage_nw,
                 cell.aging_sensitivity,
             ] {
-                eat(&value.to_bits().to_le_bytes());
+                hash = fnv1a(hash, &value.to_bits().to_le_bytes());
             }
         }
         hash

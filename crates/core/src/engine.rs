@@ -81,6 +81,7 @@ use aix_arith::ComponentSpec;
 use aix_cells::Library;
 use aix_faults::{FaultPlan, FaultStage};
 use aix_netlist::Netlist;
+use aix_obs::{fnv1a, FNV_OFFSET};
 use aix_sta::{analyze, NetDelays};
 use aix_synth::Effort;
 use std::collections::{BTreeMap, HashMap};
@@ -762,7 +763,12 @@ impl From<(&'static str, Option<String>, JobError)> for FailureInfo {
 impl CharacterizationEngine {
     /// Creates an engine over `cells` with the given scheduling options.
     pub fn new(cells: Arc<Library>, options: EngineOptions) -> Self {
-        let fingerprint_base = fingerprint_base(&cells, &Calibration::default());
+        // The part of every cache fingerprint shared by all jobs: the cell
+        // library's content hash and the aging calibration token.
+        let fingerprint_base = fnv1a(
+            fnv1a(FNV_OFFSET, &cells.content_hash().to_le_bytes()),
+            Calibration::default().fingerprint_token().as_bytes(),
+        );
         Self {
             cells,
             options,
@@ -829,12 +835,10 @@ impl CharacterizationEngine {
         precision: usize,
         effort: Effort,
     ) -> u64 {
-        let mut hash = self.fingerprint_base;
-        fnv_eat(&mut hash, kind.label().as_bytes());
-        fnv_eat(&mut hash, &(width as u64).to_le_bytes());
-        fnv_eat(&mut hash, &(precision as u64).to_le_bytes());
-        fnv_eat(&mut hash, effort.token().as_bytes());
-        hash
+        let mut hash = fnv1a(self.fingerprint_base, kind.label().as_bytes());
+        hash = fnv1a(hash, &(width as u64).to_le_bytes());
+        hash = fnv1a(hash, &(precision as u64).to_le_bytes());
+        fnv1a(hash, effort.token().as_bytes())
     }
 
     /// The per-job guard assembled from the engine options.
@@ -920,9 +924,9 @@ impl CharacterizationEngine {
             for &precision in &config.precisions {
                 let fingerprint =
                     self.fingerprint(config.kind, config.width, precision, config.effort);
-                fnv_eat(&mut campaign_fp, &fingerprint.to_le_bytes());
+                campaign_fp = fnv1a(campaign_fp, &fingerprint.to_le_bytes());
                 for token in tokens {
-                    fnv_eat(&mut campaign_fp, token.as_bytes());
+                    campaign_fp = fnv1a(campaign_fp, token.as_bytes());
                 }
                 let site = format!(
                     "{}-w{}-p{}-{}",
@@ -1233,23 +1237,6 @@ fn require_complete(campaign: &Campaign) -> Result<(), AixError> {
             planned: campaign.report.synth_planned,
             first: first.to_string(),
         }),
-    }
-}
-
-/// FNV-1a over the cell library's content hash and the aging calibration
-/// token: the part of every cache fingerprint shared by all jobs.
-fn fingerprint_base(cells: &Library, calibration: &Calibration) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    fnv_eat(&mut hash, &cells.content_hash().to_le_bytes());
-    fnv_eat(&mut hash, calibration.fingerprint_token().as_bytes());
-    hash
-}
-
-fn fnv_eat(hash: &mut u64, bytes: &[u8]) {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &byte in bytes {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
     }
 }
 

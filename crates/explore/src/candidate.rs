@@ -6,6 +6,7 @@ use aix_arith::{AdderKind, AdderVariant, ComponentSpec, MacVariant, MultiplierKi
 use aix_cells::Library;
 use aix_core::ComponentKind;
 use aix_netlist::{Netlist, NetlistError};
+use aix_obs::fnv1a;
 use std::fmt;
 use std::sync::Arc;
 
@@ -95,7 +96,7 @@ impl Candidate {
     /// Content fingerprint for the score cache and the seen-set: FNV-1a over
     /// the label folded into `context` (library hash, scenario, stimuli).
     pub fn fingerprint(&self, context: u64) -> u64 {
-        fnv(context, self.label().as_bytes())
+        fnv1a(context, self.label().as_bytes())
     }
 
     /// Builds the candidate's netlist.
@@ -143,16 +144,6 @@ impl fmt::Display for Candidate {
             Candidate::Mac(v) => write!(f, "mac-{v}"),
         }
     }
-}
-
-/// FNV-1a over `bytes`, seeded with `state`.
-pub(crate) fn fnv(state: u64, bytes: &[u8]) -> u64 {
-    let mut hash = if state == 0 { 0xcbf2_9ce4_8422_2325 } else { state };
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 fn adder_neighbors(v: &AdderVariant) -> Vec<AdderVariant> {

@@ -31,6 +31,7 @@
 //! (which bumps `attempt`) can deterministically succeed where the first
 //! attempt was made to fail.
 
+use aix_obs::{fnv1a, FNV_OFFSET};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -148,11 +149,11 @@ impl FaultSpec {
         if self.probability >= 1.0 {
             return true;
         }
-        let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        fnv_eat(&mut hash, self.mode.token().as_bytes());
-        fnv_eat(&mut hash, stage.token().as_bytes());
-        fnv_eat(&mut hash, site.as_bytes());
-        fnv_eat(&mut hash, &(attempt as u64).to_le_bytes());
+        let mut hash = FNV_OFFSET ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        hash = fnv1a(hash, self.mode.token().as_bytes());
+        hash = fnv1a(hash, stage.token().as_bytes());
+        hash = fnv1a(hash, site.as_bytes());
+        hash = fnv1a(hash, &(attempt as u64).to_le_bytes());
         // Map the hash to [0, 1) with 20 bits of resolution.
         let unit = (hash >> 44) as f64 / (1u64 << 20) as f64;
         unit < self.probability
@@ -423,14 +424,6 @@ pub fn env_plan() -> Option<&'static FaultPlan> {
 pub fn env_probe(stage: FaultStage, site: &str) {
     if let Some(plan) = env_plan() {
         plan.probe(stage, site, 0);
-    }
-}
-
-fn fnv_eat(hash: &mut u64, bytes: &[u8]) {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &byte in bytes {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
     }
 }
 

@@ -15,6 +15,7 @@
 //! seed reproduces the same samples bit-for-bit.
 
 use aix_netlist::Netlist;
+use aix_obs::{fnv1a, FNV_OFFSET};
 use aix_sta::NetDelays;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,12 +89,8 @@ fn normal(rng: &mut StdRng) -> f64 {
 /// order they are visited in: FNV-1a over the campaign seed and the entry's
 /// identity.
 pub fn entry_rng(seed: u64, label: &str) -> StdRng {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for byte in label.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    StdRng::seed_from_u64(hash)
+    let state = FNV_OFFSET ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    StdRng::seed_from_u64(fnv1a(state, label.as_bytes()))
 }
 
 #[cfg(test)]

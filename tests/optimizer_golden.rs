@@ -16,18 +16,12 @@ use aix::cells::Library;
 use aix::core::ComponentKind;
 use aix::explore::seed_candidates;
 use aix::netlist::to_verilog;
+use aix::obs::{fnv1a, FNV_OFFSET};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 const GOLDEN_PATH: &str = "tests/golden/optimize_seed_digests.txt";
 const GOLDEN: &str = include_str!("golden/optimize_seed_digests.txt");
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
-    })
-}
 
 /// One `label digest` line per seed candidate, in generation order.
 fn digests() -> String {
@@ -41,7 +35,7 @@ fn digests() -> String {
         for candidate in seed_candidates(kind, width) {
             let built = candidate.build(&cells).expect("seed candidates build");
             let optimized = aix::synth::optimize(&built).expect("optimize");
-            let digest = fnv1a(to_verilog(&optimized).as_bytes());
+            let digest = fnv1a(FNV_OFFSET, to_verilog(&optimized).as_bytes());
             let _ = writeln!(out, "{} {digest:016x}", candidate.label());
         }
     }
