@@ -1,11 +1,9 @@
 //! End-to-end tests of the `aix` command-line tool: spawn the real binary
 //! and check its observable behaviour.
 
-use std::process::Command;
+mod common;
 
-fn aix() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_aix"))
-}
+use common::{aix, corpus};
 
 #[test]
 fn help_lists_every_command() {
@@ -64,26 +62,30 @@ fn characterize_emits_a_parseable_library() {
 fn explore_prints_a_front_and_writes_the_report() {
     let dir = std::env::temp_dir().join(format!("aix-cli-explore-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = dir.join("front.json");
-    let output = aix()
-        .args([
-            "explore", "--kind", "adder", "--width", "8", "--budget", "24", "--vectors", "256",
-            "--no-cache", "--out",
-        ])
-        .arg(&out)
-        .output()
-        .expect("spawn aix");
-    assert!(
-        output.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let run = |jobs: &str| {
+        let out = dir.join(format!("front-j{jobs}.json"));
+        let output = aix()
+            .args([
+                "explore", "--kind", "adder", "--width", "8", "--budget", "24", "--vectors",
+                "256", "--no-cache", "--jobs", jobs, "--out",
+            ])
+            .arg(&out)
+            .output()
+            .expect("spawn aix");
+        assert!(
+            output.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let report = std::fs::read_to_string(&out).expect("report written");
+        (String::from_utf8_lossy(&output.stdout).into_owned(), report)
+    };
+    let (stdout, report) = run("1");
     assert!(stdout.contains("candidate"), "front table header missing");
     assert!(stdout.contains("add-csel_8b_lo0_afa0_seg0"), "exact anchor missing");
-    let report = std::fs::read_to_string(&out).expect("report written");
     assert!(report.contains("\"status\":\"complete\""));
     assert!(report.contains("\"front\":["));
+    assert_eq!(run("4").1, report, "the report is byte-identical for any job count");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -320,8 +322,8 @@ fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
 
     // A seed whose panic spec fires on some but not all of the four
     // synthesis sites of `characterize --kind adder --width 4`.
-    let seed = (0..10_000u64)
-        .find(|&seed| {
+    let (seed, doomed) = (0..10_000u64)
+        .map(|seed| {
             let spec = FaultSpec {
                 mode: FaultMode::Panic,
                 probability: 0.5,
@@ -332,8 +334,9 @@ fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
             let doomed = (1..=4)
                 .filter(|p| spec.fires(FaultStage::Synth, &format!("adder-w4-p{p}-ultra"), 1))
                 .count();
-            doomed > 0 && doomed < 4
+            (seed, doomed)
         })
+        .find(|&(_, doomed)| doomed > 0 && doomed < 4)
         .expect("a partial seed exists");
 
     let characterize = |extra: &[String], out: &std::path::Path| {
@@ -366,14 +369,16 @@ fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
         "failures are reported by job: {stderr}"
     );
     assert!(stderr.contains("--resume"), "the report suggests resuming");
+    assert_eq!(stderr.matches("job FAILED").count(), doomed, "{stderr}");
 
     // Resume without faults: completes and matches the reference bytes.
     let resumed = dir.join("resumed.txt");
     let output = characterize(&[journal_flag(), "--resume".into()], &resumed);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "stderr: {stderr}");
     assert!(
-        output.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
+        stderr.contains(&format!(", {} journal hit(s)", 4 - doomed)),
+        "only the quarantined jobs re-run: {stderr}"
     );
     let reference_text = std::fs::read_to_string(&reference).expect("reference");
     let resumed_text = std::fs::read_to_string(&resumed).expect("resumed");
@@ -399,10 +404,8 @@ fn import_summarizes_and_reemits_corpus_designs() {
     let dir = std::env::temp_dir().join(format!("aix-cli-import-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let reemitted = dir.join("rca8.edif");
-    // Integration tests run from the workspace root, so the corpus is
-    // reachable by relative path.
     let output = aix()
-        .args(["import", "tests/corpus/rca8.v", "--emit", "edif", "--out"])
+        .args(["import", &corpus("rca8.v"), "--emit", "edif", "--out"])
         .arg(&reemitted)
         .output()
         .expect("spawn aix");
@@ -414,13 +417,28 @@ fn import_summarizes_and_reemits_corpus_designs() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("`rca8` 8 gate(s)"), "summary line: {stdout}");
 
-    // The re-emitted EDIF imports too, closing the cross-format loop.
-    let output = aix().arg("import").arg(&reemitted).output().expect("spawn aix");
+    // The re-emitted EDIF imports and re-emits as Verilog, and that
+    // Verilog imports too, closing the cross-format loop.
+    let back = dir.join("rca8-back.v");
+    let output = aix()
+        .arg("import")
+        .arg(&reemitted)
+        .args(["--emit", "verilog", "--out"])
+        .arg(&back)
+        .output()
+        .expect("spawn aix");
     assert!(
         output.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&output.stderr)
     );
+    let output = aix().arg("import").arg(&back).output().expect("spawn aix");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(String::from_utf8_lossy(&output.stdout).contains("`rca8` 8 gate(s)"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -446,7 +464,7 @@ fn import_exits_partial_when_some_files_fail() {
     let path = dir.join("broken2.v");
     std::fs::write(&path, "module broken(\n").expect("write");
     let output = aix()
-        .args(["import", "tests/corpus/full_adder.v"])
+        .args(["import", &corpus("full_adder.v")])
         .arg(&path)
         .output()
         .expect("spawn aix");
@@ -466,7 +484,7 @@ fn import_fault_probe_quarantines_the_file() {
     let output = aix()
         .args([
             "import",
-            "tests/corpus/full_adder.v",
+            &corpus("full_adder.v"),
             "--fault",
             "panic:p=1,seed=3,stage=import",
         ])
@@ -480,7 +498,7 @@ fn import_fault_probe_quarantines_the_file() {
     let output = aix()
         .args([
             "import",
-            "tests/corpus/full_adder.v",
+            &corpus("full_adder.v"),
             "--fault",
             "panic:p=1,seed=3,stage=synth",
         ])
@@ -498,9 +516,9 @@ fn import_fault_probe_quarantines_the_file() {
 /// imported EDIF corpus design.
 #[test]
 fn flow_completes_on_imported_corpus_designs() {
-    for netlist in ["tests/corpus/rca8.v", "tests/corpus/rca4.edif"] {
+    for netlist in [corpus("rca8.v"), corpus("rca4.edif")] {
         let output = aix()
-            .args(["flow", "--netlist", netlist, "--vectors", "64"])
+            .args(["flow", "--netlist", &netlist, "--vectors", "64"])
             .output()
             .expect("spawn aix");
         assert!(
@@ -518,7 +536,7 @@ fn flow_completes_on_imported_corpus_designs() {
 fn verify_netlist_reports_margins_and_honors_policy() {
     let output = aix()
         .args([
-            "verify", "--netlist", "tests/corpus/rca8.v", "--vectors", "64", "--samples", "8",
+            "verify", "--netlist", &corpus("rca8.v"), "--vectors", "64", "--samples", "8",
         ])
         .output()
         .expect("spawn aix");
