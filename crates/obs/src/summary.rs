@@ -8,8 +8,8 @@
 //!   reports it via [`TraceSummary::torn_tail`];
 //! * **strict** — every line must validate against the event schema, `seq`
 //!   must be dense from 0, and every `span_close` must pair with a prior
-//!   unclosed `span_open` of the same name. This is the CI conformance
-//!   mode.
+//!   unclosed `span_open` of the same name. This is the conformance
+//!   mode the trace tests use.
 
 use crate::event::{Event, EventError, EventKind, TRACE_SCHEMA};
 use crate::json::{write_json_string, Value};
