@@ -1,14 +1,15 @@
-//! Timed-engine throughput: the scalar reference
+//! Timed error-measurement throughput: the scalar reference
 //! [`aix_sim::oracle::measure_errors`] (one event queue per vector) versus
-//! the production [`aix_sim::measure_errors`] on the packed timed engine
-//! (64 vectors per `u64` word through one levelized waveform walk).
+//! the production [`aix_sim::measure_errors`] (64 vectors per `u64` word:
+//! one zero-delay walk plus a compiled straight-line program over the
+//! (net, instant) pairs that reach the clock-edge sample).
 //!
 //! Not a paper figure — this tracks the substrate itself. The measured
 //! speedup lands as `timed:` records in `out/BENCH_timed.json`, so the
-//! bench trajectory shows whether lane-parallel timed simulation keeps
-//! paying for itself; the run also cross-checks that both paths return
-//! identical [`ErrorStats`], making it a quick differential smoke for the
-//! clock-edge and event-batching semantics.
+//! bench trajectory shows whether the packed measurement keeps paying for
+//! itself; the run also cross-checks that both paths return identical
+//! [`ErrorStats`], making it a quick differential smoke for the
+//! clock-edge, zero-delay-pass and lane-chaining semantics.
 
 use crate::{Options, Table};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
@@ -111,9 +112,11 @@ pub fn run(options: &Options) -> String {
     out.push_str(&table.render());
     let _ = writeln!(
         out,
-        "\nexpected shape: packed >= 10x scalar on event-driven simulation\n\
-         (>= 4x on constrained CI runners); both engines byte-identical\n\
-         (`yes`) per vector. Records appended to {}.",
+        "\nexpected shape: packed >= 10x scalar, growing with the circuit's\n\
+         glitch count, since the program's cost is its live (net, instant)\n\
+         pairs while the scalar queue pays per event (>= 4x on constrained\n\
+         CI runners); both engines byte-identical (`yes`). Records appended\n\
+         to {}.",
         bench_path.display()
     );
     out

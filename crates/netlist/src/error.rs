@@ -54,6 +54,13 @@ pub enum NetlistError {
     /// table-based or combined-model annotations) or was built for a
     /// different netlist. The payload says which.
     NotRetimeable(&'static str),
+    /// A clock period is unusable for timed simulation (NaN or negative).
+    /// `+∞` is valid and means "never sample". The offending value is
+    /// carried as its `{:?}` rendering so the variant stays `Eq`.
+    InvalidClock {
+        /// The rejected clock period, rendered as text.
+        clock: String,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -90,6 +97,9 @@ impl fmt::Display for NetlistError {
             ),
             NetlistError::NotRetimeable(why) => {
                 write!(f, "delay annotation cannot be re-timed incrementally: {why}")
+            }
+            NetlistError::InvalidClock { clock } => {
+                write!(f, "invalid clock period {clock} ps (must be >= 0 or +inf)")
             }
         }
     }

@@ -12,9 +12,13 @@
 //! the timing errors the paper's motivational study demonstrates. The
 //! consumers built on them are [`measure_errors`] (Fig. 1),
 //! [`Activity`] / [`stress_pairs`] (Fig. 5 and actual-case STA) and
-//! [`simulate_faults`]. The scalar [`TimedSimulator`] and the loops in
-//! [`oracle`] are reference implementations the differential suites
-//! compare the packed engines against.
+//! [`simulate_faults`]. [`measure_errors`] needs only the outputs at the
+//! clock edge, so it builds no waveforms: it compiles the netlist, its
+//! delays and the clock into a straight-line program over the (net,
+//! instant) pairs a sample can reach, and runs it after one
+//! [`PackedEvaluator`] walk per batch. The scalar [`TimedSimulator`] and
+//! the loops in [`oracle`] are reference implementations the
+//! differential suites compare the packed engines against.
 //!
 //! # Examples
 //!
@@ -47,6 +51,7 @@ mod packed;
 mod stimuli;
 mod timed;
 mod timed_packed;
+mod timed_program;
 
 pub use activity::{
     collect_timed_activity, stress_histogram, stress_pairs, Activity, StressHistogram,

@@ -15,6 +15,7 @@
 use crate::errors::new_stats;
 use crate::faults::{FaultCoverage, StuckAtFault};
 use crate::golden::golden_word;
+use crate::timed::clock_ticks;
 use crate::{Activity, ErrorStats, TimedSimulator};
 use aix_netlist::{Evaluator, NetDriver, Netlist, NetlistError};
 use aix_sta::NetDelays;
@@ -24,7 +25,9 @@ use aix_sta::NetDelays;
 ///
 /// # Errors
 ///
-/// Propagates simulator construction and width errors.
+/// Returns [`NetlistError::InvalidClock`] for a NaN or negative
+/// `clock_ps`, even without stimuli; propagates simulator construction
+/// and width errors.
 pub fn measure_errors<I>(
     netlist: &Netlist,
     delays: &NetDelays,
@@ -34,6 +37,7 @@ pub fn measure_errors<I>(
 where
     I: IntoIterator<Item = Vec<bool>>,
 {
+    clock_ticks(clock_ps)?;
     let mut sim = TimedSimulator::new(netlist, delays)?;
     let (mut stats, mut total_abs_error) = new_stats();
     for vector in stimuli {

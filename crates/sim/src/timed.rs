@@ -24,10 +24,27 @@ pub const TICKS_PER_PS: u64 = 1000;
 /// The conversion is total: `NaN` and negative values map to tick 0 and
 /// values beyond the grid saturate to `u64::MAX` (Rust float→int casts
 /// saturate), so an "effectively infinite" clock like `f64::MAX / 4.0`
-/// simply never samples. Delay *annotations* are still validated up front
-/// by [`TimedSimulator::new`] — this leniency only applies to the clock.
+/// or `+∞` simply never samples. Timed entry points reject NaN and
+/// negative clock periods before converting them, and delay annotations
+/// are validated by [`TimedSimulator::new`].
 pub fn ps_to_ticks(ps: f64) -> u64 {
     (ps * TICKS_PER_PS as f64).round() as u64
+}
+
+/// Validates a clock period and quantizes it to its sampling tick.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::InvalidClock`] for NaN and negative periods,
+/// which [`ps_to_ticks`] would silently turn into tick 0 (sampling before
+/// anything moves). `+∞` is accepted and never samples.
+pub(crate) fn clock_ticks(clock_ps: f64) -> Result<u64, NetlistError> {
+    if clock_ps.is_nan() || clock_ps < 0.0 {
+        return Err(NetlistError::InvalidClock {
+            clock: format!("{clock_ps:?}"),
+        });
+    }
+    Ok(ps_to_ticks(clock_ps))
 }
 
 /// Converts a tick count back to picoseconds.
@@ -231,9 +248,11 @@ impl<'nl> TimedSimulator<'nl> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::InputWidthMismatch`] if `inputs` has the
-    /// wrong width.
+    /// Returns [`NetlistError::InvalidClock`] for a NaN or negative
+    /// `clock_ps` and [`NetlistError::InputWidthMismatch`] if `inputs` has
+    /// the wrong width.
     pub fn step(&mut self, inputs: &[bool], clock_ps: f64) -> Result<StepOutcome, NetlistError> {
+        let clock_ticks = clock_ticks(clock_ps)?;
         if inputs.len() != self.input_count() {
             return Err(NetlistError::InputWidthMismatch {
                 expected: self.input_count(),
@@ -260,7 +279,6 @@ impl<'nl> TimedSimulator<'nl> {
                 transitions: 0,
             });
         }
-        let clock_ticks = ps_to_ticks(clock_ps);
         // Apply input transitions at t = 0.
         for (&net, &value) in self.netlist.inputs().iter().zip(inputs) {
             self.schedule(net.raw(), value, 0);

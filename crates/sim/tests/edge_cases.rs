@@ -1,12 +1,13 @@
 //! Edge cases of the error-measurement and fault-simulation campaigns:
-//! empty stimulus sets, empty fault lists, and fully detectable faults.
+//! empty stimulus sets, empty fault lists, fully detectable faults, and
+//! clock periods no timed entry point may accept.
 
 use aix_arith::{build_adder, AdderKind, ComponentSpec};
 use aix_cells::Library;
-use aix_netlist::Netlist;
+use aix_netlist::{Netlist, NetlistError};
 use aix_sim::{
-    full_fault_list, measure_errors, simulate_faults, OperandSource, StuckAtFault,
-    UniformOperands,
+    full_fault_list, measure_errors, oracle, simulate_faults, OperandSource, PackedTimedSimulator,
+    StuckAtFault, TimedSimulator, UniformOperands,
 };
 use aix_sta::NetDelays;
 use std::sync::Arc;
@@ -70,4 +71,93 @@ fn all_detected_reports_exactly_one() {
     assert_eq!(coverage.coverage(), 1.0);
     assert_eq!(coverage.detected().len(), faults.len());
     assert!(coverage.undetected().is_empty());
+}
+
+/// NaN and negative periods, which the tick conversion would silently
+/// turn into "sample at tick 0".
+const BAD_CLOCKS: [f64; 3] = [f64::NAN, -1.0, f64::NEG_INFINITY];
+
+fn assert_invalid_clock<T: std::fmt::Debug>(result: Result<T, NetlistError>, clock: f64) {
+    assert!(
+        matches!(result, Err(NetlistError::InvalidClock { .. })),
+        "clock {clock:?} must be rejected, got {result:?}"
+    );
+}
+
+#[test]
+fn measure_errors_rejects_bad_clocks_and_never_samples_at_infinity() {
+    let nl = adder(8);
+    let delays = NetDelays::fresh(&nl);
+    let vectors: Vec<Vec<bool>> = UniformOperands::new(8, 2).vectors(70).collect();
+    for clock in BAD_CLOCKS {
+        assert_invalid_clock(measure_errors(&nl, &delays, clock, vectors.clone()), clock);
+        assert_invalid_clock(
+            measure_errors(&nl, &delays, clock, std::iter::empty()),
+            clock,
+        );
+    }
+    let stats = measure_errors(&nl, &delays, f64::INFINITY, vectors).unwrap();
+    assert_eq!((stats.vectors, stats.erroneous), (70, 0));
+}
+
+#[test]
+fn oracle_measure_errors_rejects_bad_clocks() {
+    let nl = adder(8);
+    let delays = NetDelays::fresh(&nl);
+    let vectors: Vec<Vec<bool>> = UniformOperands::new(8, 2).vectors(3).collect();
+    for clock in BAD_CLOCKS {
+        let result = oracle::measure_errors(&nl, &delays, clock, vectors.clone());
+        assert_invalid_clock(result, clock);
+        let result = oracle::measure_errors(&nl, &delays, clock, std::iter::empty());
+        assert_invalid_clock(result, clock);
+    }
+    let stats = oracle::measure_errors(&nl, &delays, f64::INFINITY, vectors).unwrap();
+    assert_eq!((stats.vectors, stats.erroneous), (3, 0));
+}
+
+#[test]
+fn timed_simulator_step_rejects_bad_clocks() {
+    let nl = adder(4);
+    let delays = NetDelays::fresh(&nl);
+    let vectors: Vec<Vec<bool>> = UniformOperands::new(4, 3).vectors(2).collect();
+    let mut sim = TimedSimulator::new(&nl, &delays).unwrap();
+    for clock in BAD_CLOCKS {
+        // Both the untimed first step and a timed later one.
+        assert_invalid_clock(sim.step(&vectors[0], clock), clock);
+    }
+    sim.step(&vectors[0], f64::INFINITY).unwrap();
+    for clock in BAD_CLOCKS {
+        assert_invalid_clock(sim.step(&vectors[1], clock), clock);
+    }
+    assert!(!sim.step(&vectors[1], f64::INFINITY).unwrap().timing_error);
+}
+
+#[test]
+fn packed_stream_batch_step_rejects_bad_clocks() {
+    let nl = adder(4);
+    let delays = NetDelays::fresh(&nl);
+    let batch: Vec<Vec<bool>> = UniformOperands::new(4, 4).vectors(5).collect();
+    let mut sim = PackedTimedSimulator::new(&nl, &delays).unwrap();
+    for clock in BAD_CLOCKS {
+        assert_invalid_clock(sim.step_stream_batch(&batch, clock), clock);
+    }
+    let outcome = sim.step_stream_batch(&batch, f64::INFINITY).unwrap();
+    assert_eq!(outcome.error_lanes(), 0);
+}
+
+#[test]
+fn packed_streams_step_rejects_bad_clocks() {
+    let nl = adder(4);
+    let delays = NetDelays::fresh(&nl);
+    let batch: Vec<Vec<bool>> = UniformOperands::new(4, 5).vectors(5).collect();
+    let mut sim = PackedTimedSimulator::new(&nl, &delays).unwrap();
+    for clock in BAD_CLOCKS {
+        assert_invalid_clock(sim.step_streams(&batch, clock), clock);
+    }
+    sim.step_streams(&batch, f64::INFINITY).unwrap();
+    for clock in BAD_CLOCKS {
+        assert_invalid_clock(sim.step_streams(&batch, clock), clock);
+    }
+    let outcome = sim.step_streams(&batch, f64::INFINITY).unwrap();
+    assert_eq!(outcome.error_lanes(), 0);
 }

@@ -5,11 +5,13 @@
 //! collisions and delays that saturate the tick grid. Every lane of
 //! `step_stream_batch` and `step_streams` must equal a scalar
 //! `TimedSimulator` stepping that lane's stream — the full `StepOutcome`
-//! and the per-net transition totals — at 1, 63, 64 and 65 lanes.
+//! and the per-net transition totals — at 1, 63, 64 and 65 lanes. The
+//! demand-driven `measure_errors` must equal the scalar oracle's whole
+//! `ErrorStats` on the same cases.
 
 use aix_cells::{CellFunction, DriveStrength, Library};
 use aix_netlist::Netlist;
-use aix_sim::{PackedTimedSimulator, StepOutcome, TimedSimulator, LANES};
+use aix_sim::{measure_errors, oracle, PackedTimedSimulator, StepOutcome, TimedSimulator, LANES};
 use aix_sta::NetDelays;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -230,5 +232,23 @@ proptest! {
             }
         }
         prop_assert_eq!(packed_totals, scalar_totals);
+    }
+
+    /// The demand-driven error measurement equals the scalar oracle, down
+    /// to the bits of the mean error, on a stream of `2·lanes + 1` vectors
+    /// so it spans full and partial batches.
+    #[test]
+    fn measure_errors_equals_the_oracle(case in case_strategy()) {
+        let library = Arc::new(Library::nangate45_like());
+        let netlist = build(&case.recipe, &library);
+        let delays = case.delays(&netlist);
+        let clock = case.clock_ps();
+        let mut rng = StdRng::seed_from_u64(case.seed);
+        let vectors = case.vectors(&mut rng, 2 * case.lanes() + 1, netlist.inputs().len());
+        let expected = oracle::measure_errors(&netlist, &delays, clock, vectors.iter().cloned())
+            .unwrap();
+        let actual = measure_errors(&netlist, &delays, clock, vectors.iter().cloned()).unwrap();
+        prop_assert_eq!(actual, expected);
+        prop_assert_eq!(actual.mean_abs_error.to_bits(), expected.mean_abs_error.to_bits());
     }
 }

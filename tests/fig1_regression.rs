@@ -4,17 +4,19 @@
 //! seeded signed-normal vectors (EXPERIMENTS.md). The production packed
 //! engine must equal the scalar [`oracle`] bit for bit, and the headline
 //! rate must stay inside a generous band so an engine regression (or an
-//! accidental semantics change) trips loudly. Two more inputs — adder-32
-//! and the glitch-heavy multiplier-16, both at twenty years — pin the same
+//! accidental semantics change) trips loudly. Three more inputs — adder-32,
+//! the glitch-heavy multiplier-16 and the Wallace-prefix multiplier-16 (the
+//! largest Fig. 1 netlist family), all at twenty years — pin the same
 //! equality where many more outputs err.
 
 use aix::aging::{AgingModel, AgingScenario, Lifetime};
-use aix::arith::ComponentSpec;
+use aix::arith::{ComponentSpec, MultiplierKind};
 use aix::cells::Library;
 use aix::core::ComponentKind;
+use aix::netlist::Netlist;
 use aix::sim::{measure_errors, oracle, ErrorStats, OperandSource, SignedNormalOperands};
 use aix::sta::{analyze, NetDelays};
-use aix::synth::Effort;
+use aix::synth::{Effort, Synthesizer};
 use std::sync::Arc;
 
 /// `aix error-rate`'s recipe: `ultra` synthesis, clocked at the fresh
@@ -26,11 +28,16 @@ fn error_stats(kind: ComponentKind, width: usize, years: f64) -> (ErrorStats, Er
     let netlist = kind
         .synthesize(&cells, ComponentSpec::full(width), Effort::Ultra)
         .expect("synthesis");
-    let clock = analyze(&netlist, &NetDelays::fresh(&netlist))
+    netlist_error_stats(&netlist, width, years)
+}
+
+/// [`error_stats`] for an already synthesized netlist.
+fn netlist_error_stats(netlist: &Netlist, width: usize, years: f64) -> (ErrorStats, ErrorStats) {
+    let clock = analyze(netlist, &NetDelays::fresh(netlist))
         .expect("synthesized netlists are acyclic")
         .max_delay_ps();
     let delays = NetDelays::aged(
-        &netlist,
+        netlist,
         &AgingModel::calibrated(),
         AgingScenario::worst_case(Lifetime::from_years(years)),
     );
@@ -39,9 +46,9 @@ fn error_stats(kind: ComponentKind, width: usize, years: f64) -> (ErrorStats, Er
         .vectors_with_zeros(4000, padding)
         .collect();
 
-    let scalar = oracle::measure_errors(&netlist, &delays, clock, stimuli.iter().cloned())
+    let scalar = oracle::measure_errors(netlist, &delays, clock, stimuli.iter().cloned())
         .expect("scalar measurement");
-    let packed = measure_errors(&netlist, &delays, clock, stimuli.iter().cloned())
+    let packed = measure_errors(netlist, &delays, clock, stimuli.iter().cloned())
         .expect("packed measurement");
     (scalar, packed)
 }
@@ -80,4 +87,24 @@ fn twenty_year_error_rates_match_the_oracle_bit_for_bit() {
         );
         assert!(packed.erroneous > 0, "{kind}-{width} must err at 20 years");
     }
+}
+
+#[test]
+fn wallace_prefix_multiplier_matches_the_oracle_at_twenty_years() {
+    // The Wallace-prefix tree has the most live (net, instant) pairs of
+    // the Fig. 1 netlists, so it exercises the deepest sampling program.
+    let synth = Synthesizer::new(Arc::new(Library::nangate45_like()), Effort::Ultra);
+    let netlist = synth
+        .multiplier_with(MultiplierKind::WallacePrefix, ComponentSpec::full(16))
+        .expect("synthesis");
+    let (scalar, packed) = netlist_error_stats(&netlist, 16, 20.0);
+    assert_eq!(scalar, packed);
+    assert_eq!(
+        scalar.mean_abs_error.to_bits(),
+        packed.mean_abs_error.to_bits()
+    );
+    assert!(
+        packed.erroneous > 0,
+        "the aged multiplier must err at 20 years"
+    );
 }

@@ -247,7 +247,7 @@ fn imported_adders_are_analysis_equivalent() {
         for kind in AdderKind::ALL {
             let original =
                 build_adder(&lib, kind, ComponentSpec::full(width)).expect("adder builds");
-            let label = format!("{}", original.name());
+            let label = original.name().to_string();
             let imported = import_verilog(&to_verilog(&original), &lib).expect("import");
             assert_equivalent(&original, &imported, &label);
         }
@@ -263,7 +263,7 @@ fn imported_multipliers_are_analysis_equivalent() {
         for kind in MultiplierKind::ALL {
             let original =
                 build_multiplier(&lib, kind, ComponentSpec::full(width)).expect("mult builds");
-            let label = format!("{}", original.name());
+            let label = original.name().to_string();
             let imported = import_edif(&to_edif(&original), &lib).expect("import");
             assert_equivalent(&original, &imported, &label);
         }
@@ -282,7 +282,7 @@ fn imported_macs_are_analysis_equivalent() {
             ComponentSpec::new(width, width - 2).expect("valid spec"),
         ] {
             let original = build_mac(&lib, spec).expect("mac builds");
-            let label = format!("{}", original.name());
+            let label = original.name().to_string();
             let imported = import_verilog(&to_verilog(&original), &lib).expect("import");
             assert_equivalent(&original, &imported, &label);
 
