@@ -316,7 +316,12 @@ pub fn open_span(name: &str, fields: Vec<(String, Value)>) -> SpanGuard {
     }
 }
 
-pub(crate) fn close_span(name: &str, open_seq: u64, elapsed_us: u64) {
+pub(crate) fn close_span(
+    name: &str,
+    open_seq: u64,
+    elapsed_us: u64,
+    recorded: Vec<(String, Value)>,
+) {
     with_state(|state| {
         state
             .histograms
@@ -324,6 +329,7 @@ pub(crate) fn close_span(name: &str, open_seq: u64, elapsed_us: u64) {
             .or_default()
             .observe_us(elapsed_us);
         let mut fields = vec![("open_seq".to_owned(), Value::from(open_seq))];
+        fields.extend(recorded);
         if state.timings {
             fields.push(("elapsed_us".to_owned(), Value::from(elapsed_us)));
         }
@@ -647,6 +653,26 @@ mod tests {
         assert_eq!(rec.events()[1].str_field("pass"), Some("sizing"));
         let summary = TraceSummary::from_events(rec.events(), true).unwrap();
         assert_eq!(summary.counters, vec![("moves".to_owned(), 7)]);
+    }
+
+    #[test]
+    fn recorded_fields_land_on_the_span_close() {
+        let _serial = serial();
+        let mut noop = SpanGuard::noop();
+        noop.record("ignored", 1usize);
+        install(Recorder::in_memory("record", false));
+        {
+            let mut span = span!("compile", width = 8usize);
+            span.record("ops", 42usize);
+        }
+        let rec = uninstall().unwrap();
+        let events = rec.events();
+        assert_eq!(events.len(), 3);
+        assert_eq!(events[1].int_field("ops"), None, "unknown at open");
+        assert_eq!(events[2].kind, EventKind::SpanClose);
+        assert_eq!(events[2].int_field("open_seq"), Some(1));
+        assert_eq!(events[2].int_field("ops"), Some(42));
+        TraceSummary::from_events(events, true).unwrap();
     }
 
     #[test]

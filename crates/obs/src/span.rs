@@ -1,10 +1,12 @@
 //! Span guards: RAII handles that close their span when dropped.
 
+use crate::json::Value;
 use std::time::Instant;
 
 /// An open span. Dropping the guard emits the matching `span_close` event
-/// (carrying `open_seq`, plus `elapsed_us` when timings are enabled) and
-/// feeds the span's latency histogram.
+/// (carrying `open_seq`, any fields added with [`record`](Self::record),
+/// plus `elapsed_us` when timings are enabled) and feeds the span's
+/// latency histogram.
 ///
 /// Obtain one through the [`span!`](crate::span) macro; when the recorder
 /// is disabled the guard is a no-op and costs nothing beyond its `Drop`.
@@ -21,6 +23,7 @@ struct Live {
     name: String,
     open_seq: u64,
     start: Instant,
+    fields: Vec<(String, Value)>,
 }
 
 impl SpanGuard {
@@ -35,6 +38,7 @@ impl SpanGuard {
                 name: name.to_owned(),
                 open_seq,
                 start: Instant::now(),
+                fields: Vec::new(),
             }),
         }
     }
@@ -49,6 +53,15 @@ impl SpanGuard {
         self.live.as_ref().map(|l| l.open_seq)
     }
 
+    /// Adds a field to the span's `span_close` event, for a fact known
+    /// only once part of the span's work is done. No-op on a disabled
+    /// recorder's guard.
+    pub fn record(&mut self, key: &str, value: impl Into<Value>) {
+        if let Some(live) = &mut self.live {
+            live.fields.push((key.to_owned(), value.into()));
+        }
+    }
+
     /// Closes the span now instead of at end of scope.
     pub fn close(self) {
         drop(self);
@@ -59,7 +72,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(live) = self.live.take() {
             let elapsed_us = u64::try_from(live.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            crate::close_span(&live.name, live.open_seq, elapsed_us);
+            crate::close_span(&live.name, live.open_seq, elapsed_us, live.fields);
         }
     }
 }
