@@ -6,8 +6,9 @@ use aix_aging::{AgingModel, AgingScenario};
 use aix_cells::Library;
 use aix_core::{AixError, ComponentKind};
 use aix_netlist::Netlist;
+use aix_obs::names::explore as names;
 use aix_sim::{
-    golden_lane_word, golden_word, pack_batch, OperandSource, PackedEvaluator, UniformOperands,
+    golden_lane_words, golden_word, pack_batch, OperandSource, PackedEvaluator, UniformOperands,
     LANES,
 };
 use aix_sta::{analyze, NetDelays};
@@ -94,8 +95,7 @@ fn exact_value(kind: ComponentKind, width: usize, vector: &[bool]) -> u64 {
     }
 }
 
-/// Builds and optimizes a candidate netlist — shared by scoring and the
-/// CLI's Verilog export so exported netlists match the scored ones.
+/// Builds and optimizes a candidate netlist, as scoring does.
 ///
 /// # Errors
 ///
@@ -134,30 +134,46 @@ impl ErrorTally {
 /// aged critical-path delay and post-optimization gate count.
 ///
 /// Deterministic for a fixed context: errors accumulate in stimulus order.
-/// The packed evaluator reads each lane's value straight from the output
-/// words of the context's pre-packed batches.
+/// The packed evaluator's output words for each pre-packed batch are
+/// transposed once into one golden word per lane.
+///
+/// Traced runs see the four steps as child spans of the candidate's span:
+/// build, optimize, simulate (with the error tally) and aged STA.
 ///
 /// # Errors
 ///
 /// Propagates build, simulation and STA failures.
 pub fn score_candidate(context: &ScoreContext, candidate: &Candidate) -> Result<Score, AixError> {
-    let _span = aix_obs::span!(
-        aix_obs::names::explore::SPAN_CANDIDATE,
-        candidate = candidate.label(),
-    );
-    let optimized = build_optimized(candidate, &context.library)?;
-    let mut tally = ErrorTally::default();
-    let mut packed = PackedEvaluator::new(&optimized)?;
-    for (words, exact) in context.packed.iter().zip(context.exact.chunks(LANES)) {
-        packed.eval_packed(words, exact.len())?;
-        for (lane, &want) in exact.iter().enumerate() {
-            tally.add(golden_lane_word(packed.output_words(), lane), want);
+    let _span = aix_obs::span!(names::SPAN_CANDIDATE, candidate = candidate.label());
+    let built = {
+        let _span = aix_obs::span!(names::SPAN_BUILD);
+        candidate.build(&context.library)?
+    };
+    let optimized = {
+        let _span = aix_obs::span!(names::SPAN_OPTIMIZE);
+        aix_synth::optimize(&built)?
+    };
+    drop(built);
+
+    let tally = {
+        let _span = aix_obs::span!(names::SPAN_SIMULATE);
+        let mut tally = ErrorTally::default();
+        let mut packed = PackedEvaluator::new(&optimized)?;
+        for (words, exact) in context.packed.iter().zip(context.exact.chunks(LANES)) {
+            packed.eval_packed(words, exact.len())?;
+            for (&got, &want) in golden_lane_words(packed.output_words()).iter().zip(exact) {
+                tally.add(got, want);
+            }
         }
-    }
+        tally
+    };
     let vectors = context.exact.len().max(1) as f64;
 
-    let delays = NetDelays::aged(&optimized, &AgingModel::calibrated(), context.scenario);
-    let aged_delay_ps = analyze(&optimized, &delays)?.max_delay_ps();
+    let aged_delay_ps = {
+        let _span = aix_obs::span!(names::SPAN_STA);
+        let delays = NetDelays::aged(&optimized, &AgingModel::calibrated(), context.scenario);
+        analyze(&optimized, &delays)?.max_delay_ps()
+    };
 
     Ok(Score {
         mean_abs_error: tally.sum_abs / vectors,
@@ -165,7 +181,7 @@ pub fn score_candidate(context: &ScoreContext, candidate: &Candidate) -> Result<
         error_rate: tally.erroneous as f64 / vectors,
         aged_delay_ps,
         slack_ps: context.clock_ps - aged_delay_ps,
-        gate_count: optimized.stats().gate_count,
+        gate_count: optimized.gate_count(),
     })
 }
 

@@ -286,13 +286,15 @@ enum Evaluation {
 ///
 /// # Panics
 ///
-/// Panics if `width` is outside `1..=32` or the budget is zero.
+/// Panics if `width` is outside `1..=32`, or if the budget or the vector
+/// count is zero: with no stimuli every candidate would score zero error.
 pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<ExploreOutcome, AixError> {
     assert!(
         (1..=32).contains(&config.width),
         "width must be in 1..=32 so exact references fit in u64"
     );
     assert!(config.budget > 0, "budget must be positive");
+    assert!(config.vectors > 0, "vector count must be positive");
     let _span = aix_obs::span!(
         aix_obs::names::explore::SPAN_SEARCH,
         component = config.kind.to_string(),
@@ -416,7 +418,10 @@ pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<Explore
                     }
                 }
             }
-            next.sort_by_key(Candidate::label);
+            // Labels are unique here (the seen-set dedupes by a
+            // fingerprint of the label), so formatting each one once
+            // gives the same order as comparing them directly.
+            next.sort_by_cached_key(Candidate::label);
             pending = next;
         }
     }
@@ -520,6 +525,14 @@ mod tests {
         config.budget = 24;
         config.vectors = 256;
         config
+    }
+
+    #[test]
+    #[should_panic(expected = "vector count must be positive")]
+    fn zero_vectors_are_rejected() {
+        let mut config = small_config(ComponentKind::Adder, 8);
+        config.vectors = 0;
+        let _ = explore(&library(), &config);
     }
 
     #[test]

@@ -45,10 +45,30 @@ impl Schedule {
     }
 }
 
-/// Levelizes `netlist`: topological order first, then longest-path levels
-/// in one pass, then a stable `(level, id)` sort.
+/// Whether every gate reads only primary inputs, constants and outputs of
+/// lower-numbered gates. Then gate-id order is a topological order and the
+/// graph is acyclic. Netlists built with [`Netlist::add_gate`] always
+/// qualify; imported ones and rewired ones may not.
+pub(crate) fn ids_are_topological(netlist: &Netlist) -> bool {
+    netlist.gates().all(|(id, gate)| {
+        gate.inputs
+            .iter()
+            .all(|&net| match netlist.net(net).driver {
+                NetDriver::Gate { gate: driver, .. } => driver < id,
+                _ => true,
+            })
+    })
+}
+
+/// Levelizes `netlist`: topological order first (gate-id order when that
+/// is one, as levels do not depend on which order computes them), then
+/// longest-path levels in one pass, then a stable `(level, id)` sort.
 pub(crate) fn levelize(netlist: &Netlist) -> Result<Schedule, NetlistError> {
-    let topo = topological_order(netlist)?;
+    let topo = if ids_are_topological(netlist) {
+        (0..netlist.gate_count() as u32).map(GateId).collect()
+    } else {
+        topological_order(netlist)?
+    };
     let mut level_of = vec![0u32; netlist.gate_count()];
     let mut levels = 0u32;
     for &gate_id in &topo {
@@ -289,6 +309,7 @@ mod tests {
         ) {
             let library = Arc::new(Library::nangate45_like());
             let mut nl = random_dag(&library, inputs, constants, &gates);
+            prop_assert!(super::ids_are_topological(&nl));
             prop_assert_eq!(nl.topological_order(), oracle_topological_order(&nl));
             prop_assert_eq!(nl.schedule().map(|s| (*s).clone()), oracle_schedule(&nl));
             // Rewire inputs to arbitrary gate outputs (either pin of a
@@ -301,6 +322,11 @@ mod tests {
                 nl.gate_mut(gate).inputs[pin_pick % pins] = source;
                 prop_assert_eq!(nl.topological_order(), oracle_topological_order(&nl));
                 prop_assert_eq!(nl.schedule().map(|s| (*s).clone()), oracle_schedule(&nl));
+                // Only acyclic graphs can have topological ids, and
+                // validation agrees with the sort on acyclicity.
+                let acyclic = oracle_topological_order(&nl).is_ok();
+                prop_assert!(acyclic || !super::ids_are_topological(&nl));
+                prop_assert_eq!(nl.validate().is_ok(), acyclic);
             }
         }
     }

@@ -435,8 +435,11 @@ impl Netlist {
                 }
             }
         }
-        // Acyclicity.
-        self.topological_order()?;
+        // Acyclicity: certain without a sort when gate ids are already
+        // topological.
+        if !crate::graph::ids_are_topological(self) {
+            self.topological_order()?;
+        }
         Ok(())
     }
 

@@ -83,8 +83,18 @@ pub mod serve {
 pub mod explore {
     /// Span over one full Pareto search, from seeding to the final front.
     pub const SPAN_SEARCH: &str = "explore_search";
-    /// Span over one candidate evaluation (build, optimize, simulate, STA).
+    /// Span over one candidate evaluation. Its children, in order, are
+    /// the four spans below.
     pub const SPAN_CANDIDATE: &str = "explore_candidate";
+    /// Span over building a candidate's netlist from its variant.
+    pub const SPAN_BUILD: &str = "explore_build";
+    /// Span over optimizing a candidate's netlist (`aix_synth::optimize`).
+    pub const SPAN_OPTIMIZE: &str = "explore_optimize";
+    /// Span over packed simulation of a candidate on the search's stimuli,
+    /// including the error tally.
+    pub const SPAN_SIMULATE: &str = "explore_simulate";
+    /// Span over a candidate's aged delays and STA.
+    pub const SPAN_STA: &str = "explore_sta";
     /// Counter: a candidate was evaluated (freshly scored, not from cache).
     pub const EVALUATED: &str = "explore_evaluated";
     /// Counter: a candidate's score was served from the on-disk cache.

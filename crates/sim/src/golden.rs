@@ -32,6 +32,34 @@ pub fn golden_lane_word(words: &[u64], lane: usize) -> u64 {
         .fold(0u64, |word, (i, &w)| word | (((w >> lane) & 1) << i))
 }
 
+/// [`golden_lane_word`] for every lane at once: `result[lane]` is the
+/// numeric value lane `lane` sees. Words past the 64th are ignored, as
+/// there. It is a 64×64 bit-matrix transpose by block swaps (six rounds
+/// over halves, quarters, … of the matrix), so it costs a few hundred
+/// word operations instead of one pass over the words per lane.
+pub fn golden_lane_words(words: &[u64]) -> [u64; LANES] {
+    let mut matrix = [0u64; LANES];
+    for (row, &word) in matrix.iter_mut().zip(words) {
+        *row = word;
+    }
+    // Round `width` swaps, within every 2·width × 2·width block, the
+    // top-right width × width quadrant with the bottom-left one.
+    let mut width = LANES / 2;
+    let mut mask = u64::MAX >> (LANES / 2);
+    while width != 0 {
+        let mut row = 0;
+        while row < LANES {
+            let swap = ((matrix[row] >> width) ^ matrix[row + width]) & mask;
+            matrix[row] ^= swap << width;
+            matrix[row + width] ^= swap;
+            row = (row + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+    matrix
+}
+
 /// Fault-free functional reference responses for a stimulus set, from
 /// the bit-parallel evaluator. They equal the scalar
 /// [`oracle::reference_outputs`](crate::oracle::reference_outputs) vector
@@ -83,6 +111,34 @@ mod tests {
         assert_eq!(golden_lane_word(&words, 0), 0b01);
         assert_eq!(golden_lane_word(&words, 1), 0b10);
         assert_eq!(golden_lane_word(&words, 2), 0b11);
+    }
+
+    #[test]
+    fn golden_lane_words_transposes_like_golden_lane_word() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for count in [0, 1, 33, 64, 65] {
+            let words: Vec<u64> = (0..count).map(|_| next()).collect();
+            let all = golden_lane_words(&words);
+            for (lane, &value) in all.iter().enumerate() {
+                assert_eq!(
+                    value,
+                    golden_lane_word(&words, lane),
+                    "{count} words, lane {lane}"
+                );
+            }
+        }
+        // A lone set bit lands in the transposed position.
+        let mut words = [0u64; 64];
+        words[5] = 1 << 40;
+        let all = golden_lane_words(&words);
+        assert_eq!(all[40], 1 << 5);
+        assert_eq!(all.iter().filter(|&&w| w != 0).count(), 1);
     }
 
     /// The golden reference *is* the arithmetic model: an adder's reference

@@ -58,7 +58,7 @@ pub use activity::{
 };
 pub use errors::{measure_errors, ErrorStats};
 pub use faults::{full_fault_list, simulate_faults, FaultCoverage, StuckAtFault};
-pub use golden::{golden_lane_word, golden_word, reference_outputs};
+pub use golden::{golden_lane_word, golden_lane_words, golden_word, reference_outputs};
 pub use packed::{lane_mask, pack_batch, PackedEvaluator, LANES};
 pub use stimuli::{NormalOperands, OperandSource, SignedNormalOperands, UniformOperands, VectorStream};
 pub use timed::{ps_to_ticks, ticks_to_ps, StepOutcome, TimedSimulator, TICKS_PER_PS};

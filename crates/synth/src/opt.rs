@@ -1,24 +1,28 @@
-//! Netlist optimization: constant propagation and dead-gate sweeping.
+//! Netlist optimization: constant propagation and dead-gate sweeping in
+//! one pass.
 //!
 //! Together these implement "re-synthesis" of a truncated component: tying
-//! operand LSBs to constant zero lets [`constant_propagation`] fold and
-//! simplify the affected cone, and [`sweep_dead_gates`] removes everything
-//! no longer reachable from an output.
+//! operand LSBs to constant zero lets constant propagation fold and
+//! simplify the affected cone, and the sweep removes everything no longer
+//! reachable from an output. [`optimize`] plans both over flat arrays and
+//! builds the result once; the two-pass reference it must reproduce byte
+//! for byte lives in the crate's test oracle.
 
-use aix_cells::{CellFunction, DriveStrength, MAX_INPUTS, MAX_OUTPUTS};
+use aix_cells::{CellFunction, CellId, DriveStrength, Library, MAX_INPUTS, MAX_OUTPUTS};
 use aix_netlist::{NetDriver, NetId, Netlist, NetlistError, Pins};
+use std::sync::Arc;
 
-/// A resolved signal source in the *old* netlist's id space.
+/// A resolved signal source: a known constant or a net of type `N`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolved {
+pub(crate) enum Resolved<N> {
     Const(bool),
-    Net(NetId),
+    Net(N),
 }
 
-impl Resolved {
-    fn constant(self) -> Option<bool> {
+impl<N> Resolved<N> {
+    fn constant(&self) -> Option<bool> {
         match self {
-            Resolved::Const(v) => Some(v),
+            Resolved::Const(v) => Some(*v),
             Resolved::Net(_) => None,
         }
     }
@@ -26,45 +30,45 @@ impl Resolved {
 
 /// Operands of a replacement cell. Every replacement has at most two
 /// inputs; a one-input cell reads only the first slot.
-type Operands = [Resolved; 2];
+pub(crate) type Operands<N> = [Resolved<N>; 2];
 
 /// What a single output pin of a simplified gate becomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PinPlan {
+pub(crate) enum PinPlan<N> {
     /// The pin is a known constant.
     Const(bool),
     /// The pin aliases another signal.
-    Wire(Resolved),
+    Wire(Resolved<N>),
     /// The pin is computed by a (smaller) replacement gate.
-    Gate(CellFunction, Operands),
+    Gate(CellFunction, Operands<N>),
 }
 
 /// Simplification decision for a whole gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GatePlan {
+pub(crate) enum GatePlan<N> {
     /// Instantiate the original cell unchanged (inputs resolved).
     Keep,
     /// Replace with one plan per output pin. Plans are read zipped with
     /// the gate's outputs, so a single-output gate's second slot (a copy
     /// of the first) is never read.
-    Replace([PinPlan; MAX_OUTPUTS]),
+    Replace([PinPlan<N>; MAX_OUTPUTS]),
     /// Replace the whole gate with one (possibly multi-output) cell whose
     /// outputs map onto the old outputs in pin order.
-    Rewrite(CellFunction, Operands),
+    Rewrite(CellFunction, Operands<N>),
 }
 
 /// Replaces a single-output gate by `pin`.
-fn replace(pin: PinPlan) -> GatePlan {
+fn replace<N: Copy>(pin: PinPlan<N>) -> GatePlan<N> {
     GatePlan::Replace([pin; MAX_OUTPUTS])
 }
 
 /// An inverter of `x`.
-fn inv(x: Resolved) -> PinPlan {
+fn inv<N: Copy>(x: Resolved<N>) -> PinPlan<N> {
     PinPlan::Gate(CellFunction::Inv, [x, x])
 }
 
 /// The two inputs of a three-input gate other than input `skip`, in order.
-fn others(ins: &[Resolved], skip: usize) -> Operands {
+fn others<N: Copy>(ins: &[Resolved<N>], skip: usize) -> Operands<N> {
     let mut live = (0..3).filter(|&j| j != skip).map(|j| ins[j]);
     [
         live.next().expect("two others"),
@@ -72,8 +76,17 @@ fn others(ins: &[Resolved], skip: usize) -> Operands {
     ]
 }
 
+/// The X1 cell implementing a replacement `function`.
+pub(crate) fn replacement_cell(library: &Library, function: CellFunction) -> CellId {
+    library
+        .find(function, DriveStrength::X1)
+        .expect("library contains all functions at X1")
+}
+
 /// Boolean simplification of `function` under partially constant inputs.
-fn simplify(function: CellFunction, ins: &[Resolved]) -> GatePlan {
+/// Two inputs are the same signal exactly when their resolutions are
+/// equal, so `N` must name each unresolved net uniquely.
+pub(crate) fn simplify<N: Copy + Eq>(function: CellFunction, ins: &[Resolved<N>]) -> GatePlan<N> {
     use CellFunction as F;
     use PinPlan as P;
     let c = |i: usize| ins[i].constant();
@@ -88,7 +101,7 @@ fn simplify(function: CellFunction, ins: &[Resolved]) -> GatePlan {
         return GatePlan::Replace(out.map(P::Const));
     }
     // Binary commutative helpers: (constant, live other input).
-    let one_const2 = || -> Option<(bool, Resolved)> {
+    let one_const2 = || -> Option<(bool, Resolved<N>)> {
         match (c(0), c(1)) {
             (Some(v), None) => Some((v, ins[1])),
             (None, Some(v)) => Some((v, ins[0])),
@@ -218,203 +231,237 @@ fn simplify(function: CellFunction, ins: &[Resolved]) -> GatePlan {
     }
 }
 
-/// Old-to-new net map of a rebuild, dense over the old netlist's nets.
-struct NetMap(Vec<Option<NetId>>);
+/// A net of the planned netlist that is not a constant: the `k`-th
+/// primary input, or an output pin of a planned gate. Each unresolved net
+/// of the input has exactly one, so equal sources mean equal signals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Input(u32),
+    Pin(u32, u8),
+}
 
-impl NetMap {
-    /// Starts a rebuild of `netlist` into `out`: the primary inputs are
-    /// re-created first, in order, so they keep their ids.
-    fn with_inputs(netlist: &Netlist, out: &mut Netlist) -> Self {
-        let mut map = NetMap(vec![None; netlist.net_count()]);
-        for &input in netlist.inputs() {
-            let name = netlist
-                .net(input)
-                .name
-                .clone()
-                .unwrap_or_else(|| format!("in{}", input.index()));
-            map.0[input.index()] = Some(out.add_input(name));
-        }
-        map
-    }
+type Signal = Resolved<Source>;
 
-    fn get(&self, old: NetId) -> Option<NetId> {
-        self.0[old.index()]
-    }
-
-    /// Maps each old output net onto the new one in pin order.
-    fn map_outputs(&mut self, old: &[NetId], new: &[NetId]) {
-        for (&old, &new) in old.iter().zip(new) {
-            self.0[old.index()] = Some(new);
-        }
+/// The planned gate driving `signal`, if a gate drives it.
+fn driver(signal: &Signal) -> Option<usize> {
+    match signal {
+        Resolved::Net(Source::Pin(gate, _)) => Some(*gate as usize),
+        _ => None,
     }
 }
 
-/// Instantiates `function` at X1 over `operands` (at most its input
-/// count of them are read).
-fn add_replacement(
-    out: &mut Netlist,
-    net_map: &NetMap,
-    function: CellFunction,
-    operands: &[Resolved],
-) -> Result<Pins<MAX_OUTPUTS>, NetlistError> {
-    let cell = out
-        .library()
-        .find(function, DriveStrength::X1)
-        .expect("library contains all functions at X1");
-    let mut ins = Pins::<MAX_INPUTS>::new();
-    for &r in &operands[..function.input_count()] {
-        ins.push(map_resolved(out, net_map, r));
-    }
-    out.add_gate(cell, &ins)
+/// A gate of the planned netlist: its cell and input signals in pin order.
+struct Planned {
+    cell: CellId,
+    arity: u8,
+    signals: [Signal; MAX_INPUTS],
 }
 
-/// Maps a resolved old signal to a net in the new netlist.
-fn map_resolved(out: &mut Netlist, net_map: &NetMap, r: Resolved) -> NetId {
-    match r {
-        Resolved::Const(v) => out.constant(v),
-        Resolved::Net(n) => net_map
-            .get(n)
-            .expect("topological order maps drivers before readers"),
+impl Planned {
+    fn signals(&self) -> &[Signal] {
+        &self.signals[..usize::from(self.arity)]
     }
 }
 
-/// Runs constant propagation over `netlist`, returning a functionally
-/// equivalent netlist in which constant-driven cones are folded and gates
-/// with partially constant inputs are replaced by smaller cells.
+/// Records a planned gate of `cell` over `signals` and returns its id.
+fn plan(planned: &mut Vec<Planned>, cell: CellId, signals: &[Signal]) -> u32 {
+    let id = u32::try_from(planned.len()).expect("netlist exceeds u32 gates");
+    let mut gate = Planned {
+        cell,
+        arity: signals.len() as u8,
+        signals: [Resolved::Const(false); MAX_INPUTS],
+    };
+    gate.signals[..signals.len()].copy_from_slice(signals);
+    planned.push(gate);
+    id
+}
+
+/// Constant propagation and dead-gate sweeping in one pass: returns a
+/// functionally equivalent netlist in which constant-driven cones are
+/// folded, gates with partially constant inputs are replaced by smaller
+/// cells, and every gate not transitively reachable from a primary output
+/// is gone.
 ///
 /// Primary input and output ports are preserved, including unused inputs.
 ///
-/// # Errors
+/// The result is byte for byte the netlist that constant propagation
+/// followed by a dead-gate sweep builds as two full rebuilds, without the
+/// intermediate netlist:
 ///
-/// Propagates netlist construction errors; a validated input never fails.
-pub fn constant_propagation(netlist: &Netlist) -> Result<Netlist, NetlistError> {
-    let order = netlist.topological_order()?;
-    let mut resolution: Vec<Option<Resolved>> = vec![None; netlist.net_count()];
-    for (id, net) in netlist.nets() {
-        if let NetDriver::Constant(v) = net.driver {
-            resolution[id.index()] = Some(Resolved::Const(v));
-        }
-    }
-    let resolve = |resolution: &[Option<Resolved>], mut net: NetId| -> Resolved {
-        loop {
-            match resolution[net.index()] {
-                None => return Resolved::Net(net),
-                Some(Resolved::Const(v)) => return Resolved::Const(v),
-                Some(Resolved::Net(next)) => net = next,
-            }
-        }
-    };
-
-    let mut plans: Vec<GatePlan> = vec![GatePlan::Keep; netlist.gate_count()];
-    let mut ins = [Resolved::Const(false); MAX_INPUTS];
-    for &gate_id in &order {
-        let gate = netlist.gate(gate_id);
-        let function = netlist.library().cell(gate.cell).function;
-        for (slot, &n) in ins.iter_mut().zip(&gate.inputs) {
-            *slot = resolve(&resolution, n);
-        }
-        let plan = simplify(function, &ins[..gate.inputs.len()]);
-        if let GatePlan::Replace(pins) = &plan {
-            for (action, &out) in pins.iter().zip(&gate.outputs) {
-                match action {
-                    PinPlan::Const(v) => resolution[out.index()] = Some(Resolved::Const(*v)),
-                    PinPlan::Wire(r) => resolution[out.index()] = Some(*r),
-                    PinPlan::Gate(..) => {}
-                }
-            }
-        }
-        plans[gate_id.index()] = plan;
-    }
-
-    // Rebuild.
-    let library = netlist.library().clone();
-    let mut out = Netlist::new(netlist.name().to_owned(), library);
-    let mut net_map = NetMap::with_inputs(netlist, &mut out);
-    for &gate_id in &order {
-        let gate = netlist.gate(gate_id);
-        match plans[gate_id.index()] {
-            GatePlan::Keep => {
-                let mut ins = Pins::<MAX_INPUTS>::new();
-                for &n in &gate.inputs {
-                    let r = resolve(&resolution, n);
-                    ins.push(map_resolved(&mut out, &net_map, r));
-                }
-                let new_outs = out.add_gate(gate.cell, &ins)?;
-                net_map.map_outputs(&gate.outputs, &new_outs);
-            }
-            GatePlan::Replace(pins) => {
-                for (action, &old) in pins.iter().zip(&gate.outputs) {
-                    if let PinPlan::Gate(function, operands) = action {
-                        let new_outs = add_replacement(&mut out, &net_map, *function, operands)?;
-                        net_map.map_outputs(&[old], &new_outs);
-                    }
-                }
-            }
-            GatePlan::Rewrite(function, operands) => {
-                let new_outs = add_replacement(&mut out, &net_map, function, &operands)?;
-                net_map.map_outputs(&gate.outputs, &new_outs);
-            }
-        }
-    }
-    for (name, old_net) in netlist.outputs() {
-        let r = resolve(&resolution, *old_net);
-        let new_net = map_resolved(&mut out, &net_map, r);
-        out.mark_output(name.clone(), new_net);
-    }
-    Ok(out)
-}
-
-/// Removes every gate not transitively reachable from a primary output.
-///
-/// # Errors
-///
-/// Propagates netlist construction errors; a validated input never fails.
-pub fn sweep_dead_gates(netlist: &Netlist) -> Result<Netlist, NetlistError> {
-    let mut live = vec![false; netlist.gate_count()];
-    let mut stack: Vec<NetId> = netlist.output_nets();
-    while let Some(net) = stack.pop() {
-        if let NetDriver::Gate { gate, .. } = netlist.net(net).driver {
-            if !live[gate.index()] {
-                live[gate.index()] = true;
-                stack.extend(netlist.gate(gate).inputs.iter().copied());
-            }
-        }
-    }
-    let order = netlist.topological_order()?;
-    let library = netlist.library().clone();
-    let mut out = Netlist::new(netlist.name().to_owned(), library);
-    let mut net_map = NetMap::with_inputs(netlist, &mut out);
-    let map_live =
-        |out: &mut Netlist, net_map: &NetMap, n: NetId, what: &str| match netlist.net(n).driver {
-            NetDriver::Constant(v) => out.constant(v),
-            _ => net_map.get(n).expect(what),
-        };
-    for &gate_id in &order {
-        if !live[gate_id.index()] {
-            continue;
-        }
-        let gate = netlist.gate(gate_id);
-        let mut ins = Pins::<MAX_INPUTS>::new();
-        for &n in &gate.inputs {
-            ins.push(map_live(&mut out, &net_map, n, "live fanin already mapped"));
-        }
-        let new_outs = out.add_gate(gate.cell, &ins)?;
-        net_map.map_outputs(&gate.outputs, &new_outs);
-    }
-    for (name, old_net) in netlist.outputs() {
-        let new_net = map_live(&mut out, &net_map, *old_net, "output driver is live");
-        out.mark_output(name.clone(), new_net);
-    }
-    Ok(out)
-}
-
-/// Full cleanup: constant propagation followed by dead-gate sweeping.
+/// 1. Constants are planned over the input's topological order, and the
+///    surviving gates are recorded in a flat array, numbered in the order
+///    the first rebuild would have created them.
+/// 2. Liveness is marked backward from the resolved outputs.
+/// 3. The live planned gates are ordered by Kahn's algorithm (successors
+///    in gate, then pin order). Dead gates never feed live ones, so this
+///    is the sweep's topological order restricted to live gates.
+/// 4. The netlist is emitted once in that order, creating each constant
+///    net on first use as the sweep does.
 ///
 /// # Errors
 ///
 /// Propagates netlist construction errors; a validated input never fails.
 pub fn optimize(netlist: &Netlist) -> Result<Netlist, NetlistError> {
-    sweep_dead_gates(&constant_propagation(netlist)?)
+    let (planned, outputs) = propagate_constants(netlist)?;
+    let order = live_order(&planned, &outputs);
+    emit(netlist, &planned, &outputs, &order)
+}
+
+/// Plans every gate of `netlist` over its topological order. Returns the
+/// planned gates and the signal each primary output carries.
+fn propagate_constants(netlist: &Netlist) -> Result<(Vec<Planned>, Vec<Signal>), NetlistError> {
+    let order = netlist.topological_order()?;
+    let library = netlist.library();
+    // The signal each net of the input carries, set before any reader.
+    let mut value: Vec<Option<Signal>> = vec![None; netlist.net_count()];
+    for (id, net) in netlist.nets() {
+        if let NetDriver::Constant(v) = net.driver {
+            value[id.index()] = Some(Resolved::Const(v));
+        }
+    }
+    for (k, &input) in netlist.inputs().iter().enumerate() {
+        value[input.index()] = Some(Resolved::Net(Source::Input(k as u32)));
+    }
+    let pin_of = |gate: u32, pin: usize| Some(Resolved::Net(Source::Pin(gate, pin as u8)));
+    let mut planned: Vec<Planned> = Vec::with_capacity(netlist.gate_count());
+    let mut ins = [Resolved::Const(false); MAX_INPUTS];
+    for &gate_id in &order {
+        let gate = netlist.gate(gate_id);
+        let ins = &mut ins[..gate.inputs.len()];
+        for (slot, &n) in ins.iter_mut().zip(&gate.inputs) {
+            *slot = value[n.index()].expect("topological order resolves drivers before readers");
+        }
+        match simplify(library.cell(gate.cell).function, ins) {
+            GatePlan::Keep => {
+                let id = plan(&mut planned, gate.cell, ins);
+                for (pin, &out) in gate.outputs.iter().enumerate() {
+                    value[out.index()] = pin_of(id, pin);
+                }
+            }
+            GatePlan::Replace(pins) => {
+                for (action, &out) in pins.iter().zip(&gate.outputs) {
+                    value[out.index()] = match *action {
+                        PinPlan::Const(v) => Some(Resolved::Const(v)),
+                        PinPlan::Wire(r) => Some(r),
+                        PinPlan::Gate(function, operands) => {
+                            let cell = replacement_cell(library, function);
+                            let operands = &operands[..function.input_count()];
+                            pin_of(plan(&mut planned, cell, operands), 0)
+                        }
+                    };
+                }
+            }
+            GatePlan::Rewrite(function, operands) => {
+                let cell = replacement_cell(library, function);
+                let id = plan(&mut planned, cell, &operands[..function.input_count()]);
+                for (pin, &out) in gate.outputs.iter().enumerate() {
+                    value[out.index()] = pin_of(id, pin);
+                }
+            }
+        }
+    }
+    let outputs = netlist
+        .outputs()
+        .iter()
+        .map(|(_, net)| value[net.index()].expect("every output net is resolved"))
+        .collect();
+    Ok((planned, outputs))
+}
+
+/// The planned gates that `outputs` reach, in the order Kahn's algorithm
+/// visits them, as `topological_order` runs it over a netlist: a CSR
+/// successor table filled in gate then pin order, and the result as the
+/// FIFO queue.
+fn live_order(planned: &[Planned], outputs: &[Signal]) -> Vec<u32> {
+    // Planned gates only read earlier ones, so one backward sweep marks
+    // every gate an output reaches. Every driver of a live gate is live,
+    // so the same sweep counts in-degrees and successors over live gates
+    // alone, which are those of the whole graph.
+    let mut live = vec![false; planned.len()];
+    for gate in outputs.iter().filter_map(driver) {
+        live[gate] = true;
+    }
+    let mut in_degree = vec![0u32; planned.len()];
+    let mut end = vec![0u32; planned.len()];
+    for gate in (0..planned.len()).rev() {
+        if !live[gate] {
+            continue;
+        }
+        for d in planned[gate].signals().iter().filter_map(driver) {
+            live[d] = true;
+            end[d] += 1;
+            in_degree[gate] += 1;
+        }
+    }
+    let mut total = 0u32;
+    for slot in &mut end {
+        let count = *slot;
+        *slot = total;
+        total += count;
+    }
+    let live_gates = || (0..planned.len()).filter(|&g| live[g]);
+    let mut successors = vec![0u32; total as usize];
+    for gate in live_gates() {
+        for d in planned[gate].signals().iter().filter_map(driver) {
+            successors[end[d] as usize] = gate as u32;
+            end[d] += 1;
+        }
+    }
+    let begin = |g: usize| if g == 0 { 0 } else { end[g - 1] as usize };
+    let mut order: Vec<u32> = live_gates()
+        .filter(|&g| in_degree[g] == 0)
+        .map(|g| g as u32)
+        .collect();
+    let mut head = 0;
+    while head < order.len() {
+        let g = order[head] as usize;
+        head += 1;
+        for &succ in &successors[begin(g)..end[g] as usize] {
+            in_degree[succ as usize] -= 1;
+            if in_degree[succ as usize] == 0 {
+                order.push(succ);
+            }
+        }
+    }
+    order
+}
+
+/// Builds the optimized netlist: `netlist`'s ports, and the planned gates
+/// of `order` in that order.
+fn emit(
+    netlist: &Netlist,
+    planned: &[Planned],
+    outputs: &[Signal],
+    order: &[u32],
+) -> Result<Netlist, NetlistError> {
+    let mut out = Netlist::new(netlist.name().to_owned(), Arc::clone(netlist.library()));
+    let input_nets: Vec<NetId> = netlist
+        .inputs()
+        .iter()
+        .map(|&input| {
+            let name = netlist.net(input).name.clone();
+            out.add_input(name.unwrap_or_else(|| format!("in{}", input.index())))
+        })
+        .collect();
+    let mut pins_of: Vec<Pins<MAX_OUTPUTS>> = vec![Pins::new(); planned.len()];
+    let net_of = |out: &mut Netlist, pins_of: &[Pins<MAX_OUTPUTS>], signal: Signal| match signal {
+        Resolved::Const(v) => out.constant(v),
+        Resolved::Net(Source::Input(k)) => input_nets[k as usize],
+        Resolved::Net(Source::Pin(gate, pin)) => pins_of[gate as usize][usize::from(pin)],
+    };
+    for &gate in order {
+        let planned = &planned[gate as usize];
+        let mut ins = Pins::<MAX_INPUTS>::new();
+        for &signal in planned.signals() {
+            ins.push(net_of(&mut out, &pins_of, signal));
+        }
+        pins_of[gate as usize] = out.add_gate(planned.cell, &ins)?;
+    }
+    for ((name, _), &signal) in netlist.outputs().iter().zip(outputs) {
+        let net = net_of(&mut out, &pins_of, signal);
+        out.mark_output(name.clone(), net);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -556,7 +603,7 @@ mod tests {
         let live = nl.add_gate(inv, &[a]).unwrap()[0];
         let _dead = nl.add_gate(inv, &[a]).unwrap();
         nl.mark_output("y", live);
-        let swept = sweep_dead_gates(&nl).unwrap();
+        let swept = optimize(&nl).unwrap();
         assert_eq!(swept.gate_count(), 1);
         assert_eq!(swept.eval(&[true]).unwrap(), vec![false]);
     }

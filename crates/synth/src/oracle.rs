@@ -1,10 +1,15 @@
-//! The full-STA sizing passes that [`crate::sizing`] replaced, kept as
-//! the test oracle: every trial move re-builds the annotation and re-runs
-//! STA. The incremental passes must reproduce them gate for gate and bit
-//! for bit.
+//! Test oracles: the straightforward passes that faster ones replaced.
+//!
+//! * The full-STA sizing passes that [`crate::sizing`] replaced: every
+//!   trial move re-builds the annotation and re-runs STA. The incremental
+//!   passes must reproduce them gate for gate and bit for bit.
+//! * The two-pass optimizer that [`crate::optimize`] replaced, which
+//!   materializes the constant-propagated netlist before sweeping it.
 
+use crate::opt::{self, replacement_cell, simplify};
 use crate::{RecoveryOutcome, SizingOutcome};
-use aix_netlist::{Netlist, NetlistError};
+use aix_cells::{CellFunction, MAX_INPUTS, MAX_OUTPUTS};
+use aix_netlist::{NetDriver, NetId, Netlist, NetlistError, Pins};
 use aix_sta::{analyze, critical_path, NetDelays, SlackReport};
 
 /// Full-STA [`crate::size_for_performance`].
@@ -137,6 +142,209 @@ pub fn recover_area(
         area_after_um2: netlist.stats().area_um2,
         final_delay_ps: final_delay,
     })
+}
+
+// The two-pass optimizer that `crate::optimize` replaced: constant
+// propagation rebuilds the whole netlist, then the dead-gate sweep
+// rebuilds it again. The one-pass optimizer must reproduce its output
+// byte for byte. Both share `simplify`, the Boolean rules themselves.
+
+/// A resolved signal in the *old* netlist's id space.
+type Resolved = opt::Resolved<NetId>;
+type GatePlan = opt::GatePlan<NetId>;
+type PinPlan = opt::PinPlan<NetId>;
+
+/// Old-to-new net map of a rebuild, dense over the old netlist's nets.
+struct NetMap(Vec<Option<NetId>>);
+
+impl NetMap {
+    /// Starts a rebuild of `netlist` into `out`: the primary inputs are
+    /// re-created first, in order, so they keep their ids.
+    fn with_inputs(netlist: &Netlist, out: &mut Netlist) -> Self {
+        let mut map = NetMap(vec![None; netlist.net_count()]);
+        for &input in netlist.inputs() {
+            let name = netlist
+                .net(input)
+                .name
+                .clone()
+                .unwrap_or_else(|| format!("in{}", input.index()));
+            map.0[input.index()] = Some(out.add_input(name));
+        }
+        map
+    }
+
+    fn get(&self, old: NetId) -> Option<NetId> {
+        self.0[old.index()]
+    }
+
+    /// Maps each old output net onto the new one in pin order.
+    fn map_outputs(&mut self, old: &[NetId], new: &[NetId]) {
+        for (&old, &new) in old.iter().zip(new) {
+            self.0[old.index()] = Some(new);
+        }
+    }
+}
+
+/// Instantiates `function` at X1 over `operands` (at most its input
+/// count of them are read).
+fn add_replacement(
+    out: &mut Netlist,
+    net_map: &NetMap,
+    function: CellFunction,
+    operands: &[Resolved],
+) -> Result<Pins<MAX_OUTPUTS>, NetlistError> {
+    let cell = replacement_cell(out.library(), function);
+    let mut ins = Pins::<MAX_INPUTS>::new();
+    for &r in &operands[..function.input_count()] {
+        ins.push(map_resolved(out, net_map, r));
+    }
+    out.add_gate(cell, &ins)
+}
+
+/// Maps a resolved old signal to a net in the new netlist.
+fn map_resolved(out: &mut Netlist, net_map: &NetMap, r: Resolved) -> NetId {
+    match r {
+        Resolved::Const(v) => out.constant(v),
+        Resolved::Net(n) => net_map
+            .get(n)
+            .expect("topological order maps drivers before readers"),
+    }
+}
+
+/// Runs constant propagation over `netlist`, returning a functionally
+/// equivalent netlist in which constant-driven cones are folded and gates
+/// with partially constant inputs are replaced by smaller cells.
+///
+/// Primary input and output ports are preserved, including unused inputs.
+///
+/// # Errors
+///
+/// Propagates netlist construction errors; a validated input never fails.
+pub fn constant_propagation(netlist: &Netlist) -> Result<Netlist, NetlistError> {
+    let order = netlist.topological_order()?;
+    let mut resolution: Vec<Option<Resolved>> = vec![None; netlist.net_count()];
+    for (id, net) in netlist.nets() {
+        if let NetDriver::Constant(v) = net.driver {
+            resolution[id.index()] = Some(Resolved::Const(v));
+        }
+    }
+    let resolve = |resolution: &[Option<Resolved>], mut net: NetId| -> Resolved {
+        loop {
+            match resolution[net.index()] {
+                None => return Resolved::Net(net),
+                Some(Resolved::Const(v)) => return Resolved::Const(v),
+                Some(Resolved::Net(next)) => net = next,
+            }
+        }
+    };
+
+    let mut plans: Vec<GatePlan> = vec![GatePlan::Keep; netlist.gate_count()];
+    let mut ins = [Resolved::Const(false); MAX_INPUTS];
+    for &gate_id in &order {
+        let gate = netlist.gate(gate_id);
+        let function = netlist.library().cell(gate.cell).function;
+        for (slot, &n) in ins.iter_mut().zip(&gate.inputs) {
+            *slot = resolve(&resolution, n);
+        }
+        let plan = simplify(function, &ins[..gate.inputs.len()]);
+        if let GatePlan::Replace(pins) = &plan {
+            for (action, &out) in pins.iter().zip(&gate.outputs) {
+                match action {
+                    PinPlan::Const(v) => resolution[out.index()] = Some(Resolved::Const(*v)),
+                    PinPlan::Wire(r) => resolution[out.index()] = Some(*r),
+                    PinPlan::Gate(..) => {}
+                }
+            }
+        }
+        plans[gate_id.index()] = plan;
+    }
+
+    // Rebuild.
+    let library = netlist.library().clone();
+    let mut out = Netlist::new(netlist.name().to_owned(), library);
+    let mut net_map = NetMap::with_inputs(netlist, &mut out);
+    for &gate_id in &order {
+        let gate = netlist.gate(gate_id);
+        match plans[gate_id.index()] {
+            GatePlan::Keep => {
+                let mut ins = Pins::<MAX_INPUTS>::new();
+                for &n in &gate.inputs {
+                    let r = resolve(&resolution, n);
+                    ins.push(map_resolved(&mut out, &net_map, r));
+                }
+                let new_outs = out.add_gate(gate.cell, &ins)?;
+                net_map.map_outputs(&gate.outputs, &new_outs);
+            }
+            GatePlan::Replace(pins) => {
+                for (action, &old) in pins.iter().zip(&gate.outputs) {
+                    if let PinPlan::Gate(function, operands) = action {
+                        let new_outs = add_replacement(&mut out, &net_map, *function, operands)?;
+                        net_map.map_outputs(&[old], &new_outs);
+                    }
+                }
+            }
+            GatePlan::Rewrite(function, operands) => {
+                let new_outs = add_replacement(&mut out, &net_map, function, &operands)?;
+                net_map.map_outputs(&gate.outputs, &new_outs);
+            }
+        }
+    }
+    for (name, old_net) in netlist.outputs() {
+        let r = resolve(&resolution, *old_net);
+        let new_net = map_resolved(&mut out, &net_map, r);
+        out.mark_output(name.clone(), new_net);
+    }
+    Ok(out)
+}
+
+/// Removes every gate not transitively reachable from a primary output.
+///
+/// # Errors
+///
+/// Propagates netlist construction errors; a validated input never fails.
+pub fn sweep_dead_gates(netlist: &Netlist) -> Result<Netlist, NetlistError> {
+    let mut live = vec![false; netlist.gate_count()];
+    let mut stack: Vec<NetId> = netlist.output_nets();
+    while let Some(net) = stack.pop() {
+        if let NetDriver::Gate { gate, .. } = netlist.net(net).driver {
+            if !live[gate.index()] {
+                live[gate.index()] = true;
+                stack.extend(netlist.gate(gate).inputs.iter().copied());
+            }
+        }
+    }
+    let order = netlist.topological_order()?;
+    let library = netlist.library().clone();
+    let mut out = Netlist::new(netlist.name().to_owned(), library);
+    let mut net_map = NetMap::with_inputs(netlist, &mut out);
+    let map_live =
+        |out: &mut Netlist, net_map: &NetMap, n: NetId, what: &str| match netlist.net(n).driver {
+            NetDriver::Constant(v) => out.constant(v),
+            _ => net_map.get(n).expect(what),
+        };
+    for &gate_id in &order {
+        if !live[gate_id.index()] {
+            continue;
+        }
+        let gate = netlist.gate(gate_id);
+        let mut ins = Pins::<MAX_INPUTS>::new();
+        for &n in &gate.inputs {
+            ins.push(map_live(&mut out, &net_map, n, "live fanin already mapped"));
+        }
+        let new_outs = out.add_gate(gate.cell, &ins)?;
+        net_map.map_outputs(&gate.outputs, &new_outs);
+    }
+    for (name, old_net) in netlist.outputs() {
+        let new_net = map_live(&mut out, &net_map, *old_net, "output driver is live");
+        out.mark_output(name.clone(), new_net);
+    }
+    Ok(out)
+}
+
+/// Two-pass [`crate::optimize`]: constant propagation, then a dead-gate
+/// sweep of the intermediate netlist.
+pub fn optimize(netlist: &Netlist) -> Result<Netlist, NetlistError> {
+    sweep_dead_gates(&constant_propagation(netlist)?)
 }
 
 /// Differential suite: the incremental passes against the full-STA oracle
@@ -301,6 +509,149 @@ mod differential {
                 matches!(result, Err(NetlistError::NotRetimeable(_))),
                 "{result:?}"
             );
+        }
+    }
+}
+
+/// Differential suite: the one-pass optimizer against the two-pass oracle
+/// on random netlists and on the explorer's candidates.
+mod optimizer_differential {
+    use aix_cells::{CellFunction, DriveStrength, Library};
+    use aix_core::ComponentKind;
+    use aix_explore::seed_candidates;
+    use aix_netlist::{to_verilog, GateId, NetId, Netlist};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    /// Asserts that both optimizers build the same netlist: the same
+    /// Verilog text (gates and nets by id, in order), net count and ports.
+    fn assert_same(netlist: &Netlist, what: &str) {
+        let fast = crate::optimize(netlist).unwrap();
+        let slow = super::optimize(netlist).unwrap();
+        assert_eq!(to_verilog(&fast), to_verilog(&slow), "{what}: Verilog");
+        assert_eq!(fast.net_count(), slow.net_count(), "{what}: net count");
+        let ports = |nl: &Netlist| -> (Vec<Option<String>>, Vec<String>) {
+            let inputs = nl.inputs().iter().map(|&n| nl.net(n).name.clone());
+            let outputs = nl.outputs().iter().map(|(name, _)| name.clone());
+            (inputs.collect(), outputs.collect())
+        };
+        assert_eq!(ports(&fast), ports(&slow), "{what}: port names");
+    }
+
+    const COMBINATIONAL: [CellFunction; 15] = [
+        CellFunction::Inv,
+        CellFunction::Buf,
+        CellFunction::Nand2,
+        CellFunction::Nand3,
+        CellFunction::Nor2,
+        CellFunction::Nor3,
+        CellFunction::And2,
+        CellFunction::Or2,
+        CellFunction::Xor2,
+        CellFunction::Xnor2,
+        CellFunction::Aoi21,
+        CellFunction::Oai21,
+        CellFunction::Mux2,
+        CellFunction::HalfAdder,
+        CellFunction::FullAdder,
+    ];
+
+    /// One random gate: function, drive, operand picks into the net pool
+    /// built so far, and whether a MUX reads one net on both data inputs.
+    type GateSpec = (usize, usize, [usize; 3], bool);
+
+    /// A random netlist over a pool that starts with the inputs and both
+    /// constants (so constant operands are common) and grows by every
+    /// gate output, HA and FA carries included. Outputs pick from the
+    /// whole pool, so some are constants or inputs, some repeat a net, and
+    /// every gate no output reaches is dead logic. `rewires` then point
+    /// gate inputs at later gates' outputs where that stays acyclic, so
+    /// gate ids stop being a topological order.
+    fn random_netlist(
+        library: &Arc<Library>,
+        inputs: usize,
+        gates: &[GateSpec],
+        outputs: &[usize],
+        rewires: &[(usize, usize, usize, usize)],
+    ) -> Netlist {
+        let mut nl = Netlist::new("random", Arc::clone(library));
+        let mut pool: Vec<NetId> = (0..inputs)
+            .map(|i| nl.add_input(format!("in{i}")))
+            .collect();
+        pool.push(nl.constant(false));
+        pool.push(nl.constant(true));
+        for &(function, drive, picks, same_data) in gates {
+            let function = COMBINATIONAL[function % COMBINATIONAL.len()];
+            let drive = DriveStrength::ALL[drive % DriveStrength::ALL.len()];
+            let cell = library
+                .find(function, drive)
+                .or_else(|| library.find(function, DriveStrength::X1))
+                .unwrap();
+            let mut operands: Vec<NetId> = picks[..function.input_count()]
+                .iter()
+                .map(|pick| pool[pick % pool.len()])
+                .collect();
+            if function == CellFunction::Mux2 && same_data {
+                operands[1] = operands[0];
+            }
+            pool.extend(nl.add_gate(cell, &operands).unwrap());
+        }
+        for (index, &pick) in outputs.iter().enumerate() {
+            nl.mark_output(format!("out{index}"), pool[pick % pool.len()]);
+        }
+        for &(gate, pin, source, source_pin) in rewires {
+            let gate = GateId::from_raw((gate % nl.gate_count()) as u32);
+            let source = GateId::from_raw((source % nl.gate_count()) as u32);
+            let outs = nl.gate(source).outputs;
+            let pins = nl.gate(gate).inputs.len();
+            let old = nl.gate(gate).inputs[pin % pins];
+            nl.gate_mut(gate).inputs[pin % pins] = outs[source_pin % outs.len()];
+            if nl.topological_order().is_err() {
+                nl.gate_mut(gate).inputs[pin % pins] = old;
+            }
+        }
+        nl.validate().unwrap();
+        nl
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn one_pass_matches_two_passes_on_random_netlists(
+            inputs in 1usize..=4,
+            gates in proptest::collection::vec(
+                (0usize..64, 0usize..4, [0usize..256, 0usize..256, 0usize..256], any::<bool>()),
+                1..=40,
+            ),
+            outputs in proptest::collection::vec(0usize..256, 1..=6),
+            rewires in proptest::collection::vec((0usize..64, 0usize..3, 0usize..64, 0usize..2), 0..=4),
+        ) {
+            let library = Arc::new(Library::nangate45_like());
+            let nl = random_netlist(&library, inputs, &gates, &outputs, &rewires);
+            assert_same(&nl, "random netlist");
+        }
+    }
+
+    /// Every generation-zero seed and every neighbour of one, for each
+    /// component kind at widths 4, 8 and 16.
+    #[test]
+    fn one_pass_matches_two_passes_on_explore_candidates() {
+        let library = Arc::new(Library::nangate45_like());
+        for kind in ComponentKind::ALL {
+            for width in [4, 8, 16] {
+                let mut seen = HashSet::new();
+                for seed in seed_candidates(kind, width) {
+                    for candidate in std::iter::once(seed).chain(seed.neighbors()) {
+                        if seen.insert(candidate) {
+                            let built = candidate.build(&library).unwrap();
+                            assert_same(&built, &candidate.label());
+                        }
+                    }
+                }
+                assert!(seen.len() > 20, "{kind}-{width}: {} candidates", seen.len());
+            }
         }
     }
 }

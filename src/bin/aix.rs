@@ -921,6 +921,13 @@ fn explore(options: &HashMap<String, String>) -> CliResult {
         });
     }
     config.vectors = parse_or(options, "--vectors", config.vectors, "a vector count")?;
+    if config.vectors == 0 {
+        return Err(AixError::InvalidOption {
+            flag: "--vectors",
+            value: String::from("0"),
+            expected: "a positive vector count",
+        });
+    }
     config.jobs = engine.resolved_jobs();
     config.cache_dir = engine.cache_dir;
     config.faults = engine.faults;

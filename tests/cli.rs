@@ -138,6 +138,23 @@ fn explore_honors_a_deadline_mid_search() {
 }
 
 #[test]
+fn explore_rejects_zero_vectors_and_zero_budget() {
+    // With no stimuli every candidate would score zero error and evict the
+    // exact baseline from the front; a zero budget scores nothing at all.
+    for flag in ["--vectors", "--budget"] {
+        let output = aix()
+            .args(["explore", "--kind", "adder", "--width", "8", "--no-cache"])
+            .args([flag, "0"])
+            .output()
+            .expect("spawn aix");
+        assert!(!output.status.success(), "{flag} 0 must be rejected");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(flag), "{flag} unnamed: {stderr}");
+        assert!(output.stdout.is_empty(), "{flag} 0 must not print a front");
+    }
+}
+
+#[test]
 fn missing_required_flag_is_a_clean_error() {
     let output = aix().args(["characterize"]).output().expect("spawn aix");
     assert!(!output.status.success());

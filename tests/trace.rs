@@ -313,3 +313,68 @@ fn trace_summarize_renders_the_table_and_validates_strictly() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn explore_candidate_spans_split_into_the_four_scoring_steps() {
+    let dir = scratch("explore");
+    let trace = dir.join("explore.jsonl");
+    let output = aix()
+        .args(["explore", "--kind", "adder", "--width", "8"])
+        .args(["--budget", "12", "--vectors", "64"])
+        .args(["--jobs", "1", "--no-cache"])
+        .arg(format!("--trace={}", trace.display()))
+        .output()
+        .expect("spawn aix");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let events = events(&trace);
+
+    // One job, so spans nest as a stack: collect each candidate span's
+    // direct children in the order they open.
+    let steps = [
+        aix::obs::names::explore::SPAN_BUILD,
+        aix::obs::names::explore::SPAN_OPTIMIZE,
+        aix::obs::names::explore::SPAN_SIMULATE,
+        aix::obs::names::explore::SPAN_STA,
+    ];
+    let mut stack: Vec<(&str, Vec<String>)> = Vec::new();
+    let mut candidates = Vec::new();
+    for event in &events {
+        match event.kind {
+            EventKind::SpanOpen => {
+                if let Some((_, children)) = stack.last_mut() {
+                    children.push(event.name.clone());
+                }
+                stack.push((event.name.as_str(), Vec::new()));
+            }
+            EventKind::SpanClose => {
+                let (name, children) = stack.pop().expect("close pairs with an open span");
+                assert_eq!(name, event.name, "spans close in stack order");
+                if name == aix::obs::names::explore::SPAN_CANDIDATE {
+                    candidates.push(children);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(candidates.len(), 12, "one span per scored candidate");
+    for children in &candidates {
+        assert_eq!(children, &steps, "candidate children in scoring order");
+    }
+
+    let output = aix()
+        .args(["trace", "summarize", "--strict", "--no-record", "--file"])
+        .arg(&trace)
+        .output()
+        .expect("spawn aix");
+    assert!(output.status.success());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    for step in steps {
+        assert!(stdout.contains(step), "summary lacks `{step}`:\n{stdout}");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
