@@ -9,7 +9,7 @@ use aix_netlist::Netlist;
 use aix_obs::names::explore as names;
 use aix_sim::{
     golden_lane_words, golden_word, pack_batch, OperandSource, PackedEvaluator, UniformOperands,
-    LANES,
+    BLOCK_VECTORS, LANES,
 };
 use aix_sta::{analyze, NetDelays};
 use std::sync::Arc;
@@ -24,9 +24,10 @@ pub struct ScoreContext {
     pub scenario: AgingScenario,
     /// Clock period: the exact component's aged critical-path delay, ps.
     pub clock_ps: f64,
-    /// The seeded stimuli [`LANES`] vectors at a time, one lane word per
-    /// input, so every candidate reuses one transpose.
-    packed: Vec<Vec<u64>>,
+    /// The seeded stimuli [`BLOCK_VECTORS`] at a time, packed input-major
+    /// (each input's lane words in vector order), so every candidate
+    /// reuses one transpose and walks its netlist once per block.
+    blocks: Vec<Vec<u64>>,
     /// Exact arithmetic reference value per stimulus vector.
     exact: Vec<u64>,
 }
@@ -46,12 +47,12 @@ impl ScoreContext {
         clock_ps: f64,
     ) -> Self {
         assert_eq!(stimuli.len(), exact.len(), "one exact value per stimulus");
-        let packed = stimuli.chunks(LANES).map(pack_batch).collect();
+        let blocks = stimuli.chunks(BLOCK_VECTORS).map(pack_batch).collect();
         ScoreContext {
             library,
             scenario,
             clock_ps,
-            packed,
+            blocks,
             exact,
         }
     }
@@ -134,8 +135,9 @@ impl ErrorTally {
 /// aged critical-path delay and post-optimization gate count.
 ///
 /// Deterministic for a fixed context: errors accumulate in stimulus order.
-/// The packed evaluator's output words for each pre-packed batch are
-/// transposed once into one golden word per lane.
+/// The packed evaluator walks the netlist once per pre-packed block; the
+/// block's output words are then transposed batch by batch into one
+/// golden word per lane and tallied in vector order.
 ///
 /// Traced runs see the four steps as child spans of the candidate's span:
 /// build, optimize, simulate (with the error tally) and aged STA.
@@ -159,10 +161,17 @@ pub fn score_candidate(context: &ScoreContext, candidate: &Candidate) -> Result<
         let _span = aix_obs::span!(names::SPAN_SIMULATE);
         let mut tally = ErrorTally::default();
         let mut packed = PackedEvaluator::new(&optimized)?;
-        for (words, exact) in context.packed.iter().zip(context.exact.chunks(LANES)) {
+        for (words, exact) in context
+            .blocks
+            .iter()
+            .zip(context.exact.chunks(BLOCK_VECTORS))
+        {
             packed.eval_packed(words, exact.len())?;
-            for (&got, &want) in golden_lane_words(packed.output_words()).iter().zip(exact) {
-                tally.add(got, want);
+            for (batch, exact) in exact.chunks(LANES).enumerate() {
+                let lanes = golden_lane_words(packed.batch_output_words(batch));
+                for (&got, &want) in lanes.iter().zip(exact) {
+                    tally.add(got, want);
+                }
             }
         }
         tally
@@ -223,13 +232,19 @@ mod tests {
         assert!(score.gate_count < exact.gate_count);
     }
 
-    /// The lane-read scoring path against a tally recomputed from the
-    /// scalar oracle's per-vector outputs.
+    /// The block-walk scoring path against a tally recomputed from the
+    /// scalar oracle's per-vector outputs, at vector counts that end in a
+    /// partial batch, fill batches exactly, and span two blocks.
     #[test]
     fn lane_read_scores_match_the_scalar_oracle_tally() {
-        for kind in ComponentKind::ALL {
-            let ctx = context(kind, 6);
-            let (stimuli, exact) = ScoreContext::stimuli_for(kind, 6, 256, 42);
+        for (kind, vectors) in ComponentKind::ALL
+            .into_iter()
+            .flat_map(|kind| [1, 63, 64, 65, 1000, 1089].map(|vectors| (kind, vectors)))
+        {
+            let library = Arc::new(Library::nangate45_like());
+            let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
+            let (stimuli, exact) = ScoreContext::stimuli_for(kind, 6, vectors, 42);
+            let ctx = ScoreContext::new(library, scenario, (stimuli.clone(), exact.clone()), 0.0);
             for candidate in [
                 Candidate::exact(kind, 6),
                 Candidate::truncated(kind, 6, 3).unwrap(),
@@ -245,13 +260,13 @@ mod tests {
                 assert_eq!(
                     score.mean_abs_error.to_bits(),
                     (tally.sum_abs / vectors).to_bits(),
-                    "{candidate}"
+                    "{candidate} on {vectors} vectors"
                 );
                 assert_eq!(score.max_abs_error, tally.max_abs, "{candidate}");
                 assert_eq!(
-                    score.error_rate,
-                    tally.erroneous as f64 / vectors,
-                    "{candidate}"
+                    score.error_rate.to_bits(),
+                    (tally.erroneous as f64 / vectors).to_bits(),
+                    "{candidate} on {vectors} vectors"
                 );
             }
         }

@@ -9,8 +9,8 @@
 
 /// Simulation-engine events: spans over packed (lane-parallel) runs and
 /// counters sized in lane words. The value-mode `sim_packed` span predates
-/// this module and stays a literal in `aix-sim`; the timed engine's
-/// vocabulary lives here.
+/// this module and stays a literal in `aix-sim`; its `packed_words`
+/// counter and the timed engine's vocabulary live here.
 pub mod sim {
     /// Span over one packed *timed* (event-driven) measurement — the
     /// lane-parallel twin of a scalar `TimedSimulator` sweep. For
@@ -28,6 +28,11 @@ pub mod sim {
     /// ops × batches as `by`. One op is one gate evaluated for up to 64
     /// lanes at one (net, instant) pair that can reach a sampled output.
     pub const TIMED_PROGRAM_OPS: &str = "timed_program_ops";
+    /// Counter: 64-lane batches the value-mode `PackedEvaluator` walked,
+    /// emitted once per walk with the walk's batch count as `by` and its
+    /// op count as `gates`. One batch is every gate evaluated on one lane
+    /// word, so the total is one per batch however walks group them.
+    pub const PACKED_WORDS: &str = "packed_words";
 }
 
 /// Synthesis-pass events (`aix-synth` sizing and area recovery): one span

@@ -47,12 +47,13 @@ pub fn golden_lane_words(words: &[u64]) -> [u64; LANES] {
     let mut width = LANES / 2;
     let mut mask = u64::MAX >> (LANES / 2);
     while width != 0 {
-        let mut row = 0;
-        while row < LANES {
-            let swap = ((matrix[row] >> width) ^ matrix[row + width]) & mask;
-            matrix[row] ^= swap << width;
-            matrix[row + width] ^= swap;
-            row = (row + width + 1) & !width;
+        for block in matrix.chunks_exact_mut(2 * width) {
+            let (top, bottom) = block.split_at_mut(width);
+            for (upper, lower) in top.iter_mut().zip(bottom) {
+                let swap = ((*upper >> width) ^ *lower) & mask;
+                *upper ^= swap << width;
+                *lower ^= swap;
+            }
         }
         width >>= 1;
         mask ^= mask << width;

@@ -3,7 +3,8 @@
 //! aging analysis is built on.
 //!
 //! Every simulation mode has one production engine, and it is packed:
-//! [`PackedEvaluator`] evaluates 64 stimulus vectors per `u64` word, and
+//! [`PackedEvaluator`] evaluates 64 stimulus vectors per `u64` word (up
+//! to [`BLOCK_BATCHES`] words per net in one walk), and
 //! [`PackedTimedSimulator`] propagates per-net waveforms on an integer
 //! femtosecond tick grid ([`TICKS_PER_PS`]) for 64 vectors per walk — the
 //! Rust counterpart of gate-level simulation with an aged `.sdf`. Outputs
@@ -59,7 +60,7 @@ pub use activity::{
 pub use errors::{measure_errors, ErrorStats};
 pub use faults::{full_fault_list, simulate_faults, FaultCoverage, StuckAtFault};
 pub use golden::{golden_lane_word, golden_lane_words, golden_word, reference_outputs};
-pub use packed::{lane_mask, pack_batch, PackedEvaluator, LANES};
+pub use packed::{lane_mask, pack_batch, PackedEvaluator, BLOCK_BATCHES, BLOCK_VECTORS, LANES};
 pub use stimuli::{NormalOperands, OperandSource, SignedNormalOperands, UniformOperands, VectorStream};
 pub use timed::{ps_to_ticks, ticks_to_ps, StepOutcome, TimedSimulator, TICKS_PER_PS};
 pub use timed_packed::{PackedStepOutcome, PackedTimedSimulator};

@@ -343,6 +343,37 @@ fn parse_or<T: FromStr>(
     }
 }
 
+/// [`parse_or`] for a count that must be positive: zero is an
+/// [`AixError::InvalidOption`] naming the flag too.
+fn parse_positive(
+    options: &HashMap<String, String>,
+    flag: &'static str,
+    default: usize,
+    expected: &'static str,
+) -> Result<usize, AixError> {
+    match parse_or(options, flag, default, expected)? {
+        0 => Err(AixError::InvalidOption {
+            flag,
+            value: String::from("0"),
+            expected,
+        }),
+        count => Ok(count),
+    }
+}
+
+/// `--width` as an operand width in `1..=max` bits; anything else is an
+/// [`AixError::InvalidOption`] stating `expected`.
+fn parse_width(value: &str, max: usize, expected: &'static str) -> Result<usize, AixError> {
+    match value.parse() {
+        Ok(width) if (1..=max).contains(&width) => Ok(width),
+        _ => Err(AixError::InvalidOption {
+            flag: "--width",
+            value: value.to_owned(),
+            expected,
+        }),
+    }
+}
+
 fn parse_kind(options: &HashMap<String, String>) -> Result<ComponentKind, AixError> {
     let value = require(options, "--kind")?;
     value.parse().map_err(|_| AixError::InvalidOption {
@@ -828,12 +859,11 @@ fn characterize(options: &HashMap<String, String>) -> CliResult {
         return characterize_netlist(path, options);
     }
     let kind = parse_kind(options)?;
-    let value = require(options, "--width")?;
-    let width: usize = value.parse().map_err(|_| AixError::InvalidOption {
-        flag: "--width",
-        value: value.to_owned(),
-        expected: "a positive operand width in bits",
-    })?;
+    let width = parse_width(
+        require(options, "--width")?,
+        64,
+        "an operand width in 1..=64 bits",
+    )?;
     let cells = Arc::new(Library::nangate45_like());
     let mut config = CharacterizationConfig::paper_default(kind, width);
     config.effort = parse_effort(options)?;
@@ -897,37 +927,27 @@ fn explore(options: &HashMap<String, String>) -> CliResult {
         return explore_netlist(path, options);
     }
     let kind = parse_kind(options)?;
-    let value = require(options, "--width")?;
-    let width: usize = match value.parse() {
-        Ok(width) if (1..=32).contains(&width) => width,
-        _ => {
-            return Err(AixError::InvalidOption {
-                flag: "--width",
-                value: value.to_owned(),
-                expected: "an operand width in 1..=32 bits",
-            })
-        }
-    };
+    let width = parse_width(
+        require(options, "--width")?,
+        32,
+        "an operand width in 1..=32 bits",
+    )?;
     let engine = parse_engine_options(options)?;
     let mut config = ExploreConfig::new(kind, width);
     config.scenario = parse_scenario(options)?;
     config.seed = parse_or(options, "--seed", config.seed, "an unsigned integer")?;
-    config.budget = parse_or(options, "--budget", config.budget, "a candidate budget")?;
-    if config.budget == 0 {
-        return Err(AixError::InvalidOption {
-            flag: "--budget",
-            value: String::from("0"),
-            expected: "a positive candidate budget",
-        });
-    }
-    config.vectors = parse_or(options, "--vectors", config.vectors, "a vector count")?;
-    if config.vectors == 0 {
-        return Err(AixError::InvalidOption {
-            flag: "--vectors",
-            value: String::from("0"),
-            expected: "a positive vector count",
-        });
-    }
+    config.budget = parse_positive(
+        options,
+        "--budget",
+        config.budget,
+        "a positive candidate budget",
+    )?;
+    config.vectors = parse_positive(
+        options,
+        "--vectors",
+        config.vectors,
+        "a positive vector count",
+    )?;
     config.jobs = engine.resolved_jobs();
     config.cache_dir = engine.cache_dir;
     config.faults = engine.faults;
@@ -1313,8 +1333,13 @@ fn serve_work_call(options: &HashMap<String, String>) -> CliResult {
 
 fn error_rate(options: &HashMap<String, String>) -> CliResult {
     let kind = parse_kind(options)?;
-    let width: usize = parse_or(options, "--width", 32, "a positive operand width in bits")?;
-    let vectors: usize = parse_or(options, "--vectors", 4000, "a positive vector count")?;
+    // Signed operand sampling needs a sign bit inside the 64-bit word.
+    let width = parse_width(
+        get(options, "--width").unwrap_or("32"),
+        63,
+        "an operand width in 1..=63 bits",
+    )?;
+    let vectors = parse_positive(options, "--vectors", 4000, "a positive vector count")?;
     let scenario = parse_scenario(options)?;
     let cells = Arc::new(Library::nangate45_like());
     let model = AgingModel::calibrated();

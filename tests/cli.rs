@@ -155,6 +155,36 @@ fn explore_rejects_zero_vectors_and_zero_budget() {
 }
 
 #[test]
+fn out_of_range_widths_and_zero_vectors_name_the_flag() {
+    // Each once panicked (exit 101) or ran a campaign of failing jobs.
+    let cases = [
+        ("characterize --kind adder --width 0", "--width"),
+        ("characterize --kind adder --width 65", "--width"),
+        ("error-rate --kind adder --width 0", "--width"),
+        ("error-rate --kind adder --width 65", "--width"),
+        ("error-rate --kind adder --width 8 --vectors 0", "--vectors"),
+    ];
+    for (command, flag) in cases {
+        let output = aix()
+            .args(command.split_whitespace())
+            .args(["--no-cache", "--no-journal"])
+            .output()
+            .expect("spawn aix");
+        let code = output.status.code();
+        assert!(
+            code.is_some_and(|code| code != 0 && code != 101),
+            "`{command}` must fail cleanly, got {code:?}"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(flag),
+            "`{command}` must name {flag}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "`{command}` must print no result");
+    }
+}
+
+#[test]
 fn missing_required_flag_is_a_clean_error() {
     let output = aix().args(["characterize"]).output().expect("spawn aix");
     assert!(!output.status.success());

@@ -378,3 +378,41 @@ fn explore_candidate_spans_split_into_the_four_scoring_steps() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn packed_words_count_one_per_batch_walked() {
+    // 200 vectors are four 64-lane batches (the last partial) in one block
+    // walk per candidate, so 12 candidates walk 48 batches.
+    let dir = scratch("packed");
+    let trace = dir.join("explore.jsonl");
+    let output = aix()
+        .args(["explore", "--kind", "adder", "--width", "8"])
+        .args(["--budget", "12", "--vectors", "200"])
+        .args(["--jobs", "1", "--no-cache"])
+        .arg(format!("--trace={}", trace.display()))
+        .output()
+        .expect("spawn aix");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let summary = aix()
+        .args(["trace", "summarize", "--strict", "--no-record", "--file"])
+        .arg(&trace)
+        .output()
+        .expect("spawn aix");
+    assert!(summary.status.success());
+    let stdout = String::from_utf8_lossy(&summary.stdout);
+    let total = stdout
+        .lines()
+        .find_map(|line| {
+            let mut fields = line.split_whitespace();
+            (fields.next() == Some(aix::obs::names::sim::PACKED_WORDS))
+                .then(|| fields.next().expect("counter total"))
+        })
+        .unwrap_or_else(|| panic!("summary lacks packed_words:\n{stdout}"));
+    assert_eq!(total, "48", "{stdout}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
