@@ -1,9 +1,9 @@
 //! Adder generators: ripple-carry, carry-lookahead, carry-select and
 //! Kogge-Stone architectures.
 
-use crate::{CellSet, ComponentSpec};
+use crate::{Canonical, CellSet, Component, ComponentSpec};
 use aix_cells::Library;
-use aix_netlist::{NetId, Netlist, NetlistError};
+use aix_netlist::{GateSink, NetId, Netlist, NetlistError};
 use std::sync::Arc;
 
 /// Adder architecture.
@@ -63,7 +63,7 @@ const BLOCK: usize = 4;
 ///
 /// Panics if `a` and `b` differ in length or are empty.
 pub fn add_into(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     kind: AdderKind,
     a: &[NetId],
     b: &[NetId],
@@ -85,7 +85,7 @@ pub fn add_into(
 }
 
 fn ripple_carry(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     a: &[NetId],
     b: &[NetId],
@@ -103,7 +103,7 @@ fn ripple_carry(
 
 /// Per-bit propagate/generate signals.
 fn propagate_generate(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     a: &[NetId],
     b: &[NetId],
@@ -119,7 +119,7 @@ fn propagate_generate(
 
 /// `g | (p & c)` — the carry-merge operator.
 fn carry_merge(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     g: NetId,
     p: NetId,
@@ -130,7 +130,7 @@ fn carry_merge(
 }
 
 fn carry_lookahead(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     a: &[NetId],
     b: &[NetId],
@@ -162,7 +162,7 @@ fn carry_lookahead(
 }
 
 fn carry_select(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     a: &[NetId],
     b: &[NetId],
@@ -191,7 +191,7 @@ fn carry_select(
 }
 
 fn kogge_stone(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     a: &[NetId],
     b: &[NetId],
@@ -227,7 +227,11 @@ fn kogge_stone(
 
 /// Replaces the low truncated bits of a bus with constant zero, implementing
 /// the paper's LSB-truncation approximation at the operand boundary.
-pub(crate) fn truncate_bus(nl: &mut Netlist, bus: &[NetId], spec: ComponentSpec) -> Vec<NetId> {
+pub(crate) fn truncate_bus(
+    nl: &mut impl GateSink,
+    bus: &[NetId],
+    spec: ComponentSpec,
+) -> Vec<NetId> {
     let zero = nl.constant(false);
     bus.iter()
         .enumerate()
@@ -246,19 +250,7 @@ pub fn build_adder(
     kind: AdderKind,
     spec: ComponentSpec,
 ) -> Result<Netlist, NetlistError> {
-    let mut nl = Netlist::new(
-        format!("adder_{}_{}", kind.label(), spec),
-        Arc::clone(library),
-    );
-    let a = nl.add_input_bus("a", spec.width());
-    let b = nl.add_input_bus("b", spec.width());
-    let at = truncate_bus(&mut nl, &a, spec);
-    let bt = truncate_bus(&mut nl, &b, spec);
-    let (sum, cout) = add_into(&mut nl, kind, &at, &bt, None)?;
-    nl.mark_output_bus("sum", &sum);
-    nl.mark_output("cout", cout);
-    nl.validate()?;
-    Ok(nl)
+    Canonical::Adder(kind, spec).build(library)
 }
 
 #[cfg(test)]

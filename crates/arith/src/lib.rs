@@ -3,12 +3,19 @@
 //!
 //! Every generator exists in two forms:
 //!
-//! * a *composable* form (`add_into`, `multiply_into`, `mac_into`) that
-//!   instantiates logic into an existing [`aix_netlist::Netlist`] and wires
-//!   it to caller-provided operand buses, and
+//! * a *composable* form (`add_into`, `multiply_into`, `mac_into` and the
+//!   `variant_*_into` functions) that instantiates logic into any
+//!   [`aix_netlist::GateSink`] and wires it to caller-provided operand
+//!   buses. A [`aix_netlist::Netlist`] is one sink; the synthesis
+//!   optimizer's planner (`aix_synth::Planner`) is another, which
+//!   simplifies each gate as it arrives and never stores the unoptimized
+//!   graph;
 //! * a *component* form ([`build_adder`], [`build_multiplier`],
-//!   [`build_mac`]) that produces a complete netlist with named ports —
-//!   the unit the paper's characterization flow synthesizes and ages.
+//!   [`build_mac`], and the variants' [`Component::build`]) that produces a
+//!   complete, validated netlist with named ports — the unit the paper's
+//!   characterization flow synthesizes and ages. Each is a [`Component`],
+//!   whose [`Component::build_into`] writes the same ports and gates into
+//!   any sink.
 //!
 //! # Precision reduction
 //!
@@ -37,12 +44,14 @@
 
 mod adder;
 mod cellset;
+mod component;
 mod mac;
 mod multiplier;
 mod spec;
 mod variant;
 
 pub use adder::{add_into, build_adder, AdderKind};
+pub use component::{Canonical, Component};
 pub use mac::{build_mac, mac_into};
 pub use multiplier::{build_multiplier, multiply_into, MultiplierKind};
 pub use spec::{ComponentSpec, InvalidSpecError};

@@ -1,10 +1,11 @@
 //! Multiply-accumulate (MAC) generator: `out = a × b + acc` over a
 //! fixed-width accumulator.
 
-use crate::adder::truncate_bus;
-use crate::{add_into, multiply_into, AdderKind, ComponentSpec, MultiplierKind};
+use crate::{
+    add_into, multiply_into, AdderKind, Canonical, Component, ComponentSpec, MultiplierKind,
+};
 use aix_cells::Library;
-use aix_netlist::{NetId, Netlist, NetlistError};
+use aix_netlist::{GateSink, NetId, Netlist, NetlistError};
 use std::sync::Arc;
 
 /// Instantiates a MAC over existing buses: `a × b + acc`, wrapping at the
@@ -18,7 +19,7 @@ use std::sync::Arc;
 ///
 /// Panics if `acc` is not exactly `a.len() + b.len()` bits wide.
 pub fn mac_into(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     mult: MultiplierKind,
     adder: AdderKind,
     a: &[NetId],
@@ -48,23 +49,7 @@ pub fn mac_into(
 ///
 /// Propagates [`NetlistError`] from construction.
 pub fn build_mac(library: &Arc<Library>, spec: ComponentSpec) -> Result<Netlist, NetlistError> {
-    let mut nl = Netlist::new(format!("mac_{spec}"), Arc::clone(library));
-    let a = nl.add_input_bus("a", spec.width());
-    let b = nl.add_input_bus("b", spec.width());
-    let acc = nl.add_input_bus("acc", 2 * spec.width());
-    let at = truncate_bus(&mut nl, &a, spec);
-    let bt = truncate_bus(&mut nl, &b, spec);
-    let out = mac_into(
-        &mut nl,
-        MultiplierKind::Array,
-        AdderKind::CarrySelect,
-        &at,
-        &bt,
-        &acc,
-    )?;
-    nl.mark_output_bus("out", &out);
-    nl.validate()?;
-    Ok(nl)
+    Canonical::Mac(spec).build(library)
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
 //! Multiplier generators: carry-save array and Wallace-tree architectures.
 
-use crate::adder::truncate_bus;
-use crate::{add_into, AdderKind, CellSet, ComponentSpec};
+use crate::{add_into, AdderKind, Canonical, CellSet, Component, ComponentSpec};
 use aix_cells::Library;
-use aix_netlist::{NetId, Netlist, NetlistError};
+use aix_netlist::{GateSink, NetId, Netlist, NetlistError};
 use std::sync::Arc;
 
 /// Multiplier architecture.
@@ -42,7 +41,7 @@ impl MultiplierKind {
 
 /// Generates the unsigned partial-product matrix: `pp[i][j] = a[i] & b[j]`.
 pub(crate) fn partial_products(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     a: &[NetId],
     b: &[NetId],
@@ -67,7 +66,7 @@ pub(crate) fn partial_products(
 ///
 /// Panics if either operand bus is empty.
 pub fn multiply_into(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     kind: MultiplierKind,
     a: &[NetId],
     b: &[NetId],
@@ -88,7 +87,7 @@ pub fn multiply_into(
 /// Classic carry-save array: each row adds one partial product, carries are
 /// saved diagonally, and a final ripple row merges the remaining carries.
 fn array_multiplier(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     a: &[NetId],
     b: &[NetId],
@@ -135,7 +134,7 @@ fn array_multiplier(
 /// Wallace-style column compression down to two rows, then one fast
 /// carry-select addition.
 fn wallace_multiplier(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     cells: &CellSet,
     a: &[NetId],
     b: &[NetId],
@@ -151,16 +150,32 @@ fn wallace_multiplier(
             columns[i + j].push(bit);
         }
     }
-    // Compress until every column holds at most two bits.
+    compress(nl, cells, &mut columns)?;
+    // Two remaining rows -> fast adder.
+    let (row_a, row_b) = two_rows(&columns, nl.constant(false));
+    let (sum, _overflow) = add_into(nl, merge, &row_a, &row_b, None)?;
+    Ok(sum)
+}
+
+/// Wallace-style column compression: each round puts a full adder on every
+/// three bits of a column and a half adder on a remaining pair (carries go
+/// one column up, off the top one), until every column holds at most two
+/// bits.
+pub(crate) fn compress(
+    nl: &mut impl GateSink,
+    cells: &CellSet,
+    columns: &mut Vec<Vec<NetId>>,
+) -> Result<(), NetlistError> {
+    let width = columns.len();
+    // The next round's columns; swapped with `columns` after each round so
+    // both keep their allocations.
+    let mut next: Vec<Vec<NetId>> = vec![Vec::new(); width];
     while columns.iter().any(|c| c.len() > 2) {
-        let mut next: Vec<Vec<NetId>> = vec![Vec::new(); width];
+        next.iter_mut().for_each(Vec::clear);
         for (w, column) in columns.iter().enumerate() {
             let mut idx = 0;
             while column.len() - idx >= 3 {
-                let out = nl.add_gate(
-                    cells.fa,
-                    &[column[idx], column[idx + 1], column[idx + 2]],
-                )?;
+                let out = nl.add_gate(cells.fa, &[column[idx], column[idx + 1], column[idx + 2]])?;
                 next[w].push(out[0]);
                 if w + 1 < width {
                     next[w + 1].push(out[1]);
@@ -177,20 +192,15 @@ fn wallace_multiplier(
                 next[w].push(column[idx]);
             }
         }
-        columns = next;
+        std::mem::swap(columns, &mut next);
     }
-    // Two remaining rows -> fast adder.
-    let zero = nl.constant(false);
-    let row_a: Vec<NetId> = columns
-        .iter()
-        .map(|c| c.first().copied().unwrap_or(zero))
-        .collect();
-    let row_b: Vec<NetId> = columns
-        .iter()
-        .map(|c| c.get(1).copied().unwrap_or(zero))
-        .collect();
-    let (sum, _overflow) = add_into(nl, merge, &row_a, &row_b, None)?;
-    Ok(sum)
+    Ok(())
+}
+
+/// The two rows left by [`compress`], with `zero` where a column ran out.
+pub(crate) fn two_rows(columns: &[Vec<NetId>], zero: NetId) -> (Vec<NetId>, Vec<NetId>) {
+    let row = |k: usize| columns.iter().map(|c| c.get(k).copied().unwrap_or(zero)).collect();
+    (row(0), row(1))
 }
 
 /// Builds a complete multiplier component: inputs `a`, `b` of
@@ -204,18 +214,7 @@ pub fn build_multiplier(
     kind: MultiplierKind,
     spec: ComponentSpec,
 ) -> Result<Netlist, NetlistError> {
-    let mut nl = Netlist::new(
-        format!("mult_{}_{}", kind.label(), spec),
-        Arc::clone(library),
-    );
-    let a = nl.add_input_bus("a", spec.width());
-    let b = nl.add_input_bus("b", spec.width());
-    let at = truncate_bus(&mut nl, &a, spec);
-    let bt = truncate_bus(&mut nl, &b, spec);
-    let product = multiply_into(&mut nl, kind, &at, &bt)?;
-    nl.mark_output_bus("p", &product);
-    nl.validate()?;
-    Ok(nl)
+    Canonical::Multiplier(kind, spec).build(library)
 }
 
 #[cfg(test)]

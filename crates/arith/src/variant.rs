@@ -34,13 +34,11 @@
 //! search moves through a space whose origin is provably the baseline, so
 //! any error measured on a candidate is attributable to its knobs alone.
 
-use crate::adder::truncate_bus;
-use crate::multiplier::partial_products;
-use crate::{add_into, AdderKind, CellSet, ComponentSpec, MultiplierKind};
-use aix_cells::Library;
-use aix_netlist::{NetId, Netlist, NetlistError};
+use crate::component::operands;
+use crate::multiplier::{compress, partial_products, two_rows};
+use crate::{add_into, AdderKind, CellSet, Component, ComponentSpec, MultiplierKind};
+use aix_netlist::{GateSink, NetId, NetlistError};
 use std::fmt;
-use std::sync::Arc;
 
 /// An approximate adder configuration.
 ///
@@ -83,24 +81,21 @@ impl AdderVariant {
     pub fn is_exact(&self) -> bool {
         self.lower_or_bits == 0 && self.approx_fa_bits == 0 && self.segment_bits == 0
     }
+}
 
-    /// Builds the complete component: inputs `a`, `b` of `spec.width()` bits,
-    /// outputs `sum[width]` plus `cout`, like [`crate::build_adder`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError`] from construction.
-    pub fn build(&self, library: &Arc<Library>) -> Result<Netlist, NetlistError> {
-        let mut nl = Netlist::new(format!("adder_{self}"), Arc::clone(library));
-        let a = nl.add_input_bus("a", self.spec.width());
-        let b = nl.add_input_bus("b", self.spec.width());
-        let at = truncate_bus(&mut nl, &a, self.spec);
-        let bt = truncate_bus(&mut nl, &b, self.spec);
-        let (sum, cout) = variant_add_into(&mut nl, self, &at, &bt)?;
-        nl.mark_output_bus("sum", &sum);
-        nl.mark_output("cout", cout);
-        nl.validate()?;
-        Ok(nl)
+/// Inputs `a`, `b` of `spec.width()` bits, outputs `sum[width]` plus
+/// `cout`, like [`crate::build_adder`].
+impl Component for AdderVariant {
+    fn name(&self) -> String {
+        format!("adder_{self}")
+    }
+
+    fn build_into(&self, sink: &mut impl GateSink) -> Result<(), NetlistError> {
+        let (a, b, _) = operands(sink, self.spec, 0);
+        let (sum, cout) = variant_add_into(sink, self, &a, &b)?;
+        sink.mark_output_bus("sum", &sum);
+        sink.mark_output("cout", cout);
+        Ok(())
     }
 }
 
@@ -132,7 +127,7 @@ impl fmt::Display for AdderVariant {
 ///
 /// Panics if `a` and `b` differ in length or are empty.
 pub fn variant_add_into(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     variant: &AdderVariant,
     a: &[NetId],
     b: &[NetId],
@@ -231,23 +226,20 @@ impl MultiplierVariant {
             MultiplierKind::WallacePrefix => AdderKind::KoggeStone,
         }
     }
+}
 
-    /// Builds the complete component: inputs `a`, `b` of `spec.width()`
-    /// bits, output `p` of `2 × width` bits, like [`crate::build_multiplier`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError`] from construction.
-    pub fn build(&self, library: &Arc<Library>) -> Result<Netlist, NetlistError> {
-        let mut nl = Netlist::new(format!("mult_{self}"), Arc::clone(library));
-        let a = nl.add_input_bus("a", self.spec.width());
-        let b = nl.add_input_bus("b", self.spec.width());
-        let at = truncate_bus(&mut nl, &a, self.spec);
-        let bt = truncate_bus(&mut nl, &b, self.spec);
-        let product = variant_multiply_into(&mut nl, self, &at, &bt)?;
-        nl.mark_output_bus("p", &product);
-        nl.validate()?;
-        Ok(nl)
+/// Inputs `a`, `b` of `spec.width()` bits, output `p` of `2 × width`
+/// bits, like [`crate::build_multiplier`].
+impl Component for MultiplierVariant {
+    fn name(&self) -> String {
+        format!("mult_{self}")
+    }
+
+    fn build_into(&self, sink: &mut impl GateSink) -> Result<(), NetlistError> {
+        let (a, b, _) = operands(sink, self.spec, 0);
+        let product = variant_multiply_into(sink, self, &a, &b)?;
+        sink.mark_output_bus("p", &product);
+        Ok(())
     }
 }
 
@@ -280,7 +272,7 @@ impl fmt::Display for MultiplierVariant {
 ///
 /// Panics if either operand bus is empty.
 pub fn variant_multiply_into(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     variant: &MultiplierVariant,
     a: &[NetId],
     b: &[NetId],
@@ -301,39 +293,8 @@ pub fn variant_multiply_into(
             }
         }
     }
-    // Compress until every column holds at most two bits (Wallace 3:2/2:2).
-    while columns.iter().any(|c| c.len() > 2) {
-        let mut next: Vec<Vec<NetId>> = vec![Vec::new(); width];
-        for (w, column) in columns.iter().enumerate() {
-            let mut idx = 0;
-            while column.len() - idx >= 3 {
-                let out = nl.add_gate(cells.fa, &[column[idx], column[idx + 1], column[idx + 2]])?;
-                next[w].push(out[0]);
-                if w + 1 < width {
-                    next[w + 1].push(out[1]);
-                }
-                idx += 3;
-            }
-            if column.len() - idx == 2 {
-                let out = nl.add_gate(cells.ha, &[column[idx], column[idx + 1]])?;
-                next[w].push(out[0]);
-                if w + 1 < width {
-                    next[w + 1].push(out[1]);
-                }
-            } else if column.len() - idx == 1 {
-                next[w].push(column[idx]);
-            }
-        }
-        columns = next;
-    }
-    let row_a: Vec<NetId> = columns
-        .iter()
-        .map(|c| c.first().copied().unwrap_or(zero))
-        .collect();
-    let row_b: Vec<NetId> = columns
-        .iter()
-        .map(|c| c.get(1).copied().unwrap_or(zero))
-        .collect();
+    compress(nl, &cells, &mut columns)?;
+    let (row_a, row_b) = two_rows(&columns, zero);
     let merge = AdderVariant {
         kind: variant.merge_kind(),
         spec: ComponentSpec::full(width.min(64)),
@@ -373,25 +334,21 @@ impl MacVariant {
     pub fn is_exact(&self) -> bool {
         self.mult.is_exact() && self.adder.is_exact()
     }
+}
 
-    /// Builds the complete component: inputs `a`, `b` of width bits and
-    /// `acc` of `2 × width` bits, output `out` like [`crate::build_mac`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError`] from construction.
-    pub fn build(&self, library: &Arc<Library>) -> Result<Netlist, NetlistError> {
+/// Inputs `a`, `b` of width bits and `acc` of `2 × width` bits, output
+/// `out`, like [`crate::build_mac`].
+impl Component for MacVariant {
+    fn name(&self) -> String {
+        format!("mac_{self}")
+    }
+
+    fn build_into(&self, sink: &mut impl GateSink) -> Result<(), NetlistError> {
         let spec = self.mult.spec;
-        let mut nl = Netlist::new(format!("mac_{self}"), Arc::clone(library));
-        let a = nl.add_input_bus("a", spec.width());
-        let b = nl.add_input_bus("b", spec.width());
-        let acc = nl.add_input_bus("acc", 2 * spec.width());
-        let at = truncate_bus(&mut nl, &a, spec);
-        let bt = truncate_bus(&mut nl, &b, spec);
-        let out = variant_mac_into(&mut nl, self, &at, &bt, &acc)?;
-        nl.mark_output_bus("out", &out);
-        nl.validate()?;
-        Ok(nl)
+        let (a, b, acc) = operands(sink, spec, 2 * spec.width());
+        let out = variant_mac_into(sink, self, &a, &b, &acc)?;
+        sink.mark_output_bus("out", &out);
+        Ok(())
     }
 }
 
@@ -412,7 +369,7 @@ impl fmt::Display for MacVariant {
 ///
 /// Panics if `acc` is not exactly `a.len() + b.len()` bits wide.
 pub fn variant_mac_into(
-    nl: &mut Netlist,
+    nl: &mut impl GateSink,
     variant: &MacVariant,
     a: &[NetId],
     b: &[NetId],
@@ -431,7 +388,9 @@ pub fn variant_mac_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aix_netlist::{bus_from_u64, bus_to_u64};
+    use aix_cells::Library;
+    use aix_netlist::{bus_from_u64, bus_to_u64, Netlist};
+    use std::sync::Arc;
 
     fn lib() -> Arc<Library> {
         Arc::new(Library::nangate45_like())

@@ -75,10 +75,9 @@ fn compare(
 
     // Same stimuli and clock as the search, rebuilt from public parts so
     // the baseline scores line up exactly with the front's.
-    let exact = Candidate::exact(kind, width)
-        .build(cells)
+    let optimized = Candidate::exact(kind, width)
+        .build_optimized(cells)
         .expect("exact study component");
-    let optimized = aix_synth::optimize(&exact).expect("optimize exact component");
     let delays = NetDelays::aged(&optimized, &AgingModel::calibrated(), scenario);
     let clock_ps = analyze(&optimized, &delays)
         .expect("acyclic generator netlist")

@@ -24,8 +24,9 @@
 use crate::error::AixError;
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
-use aix_netlist::{import_netlist, ImportFormat, NetDriver, NetId, Netlist};
+use aix_netlist::{import_netlist, GateSink, ImportFormat, NetDriver, NetId, Netlist};
 use aix_sta::{analyze, NetDelays};
+use aix_synth::Planner;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -125,6 +126,16 @@ pub fn input_buses(netlist: &Netlist) -> Vec<InputBus> {
 ///
 /// Propagates netlist-construction errors; a validated import never fails.
 pub fn truncate_imported(netlist: &Netlist, cut: u32) -> Result<Netlist, AixError> {
+    // The tied netlist goes straight into the optimizer's planner, which
+    // folds the tied cones as the gates arrive.
+    let mut planner = Planner::new(netlist.name(), Arc::clone(netlist.library()));
+    tie_into(netlist, cut, &mut planner)?;
+    planner.finish().map_err(AixError::Netlist)
+}
+
+/// Writes `netlist` into `sink` with the lowest `cut` bits of every
+/// multi-bit input bus tied to constant 0, gates in topological order.
+fn tie_into<S: GateSink>(netlist: &Netlist, cut: u32, sink: &mut S) -> Result<(), AixError> {
     let mut tied: Vec<bool> = vec![false; netlist.net_count()];
     for bus in input_buses(netlist) {
         if bus.width() < 2 {
@@ -136,7 +147,6 @@ pub fn truncate_imported(netlist: &Netlist, cut: u32) -> Result<Netlist, AixErro
         }
     }
 
-    let mut out = Netlist::new(netlist.name().to_owned(), Arc::clone(netlist.library()));
     let mut net_map: Vec<Option<NetId>> = vec![None; netlist.net_count()];
     for &input in netlist.inputs() {
         let name = netlist
@@ -144,18 +154,18 @@ pub fn truncate_imported(netlist: &Netlist, cut: u32) -> Result<Netlist, AixErro
             .name
             .clone()
             .unwrap_or_else(|| format!("in{}", input.index()));
-        let new = out.add_input(name);
+        let new = sink.add_input(name);
         net_map[input.index()] = Some(if tied[input.index()] {
-            out.constant(false)
+            sink.constant(false)
         } else {
             new
         });
     }
-    let resolve = |out: &mut Netlist, map: &[Option<NetId>], net: NetId| match netlist
+    let resolve = |sink: &mut S, map: &[Option<NetId>], net: NetId| match netlist
         .net(net)
         .driver
     {
-        NetDriver::Constant(value) => out.constant(value),
+        NetDriver::Constant(value) => sink.constant(value),
         _ => map[net.index()].expect("topological order maps fanin first"),
     };
     for gate_id in netlist.topological_order().map_err(AixError::Netlist)? {
@@ -163,9 +173,9 @@ pub fn truncate_imported(netlist: &Netlist, cut: u32) -> Result<Netlist, AixErro
         let inputs: Vec<NetId> = gate
             .inputs
             .iter()
-            .map(|&net| resolve(&mut out, &net_map, net))
+            .map(|&net| resolve(sink, &net_map, net))
             .collect();
-        let outputs = out
+        let outputs = sink
             .add_gate(gate.cell, &inputs)
             .map_err(AixError::Netlist)?;
         for (&old, &new) in gate.outputs.iter().zip(&outputs) {
@@ -173,10 +183,10 @@ pub fn truncate_imported(netlist: &Netlist, cut: u32) -> Result<Netlist, AixErro
         }
     }
     for (name, net) in netlist.outputs() {
-        let mapped = resolve(&mut out, &net_map, *net);
-        out.mark_output(name.clone(), mapped);
+        let mapped = resolve(sink, &net_map, *net);
+        sink.mark_output(name.clone(), mapped);
     }
-    aix_synth::optimize(&out).map_err(AixError::Netlist)
+    Ok(())
 }
 
 /// Deterministic LCG stimuli covering every primary input.
@@ -551,6 +561,21 @@ mod tests {
             cut.gate_count(),
             exact.gate_count()
         );
+    }
+
+    /// The planner-fed variant is the one `optimize` builds from the tied
+    /// netlist, byte for byte.
+    #[test]
+    fn truncation_matches_optimizing_the_tied_netlist() {
+        let (_, netlist) = imported_adder(8);
+        for cut in 0..=8 {
+            let mut tied = Netlist::new(netlist.name(), Arc::clone(netlist.library()));
+            tie_into(&netlist, cut, &mut tied).unwrap();
+            let expected = aix_synth::optimize(&tied).unwrap();
+            let variant = truncate_imported(&netlist, cut).unwrap();
+            assert_eq!(to_verilog(&variant), to_verilog(&expected), "cut {cut}");
+            assert_eq!(variant.net_count(), expected.net_count(), "cut {cut}");
+        }
     }
 
     #[test]

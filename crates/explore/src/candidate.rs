@@ -2,11 +2,15 @@
 //! generators, with deterministic labels, fingerprints and neighbourhood
 //! enumeration for the evolutionary loop.
 
-use aix_arith::{AdderKind, AdderVariant, ComponentSpec, MacVariant, MultiplierKind, MultiplierVariant};
+use aix_arith::{
+    AdderKind, AdderVariant, Component, ComponentSpec, MacVariant, MultiplierKind,
+    MultiplierVariant,
+};
 use aix_cells::Library;
 use aix_core::ComponentKind;
-use aix_netlist::{Netlist, NetlistError};
+use aix_netlist::{GateSink, Netlist, NetlistError};
 use aix_obs::fnv1a;
+use aix_synth::Planner;
 use std::fmt;
 use std::sync::Arc;
 
@@ -105,11 +109,19 @@ impl Candidate {
     ///
     /// Propagates [`NetlistError`] from construction.
     pub fn build(&self, library: &Arc<Library>) -> Result<Netlist, NetlistError> {
-        match self {
-            Candidate::Adder(v) => v.build(library),
-            Candidate::Multiplier(v) => v.build(library),
-            Candidate::Mac(v) => v.build(library),
-        }
+        Component::build(self, library)
+    }
+
+    /// The candidate's optimized netlist, as the search scores it: the
+    /// generator writes straight into the optimizer's [`Planner`], so the
+    /// unoptimized netlist is never built. Byte for byte
+    /// `aix_synth::optimize(&self.build(library)?)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`NetlistError`] from construction.
+    pub fn build_optimized(&self, library: &Arc<Library>) -> Result<Netlist, NetlistError> {
+        Planner::plan(self, library)?.finish()
     }
 
     /// Deterministic neighbourhood for the evolutionary loop: small steps on
@@ -132,6 +144,25 @@ impl Candidate {
                 }
                 out
             }
+        }
+    }
+}
+
+/// The variant's ports and gates; the netlist is named after the variant.
+impl Component for Candidate {
+    fn name(&self) -> String {
+        match self {
+            Candidate::Adder(v) => v.name(),
+            Candidate::Multiplier(v) => v.name(),
+            Candidate::Mac(v) => v.name(),
+        }
+    }
+
+    fn build_into(&self, sink: &mut impl GateSink) -> Result<(), NetlistError> {
+        match self {
+            Candidate::Adder(v) => v.build_into(sink),
+            Candidate::Multiplier(v) => v.build_into(sink),
+            Candidate::Mac(v) => v.build_into(sink),
         }
     }
 }

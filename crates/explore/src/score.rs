@@ -1,17 +1,17 @@
-//! Candidate evaluation: build → optimize → functional error → aged STA.
+//! Candidate evaluation: plan → optimize → functional error → aged STA.
 
 use crate::candidate::Candidate;
 use crate::pareto::Score;
 use aix_aging::{AgingModel, AgingScenario};
 use aix_cells::Library;
 use aix_core::{AixError, ComponentKind};
-use aix_netlist::Netlist;
 use aix_obs::names::explore as names;
 use aix_sim::{
     golden_lane_words, golden_word, pack_batch, OperandSource, PackedEvaluator, UniformOperands,
     BLOCK_VECTORS, LANES,
 };
 use aix_sta::{analyze, NetDelays};
+use aix_synth::Planner;
 use std::sync::Arc;
 
 /// Everything a candidate evaluation needs besides the candidate itself.
@@ -96,19 +96,6 @@ fn exact_value(kind: ComponentKind, width: usize, vector: &[bool]) -> u64 {
     }
 }
 
-/// Builds and optimizes a candidate netlist, as scoring does.
-///
-/// # Errors
-///
-/// Propagates construction and optimization failures.
-pub(crate) fn build_optimized(
-    candidate: &Candidate,
-    library: &Arc<Library>,
-) -> Result<Netlist, AixError> {
-    let netlist = candidate.build(library)?;
-    Ok(aix_synth::optimize(&netlist)?)
-}
-
 /// Running error statistics, fed one output word per stimulus in stimulus
 /// order so the float sums round the same way on every run.
 #[derive(Default)]
@@ -140,22 +127,24 @@ impl ErrorTally {
 /// golden word per lane and tallied in vector order.
 ///
 /// Traced runs see the four steps as child spans of the candidate's span:
-/// build, optimize, simulate (with the error tally) and aged STA.
+/// build (the generator writing into the optimizer's [`Planner`]),
+/// optimize ([`Planner::finish`]), simulate (with the error tally) and
+/// aged STA.
 ///
 /// # Errors
 ///
 /// Propagates build, simulation and STA failures.
 pub fn score_candidate(context: &ScoreContext, candidate: &Candidate) -> Result<Score, AixError> {
     let _span = aix_obs::span!(names::SPAN_CANDIDATE, candidate = candidate.label());
-    let built = {
+    // `Candidate::build_optimized`, split at the planner for the spans.
+    let planner = {
         let _span = aix_obs::span!(names::SPAN_BUILD);
-        candidate.build(&context.library)?
+        Planner::plan(candidate, &context.library)?
     };
     let optimized = {
         let _span = aix_obs::span!(names::SPAN_OPTIMIZE);
-        aix_synth::optimize(&built)?
+        planner.finish()?
     };
-    drop(built);
 
     let tally = {
         let _span = aix_obs::span!(names::SPAN_SIMULATE);
@@ -202,7 +191,7 @@ mod tests {
     fn context(kind: ComponentKind, width: usize) -> ScoreContext {
         let library = Arc::new(Library::nangate45_like());
         let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
-        let baseline = build_optimized(&Candidate::exact(kind, width), &library).unwrap();
+        let baseline = Candidate::exact(kind, width).build_optimized(&library).unwrap();
         let delays = NetDelays::aged(&baseline, &AgingModel::calibrated(), scenario);
         let clock_ps = analyze(&baseline, &delays).unwrap().max_delay_ps();
         let stimuli = ScoreContext::stimuli_for(kind, width, 256, 42);
@@ -249,7 +238,7 @@ mod tests {
                 Candidate::exact(kind, 6),
                 Candidate::truncated(kind, 6, 3).unwrap(),
             ] {
-                let netlist = build_optimized(&candidate, &ctx.library).unwrap();
+                let netlist = candidate.build_optimized(&ctx.library).unwrap();
                 let outputs = aix_sim::oracle::reference_outputs(&netlist, &stimuli).unwrap();
                 let mut tally = ErrorTally::default();
                 for (bits, &want) in outputs.iter().zip(&exact) {

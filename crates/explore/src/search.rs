@@ -12,7 +12,7 @@
 
 use crate::candidate::Candidate;
 use crate::pareto::{FrontPoint, ParetoFront, Score};
-use crate::score::{build_optimized, score_candidate, ScoreContext};
+use crate::score::{score_candidate, ScoreContext};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::fsutil::write_atomic;
@@ -305,7 +305,7 @@ pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<Explore
     // The clock is the exact component's own aged delay; derived outside
     // the fault-injected candidate path so a partial search still has a
     // well-defined slack axis.
-    let baseline = build_optimized(&Candidate::exact(config.kind, config.width), library)?;
+    let baseline = Candidate::exact(config.kind, config.width).build_optimized(library)?;
     let delays = NetDelays::aged(&baseline, &AgingModel::calibrated(), config.scenario);
     let clock_ps = analyze(&baseline, &delays)?.max_delay_ps();
 

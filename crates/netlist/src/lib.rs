@@ -41,6 +41,7 @@ pub mod import;
 mod names;
 mod netlist;
 mod pins;
+mod sink;
 mod stats;
 mod verilog;
 
@@ -56,5 +57,6 @@ pub use import::{
 };
 pub use netlist::{Gate, GateId, Net, NetDriver, NetId, Netlist, PortDirection};
 pub use pins::Pins;
+pub use sink::GateSink;
 pub use stats::NetlistStats;
 pub use verilog::to_verilog;

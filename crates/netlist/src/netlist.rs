@@ -1,6 +1,6 @@
 //! The netlist data structure and its construction API.
 
-use crate::{NetlistError, NetlistStats, Pins, Schedule};
+use crate::{GateSink, NetlistError, NetlistStats, Pins, Schedule};
 use aix_cells::{CellId, Library, MAX_INPUTS, MAX_OUTPUTS};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -140,6 +140,20 @@ impl Netlist {
         }
     }
 
+    /// An empty netlist with room for `nets` nets and `gates` gates, for
+    /// builders that know their final size.
+    pub fn with_capacity(
+        name: impl Into<String>,
+        library: Arc<Library>,
+        nets: usize,
+        gates: usize,
+    ) -> Self {
+        let mut netlist = Self::new(name, library);
+        netlist.nets.reserve_exact(nets);
+        netlist.gates.reserve_exact(gates);
+        netlist
+    }
+
     /// The netlist's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -175,9 +189,7 @@ impl Netlist {
     /// Adds a `width`-bit input bus named `name`, LSB first
     /// (`name[0]`, `name[1]`, …).
     pub fn add_input_bus(&mut self, name: &str, width: usize) -> Vec<NetId> {
-        (0..width)
-            .map(|i| self.add_input(format!("{name}[{i}]")))
-            .collect()
+        GateSink::add_input_bus(self, name, width)
     }
 
     /// The net carrying constant `value`, created on first use.
@@ -286,9 +298,7 @@ impl Netlist {
 
     /// Declares a whole bus of outputs, LSB first.
     pub fn mark_output_bus(&mut self, name: &str, nets: &[NetId]) {
-        for (i, &net) in nets.iter().enumerate() {
-            self.mark_output(format!("{name}[{i}]"), net);
-        }
+        GateSink::mark_output_bus(self, name, nets)
     }
 
     /// Primary input nets in declaration order.
@@ -441,6 +451,14 @@ impl Netlist {
             self.topological_order()?;
         }
         Ok(())
+    }
+
+    /// Whether gate-id order is a topological order: every gate reads only
+    /// primary inputs, constants and outputs of lower-numbered gates.
+    /// Netlists built with [`add_gate`](Self::add_gate) always qualify;
+    /// imported and rewired ones may not.
+    pub fn ids_are_topological(&self) -> bool {
+        crate::graph::ids_are_topological(self)
     }
 
     /// Gates in topological (fanin-before-fanout) order.

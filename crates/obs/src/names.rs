@@ -91,9 +91,11 @@ pub mod explore {
     /// Span over one candidate evaluation. Its children, in order, are
     /// the four spans below.
     pub const SPAN_CANDIDATE: &str = "explore_candidate";
-    /// Span over building a candidate's netlist from its variant.
+    /// Span over generating a candidate's gates from its variant into the
+    /// optimizer's planner (`aix_synth::Planner::plan`).
     pub const SPAN_BUILD: &str = "explore_build";
-    /// Span over optimizing a candidate's netlist (`aix_synth::optimize`).
+    /// Span over building a candidate's optimized netlist from the planner
+    /// (`aix_synth::Planner::finish`).
     pub const SPAN_OPTIMIZE: &str = "explore_optimize";
     /// Span over packed simulation of a candidate on the search's stimuli,
     /// including the error tally.

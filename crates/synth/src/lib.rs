@@ -45,6 +45,6 @@ mod sizing;
 mod synthesizer;
 
 pub use aging_aware::{aging_aware_synthesize, AgingAwareOutcome};
-pub use opt::optimize;
+pub use opt::{optimize, Planner};
 pub use sizing::{recover_area, size_for_performance, RecoveryOutcome, SizingOutcome};
 pub use synthesizer::{compile, Effort, ParseEffortError, Synthesizer};

@@ -4,12 +4,16 @@
 //! Together these implement "re-synthesis" of a truncated component: tying
 //! operand LSBs to constant zero lets constant propagation fold and
 //! simplify the affected cone, and the sweep removes everything no longer
-//! reachable from an output. [`optimize`] plans both over flat arrays and
-//! builds the result once; the two-pass reference it must reproduce byte
-//! for byte lives in the crate's test oracle.
+//! reachable from an output. The [`Planner`] simplifies each gate as it is
+//! added, over flat arrays, and builds the result once; generators write
+//! into it directly, and [`optimize`] feeds it an existing netlist. The
+//! two-pass reference both must reproduce byte for byte lives in the
+//! crate's test oracle.
 
+use aix_arith::Component;
 use aix_cells::{CellFunction, CellId, DriveStrength, Library, MAX_INPUTS, MAX_OUTPUTS};
-use aix_netlist::{NetDriver, NetId, Netlist, NetlistError, Pins};
+use aix_netlist::{GateId, GateSink, NetDriver, NetId, Netlist, NetlistError, Pins};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// A resolved signal source: a known constant or a net of type `N`.
@@ -250,10 +254,13 @@ fn driver(signal: &Signal) -> Option<usize> {
     }
 }
 
-/// A gate of the planned netlist: its cell and input signals in pin order.
+/// A gate of the planned netlist: its cell, its output count and its
+/// input signals in pin order.
+#[derive(Debug)]
 struct Planned {
     cell: CellId,
     arity: u8,
+    outputs: u8,
     signals: [Signal; MAX_INPUTS],
 }
 
@@ -263,17 +270,388 @@ impl Planned {
     }
 }
 
-/// Records a planned gate of `cell` over `signals` and returns its id.
-fn plan(planned: &mut Vec<Planned>, cell: CellId, signals: &[Signal]) -> u32 {
-    let id = u32::try_from(planned.len()).expect("netlist exceeds u32 gates");
-    let mut gate = Planned {
-        cell,
-        arity: signals.len() as u8,
-        signals: [Resolved::Const(false); MAX_INPUTS],
-    };
-    gate.signals[..signals.len()].copy_from_slice(signals);
-    planned.push(gate);
-    id
+/// The driver of a net no generated gate drives: a primary input or a
+/// constant.
+const NO_GATE: u32 = u32::MAX;
+
+/// The optimizer as a [`GateSink`]: each gate is simplified and planned as
+/// it is added, so a generator writing into a planner never builds the
+/// unoptimized netlist. [`finish`](Self::finish) then builds the optimized
+/// one.
+///
+/// The result is byte for byte what constant propagation followed by a
+/// dead-gate sweep builds from the netlist the same gates make, and so
+/// what [`optimize`] returns for it. Constant propagation plans gates over
+/// that netlist's Kahn order, which numbers the planned gates differently
+/// from the order they arrive in, and the numbering decides the order the
+/// result's gates are emitted in. So besides the planned gates the planner
+/// records, per generated gate, which planned gates it produced and which
+/// generated gates drive its inputs, and `finish` replays that Kahn order.
+///
+/// # Examples
+///
+/// ```
+/// use aix_arith::{Canonical, Component, ComponentSpec, MultiplierKind};
+/// use aix_cells::Library;
+/// use aix_netlist::to_verilog;
+/// use aix_synth::{optimize, Planner};
+/// use std::sync::Arc;
+///
+/// let library = Arc::new(Library::nangate45_like());
+/// let mult = Canonical::Multiplier(MultiplierKind::Wallace, ComponentSpec::new(8, 5)?);
+/// let direct = Planner::plan(&mult, &library)?.finish()?;
+/// let rebuilt = optimize(&mult.build(&library)?)?;
+/// assert_eq!(to_verilog(&direct), to_verilog(&rebuilt));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct Planner {
+    name: String,
+    library: Arc<Library>,
+    /// The X1 cell of each replacement function, by `CellFunction` index,
+    /// resolved on first use.
+    replacements: [Option<CellId>; CellFunction::ALL.len()],
+    /// Per net handed out: the signal it carries in the planned netlist,
+    /// and the generated gate driving it ([`NO_GATE`] for inputs and
+    /// constants).
+    nets: Vec<(Signal, u32)>,
+    const_nets: [Option<NetId>; 2],
+    inputs: Vec<String>,
+    outputs: Vec<(String, NetId)>,
+    planned: Vec<Planned>,
+    /// Per generated gate: where its runs in `fanin` and `planned` end.
+    ends: Vec<Ends>,
+    /// The generated gate driving each gate-driven input pin, gate by gate
+    /// in pin order.
+    fanin: Vec<u32>,
+}
+
+/// The planner's growing arrays, empty. A finished planner leaves them to
+/// the next planner on its thread, so a search scoring thousands of
+/// candidates does not regrow them for each one.
+#[derive(Debug, Default)]
+struct Arrays {
+    nets: Vec<(Signal, u32)>,
+    planned: Vec<Planned>,
+    ends: Vec<Ends>,
+    fanin: Vec<u32>,
+}
+
+thread_local! {
+    static SPARE: RefCell<Arrays> = RefCell::default();
+}
+
+/// Where a generated gate's runs in the planner's flat arrays end. Each
+/// run starts where the previous gate's ends, so a gate's planned gates
+/// are numbered consecutively, after the previous gate's.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    fanin: u32,
+    planned: u32,
+}
+
+impl Planner {
+    /// An empty planner for a netlist named `name` over `library`.
+    pub fn new(name: impl Into<String>, library: Arc<Library>) -> Self {
+        let Arrays {
+            nets,
+            planned,
+            ends,
+            fanin,
+        } = SPARE.with(RefCell::take);
+        Self {
+            name: name.into(),
+            library,
+            replacements: [None; CellFunction::ALL.len()],
+            nets,
+            const_nets: [None, None],
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            planned,
+            ends,
+            fanin,
+        }
+    }
+
+    /// A planner holding every gate of `component`, as its generator
+    /// writes them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`NetlistError`] from the generator.
+    pub fn plan(component: &impl Component, library: &Arc<Library>) -> Result<Self, NetlistError> {
+        let mut planner = Self::new(component.name(), Arc::clone(library));
+        component.build_into(&mut planner)?;
+        Ok(planner)
+    }
+
+    fn push_net(&mut self, signal: Signal, driver: u32) -> NetId {
+        let id = NetId::from_raw(u32::try_from(self.nets.len()).expect("netlist exceeds u32 nets"));
+        self.nets.push((signal, driver));
+        id
+    }
+
+    /// Records a planned gate of `cell`, a cell of `function`, over
+    /// `signals` and returns its id.
+    fn plan_gate(&mut self, cell: CellId, function: CellFunction, signals: &[Signal]) -> u32 {
+        let id = u32::try_from(self.planned.len()).expect("netlist exceeds u32 gates");
+        let mut gate = Planned {
+            cell,
+            arity: signals.len() as u8,
+            outputs: function.output_count() as u8,
+            signals: [Resolved::Const(false); MAX_INPUTS],
+        };
+        gate.signals[..signals.len()].copy_from_slice(signals);
+        self.planned.push(gate);
+        id
+    }
+
+    /// The X1 cell implementing a replacement `function`.
+    fn replacement(&mut self, function: CellFunction) -> CellId {
+        *self.replacements[function as usize]
+            .get_or_insert_with(|| replacement_cell(&self.library, function))
+    }
+
+    /// Builds the optimized netlist: liveness is marked backward from the
+    /// outputs, the live planned gates are ordered by Kahn's algorithm, and
+    /// the netlist is emitted once in that order.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::UnknownNet`] if an output names a net that does not
+    /// exist.
+    pub fn finish(self) -> Result<Netlist, NetlistError> {
+        let outputs = self
+            .outputs
+            .iter()
+            .map(|&(_, net)| {
+                self.nets
+                    .get(net.index())
+                    .map(|&(signal, _)| signal)
+                    .ok_or(NetlistError::UnknownNet(net))
+            })
+            .collect::<Result<Vec<Signal>, _>>()?;
+        let sequence = self.kahn_numbering();
+        let order = live_order(&self.planned, &sequence, &outputs);
+        self.emit(&outputs, &order)
+    }
+
+    /// The planned gates in the numbering that planning over the generated
+    /// graph's Kahn order gives them: Kahn's algorithm as
+    /// `Netlist::topological_order` runs it (a CSR successor table filled
+    /// in gate then pin order, the result as the FIFO queue), each
+    /// generated gate replaced by its run of planned gates.
+    fn kahn_numbering(&self) -> Vec<u32> {
+        let gates = self.ends.len();
+        let run = |ends: &[u32], g: usize| {
+            (if g == 0 { 0 } else { ends[g - 1] as usize })..ends[g] as usize
+        };
+        let fanin = |g: usize| {
+            let begin = if g == 0 {
+                0
+            } else {
+                self.ends[g - 1].fanin as usize
+            };
+            &self.fanin[begin..self.ends[g].fanin as usize]
+        };
+        let mut in_degree: Vec<u32> = (0..gates).map(|g| fanin(g).len() as u32).collect();
+        let mut end = vec![0u32; gates];
+        for &d in &self.fanin {
+            end[d as usize] += 1;
+        }
+        let mut total = 0u32;
+        for slot in &mut end {
+            let count = *slot;
+            *slot = total;
+            total += count;
+        }
+        let mut successors = vec![0u32; total as usize];
+        for g in 0..gates {
+            for &d in fanin(g) {
+                successors[end[d as usize] as usize] = g as u32;
+                end[d as usize] += 1;
+            }
+        }
+        let mut order: Vec<u32> = Vec::with_capacity(gates);
+        order.extend((0..gates as u32).filter(|&g| in_degree[g as usize] == 0));
+        let mut head = 0;
+        while head < order.len() {
+            let g = order[head] as usize;
+            head += 1;
+            for &succ in &successors[run(&end, g)] {
+                in_degree[succ as usize] -= 1;
+                if in_degree[succ as usize] == 0 {
+                    order.push(succ);
+                }
+            }
+        }
+        let mut sequence = Vec::with_capacity(self.planned.len());
+        for &g in &order {
+            let g = g as usize;
+            let begin = if g == 0 { 0 } else { self.ends[g - 1].planned };
+            sequence.extend(begin..self.ends[g].planned);
+        }
+        sequence
+    }
+
+    /// Builds the optimized netlist: the planner's ports, and the planned
+    /// gates of `order` in that order.
+    fn emit(self, outputs: &[Signal], order: &[u32]) -> Result<Netlist, NetlistError> {
+        let Planner {
+            name,
+            library,
+            mut nets,
+            inputs,
+            outputs: ports,
+            mut planned,
+            mut ends,
+            mut fanin,
+            ..
+        } = self;
+        let mut net_count = inputs.len();
+        let mut constants = [false; 2];
+        let mut note = |signal: &Signal| {
+            if let Resolved::Const(v) = signal {
+                constants[usize::from(*v)] = true;
+            }
+        };
+        for &gate in order {
+            let planned = &planned[gate as usize];
+            net_count += usize::from(planned.outputs);
+            planned.signals().iter().for_each(&mut note);
+        }
+        outputs.iter().for_each(&mut note);
+        net_count += constants.iter().filter(|&&used| used).count();
+        let mut out = Netlist::with_capacity(name, library, net_count, order.len());
+        let input_nets: Vec<NetId> = inputs.into_iter().map(|name| out.add_input(name)).collect();
+        let mut pins_of: Vec<Pins<MAX_OUTPUTS>> = vec![Pins::new(); planned.len()];
+        let net_of = |out: &mut Netlist, pins_of: &[Pins<MAX_OUTPUTS>], signal: Signal| match signal
+        {
+            Resolved::Const(v) => out.constant(v),
+            Resolved::Net(Source::Input(k)) => input_nets[k as usize],
+            Resolved::Net(Source::Pin(gate, pin)) => pins_of[gate as usize][usize::from(pin)],
+        };
+        for &gate in order {
+            let planned = &planned[gate as usize];
+            let mut ins = Pins::<MAX_INPUTS>::new();
+            for &signal in planned.signals() {
+                ins.push(net_of(&mut out, &pins_of, signal));
+            }
+            pins_of[gate as usize] = out.add_gate(planned.cell, &ins)?;
+        }
+        for ((name, _), &signal) in ports.into_iter().zip(outputs) {
+            let net = net_of(&mut out, &pins_of, signal);
+            out.mark_output(name, net);
+        }
+        nets.clear();
+        planned.clear();
+        ends.clear();
+        fanin.clear();
+        SPARE.with(|spare| {
+            spare.replace(Arrays {
+                nets,
+                planned,
+                ends,
+                fanin,
+            })
+        });
+        Ok(out)
+    }
+}
+
+impl GateSink for Planner {
+    fn library(&self) -> &Arc<Library> {
+        &self.library
+    }
+
+    fn add_input(&mut self, name: impl Into<String>) -> NetId {
+        let index = u32::try_from(self.inputs.len()).expect("too many inputs");
+        self.inputs.push(name.into());
+        self.push_net(Resolved::Net(Source::Input(index)), NO_GATE)
+    }
+
+    fn constant(&mut self, value: bool) -> NetId {
+        let slot = usize::from(value);
+        if let Some(id) = self.const_nets[slot] {
+            return id;
+        }
+        let id = self.push_net(Resolved::Const(value), NO_GATE);
+        self.const_nets[slot] = Some(id);
+        id
+    }
+
+    /// Simplifies the gate over its resolved inputs and plans what is left
+    /// of it; the returned nets carry the simplified signals.
+    fn add_gate(
+        &mut self,
+        cell: CellId,
+        inputs: &[NetId],
+    ) -> Result<Pins<MAX_OUTPUTS>, NetlistError> {
+        let library_cell = self.library.cell(cell);
+        let function = library_cell.function;
+        if inputs.len() != function.input_count() {
+            return Err(NetlistError::ArityMismatch {
+                cell: library_cell.name.clone(),
+                expected: function.input_count(),
+                provided: inputs.len(),
+            });
+        }
+        let mut ins = [Resolved::Const(false); MAX_INPUTS];
+        let fanin = self.fanin.len();
+        for (slot, &net) in ins.iter_mut().zip(inputs) {
+            let Some(&(signal, driver)) = self.nets.get(net.index()) else {
+                self.fanin.truncate(fanin);
+                return Err(NetlistError::UnknownNet(net));
+            };
+            *slot = signal;
+            if driver != NO_GATE {
+                self.fanin.push(driver);
+            }
+        }
+        let ins = &ins[..inputs.len()];
+        let gate = u32::try_from(self.ends.len()).expect("netlist exceeds u32 gates");
+        let pin_of = |id: u32, pin: usize| Resolved::Net(Source::Pin(id, pin as u8));
+        let mut outputs = Pins::new();
+        match simplify(function, ins) {
+            GatePlan::Keep => {
+                let id = self.plan_gate(cell, function, ins);
+                for pin in 0..function.output_count() {
+                    outputs.push(self.push_net(pin_of(id, pin), gate));
+                }
+            }
+            GatePlan::Replace(pins) => {
+                for action in &pins[..function.output_count()] {
+                    let signal = match *action {
+                        PinPlan::Const(v) => Resolved::Const(v),
+                        PinPlan::Wire(r) => r,
+                        PinPlan::Gate(function, operands) => {
+                            let cell = self.replacement(function);
+                            let operands = &operands[..function.input_count()];
+                            pin_of(self.plan_gate(cell, function, operands), 0)
+                        }
+                    };
+                    outputs.push(self.push_net(signal, gate));
+                }
+            }
+            GatePlan::Rewrite(replacement, operands) => {
+                let cell = self.replacement(replacement);
+                let operands = &operands[..replacement.input_count()];
+                let id = self.plan_gate(cell, replacement, operands);
+                for pin in 0..function.output_count() {
+                    outputs.push(self.push_net(pin_of(id, pin), gate));
+                }
+            }
+        }
+        self.ends.push(Ends {
+            fanin: self.fanin.len() as u32,
+            planned: self.planned.len() as u32,
+        });
+        Ok(outputs)
+    }
+
+    fn mark_output(&mut self, name: impl Into<String>, net: NetId) {
+        self.outputs.push((name.into(), net));
+    }
 }
 
 /// Constant propagation and dead-gate sweeping in one pass: returns a
@@ -286,93 +664,62 @@ fn plan(planned: &mut Vec<Planned>, cell: CellId, signals: &[Signal]) -> u32 {
 ///
 /// The result is byte for byte the netlist that constant propagation
 /// followed by a dead-gate sweep builds as two full rebuilds, without the
-/// intermediate netlist:
-///
-/// 1. Constants are planned over the input's topological order, and the
-///    surviving gates are recorded in a flat array, numbered in the order
-///    the first rebuild would have created them.
-/// 2. Liveness is marked backward from the resolved outputs.
-/// 3. The live planned gates are ordered by Kahn's algorithm (successors
-///    in gate, then pin order). Dead gates never feed live ones, so this
-///    is the sweep's topological order restricted to live gates.
-/// 4. The netlist is emitted once in that order, creating each constant
-///    net on first use as the sweep does.
+/// intermediate netlist: the netlist's gates are fed to a [`Planner`] in
+/// gate-id order (in Kahn order when ids are not a topological order, so
+/// that the planner's Kahn order over them is the netlist's own), and the
+/// planner builds the result.
 ///
 /// # Errors
 ///
 /// Propagates netlist construction errors; a validated input never fails.
 pub fn optimize(netlist: &Netlist) -> Result<Netlist, NetlistError> {
-    let (planned, outputs) = propagate_constants(netlist)?;
-    let order = live_order(&planned, &outputs);
-    emit(netlist, &planned, &outputs, &order)
-}
-
-/// Plans every gate of `netlist` over its topological order. Returns the
-/// planned gates and the signal each primary output carries.
-fn propagate_constants(netlist: &Netlist) -> Result<(Vec<Planned>, Vec<Signal>), NetlistError> {
-    let order = netlist.topological_order()?;
-    let library = netlist.library();
-    // The signal each net of the input carries, set before any reader.
-    let mut value: Vec<Option<Signal>> = vec![None; netlist.net_count()];
+    let kahn = if netlist.ids_are_topological() {
+        None
+    } else {
+        Some(netlist.topological_order()?)
+    };
+    let mut planner = Planner::new(netlist.name(), Arc::clone(netlist.library()));
+    // The planner's net for each net of `netlist`; an id past every
+    // planner net until the net is fed.
+    let mut map = vec![NetId::from_raw(u32::MAX); netlist.net_count()];
+    for &input in netlist.inputs() {
+        let name = netlist.net(input).name.clone();
+        map[input.index()] =
+            planner.add_input(name.unwrap_or_else(|| format!("in{}", input.index())));
+    }
     for (id, net) in netlist.nets() {
         if let NetDriver::Constant(v) = net.driver {
-            value[id.index()] = Some(Resolved::Const(v));
+            map[id.index()] = planner.constant(v);
         }
     }
-    for (k, &input) in netlist.inputs().iter().enumerate() {
-        value[input.index()] = Some(Resolved::Net(Source::Input(k as u32)));
-    }
-    let pin_of = |gate: u32, pin: usize| Some(Resolved::Net(Source::Pin(gate, pin as u8)));
-    let mut planned: Vec<Planned> = Vec::with_capacity(netlist.gate_count());
-    let mut ins = [Resolved::Const(false); MAX_INPUTS];
-    for &gate_id in &order {
+    let mut feed = |gate_id: GateId| -> Result<(), NetlistError> {
         let gate = netlist.gate(gate_id);
-        let ins = &mut ins[..gate.inputs.len()];
-        for (slot, &n) in ins.iter_mut().zip(&gate.inputs) {
-            *slot = value[n.index()].expect("topological order resolves drivers before readers");
+        let mut ins = Pins::<MAX_INPUTS>::new();
+        for &net in &gate.inputs {
+            ins.push(map[net.index()]);
         }
-        match simplify(library.cell(gate.cell).function, ins) {
-            GatePlan::Keep => {
-                let id = plan(&mut planned, gate.cell, ins);
-                for (pin, &out) in gate.outputs.iter().enumerate() {
-                    value[out.index()] = pin_of(id, pin);
-                }
-            }
-            GatePlan::Replace(pins) => {
-                for (action, &out) in pins.iter().zip(&gate.outputs) {
-                    value[out.index()] = match *action {
-                        PinPlan::Const(v) => Some(Resolved::Const(v)),
-                        PinPlan::Wire(r) => Some(r),
-                        PinPlan::Gate(function, operands) => {
-                            let cell = replacement_cell(library, function);
-                            let operands = &operands[..function.input_count()];
-                            pin_of(plan(&mut planned, cell, operands), 0)
-                        }
-                    };
-                }
-            }
-            GatePlan::Rewrite(function, operands) => {
-                let cell = replacement_cell(library, function);
-                let id = plan(&mut planned, cell, &operands[..function.input_count()]);
-                for (pin, &out) in gate.outputs.iter().enumerate() {
-                    value[out.index()] = pin_of(id, pin);
-                }
-            }
+        let outs = planner.add_gate(gate.cell, &ins)?;
+        for (&old, &new) in gate.outputs.iter().zip(&outs) {
+            map[old.index()] = new;
         }
+        Ok(())
+    };
+    match kahn {
+        None => (0..netlist.gate_count() as u32).try_for_each(|g| feed(GateId::from_raw(g)))?,
+        Some(order) => order.into_iter().try_for_each(&mut feed)?,
     }
-    let outputs = netlist
-        .outputs()
-        .iter()
-        .map(|(_, net)| value[net.index()].expect("every output net is resolved"))
-        .collect();
-    Ok((planned, outputs))
+    for (name, net) in netlist.outputs() {
+        planner.mark_output(name.clone(), map[net.index()]);
+    }
+    planner.finish()
 }
 
 /// The planned gates that `outputs` reach, in the order Kahn's algorithm
-/// visits them, as `topological_order` runs it over a netlist: a CSR
-/// successor table filled in gate then pin order, and the result as the
-/// FIFO queue.
-fn live_order(planned: &[Planned], outputs: &[Signal]) -> Vec<u32> {
+/// visits them when the planned gates are numbered as in `sequence` (the
+/// `k`-th entry is the gate numbered `k`), as `topological_order` runs it
+/// over a netlist: a CSR successor table filled in gate then pin order,
+/// and the result as the FIFO queue.
+fn live_order(planned: &[Planned], sequence: &[u32], outputs: &[Signal]) -> Vec<u32> {
     // Planned gates only read earlier ones, so one backward sweep marks
     // every gate an output reaches. Every driver of a live gate is live,
     // so the same sweep counts in-degrees and successors over live gates
@@ -399,18 +746,17 @@ fn live_order(planned: &[Planned], outputs: &[Signal]) -> Vec<u32> {
         *slot = total;
         total += count;
     }
-    let live_gates = || (0..planned.len()).filter(|&g| live[g]);
+    let live_gates = || sequence.iter().copied().filter(|&g| live[g as usize]);
     let mut successors = vec![0u32; total as usize];
     for gate in live_gates() {
-        for d in planned[gate].signals().iter().filter_map(driver) {
-            successors[end[d] as usize] = gate as u32;
+        for d in planned[gate as usize].signals().iter().filter_map(driver) {
+            successors[end[d] as usize] = gate;
             end[d] += 1;
         }
     }
     let begin = |g: usize| if g == 0 { 0 } else { end[g - 1] as usize };
     let mut order: Vec<u32> = live_gates()
-        .filter(|&g| in_degree[g] == 0)
-        .map(|g| g as u32)
+        .filter(|&g| in_degree[g as usize] == 0)
         .collect();
     let mut head = 0;
     while head < order.len() {
@@ -424,44 +770,6 @@ fn live_order(planned: &[Planned], outputs: &[Signal]) -> Vec<u32> {
         }
     }
     order
-}
-
-/// Builds the optimized netlist: `netlist`'s ports, and the planned gates
-/// of `order` in that order.
-fn emit(
-    netlist: &Netlist,
-    planned: &[Planned],
-    outputs: &[Signal],
-    order: &[u32],
-) -> Result<Netlist, NetlistError> {
-    let mut out = Netlist::new(netlist.name().to_owned(), Arc::clone(netlist.library()));
-    let input_nets: Vec<NetId> = netlist
-        .inputs()
-        .iter()
-        .map(|&input| {
-            let name = netlist.net(input).name.clone();
-            out.add_input(name.unwrap_or_else(|| format!("in{}", input.index())))
-        })
-        .collect();
-    let mut pins_of: Vec<Pins<MAX_OUTPUTS>> = vec![Pins::new(); planned.len()];
-    let net_of = |out: &mut Netlist, pins_of: &[Pins<MAX_OUTPUTS>], signal: Signal| match signal {
-        Resolved::Const(v) => out.constant(v),
-        Resolved::Net(Source::Input(k)) => input_nets[k as usize],
-        Resolved::Net(Source::Pin(gate, pin)) => pins_of[gate as usize][usize::from(pin)],
-    };
-    for &gate in order {
-        let planned = &planned[gate as usize];
-        let mut ins = Pins::<MAX_INPUTS>::new();
-        for &signal in planned.signals() {
-            ins.push(net_of(&mut out, &pins_of, signal));
-        }
-        pins_of[gate as usize] = out.add_gate(planned.cell, &ins)?;
-    }
-    for ((name, _), &signal) in netlist.outputs().iter().zip(outputs) {
-        let net = net_of(&mut out, &pins_of, signal);
-        out.mark_output(name.clone(), net);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -494,6 +802,38 @@ mod tests {
                 "mismatch on {vector:?}"
             );
         }
+    }
+
+    /// Both sinks reject a wrong input count and an input net that does
+    /// not exist with the same error.
+    #[test]
+    fn planner_add_gate_errors_match_the_netlist() {
+        fn errors(sink: &mut impl GateSink) -> [NetlistError; 2] {
+            let nand = sink
+                .library()
+                .find(CellFunction::Nand2, DriveStrength::X1)
+                .unwrap();
+            let a = sink.add_input("a");
+            let arity = sink.add_gate(nand, &[a]).unwrap_err();
+            let unknown = sink.add_gate(nand, &[a, NetId::from_raw(7)]).unwrap_err();
+            [arity, unknown]
+        }
+        let lib = lib();
+        let from_netlist = errors(&mut Netlist::new("n", lib.clone()));
+        let from_planner = errors(&mut Planner::new("p", lib));
+        assert!(matches!(
+            from_netlist[0],
+            NetlistError::ArityMismatch {
+                expected: 2,
+                provided: 1,
+                ..
+            }
+        ));
+        assert_eq!(
+            from_netlist[1],
+            NetlistError::UnknownNet(NetId::from_raw(7))
+        );
+        assert_eq!(from_planner, from_netlist);
     }
 
     #[test]

@@ -514,8 +514,13 @@ mod differential {
 }
 
 /// Differential suite: the one-pass optimizer against the two-pass oracle
-/// on random netlists and on the explorer's candidates.
+/// on random netlists and on the explorer's candidates, and the planner fed
+/// straight by the generators against the oracle on the built netlists.
 mod optimizer_differential {
+    use crate::{Effort, Planner};
+    use aix_arith::{
+        build_adder, build_mac, build_multiplier, Canonical, Component, ComponentSpec,
+    };
     use aix_cells::{CellFunction, DriveStrength, Library};
     use aix_core::ComponentKind;
     use aix_explore::seed_candidates;
@@ -524,19 +529,19 @@ mod optimizer_differential {
     use std::collections::HashSet;
     use std::sync::Arc;
 
-    /// Asserts that both optimizers build the same netlist: the same
-    /// Verilog text (gates and nets by id, in order), net count and ports.
-    fn assert_same(netlist: &Netlist, what: &str) {
-        let fast = crate::optimize(netlist).unwrap();
-        let slow = super::optimize(netlist).unwrap();
-        assert_eq!(to_verilog(&fast), to_verilog(&slow), "{what}: Verilog");
+    /// Asserts that `fast`, an optimized netlist of `built`, is the one the
+    /// two-pass optimizer builds from it: the same Verilog text (gates and
+    /// nets by id, in order), net count and ports.
+    fn assert_same(fast: &Netlist, built: &Netlist, what: &str) {
+        let slow = super::optimize(built).unwrap();
+        assert_eq!(to_verilog(fast), to_verilog(&slow), "{what}: Verilog");
         assert_eq!(fast.net_count(), slow.net_count(), "{what}: net count");
         let ports = |nl: &Netlist| -> (Vec<Option<String>>, Vec<String>) {
             let inputs = nl.inputs().iter().map(|&n| nl.net(n).name.clone());
             let outputs = nl.outputs().iter().map(|(name, _)| name.clone());
             (inputs.collect(), outputs.collect())
         };
-        assert_eq!(ports(&fast), ports(&slow), "{what}: port names");
+        assert_eq!(ports(fast), ports(&slow), "{what}: port names");
     }
 
     const COMBINATIONAL: [CellFunction; 15] = [
@@ -630,7 +635,7 @@ mod optimizer_differential {
         ) {
             let library = Arc::new(Library::nangate45_like());
             let nl = random_netlist(&library, inputs, &gates, &outputs, &rewires);
-            assert_same(&nl, "random netlist");
+            assert_same(&crate::optimize(&nl).unwrap(), &nl, "random netlist");
         }
     }
 
@@ -646,11 +651,69 @@ mod optimizer_differential {
                     for candidate in std::iter::once(seed).chain(seed.neighbors()) {
                         if seen.insert(candidate) {
                             let built = candidate.build(&library).unwrap();
-                            assert_same(&built, &candidate.label());
+                            let fast = crate::optimize(&built).unwrap();
+                            assert_same(&fast, &built, &candidate.label());
                         }
                     }
                 }
                 assert!(seen.len() > 20, "{kind}-{width}: {} candidates", seen.len());
+            }
+        }
+    }
+
+    /// The candidates of [`one_pass_matches_two_passes_on_explore_candidates`],
+    /// generated straight into the planner, against the two-pass optimizer
+    /// on their built netlists.
+    #[test]
+    fn direct_path_matches_two_passes_on_explore_candidates() {
+        let library = Arc::new(Library::nangate45_like());
+        for kind in ComponentKind::ALL {
+            for width in [4, 8, 16] {
+                let mut seen = HashSet::new();
+                for seed in seed_candidates(kind, width) {
+                    for candidate in std::iter::once(seed).chain(seed.neighbors()) {
+                        if seen.insert(candidate) {
+                            let fast = candidate.build_optimized(&library).unwrap();
+                            let built = candidate.build(&library).unwrap();
+                            assert_same(&fast, &built, &candidate.label());
+                        }
+                    }
+                }
+                assert!(seen.len() > 20, "{kind}-{width}: {} candidates", seen.len());
+            }
+        }
+    }
+
+    /// The canonical components of every effort's architectures at every
+    /// precision, planned as `Synthesizer` plans them, against the
+    /// two-pass optimizer on `build_adder`, `build_multiplier` and
+    /// `build_mac`.
+    #[test]
+    fn direct_path_matches_two_passes_on_canonical_components() {
+        let library = Arc::new(Library::nangate45_like());
+        for effort in Effort::ALL {
+            for width in [8, 16] {
+                for precision in 1..=width {
+                    let spec = ComponentSpec::new(width, precision).unwrap();
+                    let components = [
+                        (
+                            Canonical::Adder(effort.adder_kind(), spec),
+                            build_adder(&library, effort.adder_kind(), spec),
+                        ),
+                        (
+                            Canonical::Multiplier(effort.multiplier_kind(), spec),
+                            build_multiplier(&library, effort.multiplier_kind(), spec),
+                        ),
+                        (Canonical::Mac(spec), build_mac(&library, spec)),
+                    ];
+                    for (component, built) in components {
+                        let fast = Planner::plan(&component, &library)
+                            .unwrap()
+                            .finish()
+                            .unwrap();
+                        assert_same(&fast, &built.unwrap(), &component.name());
+                    }
+                }
             }
         }
     }

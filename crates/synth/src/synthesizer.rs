@@ -1,8 +1,8 @@
 //! Effort-driven component synthesis: architecture selection, cleanup and
 //! timing-driven sizing, composing the rest of the crate.
 
-use crate::{optimize, recover_area, size_for_performance};
-use aix_arith::{build_adder, build_mac, build_multiplier, AdderKind, ComponentSpec, MultiplierKind};
+use crate::{optimize, recover_area, size_for_performance, Planner};
+use aix_arith::{AdderKind, Canonical, ComponentSpec, MultiplierKind};
 use aix_cells::Library;
 use aix_faults::{env_probe, FaultStage};
 use aix_netlist::{Netlist, NetlistError};
@@ -27,7 +27,7 @@ impl Effort {
     /// All effort levels.
     pub const ALL: [Effort; 3] = [Effort::Area, Effort::Medium, Effort::Ultra];
 
-    fn adder_kind(self) -> AdderKind {
+    pub(crate) fn adder_kind(self) -> AdderKind {
         match self {
             Effort::Area => AdderKind::RippleCarry,
             Effort::Medium => AdderKind::CarryLookahead,
@@ -35,7 +35,7 @@ impl Effort {
         }
     }
 
-    fn multiplier_kind(self) -> MultiplierKind {
+    pub(crate) fn multiplier_kind(self) -> MultiplierKind {
         match self {
             Effort::Area | Effort::Medium => MultiplierKind::Array,
             Effort::Ultra => MultiplierKind::Wallace,
@@ -104,7 +104,12 @@ impl std::str::FromStr for Effort {
 ///
 /// Propagates optimization, timing and validation errors.
 pub fn compile(netlist: &Netlist, effort: Effort) -> Result<Netlist, NetlistError> {
-    let mut optimized = optimize(netlist)?;
+    size(optimize(netlist)?, effort)
+}
+
+/// [`compile`] after cleanup: sizing and area recovery at efforts that
+/// size, then validation.
+fn size(mut optimized: Netlist, effort: Effort) -> Result<Netlist, NetlistError> {
     if effort.sizing_iterations() > 0 {
         let sized =
             size_for_performance(&mut optimized, NetDelays::fresh, effort.sizing_iterations())?;
@@ -155,6 +160,13 @@ impl Synthesizer {
         &self.library
     }
 
+    /// [`compile`] of `component`'s netlist, with cleanup planned as the
+    /// generator writes the gates, so the unoptimized netlist is never
+    /// built.
+    fn synthesize(&self, component: Canonical) -> Result<Netlist, NetlistError> {
+        size(Planner::plan(&component, &self.library)?.finish()?, self.effort)
+    }
+
     /// Synthesizes an adder.
     ///
     /// # Errors
@@ -171,7 +183,7 @@ impl Synthesizer {
             FaultStage::Synth,
             &format!("adder w{} p{}", spec.width(), spec.precision()),
         );
-        compile(&build_adder(&self.library, self.effort.adder_kind(), spec)?, self.effort)
+        self.synthesize(Canonical::Adder(self.effort.adder_kind(), spec))
     }
 
     /// Synthesizes an adder with an explicit architecture override (used by
@@ -185,7 +197,7 @@ impl Synthesizer {
         kind: AdderKind,
         spec: ComponentSpec,
     ) -> Result<Netlist, NetlistError> {
-        compile(&build_adder(&self.library, kind, spec)?, self.effort)
+        self.synthesize(Canonical::Adder(kind, spec))
     }
 
     /// Synthesizes a multiplier.
@@ -204,10 +216,7 @@ impl Synthesizer {
             FaultStage::Synth,
             &format!("multiplier w{} p{}", spec.width(), spec.precision()),
         );
-        compile(
-            &build_multiplier(&self.library, self.effort.multiplier_kind(), spec)?,
-            self.effort,
-        )
+        self.synthesize(Canonical::Multiplier(self.effort.multiplier_kind(), spec))
     }
 
     /// Synthesizes a multiplier with an explicit architecture override.
@@ -220,7 +229,7 @@ impl Synthesizer {
         kind: MultiplierKind,
         spec: ComponentSpec,
     ) -> Result<Netlist, NetlistError> {
-        compile(&build_multiplier(&self.library, kind, spec)?, self.effort)
+        self.synthesize(Canonical::Multiplier(kind, spec))
     }
 
     /// Synthesizes a multiply-accumulate unit.
@@ -239,7 +248,7 @@ impl Synthesizer {
             FaultStage::Synth,
             &format!("mac w{} p{}", spec.width(), spec.precision()),
         );
-        compile(&build_mac(&self.library, spec)?, self.effort)
+        self.synthesize(Canonical::Mac(spec))
     }
 }
 

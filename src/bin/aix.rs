@@ -978,8 +978,7 @@ fn explore(options: &HashMap<String, String>) -> CliResult {
         let dir = PathBuf::from(dir);
         std::fs::create_dir_all(&dir).map_err(|e| AixError::io(dir.display().to_string(), e))?;
         for point in &outcome.front {
-            let netlist = point.candidate.build(&cells)?;
-            let optimized = aix::synth::optimize(&netlist)?;
+            let optimized = point.candidate.build_optimized(&cells)?;
             let path = dir.join(format!("{}.v", point.candidate.label()));
             std::fs::write(&path, to_verilog(&optimized))
                 .map_err(|e| AixError::io(path.display().to_string(), e))?;

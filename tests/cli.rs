@@ -89,6 +89,60 @@ fn explore_prints_a_front_and_writes_the_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--export-verilog` writes each front point's netlist as the search
+/// scored it: the optimized netlist of the candidate its file is named
+/// after.
+#[test]
+fn explore_exports_the_optimized_netlist_of_each_front_point() {
+    use aix::cells::Library;
+    use aix::core::ComponentKind;
+    use aix::explore::{seed_candidates, Candidate};
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    let mut command = aix();
+    let dir = command.get_current_dir().expect("scratch directory").join("front");
+    let output = command
+        .args([
+            "explore", "--kind", "adder", "--width", "6", "--budget", "8", "--no-cache",
+            "--export-verilog",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("spawn aix");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    // Every candidate a budget of 8 can reach: the seeds and the
+    // neighbourhoods of the first generations.
+    let mut by_label: HashMap<String, Candidate> = HashMap::new();
+    let mut frontier = seed_candidates(ComponentKind::Adder, 6);
+    for _ in 0..3 {
+        let mut next = Vec::new();
+        for candidate in frontier {
+            if by_label.insert(candidate.label(), candidate).is_none() {
+                next.extend(candidate.neighbors());
+            }
+        }
+        frontier = next;
+    }
+    let library = Arc::new(Library::nangate45_like());
+    let mut exported = 0;
+    for entry in std::fs::read_dir(&dir).expect("export directory") {
+        let path = entry.expect("directory entry").path();
+        let label = path.file_stem().and_then(|s| s.to_str()).expect("UTF-8 file name");
+        let candidate = by_label.get(label).unwrap_or_else(|| panic!("unknown label {label}"));
+        let expected = aix::synth::optimize(&candidate.build(&library).expect("builds"))
+            .expect("optimizes");
+        let written = std::fs::read_to_string(&path).expect("exported Verilog");
+        assert_eq!(written, aix::netlist::to_verilog(&expected), "{label}");
+        exported += 1;
+    }
+    assert!(exported > 0, "the front exports at least the exact candidate");
+}
+
 #[test]
 fn explore_quarantines_injected_faults_and_exits_partial() {
     let output = aix()

@@ -7,8 +7,8 @@
 //! anchors — this harness is what makes that claim trustworthy.
 
 use aix::arith::{
-    build_adder, build_mac, build_multiplier, AdderKind, AdderVariant, ComponentSpec, MacVariant,
-    MultiplierKind, MultiplierVariant,
+    build_adder, build_mac, build_multiplier, AdderKind, AdderVariant, Component, ComponentSpec,
+    MacVariant, MultiplierKind, MultiplierVariant,
 };
 use aix::cells::Library;
 use aix::netlist::Netlist;

@@ -1,7 +1,9 @@
 //! Property-based tests over the core data structures and invariants.
 
 use aix::aging::{AgingModel, Lifetime, StressFactor, StressPair};
-use aix::arith::{build_adder, build_multiplier, AdderKind, ComponentSpec, MultiplierKind};
+use aix::arith::{
+    build_adder, build_multiplier, AdderKind, Component, ComponentSpec, MultiplierKind,
+};
 use aix::cells::Library;
 use aix::netlist::{bus_from_u64, bus_to_u64};
 use aix::sim::{oracle, reference_outputs, OperandSource, TimedSimulator, UniformOperands};
