@@ -8,15 +8,25 @@
 //! add their vocabulary here.
 
 /// Simulation-engine events: spans over packed (lane-parallel) runs and
-/// counters sized in lane words. The value-mode `sim_packed` span predates
-/// this module and stays a literal in `aix-sim`; its `packed_words`
-/// counter and the timed engine's vocabulary live here.
+/// over the activity extractions built on them, and counters sized in
+/// lane words.
 pub mod sim {
+    /// Span over one packed *value-mode* (zero-delay) measurement; its
+    /// `consumer` field names the caller (`activity_collect`,
+    /// `simulate_faults`).
+    pub const SPAN_PACKED: &str = "sim_packed";
+    /// Span over one `Activity::collect` call: zero-delay switching
+    /// activity of a stimulus stream.
+    pub const SPAN_ACTIVITY_COLLECT: &str = "activity_collect";
+    /// Span over one `collect_timed_activity` call: glitch-aware
+    /// activity from the packed timed engine.
+    pub const SPAN_ACTIVITY_TIMED: &str = "activity_timed";
     /// Span over one packed *timed* (event-driven) measurement — the
     /// lane-parallel twin of a scalar `TimedSimulator` sweep. For
     /// `consumer = "measure_errors"` it covers compiling the sampling
     /// program too, and its close event records the program's
-    /// `live_nets` and `live_pairs`.
+    /// `live_nets`, `live_pairs` and `rows` (the rows of lane words its
+    /// store holds once op results share rows).
     pub const SPAN_TIMED_PACKED: &str = "sim_timed_packed";
     /// Counter: waveform entries the packed timed engine built over one
     /// timed-activity call (`consumer = "activity_timed"`), emitted once

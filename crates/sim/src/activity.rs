@@ -3,6 +3,7 @@
 use crate::packed::{lane_mask, PackedEvaluator, LANES};
 use aix_aging::{StressFactor, StressPair};
 use aix_netlist::{Netlist, NetlistError};
+use aix_obs::names::sim as names;
 
 /// Signal statistics collected from functional simulation of a vector
 /// stream: per-net signal probability and toggle counts.
@@ -37,9 +38,13 @@ impl Activity {
     /// Simulates the input vectors drawn from `stimuli` and collects
     /// statistics over every net.
     ///
-    /// Runs the bit-parallel [`PackedEvaluator`], 64 vectors per netlist
-    /// walk. Every statistic is an exact integer count (popcounts on lane
-    /// words), so the result is bit-identical to the scalar
+    /// Runs the bit-parallel [`PackedEvaluator`] over blocks of up to
+    /// [`BLOCK_VECTORS`](crate::BLOCK_VECTORS) vectors and counts over
+    /// each net's row in one pass: ones are the popcounts of its words,
+    /// the last one masked to the block's valid lanes, and toggles the
+    /// popcounts of `w_k ^ ((w_k >> 1) | (w_{k+1} << 63))`, with the last
+    /// lane of each block carried into the next. Every statistic is an
+    /// exact integer count, so the result is bit-identical to the scalar
     /// [`oracle::activity`](crate::oracle::activity).
     ///
     /// # Errors
@@ -49,51 +54,47 @@ impl Activity {
     where
         I: IntoIterator<Item = Vec<bool>>,
     {
-        let _collect = aix_obs::span!("activity_collect", nets = netlist.net_count());
+        let _collect = aix_obs::span!(names::SPAN_ACTIVITY_COLLECT, nets = netlist.net_count());
         let _packed = aix_obs::span!(
-            "sim_packed",
-            consumer = "activity_collect",
+            names::SPAN_PACKED,
+            consumer = names::SPAN_ACTIVITY_COLLECT,
             nets = netlist.net_count()
         );
         let mut packed = PackedEvaluator::new(netlist)?;
         let mut ones = vec![0u64; netlist.net_count()];
         let mut toggles = vec![0u64; netlist.net_count()];
-        // Last-lane value of every net from the previous batch, for the
-        // cross-batch toggle at the word boundary.
-        let mut previous: Vec<bool> = vec![false; netlist.net_count()];
-        let mut started = false;
+        // Last-lane bit of every net from the previous block, for the
+        // toggle across the block boundary.
+        let mut carry = vec![0u64; netlist.net_count()];
         let mut vectors = 0u64;
-        let mut batch: Vec<Vec<bool>> = Vec::with_capacity(LANES);
-        let mut flush = |batch: &[Vec<bool>]| -> Result<(), NetlistError> {
-            let lanes = batch.len();
-            packed.eval_batch(batch)?;
-            let ones_mask = lane_mask(lanes);
-            // Adjacent-lane toggles live at bit positions 0..lanes-1 of
-            // `w ^ (w >> 1)`.
-            let pair_mask = lane_mask(lanes - 1);
-            for (i, &w) in packed.net_words().iter().enumerate() {
-                ones[i] += u64::from((w & ones_mask).count_ones());
-                toggles[i] += u64::from(((w ^ (w >> 1)) & pair_mask).count_ones());
-                let first = w & 1 == 1;
-                if started && previous[i] != first {
-                    toggles[i] += 1;
+        packed.eval_stream(stimuli, |packed| {
+            let lanes = packed.vectors();
+            let tail = lanes - (packed.width() - 1) * LANES;
+            let ones_mask = lane_mask(tail);
+            // Adjacent-lane toggles of the last word live at bit positions
+            // 0..tail-1 of `w ^ (w >> 1)`.
+            let pair_mask = lane_mask(tail - 1);
+            let rows = packed.net_words().chunks_exact(packed.width());
+            for (((row, ones), toggles), carry) in
+                rows.zip(&mut ones).zip(&mut toggles).zip(&mut carry)
+            {
+                let last = row[row.len() - 1];
+                let mut one_count = (last & ones_mask).count_ones();
+                let mut toggle_count = ((last ^ (last >> 1)) & pair_mask).count_ones();
+                for pair in row.windows(2) {
+                    let (word, next) = (pair[0], pair[1]);
+                    one_count += word.count_ones();
+                    toggle_count += (word ^ ((word >> 1) | (next << (LANES - 1)))).count_ones();
                 }
-                previous[i] = (w >> (lanes - 1)) & 1 == 1;
+                if vectors > 0 {
+                    toggle_count += ((*carry ^ row[0]) & 1) as u32;
+                }
+                *carry = (last >> (tail - 1)) & 1;
+                *ones += u64::from(one_count);
+                *toggles += u64::from(toggle_count);
             }
-            started = true;
-            Ok(())
-        };
-        for vector in stimuli {
-            batch.push(vector);
-            vectors += 1;
-            if batch.len() == LANES {
-                flush(&batch)?;
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            flush(&batch)?;
-        }
+            vectors += lanes as u64;
+        })?;
         Ok(Self {
             ones,
             toggles,
@@ -158,10 +159,10 @@ pub fn collect_timed_activity<I>(
 where
     I: IntoIterator<Item = Vec<bool>>,
 {
-    let _timed = aix_obs::span!("activity_timed", nets = netlist.net_count());
+    let _timed = aix_obs::span!(names::SPAN_ACTIVITY_TIMED, nets = netlist.net_count());
     let _packed = aix_obs::span!(
-        aix_obs::names::sim::SPAN_TIMED_PACKED,
-        consumer = "activity_timed",
+        names::SPAN_TIMED_PACKED,
+        consumer = names::SPAN_ACTIVITY_TIMED,
         nets = netlist.net_count()
     );
     let mut sim = crate::PackedTimedSimulator::new(netlist, delays)?;
@@ -194,9 +195,9 @@ where
         flush(&batch, &mut sim, &mut ones)?;
     }
     aix_obs::count_by!(
-        aix_obs::names::sim::TIMED_EVENT_GROUPS,
+        names::TIMED_EVENT_GROUPS,
         sim.waveform_entries(),
-        consumer = "activity_timed"
+        consumer = names::SPAN_ACTIVITY_TIMED
     );
     Ok(Activity::from_parts(
         ones,

@@ -64,12 +64,14 @@ pub(crate) fn new_stats() -> (ErrorStats, f64) {
 /// Demand-driven: the call first compiles the netlist, its quantized
 /// delays and the clock tick into a straight-line program with one op
 /// per (net, instant) pair that can reach an output sampled at the clock
-/// edge. Each batch of 64 vectors then costs one zero-delay packed walk,
-/// which yields the old and settled words of every net, plus one run of
-/// that program. No waveform is built. Every per-lane outcome equals the
-/// scalar [`oracle::measure_errors`](crate::oracle::measure_errors), and
-/// floating-point accumulation happens in stimulus order, so the two are
-/// byte-identical.
+/// edge. The stimuli are then packed as they arrive into blocks of up to
+/// [`BLOCK_VECTORS`](crate::BLOCK_VECTORS) vectors. Each block costs one
+/// zero-delay packed walk, which yields the old and settled rows of
+/// every net, plus one run of that program over rows of the same width.
+/// No waveform is built. Every per-lane outcome equals the scalar
+/// [`oracle::measure_errors`](crate::oracle::measure_errors), and errors
+/// are tallied batch by batch, lanes in stimulus order, so the
+/// floating-point sums and the two results are byte-identical.
 ///
 /// Numeric error statistics are only meaningful for netlists whose outputs
 /// form one unsigned word (ports in LSB-first order), which holds for every
@@ -99,57 +101,30 @@ where
     let mut program = TimedProgram::compile(netlist, delays, clock_ticks)?;
     span.record("live_nets", program.live_nets());
     span.record("live_pairs", program.live_pairs());
+    span.record("rows", program.rows());
     let mut golden = PackedEvaluator::new(netlist)?;
     let (mut stats, mut total_abs_error) = new_stats();
     let mut sampled_words = vec![0u64; netlist.outputs().len()];
-    let mut batch: Vec<Vec<bool>> = Vec::with_capacity(LANES);
-    let mut flush = |batch: &[Vec<bool>],
-                     stats: &mut ErrorStats,
-                     total_abs_error: &mut f64|
-     -> Result<(), NetlistError> {
-        // One zero-delay walk gives every net's settled word; the program
-        // derives the old words from it and samples the outputs.
-        golden.eval_batch(batch)?;
-        let settled = golden.net_words();
-        for (word, sampled) in sampled_words
-            .iter_mut()
-            .zip(program.run(settled, batch.len()))
-        {
-            *word = sampled;
+    golden.eval_stream(stimuli, |golden| {
+        // One zero-delay walk gives every net's settled row; the program
+        // derives the old rows from it and samples the outputs.
+        let vectors = golden.vectors();
+        program.run(golden.net_words(), vectors);
+        // Batch by batch, so lanes are tallied in stimulus order.
+        for batch in 0..golden.width() {
+            for (word, sampled) in sampled_words.iter_mut().zip(program.sampled_words(batch)) {
+                *word = sampled;
+            }
+            let lanes = (vectors - batch * LANES).min(LANES);
+            tally(
+                &sampled_words,
+                golden.batch_output_words(batch),
+                lanes,
+                &mut stats,
+                &mut total_abs_error,
+            );
         }
-        let settled_words = golden.output_words();
-        let mask = crate::lane_mask(batch.len());
-        let mut erroneous_lanes = 0;
-        for (&sampled, &settled) in sampled_words.iter().zip(settled_words) {
-            let diff = (sampled ^ settled) & mask;
-            stats.wrong_bits += u64::from(diff.count_ones());
-            erroneous_lanes |= diff;
-        }
-        stats.vectors += batch.len() as u64;
-        stats.erroneous += u64::from(erroneous_lanes.count_ones());
-        // Numeric error per erroneous lane, in stimulus order so the f64
-        // accumulation matches the scalar engine bit for bit.
-        let mut remaining = erroneous_lanes;
-        while remaining != 0 {
-            let lane = remaining.trailing_zeros() as usize;
-            remaining &= remaining - 1;
-            let err = golden_lane_word(&sampled_words, lane)
-                .abs_diff(golden_lane_word(settled_words, lane));
-            *total_abs_error += err as f64;
-            stats.max_abs_error = stats.max_abs_error.max(err);
-        }
-        Ok(())
-    };
-    for vector in stimuli {
-        batch.push(vector);
-        if batch.len() == LANES {
-            flush(&batch, &mut stats, &mut total_abs_error)?;
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        flush(&batch, &mut stats, &mut total_abs_error)?;
-    }
+    })?;
     aix_obs::count_by!(
         aix_obs::names::sim::TIMED_PROGRAM_OPS,
         program.live_pairs() as u64 * stats.vectors.div_ceil(LANES as u64),
@@ -159,6 +134,37 @@ where
         stats.mean_abs_error = total_abs_error / stats.vectors as f64;
     }
     Ok(stats)
+}
+
+/// Adds one batch of `lanes` vectors to the statistics: sampled against
+/// settled output words, port order. Numeric errors are summed lane by
+/// lane in stimulus order, so the f64 accumulation matches the scalar
+/// engine bit for bit.
+fn tally(
+    sampled_words: &[u64],
+    settled_words: &[u64],
+    lanes: usize,
+    stats: &mut ErrorStats,
+    total_abs_error: &mut f64,
+) {
+    let mask = crate::lane_mask(lanes);
+    let mut erroneous_lanes = 0;
+    for (&sampled, &settled) in sampled_words.iter().zip(settled_words) {
+        let diff = (sampled ^ settled) & mask;
+        stats.wrong_bits += u64::from(diff.count_ones());
+        erroneous_lanes |= diff;
+    }
+    stats.vectors += lanes as u64;
+    stats.erroneous += u64::from(erroneous_lanes.count_ones());
+    let mut remaining = erroneous_lanes;
+    while remaining != 0 {
+        let lane = remaining.trailing_zeros() as usize;
+        remaining &= remaining - 1;
+        let err =
+            golden_lane_word(sampled_words, lane).abs_diff(golden_lane_word(settled_words, lane));
+        *total_abs_error += err as f64;
+        stats.max_abs_error = stats.max_abs_error.max(err);
+    }
 }
 
 #[cfg(test)]

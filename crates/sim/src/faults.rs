@@ -98,7 +98,7 @@ pub fn simulate_faults(
     stimuli: &[Vec<bool>],
 ) -> Result<FaultCoverage, NetlistError> {
     let _span = aix_obs::span!(
-        "sim_packed",
+        aix_obs::names::sim::SPAN_PACKED,
         consumer = "simulate_faults",
         faults = faults.len()
     );

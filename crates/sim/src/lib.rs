@@ -17,7 +17,8 @@
 //! clock edge, so it builds no waveforms: it compiles the netlist, its
 //! delays and the clock into a straight-line program over the (net,
 //! instant) pairs a sample can reach, and runs it after one
-//! [`PackedEvaluator`] walk per batch. The scalar [`TimedSimulator`] and
+//! [`PackedEvaluator`] walk per block of up to [`BLOCK_VECTORS`] vectors,
+//! the same blocks [`Activity`] counts over. The scalar [`TimedSimulator`] and
 //! the loops in [`oracle`] are reference implementations the
 //! differential suites compare the packed engines against.
 //!

@@ -286,13 +286,14 @@ impl<'nl> PackedTimedSimulator<'nl> {
         // per-lane *previous* state is the settled state one lane earlier.
         self.golden.eval_batch(batch)?;
         let settled = self.golden.net_words();
-        chain_stream(
-            settled.iter().copied(),
-            lanes,
-            &mut self.prev_bits,
-            &mut self.started,
-            &mut self.initial,
-        );
+        for ((settled, prev), old) in settled
+            .chunks_exact(1)
+            .zip(&mut self.prev_bits)
+            .zip(self.initial.chunks_exact_mut(1))
+        {
+            chain_stream(settled, lanes, self.started, prev, old);
+        }
+        self.started = true;
         for (word, &net) in self.input_words.iter_mut().zip(self.netlist.inputs()) {
             *word = settled[net.index()];
         }
@@ -563,28 +564,29 @@ impl<'nl> PackedTimedSimulator<'nl> {
     }
 }
 
-/// Chains one stimulus stream across batches, per net: given the net's
-/// settled lane word of this batch's `lanes` vectors, writes the word its
-/// lanes start from into `old` — lane *l* from lane *l − 1*'s settled
-/// state, lane 0 from the previous batch's last lane — and carries this
-/// batch's last lane in `prev`. The stream's very first vector (while
-/// `started` is unset) starts from its own settled state: zero input
-/// transitions, the scalar engine's untimed first step.
+/// Chains one stimulus stream across blocks, for one net: given the
+/// net's settled row of this block's `vectors` vectors (⌈`vectors` / 64⌉
+/// lane words, vector *v* in lane *v* mod 64 of word *v* / 64), writes
+/// the row its vectors start from into `old` — vector *v* from vector
+/// *v − 1*'s settled state, so old word *k* is `(settled_k << 1) | carry`
+/// with the carry the last lane of word *k − 1*, or of the previous
+/// block — and carries this block's last valid lane in `prev`. The
+/// stream's very first vector (while `started` is unset) starts from its
+/// own settled state: zero input transitions, the scalar engine's
+/// untimed first step.
 pub(crate) fn chain_stream(
-    settled: impl IntoIterator<Item = u64>,
-    lanes: usize,
-    prev: &mut [u64],
-    started: &mut bool,
+    settled: &[u64],
+    vectors: usize,
+    started: bool,
+    prev: &mut u64,
     old: &mut [u64],
 ) {
-    for ((word, prev), old) in settled.into_iter().zip(prev).zip(old) {
-        if !*started {
-            *prev = word & 1;
-        }
-        *old = (word << 1) | *prev;
-        *prev = (word >> (lanes - 1)) & 1;
+    let mut carry = if started { *prev } else { settled[0] & 1 };
+    for (old, &word) in old.iter_mut().zip(settled) {
+        *old = (word << 1) | carry;
+        carry = word >> (LANES - 1);
     }
-    *started = true;
+    *prev = (settled[settled.len() - 1] >> ((vectors - 1) % LANES)) & 1;
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Edge cases of the error-measurement and fault-simulation campaigns:
-//! empty stimulus sets, empty fault lists, fully detectable faults, and
-//! clock periods no timed entry point may accept.
+//! empty stimulus sets, empty fault lists, fully detectable faults, a
+//! vector of the wrong width deep inside a stream, and clock periods no
+//! timed entry point may accept.
 
 use aix_arith::{build_adder, AdderKind, ComponentSpec};
 use aix_cells::Library;
 use aix_netlist::{Netlist, NetlistError};
 use aix_sim::{
-    full_fault_list, measure_errors, oracle, simulate_faults, OperandSource, PackedTimedSimulator,
-    StuckAtFault, TimedSimulator, UniformOperands,
+    full_fault_list, measure_errors, oracle, simulate_faults, Activity, OperandSource,
+    PackedTimedSimulator, StuckAtFault, TimedSimulator, UniformOperands,
 };
 use aix_sta::NetDelays;
 use std::sync::Arc;
@@ -71,6 +72,34 @@ fn all_detected_reports_exactly_one() {
     assert_eq!(coverage.coverage(), 1.0);
     assert_eq!(coverage.detected().len(), faults.len());
     assert!(coverage.undetected().is_empty());
+}
+
+#[test]
+fn a_short_vector_in_the_second_block_is_rejected_with_its_width() {
+    // Vector 1 500 sits in the second block of 1 024; it must be reported
+    // as the oracle reports it, not swallowed by the block packing.
+    let nl = adder(8);
+    let delays = NetDelays::fresh(&nl);
+    let mut vectors: Vec<Vec<bool>> = UniformOperands::new(8, 6).vectors(2000).collect();
+    vectors[1500].pop();
+    let mismatch = NetlistError::InputWidthMismatch {
+        expected: 16,
+        provided: 15,
+    };
+    let clock = 50.0;
+    assert_eq!(
+        oracle::measure_errors(&nl, &delays, clock, vectors.iter().cloned()),
+        Err(mismatch.clone())
+    );
+    assert_eq!(
+        measure_errors(&nl, &delays, clock, vectors.iter().cloned()),
+        Err(mismatch.clone())
+    );
+    assert_eq!(
+        oracle::activity(&nl, vectors.iter().cloned()),
+        Err(mismatch.clone())
+    );
+    assert_eq!(Activity::collect(&nl, vectors), Err(mismatch));
 }
 
 /// NaN and negative periods, which the tick conversion would silently

@@ -2,14 +2,17 @@
 //! with arbitrary stimuli, every lane of the packed evaluator must equal
 //! the scalar evaluator — one batch at a time and in block walks of up to
 //! [`BLOCK_BATCHES`] words per net — and the packed popcount activity
-//! accounting must match the scalar per-vector accounting.
+//! accounting must match the scalar per-vector accounting, also on
+//! streams that end at the block boundaries of [`BLOCK_VECTORS`], where
+//! the timed error measurement must equal its oracle too.
 
 use aix_cells::{CellFunction, DriveStrength, Library};
 use aix_netlist::{import_verilog, Evaluator, NetId, Netlist};
 use aix_sim::{
-    lane_mask, oracle, pack_batch, simulate_faults, Activity, PackedEvaluator, StuckAtFault,
-    BLOCK_BATCHES, BLOCK_VECTORS, LANES,
+    lane_mask, measure_errors, oracle, pack_batch, simulate_faults, Activity, PackedEvaluator,
+    StuckAtFault, BLOCK_BATCHES, BLOCK_VECTORS, LANES,
 };
+use aix_sta::NetDelays;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -228,6 +231,47 @@ proptest! {
         let scalar = oracle::activity(&netlist, stimuli.iter().cloned()).unwrap();
         let packed = Activity::collect(&netlist, stimuli.iter().cloned()).unwrap();
         prop_assert_eq!(scalar, packed);
+    }
+}
+
+/// Stream lengths around the block boundary: one short of a block, one
+/// block, and one and two blocks followed by a one-vector block.
+const BLOCK_EDGE_COUNTS: [usize; 4] = [
+    BLOCK_VECTORS - 1,
+    BLOCK_VECTORS,
+    BLOCK_VECTORS + 1,
+    2 * BLOCK_VECTORS + 1,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Activity and the timed error measurement equal their oracles on
+    /// streams that end at every kind of block boundary. Every net gets
+    /// 1 ps, and the clock samples half way through the deepest chains.
+    #[test]
+    fn block_edges_equal_the_oracles(
+        recipe in recipe_strategy(),
+        count_pick in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let library = Arc::new(Library::nangate45_like());
+        let netlist = build(&recipe, &library);
+        let count = BLOCK_EDGE_COUNTS[count_pick];
+        let stimuli = seeded_vectors(recipe.inputs, count, seed);
+        prop_assert_eq!(
+            Activity::collect(&netlist, stimuli.iter().cloned()).unwrap(),
+            oracle::activity(&netlist, stimuli.iter().cloned()).unwrap(),
+            "{} vectors",
+            count
+        );
+        let delays = NetDelays::from_raw(vec![1.0; netlist.net_count()]);
+        let clock = recipe.gates.len() as f64 / 2.0;
+        let expected =
+            oracle::measure_errors(&netlist, &delays, clock, stimuli.iter().cloned()).unwrap();
+        let actual = measure_errors(&netlist, &delays, clock, stimuli.iter().cloned()).unwrap();
+        prop_assert_eq!(actual, expected, "{} vectors", count);
+        prop_assert_eq!(actual.mean_abs_error.to_bits(), expected.mean_abs_error.to_bits());
     }
 }
 

@@ -1,7 +1,9 @@
 //! Timed measurements report their work once per call. `measure_errors`
 //! emits one `timed_program_ops` counter event whose `by` is its sampling
 //! program's ops times its batches, and its span records the program's
-//! live nets and pairs. Timed activity extraction emits one
+//! live nets, live pairs and store rows. Its block walks count one
+//! `packed_words` per 64-vector batch, as one-batch walks would. Timed
+//! activity extraction emits one
 //! `timed_event_groups` event whose `by` is the waveform entries it built.
 //! A test binary of its own, because the trace recorder is process-wide
 //! and other tests would add events to it.
@@ -68,10 +70,17 @@ fn one_counter_event_per_measurement_with_its_work() {
         .expect("the span closes");
     let live_nets = close.int_field("live_nets").expect("live_nets field");
     let live_pairs = close.int_field("live_pairs").expect("live_pairs field");
+    let rows = close.int_field("rows").expect("rows field");
     let nets = opens[0].int_field("nets").expect("nets field");
     assert!(
         0 < live_nets && live_nets <= live_pairs && live_nets <= nets,
         "{live_nets} live nets, {live_pairs} live pairs, {nets} nets"
+    );
+    // At most one row per old and settled net, one per op, and the dump
+    // row.
+    assert!(
+        0 < rows && rows <= 2 * nets + live_pairs + 1,
+        "{rows} rows for {live_pairs} live pairs on {nets} nets"
     );
 
     let counters = |name: &str| -> Vec<_> {
@@ -96,4 +105,17 @@ fn one_counter_event_per_measurement_with_its_work() {
         (live_pairs * batches) as u64
     );
     assert_eq!(snapshot.counter(names::sim::TIMED_EVENT_GROUPS), entries);
+
+    // Four full blocks of 1 024 vectors: the same totals as 64 one-batch
+    // walks and program runs.
+    let vectors: Vec<Vec<bool>> = UniformOperands::new(6, 4).vectors(4096).collect();
+    aix_obs::install(Recorder::in_memory("timed-counter-blocks", false));
+    measure_errors(&netlist, &delays, clock, vectors).unwrap();
+    let recorder = aix_obs::uninstall().expect("recorder installed above");
+    let snapshot = recorder.snapshot();
+    assert_eq!(snapshot.counter(names::sim::PACKED_WORDS), 64);
+    assert_eq!(
+        snapshot.counter(names::sim::TIMED_PROGRAM_OPS),
+        live_pairs as u64 * 64
+    );
 }

@@ -7,11 +7,16 @@
 //! `TimedSimulator` stepping that lane's stream — the full `StepOutcome`
 //! and the per-net transition totals — at 1, 63, 64 and 65 lanes. The
 //! demand-driven `measure_errors` must equal the scalar oracle's whole
-//! `ErrorStats` on the same cases.
+//! `ErrorStats` on the same cases, and on streams that end just before,
+//! on and just after the block boundaries of 1 024 vectors, where
+//! zero-delay activity must equal the oracle's too.
 
 use aix_cells::{CellFunction, DriveStrength, Library};
 use aix_netlist::Netlist;
-use aix_sim::{measure_errors, oracle, PackedTimedSimulator, StepOutcome, TimedSimulator, LANES};
+use aix_sim::{
+    measure_errors, oracle, Activity, PackedTimedSimulator, StepOutcome, TimedSimulator,
+    BLOCK_VECTORS, LANES,
+};
 use aix_sta::NetDelays;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -47,6 +52,15 @@ const CLOCKS_PS: [f64; 8] = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 1.5e16, f64::MAX / 4.
 
 /// Lane counts around the 64-lane word boundary.
 const LANE_COUNTS: [usize; 4] = [1, 63, 64, 65];
+
+/// Stream lengths around the block boundary: one short of a block, one
+/// block, and one and two blocks followed by a one-vector block.
+const BLOCK_EDGE_COUNTS: [usize; 4] = [
+    BLOCK_VECTORS - 1,
+    BLOCK_VECTORS,
+    BLOCK_VECTORS + 1,
+    2 * BLOCK_VECTORS + 1,
+];
 
 /// A reproducible netlist recipe: each gate picks a function and draws its
 /// operands (by index, modulo the growing net pool) from everything built
@@ -250,5 +264,34 @@ proptest! {
         let actual = measure_errors(&netlist, &delays, clock, vectors.iter().cloned()).unwrap();
         prop_assert_eq!(actual, expected);
         prop_assert_eq!(actual.mean_abs_error.to_bits(), expected.mean_abs_error.to_bits());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Block-wide measurement and activity equal the scalar oracle on
+    /// streams that end at every kind of block boundary, so the stream
+    /// chaining carries across words and blocks.
+    #[test]
+    fn block_edges_equal_the_oracle(case in case_strategy(), count_pick in 0usize..4) {
+        let library = Arc::new(Library::nangate45_like());
+        let netlist = build(&case.recipe, &library);
+        let delays = case.delays(&netlist);
+        let clock = case.clock_ps();
+        let mut rng = StdRng::seed_from_u64(case.seed);
+        let count = BLOCK_EDGE_COUNTS[count_pick];
+        let vectors = case.vectors(&mut rng, count, netlist.inputs().len());
+        let expected = oracle::measure_errors(&netlist, &delays, clock, vectors.iter().cloned())
+            .unwrap();
+        let actual = measure_errors(&netlist, &delays, clock, vectors.iter().cloned()).unwrap();
+        prop_assert_eq!(actual, expected, "{} vectors", count);
+        prop_assert_eq!(actual.mean_abs_error.to_bits(), expected.mean_abs_error.to_bits());
+        prop_assert_eq!(
+            Activity::collect(&netlist, vectors.iter().cloned()).unwrap(),
+            oracle::activity(&netlist, vectors.iter().cloned()).unwrap(),
+            "{} vectors",
+            count
+        );
     }
 }

@@ -7,14 +7,19 @@
 //! accidental semantics change) trips loudly. Three more inputs — adder-32,
 //! the glitch-heavy multiplier-16 and the Wallace-prefix multiplier-16 (the
 //! largest Fig. 1 netlist family), all at twenty years — pin the same
-//! equality where many more outputs err.
+//! equality where many more outputs err. The Wallace-prefix multiplier-16
+//! also pins it, and zero-delay activity, on streams that end at the
+//! block boundaries of 1 024 vectors.
 
 use aix::aging::{AgingModel, AgingScenario, Lifetime};
 use aix::arith::{ComponentSpec, MultiplierKind};
 use aix::cells::Library;
 use aix::core::ComponentKind;
 use aix::netlist::Netlist;
-use aix::sim::{measure_errors, oracle, ErrorStats, OperandSource, SignedNormalOperands};
+use aix::sim::{
+    measure_errors, oracle, Activity, ErrorStats, OperandSource, SignedNormalOperands,
+    BLOCK_VECTORS,
+};
 use aix::sta::{analyze, NetDelays};
 use aix::synth::{Effort, Synthesizer};
 use std::sync::Arc;
@@ -28,11 +33,17 @@ fn error_stats(kind: ComponentKind, width: usize, years: f64) -> (ErrorStats, Er
     let netlist = kind
         .synthesize(&cells, ComponentSpec::full(width), Effort::Ultra)
         .expect("synthesis");
-    netlist_error_stats(&netlist, width, years)
+    netlist_error_stats(&netlist, width, years, 4000)
 }
 
-/// [`error_stats`] for an already synthesized netlist.
-fn netlist_error_stats(netlist: &Netlist, width: usize, years: f64) -> (ErrorStats, ErrorStats) {
+/// [`error_stats`] for an already synthesized netlist and `vectors`
+/// vectors.
+fn netlist_error_stats(
+    netlist: &Netlist,
+    width: usize,
+    years: f64,
+    vectors: usize,
+) -> (ErrorStats, ErrorStats) {
     let clock = analyze(netlist, &NetDelays::fresh(netlist))
         .expect("synthesized netlists are acyclic")
         .max_delay_ps();
@@ -41,16 +52,30 @@ fn netlist_error_stats(netlist: &Netlist, width: usize, years: f64) -> (ErrorSta
         &AgingModel::calibrated(),
         AgingScenario::worst_case(Lifetime::from_years(years)),
     );
-    let padding = netlist.inputs().len() - 2 * width;
-    let stimuli: Vec<Vec<bool>> = SignedNormalOperands::for_width(width, 1)
-        .vectors_with_zeros(4000, padding)
-        .collect();
+    let stimuli = stimuli(netlist, width, vectors);
 
     let scalar = oracle::measure_errors(netlist, &delays, clock, stimuli.iter().cloned())
         .expect("scalar measurement");
     let packed = measure_errors(netlist, &delays, clock, stimuli.iter().cloned())
         .expect("packed measurement");
     (scalar, packed)
+}
+
+/// `vectors` signed-normal operand pairs on seed 1, any inputs past the
+/// two operands tied to zero.
+fn stimuli(netlist: &Netlist, width: usize, vectors: usize) -> Vec<Vec<bool>> {
+    let padding = netlist.inputs().len() - 2 * width;
+    SignedNormalOperands::for_width(width, 1)
+        .vectors_with_zeros(vectors, padding)
+        .collect()
+}
+
+/// The Wallace-prefix multiplier-16 at `ultra`.
+fn wallace_prefix_multiplier16() -> Netlist {
+    let synth = Synthesizer::new(Arc::new(Library::nangate45_like()), Effort::Ultra);
+    synth
+        .multiplier_with(MultiplierKind::WallacePrefix, ComponentSpec::full(16))
+        .expect("synthesis")
 }
 
 #[test]
@@ -93,11 +118,8 @@ fn twenty_year_error_rates_match_the_oracle_bit_for_bit() {
 fn wallace_prefix_multiplier_matches_the_oracle_at_twenty_years() {
     // The Wallace-prefix tree has the most live (net, instant) pairs of
     // the Fig. 1 netlists, so it exercises the deepest sampling program.
-    let synth = Synthesizer::new(Arc::new(Library::nangate45_like()), Effort::Ultra);
-    let netlist = synth
-        .multiplier_with(MultiplierKind::WallacePrefix, ComponentSpec::full(16))
-        .expect("synthesis");
-    let (scalar, packed) = netlist_error_stats(&netlist, 16, 20.0);
+    let netlist = wallace_prefix_multiplier16();
+    let (scalar, packed) = netlist_error_stats(&netlist, 16, 20.0, 4000);
     assert_eq!(scalar, packed);
     assert_eq!(
         scalar.mean_abs_error.to_bits(),
@@ -107,4 +129,32 @@ fn wallace_prefix_multiplier_matches_the_oracle_at_twenty_years() {
         packed.erroneous > 0,
         "the aged multiplier must err at 20 years"
     );
+}
+
+#[test]
+fn wallace_prefix_multiplier_matches_the_oracles_at_block_edges() {
+    // One vector short of a block, one block, and one and two blocks
+    // followed by a one-vector block.
+    let netlist = wallace_prefix_multiplier16();
+    for vectors in [
+        BLOCK_VECTORS - 1,
+        BLOCK_VECTORS,
+        BLOCK_VECTORS + 1,
+        2 * BLOCK_VECTORS + 1,
+    ] {
+        let (scalar, packed) = netlist_error_stats(&netlist, 16, 20.0, vectors);
+        assert_eq!(scalar, packed, "{vectors} vectors");
+        assert_eq!(
+            scalar.mean_abs_error.to_bits(),
+            packed.mean_abs_error.to_bits(),
+            "{vectors} vectors"
+        );
+        assert!(packed.erroneous > 0, "{vectors} vectors must see errors");
+        let stimuli = stimuli(&netlist, 16, vectors);
+        assert_eq!(
+            Activity::collect(&netlist, stimuli.iter().cloned()).unwrap(),
+            oracle::activity(&netlist, stimuli).unwrap(),
+            "{vectors} vectors"
+        );
+    }
 }
