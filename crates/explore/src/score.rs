@@ -24,9 +24,10 @@ pub struct ScoreContext {
     pub scenario: AgingScenario,
     /// Clock period: the exact component's aged critical-path delay, ps.
     pub clock_ps: f64,
-    /// The seeded stimuli [`BLOCK_VECTORS`] at a time, packed input-major
-    /// (each input's lane words in vector order), so every candidate
-    /// reuses one transpose and walks its netlist once per block.
+    /// The seeded stimuli [`BLOCK_VECTORS`] at a time, packed batch-major
+    /// by [`pack_batch`] (each batch's lane words in input order), so
+    /// every candidate reuses one transpose and walks its netlist once per
+    /// block.
     blocks: Vec<Vec<u64>>,
     /// Exact arithmetic reference value per stimulus vector.
     exact: Vec<u64>,
