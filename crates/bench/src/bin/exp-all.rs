@@ -6,12 +6,11 @@ type Experiment = fn(&aix_bench::Options) -> String;
 
 fn main() {
     let options = aix_bench::Options::from_env();
-    let runs: [(&str, Experiment); 16] = [
+    let runs: [(&str, Experiment); 15] = [
         ("sim", experiments::sim::run),
         ("import", experiments::import::run),
         ("timed", experiments::timed::run),
         ("explore", experiments::explore::run),
-        ("serve", experiments::serve::run),
         ("fig1", experiments::fig1::run),
         ("fig2", experiments::fig2::run),
         ("fig4", experiments::fig4::run),

@@ -16,7 +16,6 @@ pub mod fig8c;
 pub mod headline;
 pub mod import;
 pub mod schedule;
-pub mod serve;
 pub mod sim;
 pub mod timed;
 

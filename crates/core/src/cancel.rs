@@ -1,14 +1,13 @@
 //! Cooperative cancellation with optional deadlines.
 //!
-//! A [`CancelToken`] is a cheap, cloneable handle shared between a
-//! campaign's owner (a CLI invocation, an `aix serve` request) and the
-//! engine's workers. The owner cancels it — explicitly or by attaching a
-//! deadline — and the engine observes the token at every job boundary:
-//! jobs not yet started are skipped and reported as quarantined failures,
-//! the per-attempt watchdog clamps its wall-clock limit to the remaining
-//! budget, and retry backoff never sleeps past the deadline. The campaign
-//! then returns a *partial* result through the normal
-//! [`CampaignStatus`](crate::CampaignStatus) machinery instead of hanging.
+//! A [`CancelToken`] is a cheap, cloneable handle shared between the
+//! owner of a design-space search (`aix explore --deadline`) and the
+//! search's workers. The owner cancels it — explicitly or by attaching a
+//! deadline — and the search observes the token between candidates:
+//! candidates not yet started are skipped, and the search returns a
+//! *partial* front through the normal
+//! [`CampaignStatus`](crate::CampaignStatus) machinery instead of running
+//! on.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,8 +33,7 @@ impl CancelToken {
     }
 
     /// A token that reports cancelled once `deadline` passes.
-    #[must_use]
-    pub fn with_deadline(deadline: Option<Instant>) -> Self {
+    fn with_deadline(deadline: Option<Instant>) -> Self {
         CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
@@ -66,32 +64,11 @@ impl CancelToken {
             None => false,
         }
     }
-
-    /// Time left until the deadline: `None` without one, zero when the
-    /// deadline has passed or the token was cancelled.
-    #[must_use]
-    pub fn remaining(&self) -> Option<Duration> {
-        if self.inner.cancelled.load(Ordering::SeqCst) {
-            return Some(Duration::ZERO);
-        }
-        self.inner
-            .deadline
-            .map(|deadline| deadline.saturating_duration_since(Instant::now()))
-    }
 }
 
 impl Default for CancelToken {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Tokens compare by identity: two tokens are equal when cancelling one
-/// cancels the other. (This keeps `#[derive(PartialEq)]` on option
-/// structs meaningful without comparing racing time-dependent state.)
-impl PartialEq for CancelToken {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
@@ -104,28 +81,15 @@ mod tests {
         let token = CancelToken::new();
         let clone = token.clone();
         assert!(!clone.is_cancelled());
-        assert_eq!(token.remaining(), None, "no deadline, no budget");
         token.cancel();
         assert!(clone.is_cancelled());
-        assert_eq!(clone.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
-    fn deadline_expires_and_budget_shrinks() {
+    fn deadline_expires() {
         let token = CancelToken::deadline_in(Duration::from_millis(30));
         assert!(!token.is_cancelled());
-        let budget = token.remaining().expect("deadline set");
-        assert!(budget <= Duration::from_millis(30));
         std::thread::sleep(Duration::from_millis(40));
         assert!(token.is_cancelled());
-        assert_eq!(token.remaining(), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn equality_is_identity() {
-        let a = CancelToken::new();
-        let b = a.clone();
-        assert_eq!(a, b);
-        assert_ne!(a, CancelToken::new());
     }
 }

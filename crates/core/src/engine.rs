@@ -68,7 +68,6 @@
 //! ```
 
 use crate::fsutil::write_atomic;
-use crate::cancel::CancelToken;
 use crate::guard::{JobError, JobGuard};
 use crate::journal::RunJournal;
 use crate::library::{parse_scenario, scenario_token};
@@ -81,6 +80,7 @@ use aix_arith::ComponentSpec;
 use aix_cells::Library;
 use aix_faults::{FaultPlan, FaultStage};
 use aix_netlist::Netlist;
+use aix_obs::names::core as names;
 use aix_obs::{fnv1a, FNV_OFFSET};
 use aix_sta::{analyze, NetDelays};
 use aix_synth::Effort;
@@ -122,10 +122,6 @@ pub struct EngineOptions {
     /// Deterministic fault-injection plan evaluated at synthesis, STA and
     /// cache sites; `None` injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Cooperative cancellation observed at every job boundary: a
-    /// cancelled or past-deadline token quarantines the remaining jobs and
-    /// the campaign returns partial results instead of running on.
-    pub cancel: Option<CancelToken>,
 }
 
 impl EngineOptions {
@@ -146,7 +142,6 @@ impl EngineOptions {
             backoff_ms: 0,
             backoff_cap_ms: 0,
             faults: None,
-            cancel: None,
         }
     }
 
@@ -165,7 +160,6 @@ impl EngineOptions {
             backoff_ms: 25,
             backoff_cap_ms: 10_000,
             faults: None,
-            cancel: None,
         }
     }
 
@@ -262,7 +256,7 @@ impl EngineOptions {
 }
 
 /// What [`FaultPlan`] values are expected to look like, for diagnostics.
-pub const FAULT_GRAMMAR: &str = "`mode[:p=F,seed=N,stage=synth|sta|cache|serve|import,ms=N]` specs \
+pub const FAULT_GRAMMAR: &str = "`mode[:p=F,seed=N,stage=synth|sta|cache|import,ms=N]` specs \
      (mode panic|io|delay|shortwrite|enospc), `;`-separated";
 
 /// Parses a worker-count value (`AIX_JOBS` / `--jobs`): a positive
@@ -849,7 +843,6 @@ impl CharacterizationEngine {
             backoff_ms: self.options.backoff_ms,
             backoff_cap_ms: self.options.backoff_cap_ms,
             faults: self.options.faults.clone(),
-            cancel: self.options.cancel.clone(),
         }
     }
 
@@ -884,12 +877,12 @@ impl CharacterizationEngine {
         // event: all events outside the worker pools are emitted from
         // sequential code, so a warm (all-hit) run's trace is byte-identical
         // for any `--jobs` value.
-        let campaign_span = aix_obs::span!("campaign", configs = configs.len());
+        let campaign_span = aix_obs::span!(names::SPAN_CAMPAIGN, configs = configs.len());
 
         // Plan: one synthesis job per (config, precision), probing the
         // on-disk cache. A hit must cover every requested scenario.
         let plan_start = Instant::now();
-        let plan_span = aix_obs::span!("plan");
+        let plan_span = aix_obs::span!(names::SPAN_PLAN);
         let config_tokens: Vec<Vec<String>> = configs
             .iter()
             .map(|config| {
@@ -950,10 +943,10 @@ impl CharacterizationEngine {
                 if cache_path.is_some() {
                     if hit {
                         report.cache_hits += 1;
-                        aix_obs::count!("cache_hit", job = &site);
+                        aix_obs::count!(names::CACHE_HIT, job = &site);
                     } else {
                         report.cache_misses += 1;
-                        aix_obs::count!("cache_miss", job = &site);
+                        aix_obs::count!(names::CACHE_MISS, job = &site);
                     }
                 }
                 plan.push(SynthJob {
@@ -990,14 +983,14 @@ impl CharacterizationEngine {
                     job.hit = true;
                     job.journal_hit = true;
                     report.journal_hits += 1;
-                    aix_obs::count!("journal_hit", job = &job.site);
+                    aix_obs::count!(names::JOURNAL_HIT, job = &job.site);
                 }
             }
             journal.record_plan(plan.len());
         }
         report.plan_ms = elapsed_ms(plan_start);
         plan_span.close();
-        aix_obs::gauge!("synth_planned", report.synth_planned as f64);
+        aix_obs::gauge!(names::SYNTH_PLANNED, report.synth_planned as f64);
 
         // Synthesis stage: pool over the misses, each job under the guard.
         // Results keep plan order, so failures are deterministic under any
@@ -1010,7 +1003,7 @@ impl CharacterizationEngine {
             .map(|(index, _)| index)
             .collect();
         report.synth_executed = to_synthesize.len();
-        let synth_span = aix_obs::span!("synth_stage", executed = report.synth_executed);
+        let synth_span = aix_obs::span!(names::SPAN_SYNTH_STAGE, executed = report.synth_executed);
         let guard = self.guard();
         let synthesized_list = parallel_map(jobs, to_synthesize, |index| {
             let job = &plan[index];
@@ -1018,7 +1011,7 @@ impl CharacterizationEngine {
             let (kind, width, precision, effort) =
                 (config.kind, config.width, job.precision, config.effort);
             let _job_span = aix_obs::span!(
-                "synth",
+                names::SPAN_SYNTH,
                 job = &job.site,
                 kind = config.kind.label(),
                 width = width,
@@ -1060,14 +1053,14 @@ impl CharacterizationEngine {
             })
             .collect();
         report.sta_executed = sta_plan.len();
-        let sta_span = aix_obs::span!("sta_stage", executed = report.sta_executed);
+        let sta_span = aix_obs::span!(names::SPAN_STA_STAGE, executed = report.sta_executed);
         let delays_list = parallel_map(jobs, sta_plan, |(index, scenario_index)| {
             let job = &plan[index];
             let config = &configs[job.config_index];
             let scenario = config.scenarios[scenario_index];
             let site = format!("{}@{}", job.site, config_tokens[job.config_index][scenario_index]);
             let _job_span = aix_obs::span!(
-                "sta",
+                names::SPAN_STA,
                 job = &site,
                 kind = config.kind.label(),
                 width = config.width,
@@ -1128,7 +1121,7 @@ impl CharacterizationEngine {
         // write misses back to the cache and journal (best effort; a
         // read-only directory degrades to cold runs, never to an error).
         let merge_start = Instant::now();
-        let merge_span = aix_obs::span!("merge");
+        let merge_span = aix_obs::span!(names::SPAN_MERGE);
         let mut out: Vec<ComponentCharacterization> = configs
             .iter()
             .map(|c| ComponentCharacterization::new(c.kind, c.width, c.effort))
@@ -1149,7 +1142,7 @@ impl CharacterizationEngine {
                 // in the same (planned) order, so the trace and the
                 // campaign report can be cross-checked.
                 aix_obs::quarantine!(
-                    "job",
+                    names::QUARANTINE_JOB,
                     job = &job.site,
                     stage = info.stage,
                     attempts = info.attempts,

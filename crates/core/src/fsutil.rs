@@ -1,5 +1,5 @@
 //! Crash-safe filesystem helpers shared by the characterization cache, the
-//! run journal, the serve request journal and the benchmark log.
+//! run journal, the explore score cache and the benchmark log.
 
 use aix_faults::{FaultPlan, FaultStage, WriteFault};
 use std::io;
@@ -26,9 +26,8 @@ pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
     write_atomic_under(path, text, aix_faults::env_plan(), FaultStage::Cache)
 }
 
-/// [`write_atomic`] against an explicit fault plan and stage, for callers
-/// that carry their own plan (the engine's `--fault` flag, the serve
-/// daemon's `serve`-stage writes) and for tests.
+/// [`write_atomic`] against an explicit fault plan and stage, for tests
+/// that inject a plan of their own.
 ///
 /// # Errors
 ///
@@ -145,11 +144,11 @@ mod tests {
             .collect();
         assert_eq!(siblings.len(), 1, "no temp file written: {siblings:?}");
 
-        // Stage filters apply: a cache-stage-only plan leaves serve writes
+        // Stage filters apply: an STA-stage-only plan leaves cache writes
         // alone.
-        let staged: FaultPlan = "enospc:p=1,stage=cache".parse().unwrap();
-        write_atomic_under(&path, "served\n", Some(&staged), FaultStage::Serve).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "served\n");
+        let staged: FaultPlan = "enospc:p=1,stage=sta".parse().unwrap();
+        write_atomic_under(&path, "cached\n", Some(&staged), FaultStage::Cache).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "cached\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

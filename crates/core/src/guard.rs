@@ -1,15 +1,14 @@
-//! Per-job fault containment: panic isolation, a wall-clock watchdog,
-//! seeded retry with decorrelated-jitter backoff, and cooperative
-//! deadline cancellation.
+//! Per-job fault containment: panic isolation, a wall-clock watchdog and
+//! seeded retry with decorrelated-jitter backoff.
 //!
 //! Every synthesis and STA job of a campaign runs through [`JobGuard::run`]
 //! so that one misbehaving job — a panic, a hang, a transient I/O failure —
 //! is converted into a structured per-job outcome instead of taking the
 //! whole process (or, through mutex poisoning, every sibling worker) down.
 
-use crate::cancel::CancelToken;
 use crate::AixError;
 use aix_faults::{FaultPlan, FaultStage};
+use aix_obs::names::core as names;
 use aix_obs::{fnv1a, FNV_OFFSET};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -46,10 +45,6 @@ pub(crate) struct JobGuard {
     /// Fault plan injected at this guard's sites, for testing the guard
     /// itself.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Cooperative cancellation: a cancelled or past-deadline token makes
-    /// pending attempts fail fast, clamps the watchdog to the remaining
-    /// budget and cuts backoff sleeps short.
-    pub cancel: Option<CancelToken>,
 }
 
 /// Why a guarded job ultimately failed.
@@ -93,14 +88,6 @@ impl JobGuard {
         let mut attempt = 0usize;
         let mut prev_backoff = self.backoff_ms;
         loop {
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Err(JobError {
-                    reason: format!("cancelled after {attempt} attempts: deadline exceeded"),
-                    attempts: attempt.max(1),
-                    timed_out: false,
-                    panicked: false,
-                });
-            }
             attempt += 1;
             let work = make();
             let faults = self.faults.clone();
@@ -113,17 +100,7 @@ impl JobGuard {
                 }
                 work()
             };
-            // The watchdog limit is the per-attempt timeout clamped to the
-            // cancellation token's remaining deadline budget, so a request
-            // deadline bounds even its very first attempt.
-            let remaining = self.cancel.as_ref().and_then(CancelToken::remaining);
-            let limit = match (self.timeout, remaining) {
-                (Some(t), Some(r)) => Some(t.min(r)),
-                (Some(t), None) => Some(t),
-                (None, Some(r)) => Some(r),
-                (None, None) => None,
-            };
-            let outcome = match limit {
+            let outcome = match self.timeout {
                 None => match catch_unwind(AssertUnwindSafe(guarded)) {
                     Ok(result) => Attempt::Finished(result),
                     Err(payload) => Attempt::Panicked(panic_message(payload)),
@@ -159,7 +136,12 @@ impl JobGuard {
                     // other error is structural and retrying cannot help.
                     let transient = matches!(error, AixError::Io { .. });
                     if transient && attempt <= self.retries {
-                        aix_obs::count!("job_retry", site = site, attempt = attempt, cause = "io");
+                        aix_obs::count!(
+                            names::JOB_RETRY,
+                            site = site,
+                            attempt = attempt,
+                            cause = "io"
+                        );
                         self.backoff(site, attempt, &mut prev_backoff);
                         continue;
                     }
@@ -173,7 +155,7 @@ impl JobGuard {
                 Attempt::TimedOut => {
                     if attempt <= self.retries {
                         aix_obs::count!(
-                            "job_retry",
+                            names::JOB_RETRY,
                             site = site,
                             attempt = attempt,
                             cause = "timeout"
@@ -181,11 +163,11 @@ impl JobGuard {
                         self.backoff(site, attempt, &mut prev_backoff);
                         continue;
                     }
-                    aix_obs::count!("job_timeout", site = site, attempts = attempt);
+                    aix_obs::count!(names::JOB_TIMEOUT, site = site, attempts = attempt);
                     return Err(JobError {
                         reason: format!(
                             "timed out after {:.3} s",
-                            limit.unwrap_or_default().as_secs_f64()
+                            self.timeout.unwrap_or_default().as_secs_f64()
                         ),
                         attempts: attempt,
                         timed_out: true,
@@ -206,17 +188,14 @@ impl JobGuard {
 
     /// Sleeps before retry `attempt + 1` using decorrelated jitter (see
     /// [`decorrelated_backoff_ms`]), threading the previous delay through
-    /// `prev`. The sleep never overruns the cancellation deadline.
+    /// `prev`.
     fn backoff(&self, site: &str, attempt: usize, prev: &mut u64) {
         if self.backoff_ms == 0 {
             return;
         }
-        let mut sleep_ms =
+        let sleep_ms =
             decorrelated_backoff_ms(self.backoff_ms, self.backoff_cap_ms, *prev, site, attempt);
         *prev = sleep_ms;
-        if let Some(remaining) = self.cancel.as_ref().and_then(CancelToken::remaining) {
-            sleep_ms = sleep_ms.min(u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX));
-        }
         std::thread::sleep(Duration::from_millis(sleep_ms));
     }
 }
@@ -224,11 +203,12 @@ impl JobGuard {
 /// The delay before the next retry, in milliseconds: *decorrelated jitter*
 /// (`sleep = min(cap, base + unit · (3·prev − base))`, unit ∈ [0, 1)
 /// drawn deterministically from the site hash), so the expected delay
-/// still doubles per attempt but simultaneous retries from coalesced or
-/// colliding clients spread over the whole `[base, 3·prev)` band instead
-/// of stampeding in lockstep at the same exponential instants. A `cap` of
-/// `0` leaves the growth uncapped. Pure: the same
-/// `(base, cap, prev, site, attempt)` always yields the same delay.
+/// still doubles per attempt but the engine's retries of jobs that failed
+/// together (say, on one shared cache directory) spread over the whole
+/// `[base, 3·prev)` band instead of stampeding in lockstep at the same
+/// exponential instants. A `cap` of `0` leaves the growth uncapped. Pure:
+/// the same `(base, cap, prev, site, attempt)` always yields the same
+/// delay.
 pub fn decorrelated_backoff_ms(
     base: u64,
     cap: u64,
@@ -393,57 +373,12 @@ mod tests {
         );
 
         // Decorrelation: different sites draw different delay sequences —
-        // coalesced clients retrying the same campaign do not stampede.
+        // jobs retrying side by side do not stampede.
         let other = backoff_sequence(25, 1_000, "synth mult-w8-p3", 8);
         assert_ne!(first, other);
 
         // A zero base disables backoff entirely.
         assert_eq!(decorrelated_backoff_ms(0, 1_000, 0, "x", 1), 0);
-    }
-
-    #[test]
-    fn cancelled_token_fails_jobs_fast_without_running_them() {
-        let token = CancelToken::new();
-        token.cancel();
-        let cancelled = JobGuard {
-            cancel: Some(token),
-            retries: 3,
-            ..JobGuard::default()
-        };
-        let calls = AtomicUsize::new(0);
-        let err = cancelled
-            .run(FaultStage::Synth, "doomed", || {
-                calls.fetch_add(1, Ordering::SeqCst);
-                || Ok(())
-            })
-            .unwrap_err();
-        assert!(err.reason.contains("cancelled"), "{}", err.reason);
-        assert_eq!(err.attempts, 1);
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "work never starts");
-    }
-
-    #[test]
-    fn deadline_clamps_the_watchdog() {
-        // No per-attempt timeout, but a 30 ms deadline: the watchdog picks
-        // up the deadline budget and kills the hung attempt.
-        let deadline = JobGuard {
-            cancel: Some(CancelToken::deadline_in(Duration::from_millis(30))),
-            ..JobGuard::default()
-        };
-        let start = std::time::Instant::now();
-        let err = deadline
-            .run(FaultStage::Sta, "hang", || {
-                || -> Result<(), AixError> {
-                    std::thread::sleep(Duration::from_millis(5_000));
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-        assert!(err.timed_out, "{}", err.reason);
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "deadline bounds the attempt"
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Append-only line journals: the engine's write-ahead run journal, and
-//! the [`LineJournal`] it shares with the serve daemon's request journal.
+//! The engine's write-ahead run journal, kept as an append-only
+//! [`LineJournal`].
 //!
-//! A line journal is a header line followed by one record per line. Every
-//! journal follows the same four rules:
+//! A line journal is a header line followed by one record per line. It
+//! follows four rules:
 //!
 //! * **Header.** A file whose first line is not the expected header is
 //!   foreign (another format, or corrupt); it is read as empty and
@@ -11,13 +11,12 @@
 //!   mid-append can leave an unterminated final line, and that line is
 //!   never parsed, even when a prefix of it would parse.
 //! * **Compaction.** Opening a journal rewrites it to the caller's
-//!   surviving records through [`write_atomic_under`] (temp file, fsync,
+//!   surviving records through [`write_atomic`] (temp file, fsync,
 //!   rename), so torn tails and settled records never accumulate.
 //! * **Appends.** Each record is one `write_all` of the whole line under a
 //!   mutex, so concurrent records never interleave. [`LineJournal::sync`]
 //!   (`sync_data`, outside the mutex) makes them survive a power loss: the
-//!   campaign journal syncs after every record, the serve journal before
-//!   a request executes.
+//!   campaign journal syncs after every record.
 //!
 //! The campaign journal records a characterization campaign's identity
 //! and per-job progress under the journal directory (default
@@ -38,25 +37,14 @@
 //! not match the planned campaign is ignored wholesale: stale journals can
 //! never leak results across configurations, cell libraries or calibrations.
 
-use crate::fsutil::write_atomic_under;
+use crate::fsutil::write_atomic;
 use crate::library::parse_scenario;
-use aix_faults::{FaultPlan, FaultStage};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-
-/// The records [`LineJournal::read`] recovered from a journal file.
-#[derive(Debug, Default)]
-pub struct Replay {
-    /// The `\n`-terminated lines after the header, in file order.
-    pub lines: Vec<String>,
-    /// Lines not counted: a foreign header (the whole file is then
-    /// ignored) or an unterminated final line.
-    pub torn: usize,
-}
 
 /// An open append-only line journal.
 #[derive(Debug)]
@@ -67,53 +55,43 @@ pub struct LineJournal {
 }
 
 impl LineJournal {
-    /// Reads the journal at `path`. A missing file reads as empty.
+    /// Reads the `\n`-terminated lines after the header of the journal at
+    /// `path`, in file order. A missing file, or one with a foreign header,
+    /// reads as empty.
     ///
     /// # Errors
     ///
     /// Returns I/O errors reading an existing file. Malformed content is
-    /// never an error: see [`Replay::torn`].
-    pub fn read(path: &Path, header: &str) -> io::Result<Replay> {
+    /// never an error.
+    pub fn read(path: &Path, header: &str) -> io::Result<Vec<String>> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Replay::default()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
-        let (complete, tail) = text.split_at(text.rfind('\n').map_or(0, |end| end + 1));
+        let complete = &text[..text.rfind('\n').map_or(0, |end| end + 1)];
         let mut lines = complete.lines();
         match lines.next() {
-            Some(first) if first.trim() != header => Ok(Replay {
-                lines: Vec::new(),
-                torn: 1,
-            }),
-            _ => Ok(Replay {
-                lines: lines.map(str::to_owned).collect(),
-                torn: usize::from(!tail.is_empty()),
-            }),
+            Some(first) if first.trim() != header => Ok(Vec::new()),
+            _ => Ok(lines.map(str::to_owned).collect()),
         }
     }
 
     /// Compacts the journal at `path` to `header` plus `records`, one per
-    /// line, atomically under `plan`'s faults at `stage`, and opens it for
-    /// appending.
+    /// line, atomically under the `AIX_FAULT` plan's `cache` stage, and
+    /// opens it for appending.
     ///
     /// # Errors
     ///
     /// Returns I/O errors (or an injected fault) from the rewrite or the
     /// reopen.
-    pub fn compact(
-        path: &Path,
-        header: &str,
-        records: &[String],
-        plan: Option<&FaultPlan>,
-        stage: FaultStage,
-    ) -> io::Result<Self> {
+    pub fn compact(path: &Path, header: &str, records: &[String]) -> io::Result<Self> {
         let mut text = format!("{header}\n");
         for record in records {
             text.push_str(record);
             text.push('\n');
         }
-        write_atomic_under(path, &text, plan, stage)?;
+        write_atomic(path, &text)?;
         Ok(Self {
             file: OpenOptions::new().append(true).open(path)?,
             append_lock: Mutex::new(()),
@@ -190,10 +168,10 @@ impl RunJournal {
     /// fingerprint matches. Malformed lines are skipped — a bad line can
     /// only cost re-execution, never correctness.
     fn load(&mut self) {
-        let Ok(replay) = LineJournal::read(&self.path, JOURNAL_HEADER) else {
+        let Ok(lines) = LineJournal::read(&self.path, JOURNAL_HEADER) else {
             return;
         };
-        let mut lines = replay.lines.iter();
+        let mut lines = lines.iter();
         let campaign_ok = lines
             .next()
             .and_then(|line| line.trim().strip_prefix("campaign "))
@@ -238,21 +216,14 @@ impl RunJournal {
 
     /// Records the planned job count: the write-ahead step, before any job
     /// runs. Compacts the file to the preamble plus the carried `done`
-    /// records, under the `AIX_FAULT` plan's `cache` stage.
+    /// records.
     pub fn record_plan(&mut self, planned: usize) {
         let mut records = vec![
             format!("campaign {:016x}", self.campaign),
             format!("plan {planned}"),
         ];
         records.append(&mut self.carried);
-        self.file = LineJournal::compact(
-            &self.path,
-            JOURNAL_HEADER,
-            &records,
-            aix_faults::env_plan(),
-            FaultStage::Cache,
-        )
-        .ok();
+        self.file = LineJournal::compact(&self.path, JOURNAL_HEADER, &records).ok();
     }
 
     /// Records one job as done with its scenario delays. Idempotent: a job

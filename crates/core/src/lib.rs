@@ -53,7 +53,7 @@ pub mod fsutil;
 mod guard;
 mod idct;
 mod imported;
-pub mod journal;
+mod journal;
 mod library;
 mod microarch;
 mod quality;

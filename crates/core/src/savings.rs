@@ -12,6 +12,7 @@ use aix_aging::{AgingModel, AgingScenario};
 use aix_arith::ComponentSpec;
 use aix_cells::Library;
 use aix_netlist::Netlist;
+use aix_obs::names::core as names;
 use aix_power::{analyze_power, PowerConfig};
 use aix_sim::{Activity, NormalOperands, OperandSource};
 use aix_sta::{analyze, NetDelays};
@@ -92,7 +93,7 @@ fn design_metrics(
     activity_vectors: usize,
 ) -> Result<DesignMetrics, FlowError> {
     let _span = aix_obs::span!(
-        "design_metrics",
+        names::SPAN_DESIGN_METRICS,
         blocks = blocks.len(),
         vectors = activity_vectors,
     );
@@ -138,7 +139,7 @@ pub fn compare_against_aging_aware(
     scenario: AgingScenario,
     activity_vectors: usize,
 ) -> Result<SavingsReport, FlowError> {
-    let _span = aix_obs::span!("savings_compare", blocks = plan.blocks.len());
+    let _span = aix_obs::span!(names::SPAN_SAVINGS_COMPARE, blocks = plan.blocks.len());
     // Ours: planned precisions at the fresh constraint.
     let mut ours_blocks = Vec::new();
     for block in &plan.blocks {

@@ -16,7 +16,7 @@
 //! mode      = "panic" | "io" | "delay" | "shortwrite" | "enospc"
 //! param     = "p=" FLOAT        probability in [0, 1]   (default 1)
 //!           | "seed=" INT       decision seed           (default 0)
-//!           | "stage=" STAGE    synth | sta | cache | serve | import
+//!           | "stage=" STAGE    synth | sta | cache | import
 //!                               (default: all)
 //!           | "ms=" INT         delay duration, ms      (default 10)
 //! ```
@@ -96,8 +96,6 @@ pub enum FaultStage {
     Sta,
     /// The persistent characterization cache (reads and writes).
     Cache,
-    /// The `aix serve` daemon's request-handling path.
-    Serve,
     /// The netlist import front-end (`aix import` / `--netlist`).
     Import,
 }
@@ -109,7 +107,6 @@ impl FaultStage {
             FaultStage::Synth => "synth",
             FaultStage::Sta => "sta",
             FaultStage::Cache => "cache",
-            FaultStage::Serve => "serve",
             FaultStage::Import => "import",
         }
     }
@@ -195,7 +192,7 @@ impl fmt::Display for ParseFaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: expected `mode[:p=F,seed=N,stage=synth|sta|cache|serve|import,ms=N]` \
+            "{}: expected `mode[:p=F,seed=N,stage=synth|sta|cache|import,ms=N]` \
              with mode panic|io|delay|shortwrite|enospc, `;`-separated",
             self.what
         )
@@ -263,7 +260,6 @@ impl FromStr for FaultPlan {
                             "synth" => FaultStage::Synth,
                             "sta" => FaultStage::Sta,
                             "cache" => FaultStage::Cache,
-                            "serve" => FaultStage::Serve,
                             "import" => FaultStage::Import,
                             other => {
                                 return Err(ParseFaultError::new(format!(
@@ -532,34 +528,34 @@ mod tests {
 
     #[test]
     fn write_fault_modes_parse_probe_and_fire() {
-        let plan: FaultPlan = "shortwrite:p=1,stage=cache;enospc:seed=4,stage=serve"
+        let plan: FaultPlan = "shortwrite:p=1,stage=import;enospc:seed=4,stage=cache"
             .parse()
             .unwrap();
         assert_eq!(plan.specs()[0].mode, FaultMode::ShortWrite);
         assert_eq!(plan.specs()[1].mode, FaultMode::Enospc);
-        assert_eq!(plan.specs()[1].stage, Some(FaultStage::Serve));
+        assert_eq!(plan.specs()[1].stage, Some(FaultStage::Cache));
         let again: FaultPlan = plan.to_string().parse().unwrap();
         assert_eq!(again, plan);
 
         // write_fault() reports the emulation shape; stage filters apply.
         assert_eq!(
-            plan.write_fault(FaultStage::Cache, "lib.txt", 1),
+            plan.write_fault(FaultStage::Import, "adder.v", 1),
             Some(WriteFault::Short)
         );
         assert_eq!(
-            plan.write_fault(FaultStage::Serve, "journal", 1),
+            plan.write_fault(FaultStage::Cache, "journal", 1),
             Some(WriteFault::Enospc)
         );
         assert_eq!(plan.write_fault(FaultStage::Synth, "x", 1), None);
 
         // At guard sites the same specs surface as transient I/O errors,
         // and probe (no error channel) ignores them.
-        let err = plan.check(FaultStage::Cache, "lib.txt", 1).unwrap_err();
+        let err = plan.check(FaultStage::Import, "adder.v", 1).unwrap_err();
         assert!(err.to_string().contains("short write"));
-        let err = plan.check(FaultStage::Serve, "journal", 1).unwrap_err();
+        let err = plan.check(FaultStage::Cache, "journal", 1).unwrap_err();
         assert!(err.to_string().contains("no space left"));
-        plan.probe(FaultStage::Cache, "lib.txt", 1);
-        plan.probe(FaultStage::Serve, "journal", 1);
+        plan.probe(FaultStage::Import, "adder.v", 1);
+        plan.probe(FaultStage::Cache, "journal", 1);
 
         // An io-only plan offers no write emulation.
         let io: FaultPlan = "io:p=1".parse().unwrap();
@@ -567,17 +563,17 @@ mod tests {
     }
 
     #[test]
-    fn serve_stage_fires_independently_of_batch_stages() {
+    fn cache_stage_fires_independently_of_other_stages() {
         let spec = FaultSpec {
             mode: FaultMode::Panic,
             probability: 1.0,
             seed: 0,
-            stage: Some(FaultStage::Serve),
+            stage: Some(FaultStage::Cache),
             delay_ms: 0,
         };
-        assert!(spec.fires(FaultStage::Serve, "req", 1));
-        for stage in [FaultStage::Synth, FaultStage::Sta, FaultStage::Cache] {
-            assert!(!spec.fires(stage, "req", 1));
+        assert!(spec.fires(FaultStage::Cache, "lib.txt", 1));
+        for stage in [FaultStage::Synth, FaultStage::Sta, FaultStage::Import] {
+            assert!(!spec.fires(stage, "lib.txt", 1));
         }
     }
 
@@ -589,12 +585,7 @@ mod tests {
         assert_eq!(again, plan);
         let spec = &plan.specs()[0];
         assert!(spec.fires(FaultStage::Import, "adder.v", 0));
-        for stage in [
-            FaultStage::Synth,
-            FaultStage::Sta,
-            FaultStage::Cache,
-            FaultStage::Serve,
-        ] {
+        for stage in [FaultStage::Synth, FaultStage::Sta, FaultStage::Cache] {
             assert!(!spec.fires(stage, "adder.v", 0));
         }
     }
@@ -613,6 +604,13 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn removed_serve_stage_is_rejected_naming_the_remaining_stages() {
+        let err = "io:stage=serve".parse::<FaultPlan>().unwrap_err().to_string();
+        assert!(err.contains("unknown stage `serve`"), "{err}");
+        assert!(err.contains("stage=synth|sta|cache|import,"), "{err}");
     }
 
     #[test]

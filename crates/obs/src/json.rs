@@ -128,8 +128,8 @@ fn write_json_float(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
 }
 
 /// Renders `fields` as one flat single-line JSON object, keys in order —
-/// the inverse of [`parse_object`]. Shared by the trace writer and the
-/// `aix serve` wire protocol, whose frames are exactly this shape.
+/// the inverse of [`parse_object`]. The explore report and its score
+/// cache write their records with it.
 pub fn render_object<K: AsRef<str>>(fields: &[(K, Value)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{");

@@ -77,9 +77,9 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Folds `bytes` into the 64-bit FNV-1a hash `state` and returns the new
 /// state. Start from [`FNV_OFFSET`]; chaining calls hashes the
 /// concatenation. This is the workspace's one hash for cache keys,
-/// fingerprints, request keys, fault decisions and verification seeds: it
-/// is stable across platforms and runs, so anything keyed by it on disk
-/// stays valid across builds.
+/// fingerprints, fault decisions and verification seeds: it is stable
+/// across platforms and runs, so anything keyed by it on disk stays valid
+/// across builds.
 #[inline]
 #[must_use]
 pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {

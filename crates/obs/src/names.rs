@@ -1,11 +1,73 @@
 //! Canonical event-name vocabulary for cross-crate spans and counters.
 //!
-//! Producers (the serve daemon, the engine) and consumers (trace
+//! Producers (the characterization engine, verification, simulation,
+//! synthesis, the explorer and the netlist importer) and consumers (trace
 //! summaries, tests, dashboards) must agree on event names byte-for-byte
 //! or the trace silently fragments; naming them once here makes the
-//! compiler enforce the agreement. Engine-side names predate this module
-//! and stay as string literals for trace compatibility — new subsystems
-//! add their vocabulary here.
+//! compiler enforce the agreement. Every span, counter, gauge and
+//! quarantine a producer records takes its name from this module.
+
+/// Characterization-engine events (`aix-core`): one span per campaign and
+/// per stage, one per synthesis or STA job, and counters that mirror the
+/// campaign's `EngineReport`.
+pub mod core {
+    /// Span over one whole characterization campaign.
+    pub const SPAN_CAMPAIGN: &str = "campaign";
+    /// Span over planning: fingerprinting every synthesis job, probing the
+    /// cache and, on resume, the journal.
+    pub const SPAN_PLAN: &str = "plan";
+    /// Counter: a synthesis job's entries were all found in the on-disk
+    /// cache.
+    pub const CACHE_HIT: &str = "cache_hit";
+    /// Counter: a synthesis job missed (or only partly hit) the on-disk
+    /// cache.
+    pub const CACHE_MISS: &str = "cache_miss";
+    /// Counter: a cache-missing job was served from a resumed run
+    /// journal.
+    pub const JOURNAL_HIT: &str = "journal_hit";
+    /// Gauge: synthesis jobs planned for the campaign.
+    pub const SYNTH_PLANNED: &str = "synth_planned";
+    /// Span over the synthesis stage: the worker pool over every planned
+    /// job that missed.
+    pub const SPAN_SYNTH_STAGE: &str = "synth_stage";
+    /// Span over one synthesis job.
+    pub const SPAN_SYNTH: &str = "synth";
+    /// Span over the STA stage: the worker pool over every
+    /// (job, scenario) pair that needs aged delays.
+    pub const SPAN_STA_STAGE: &str = "sta_stage";
+    /// Span over one STA job.
+    pub const SPAN_STA: &str = "sta";
+    /// Span over merging job results into characterizations and writing
+    /// the cache back.
+    pub const SPAN_MERGE: &str = "merge";
+    /// Quarantine: a job failed for good and was left out of the
+    /// campaign; one per `JobFailure`, in plan order.
+    pub const QUARANTINE_JOB: &str = "job";
+    /// Counter: a guarded job attempt failed transiently (`cause` is
+    /// `io` or `timeout`) and is retried.
+    pub const JOB_RETRY: &str = "job_retry";
+    /// Counter: a guarded job's last attempt hit the watchdog.
+    pub const JOB_TIMEOUT: &str = "job_timeout";
+    /// Span over estimating one design's area, leakage and dynamic power
+    /// (the `DesignMetrics` of Fig. 8c).
+    pub const SPAN_DESIGN_METRICS: &str = "design_metrics";
+    /// Span over comparing a plan's design with the aging-aware synthesis
+    /// baseline (Fig. 8c).
+    pub const SPAN_SAVINGS_COMPARE: &str = "savings_compare";
+}
+
+/// Verification-campaign events (`aix-verify`): one span per campaign and
+/// per library entry, and one verdict counter per entry.
+pub mod verify {
+    /// Span over one whole verification campaign.
+    pub const SPAN_CAMPAIGN: &str = "verify_campaign";
+    /// Span over verifying one (component, scenario) library entry.
+    pub const SPAN_ENTRY: &str = "verify_entry";
+    /// Counter: an entry passed verification.
+    pub const PASS: &str = "verify_pass";
+    /// Counter: an entry failed verification.
+    pub const FAIL: &str = "verify_fail";
+}
 
 /// Simulation-engine events: spans over packed (lane-parallel) runs and
 /// over the activity extractions built on them, and counters sized in
@@ -62,35 +124,6 @@ pub mod synth {
     /// Counter: gates whose arrival times the incremental timer
     /// recomputed after swaps.
     pub const GATES_RETIMED: &str = "synth_gates_retimed";
-}
-
-/// `aix serve` daemon events: one request span per accepted request, plus
-/// lifecycle counters matched by `aix serve status` statistics.
-pub mod serve {
-    /// Span over one request's full handling, from dequeue to response.
-    pub const SPAN_REQUEST: &str = "serve_request";
-    /// Span over replaying one journaled request at daemon startup.
-    pub const SPAN_REPLAY: &str = "serve_replay";
-    /// Counter: a request was accepted into the queue.
-    pub const ACCEPTED: &str = "serve_accepted";
-    /// Counter: a request was shed with an `overloaded` response because
-    /// the bounded queue was full.
-    pub const SHED: &str = "serve_shed";
-    /// Counter: a request joined an identical in-flight execution instead
-    /// of enqueueing its own.
-    pub const COALESCED: &str = "serve_coalesce_hit";
-    /// Counter: a request hit its deadline before or during execution.
-    pub const DEADLINE: &str = "serve_deadline_exceeded";
-    /// Counter: a request ran to completion (any terminal status).
-    pub const COMPLETED: &str = "serve_completed";
-    /// Counter: the daemon began a graceful drain.
-    pub const DRAIN: &str = "serve_drain";
-    /// Gauge: current depth of the bounded request queue.
-    pub const QUEUE_DEPTH: &str = "serve_queue_depth";
-    /// Gauge: current depth of the interactive (priority) tier.
-    pub const QUEUE_DEPTH_INTERACTIVE: &str = "serve_queue_depth_interactive";
-    /// Gauge: current depth of the bulk tier.
-    pub const QUEUE_DEPTH_BULK: &str = "serve_queue_depth_bulk";
 }
 
 /// Design-space explorer events (`aix-explore`): one span per search, one

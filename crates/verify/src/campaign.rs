@@ -13,9 +13,10 @@ use crate::perturb::{entry_rng, Perturbation};
 use aix_aging::{AgingModel, AgingScenario};
 use aix_cells::Library;
 use aix_core::{
-    AixError, ApproxLibrary, CancelToken, CharacterizationScenario, ComponentCharacterization,
+    AixError, ApproxLibrary, CharacterizationScenario, ComponentCharacterization,
     ComponentKind, NetlistCache,
 };
+use aix_obs::names::verify as names;
 use aix_sim::{measure_errors, OperandSource, SignedNormalOperands};
 use aix_sta::{analyze, NetDelays};
 use std::fmt::Write as _;
@@ -39,10 +40,6 @@ pub struct VerifyConfig {
     /// Bound on the degradation retry loop: how many extra LSBs the
     /// `Degrade` policy may drop for one block before giving up.
     pub max_degrade_steps: usize,
-    /// Cooperative cancellation checked between entries: a cancelled or
-    /// past-deadline token truncates the campaign to the entries already
-    /// verified instead of running on (the report records the cut).
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for VerifyConfig {
@@ -54,7 +51,6 @@ impl Default for VerifyConfig {
             margin_target_ps: 0.0,
             sim_vectors: 128,
             max_degrade_steps: 8,
-            cancel: None,
         }
     }
 }
@@ -167,10 +163,6 @@ pub struct CampaignReport {
     pub margin_target_ps: f64,
     /// Per-entry verdicts, in library order.
     pub entries: Vec<EntryVerdict>,
-    /// Entries skipped because the campaign's cancellation token fired
-    /// (deadline exceeded) before they were reached; `0` for a campaign
-    /// that ran to completion.
-    pub cancelled_entries: usize,
 }
 
 impl CampaignReport {
@@ -229,21 +221,13 @@ impl CampaignReport {
             out.push('\n');
         }
         let failed = self.entries.iter().filter(|e| !e.passed).count();
-        let _ = write!(
+        let _ = writeln!(
             out,
             "{} entries verified, {} passed, {} failed",
             self.entries.len(),
             self.entries.len() - failed,
             failed
         );
-        if self.cancelled_entries > 0 {
-            let _ = write!(
-                out,
-                " ({} skipped: campaign cancelled before completion)",
-                self.cancelled_entries
-            );
-        }
-        out.push('\n');
         out
     }
 }
@@ -461,28 +445,18 @@ pub fn verify_library(
     // precision) — notably each component's full-width constraint netlist —
     // is synthesized once, however many scenarios reference it.
     let netlists = NetlistCache::new();
-    let campaign_span = aix_obs::span!("verify_campaign", components = library.iter().count());
-    let worklist: Vec<(&ComponentCharacterization, CharacterizationScenario)> = library
+    let campaign_span = aix_obs::span!(names::SPAN_CAMPAIGN, components = library.iter().count());
+    let worklist = library
         .iter()
-        .flat_map(|c| aged_scenarios(c).into_iter().map(move |s| (c, s)))
-        .collect();
+        .flat_map(|c| aged_scenarios(c).into_iter().map(move |s| (c, s)));
     let mut entries = Vec::new();
-    let mut cancelled_entries = 0usize;
-    for (index, (characterization, scenario)) in worklist.iter().enumerate() {
-        // The deadline is observed between entries: verified verdicts are
-        // kept, the rest of the campaign is cut and reported as skipped.
-        if config.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            cancelled_entries = worklist.len() - index;
-            aix_obs::count!("verify_cancelled", skipped = cancelled_entries);
-            break;
-        }
-        let scenario = *scenario;
+    for (characterization, scenario) in worklist {
         let entry_site = format!(
             "{}-w{}@{scenario}",
             characterization.kind(),
             characterization.width()
         );
-        let entry_span = aix_obs::span!("verify_entry", entry = &entry_site);
+        let entry_span = aix_obs::span!(names::SPAN_ENTRY, entry = &entry_site);
         let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             verify_deployment_cached(
                 cells,
@@ -504,7 +478,7 @@ pub fn verify_library(
         })??;
         entry_span.close();
         aix_obs::count!(
-            if verdict.passed { "verify_pass" } else { "verify_fail" },
+            if verdict.passed { names::PASS } else { names::FAIL },
             entry = &entry_site,
         );
         entries.push(verdict);
@@ -516,7 +490,6 @@ pub fn verify_library(
         perturbation: config.perturbation,
         margin_target_ps: config.margin_target_ps,
         entries,
-        cancelled_entries,
     })
 }
 
@@ -617,33 +590,6 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.render(), other.render());
-    }
-
-    #[test]
-    fn cancelled_campaign_truncates_and_reports_the_cut() {
-        let cells = cells();
-        let library = quick_library(&cells);
-        let token = CancelToken::new();
-        token.cancel();
-        let config = VerifyConfig {
-            cancel: Some(token),
-            ..VerifyConfig::nominal()
-        };
-        let report =
-            verify_library(&cells, &library, &AgingModel::calibrated(), &config).unwrap();
-        assert!(report.entries.is_empty(), "no entry runs after cancel");
-        assert!(report.cancelled_entries > 0);
-        assert!(report.render().contains("cancelled"), "{}", report.render());
-
-        // An un-cancelled token leaves the campaign untouched.
-        let live = VerifyConfig {
-            cancel: Some(CancelToken::new()),
-            ..VerifyConfig::nominal()
-        };
-        let full =
-            verify_library(&cells, &library, &AgingModel::calibrated(), &live).unwrap();
-        assert_eq!(full.cancelled_entries, 0);
-        assert!(!full.entries.is_empty());
     }
 
     #[test]

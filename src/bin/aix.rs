@@ -13,8 +13,6 @@
 //! aix error-rate --kind adder --width 32 [--years 10] [--vectors 4000]
 //! aix quality --truncation 9 [--width 176 --height 144]
 //! aix export [--out-dir out]
-//! aix serve [--addr 127.0.0.1:4617] [--workers 2] [--queue-cap 8]
-//! aix serve status | shutdown [--addr HOST:PORT | --addr-file FILE]
 //! aix help
 //! ```
 
@@ -31,7 +29,6 @@ use aix::explore::ExploreConfig;
 use aix::dct::DatapathPrecision;
 use aix::faults::{FaultPlan, FaultStage};
 use aix::netlist::{to_dot, to_edif, to_verilog};
-use aix::serve::{Client, Server, ServerConfig};
 use aix::sim::{measure_errors, OperandSource, SignedNormalOperands};
 use aix::sta::{analyze, to_sdf, NetDelays};
 use aix::synth::Effort;
@@ -52,15 +49,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `trace` and `serve` take a positional action (`summarize`,
-    // `status`/`shutdown`) before their flags; bare `aix serve` runs the
-    // daemon. `import` takes positional netlist files before its flags.
+    // `trace` takes a positional action (`summarize`) before its flags;
+    // `import` takes positional netlist files before its flags.
     let action = match command.as_str() {
         "trace" => args.next(),
-        "serve" => match args.peek() {
-            Some(next) if !next.starts_with("--") => args.next(),
-            _ => None,
-        },
         _ => None,
     };
     let mut files = Vec::new();
@@ -84,7 +76,6 @@ fn main() -> ExitCode {
             "quality" => quality(&options),
             "export" => export(&options),
             "trace" => trace(action.as_deref(), &options),
-            "serve" => serve(action.as_deref(), &options),
             "help" | "--help" | "-h" => {
                 println!("{USAGE}");
                 Ok(ExitCode::SUCCESS)
@@ -239,34 +230,6 @@ commands:
                                   PSNR/SSIM of the test sequences at a datapath precision
   export        [--out-dir DIR]   write Liberty, degradation tables, Verilog,
                                   DOT and SDF artifacts
-  serve         [--addr HOST:PORT] [--addr-file FILE] [--workers N]
-                [--queue-cap N] [--deadline-ms N] [--crash-on-panic]
-                [--jobs N] [--cache DIR] [--journal DIR] [--no-journal]
-                [--fault SPEC]
-                                  run the fault-tolerant characterization
-                                  daemon (default 127.0.0.1:4617; port 0 picks
-                                  a free port, written to --addr-file).
-                                  Requests are length-prefixed JSON frames
-                                  carrying characterize/select-precision/
-                                  verify campaigns with optional per-request
-                                  deadlines; identical in-flight campaigns
-                                  coalesce, overload is shed with a
-                                  retry-after hint, accepted requests are
-                                  journaled for crash recovery, and SIGTERM
-                                  drains gracefully
-  serve call    --kind adder|multiplier|mac [--width N]
-                [--op characterize|select-precision|verify] [--full]
-                [--effort area|medium|ultra] [--years N]
-                [--stress worst|balanced] [--samples N] [--seed N]
-                [--deadline-ms N] [--connect-timeout-ms N]
-                [--addr HOST:PORT | --addr-file FILE]
-                                  send one work request to a daemon
-  serve status  [--addr HOST:PORT | --addr-file FILE] [--connect-timeout-ms N]
-                                  print a daemon's queue depths (per admission
-                                  tier), shed/coalesce counters and p50/p99
-                                  latencies
-  serve shutdown [--addr HOST:PORT | --addr-file FILE] [--connect-timeout-ms N]
-                                  ask the daemon to drain and exit 0
   trace         summarize [--file FILE] [--strict] [--no-record]
                                   render the per-stage latency/counter table of
                                   a recorded JSONL trace (newest under
@@ -466,7 +429,6 @@ fn parse_verify_config(options: &HashMap<String, String>) -> Result<VerifyConfig
             defaults.max_degrade_steps,
             "a step count",
         )?,
-        cancel: None,
     })
 }
 
@@ -1128,206 +1090,6 @@ fn verify(options: &HashMap<String, String>) -> CliResult {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Default loopback address of the characterization daemon.
-const SERVE_DEFAULT_ADDR: &str = "127.0.0.1:4617";
-
-/// `aix serve [status|shutdown]`: run the fault-tolerant characterization
-/// daemon, or talk to a running one.
-fn serve(action: Option<&str>, options: &HashMap<String, String>) -> CliResult {
-    match action {
-        None | Some("run") => serve_run(options),
-        Some("call") => serve_work_call(options),
-        Some("status") => serve_call(options, "{\"op\":\"status\"}"),
-        Some("shutdown") => serve_call(options, "{\"op\":\"shutdown\"}"),
-        Some(other) => Err(AixError::InvalidOption {
-            flag: "serve",
-            value: other.to_owned(),
-            expected: "run|call|status|shutdown",
-        }),
-    }
-}
-
-fn serve_run(options: &HashMap<String, String>) -> CliResult {
-    let mut config = ServerConfig::local_default(parse_engine_options(options)?);
-    config.addr = get(options, "--addr")
-        .unwrap_or(SERVE_DEFAULT_ADDR)
-        .to_owned();
-    config.addr_file = get(options, "--addr-file").map(PathBuf::from);
-    config.workers = parse_or(options, "--workers", 2, "a positive worker count")?;
-    config.queue_cap = parse_or(options, "--queue-cap", 8, "a positive queue capacity")?;
-    let deadline_ms: u64 = parse_or(
-        options,
-        "--deadline-ms",
-        0,
-        "a default request deadline in milliseconds (0 = none)",
-    )?;
-    config.default_deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    config.crash_on_panic = get(options, "--crash-on-panic").is_some();
-    // Crash recovery rides on the engine journal directory: `--no-journal`
-    // disables both the run journal and the serve request journal.
-    config.journal_path = config
-        .engine
-        .journal_dir
-        .as_ref()
-        .map(|dir| dir.join("serve-requests.journal"));
-    aix::serve::install_sigterm_drain();
-    let server =
-        Server::bind(config).map_err(|e| AixError::io("aix serve bind".to_owned(), e))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| AixError::io("aix serve".to_owned(), e))?;
-    aix::obs::progress!(
-        "aix serve listening on {addr} (SIGTERM or `aix serve shutdown` drains gracefully)"
-    );
-    server
-        .run()
-        .map_err(|e| AixError::io(addr.to_string(), e))?;
-    aix::obs::progress!("aix serve drained cleanly");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The strict `--connect-timeout-ms` parse (the lenient env-var read
-/// lives in [`aix::serve::client::connect_timeout`]); `0` disables the
-/// bound.
-fn parse_connect_timeout(options: &HashMap<String, String>) -> Result<Option<u64>, AixError> {
-    match get(options, "--connect-timeout-ms") {
-        None => Ok(None),
-        Some(value) => value
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| AixError::InvalidOption {
-                flag: "--connect-timeout-ms",
-                value: value.to_owned(),
-                expected: "a connect timeout in milliseconds (0 = unbounded)",
-            }),
-    }
-}
-
-fn single_addr(options: &HashMap<String, String>) -> Result<String, AixError> {
-    Ok(match get(options, "--addr") {
-        Some(addr) => addr.to_owned(),
-        None => match get(options, "--addr-file") {
-            Some(path) => std::fs::read_to_string(path)
-                .map_err(|e| AixError::io(path.to_owned(), e))?
-                .trim()
-                .to_owned(),
-            None => SERVE_DEFAULT_ADDR.to_owned(),
-        },
-    })
-}
-
-/// Sends `payload` to the daemon at `--addr`/`--addr-file` and prints
-/// the response fields.
-fn call_daemon(
-    options: &HashMap<String, String>,
-    payload: &str,
-    response_timeout: Duration,
-) -> Result<aix::serve::Response, AixError> {
-    let addr = single_addr(options)?;
-    let timeout = aix::serve::client::connect_timeout(parse_connect_timeout(options)?);
-    let mut client = Client::connect_with_timeout(&addr, timeout)
-        .map_err(|e| AixError::io(addr.clone(), e))?;
-    client
-        .set_response_timeout(Some(response_timeout))
-        .map_err(|e| AixError::io(addr.clone(), e))?;
-    let response = client
-        .call(payload)
-        .map_err(|e| AixError::io(addr.clone(), e))?;
-    for (key, value) in response.fields() {
-        println!("{key}: {value}");
-    }
-    Ok(response)
-}
-
-/// `aix serve status|shutdown`: one admin request to one daemon.
-fn serve_call(options: &HashMap<String, String>, payload: &str) -> CliResult {
-    let response = call_daemon(options, payload, Duration::from_secs(10))?;
-    Ok(if response.status() == "ok" {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// `aix serve call`: send one work request to a single daemon
-/// (`--addr`/`--addr-file`).
-fn serve_work_call(options: &HashMap<String, String>) -> CliResult {
-    let op = get(options, "--op").unwrap_or("select-precision");
-    if !matches!(op, "characterize" | "select-precision" | "verify") {
-        return Err(AixError::InvalidOption {
-            flag: "--op",
-            value: op.to_owned(),
-            expected: "characterize|select-precision|verify",
-        });
-    }
-    let kind = parse_kind(options)?;
-    let width: usize = parse_or(options, "--width", 16, "a positive operand width in bits")?;
-    let effort = match get(options, "--effort").unwrap_or("medium") {
-        "area" => "area",
-        "medium" => "medium",
-        "ultra" => "ultra",
-        other => {
-            return Err(AixError::InvalidOption {
-                flag: "--effort",
-                value: other.to_owned(),
-                expected: "area|medium|ultra",
-            })
-        }
-    };
-    let stress = match get(options, "--stress").unwrap_or("worst") {
-        "worst" => "worst",
-        "balanced" => "balanced",
-        other => {
-            return Err(AixError::InvalidOption {
-                flag: "--stress",
-                value: other.to_owned(),
-                expected: "worst|balanced",
-            })
-        }
-    };
-    let years: f64 = parse_or(options, "--years", 10.0, "a number of years")?;
-    let samples: usize = parse_or(options, "--samples", 8, "a positive sample count")?;
-    let seed: u64 = parse_or(options, "--seed", 42, "a campaign seed")?;
-    let deadline_ms: u64 = parse_or(
-        options,
-        "--deadline-ms",
-        0,
-        "a request deadline in milliseconds (0 = none)",
-    )?;
-    let quick = get(options, "--full").is_none();
-
-    let mut fields: Vec<(&str, aix::obs::Value)> = vec![
-        ("op", aix::obs::Value::from(op)),
-        ("kind", aix::obs::Value::from(kind.label())),
-        ("width", aix::obs::Value::from(width)),
-        ("effort", aix::obs::Value::from(effort)),
-        ("quick", aix::obs::Value::from(quick)),
-        ("years", aix::obs::Value::from(years)),
-        ("stress", aix::obs::Value::from(stress)),
-        ("samples", aix::obs::Value::from(samples)),
-        ("seed", aix::obs::Value::from(seed)),
-    ];
-    if deadline_ms > 0 {
-        fields.push(("deadline_ms", aix::obs::Value::from(deadline_ms)));
-    }
-    let payload = aix::obs::render_object(&fields);
-
-    // Bound the response wait: the deadline plus slack when one is set,
-    // otherwise a generous ceiling so a wedged daemon still cannot hang
-    // the CLI forever.
-    let response_timeout = if deadline_ms > 0 {
-        Duration::from_millis(deadline_ms) + Duration::from_secs(10)
-    } else {
-        Duration::from_secs(600)
-    };
-    let response = call_daemon(options, &payload, response_timeout)?;
-    Ok(if matches!(response.status(), "ok" | "partial") {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 fn error_rate(options: &HashMap<String, String>) -> CliResult {

@@ -48,7 +48,6 @@ pub use aix_image as image;
 pub use aix_netlist as netlist;
 pub use aix_obs as obs;
 pub use aix_power as power;
-pub use aix_serve as serve;
 pub use aix_sim as sim;
 pub use aix_sta as sta;
 pub use aix_synth as synth;

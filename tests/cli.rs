@@ -414,6 +414,53 @@ fn garbage_env_jobs_is_rejected_like_the_flag() {
 }
 
 #[test]
+fn removed_serve_fault_stage_is_rejected_naming_the_remaining_stages() {
+    let base = [
+        "characterize",
+        "--kind",
+        "adder",
+        "--width",
+        "4",
+        "--no-cache",
+        "--no-journal",
+    ];
+    let output = aix()
+        .args(base)
+        .args(["--fault", "io:stage=serve"])
+        .output()
+        .expect("spawn aix");
+    assert_eq!(output.status.code(), Some(1));
+    let flag_stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    let output = aix()
+        .args(base)
+        .env("AIX_FAULT", "io:stage=serve")
+        .output()
+        .expect("spawn aix");
+    assert_eq!(output.status.code(), Some(1));
+    let env_stderr = String::from_utf8_lossy(&output.stderr);
+    for (source, stderr) in [("--fault", flag_stderr.as_str()), ("AIX_FAULT", &env_stderr)] {
+        assert!(
+            stderr.contains(source) && stderr.contains("io:stage=serve"),
+            "the error must name {source} and its value: {stderr}"
+        );
+        assert!(
+            stderr.contains("stage=synth|sta|cache|import,"),
+            "the error must list the remaining stages: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn serve_is_an_unknown_command() {
+    for args in [&["serve"][..], &["serve", "status"]] {
+        let output = aix().args(args).output().expect("spawn aix");
+        assert_eq!(output.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("unknown command `serve`"), "{stderr}");
+    }
+}
+
+#[test]
 fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
     use aix::faults::{FaultMode, FaultSpec, FaultStage};
     let dir = std::env::temp_dir().join(format!("aix-cli-fault-{}", std::process::id()));

@@ -1,8 +1,8 @@
 //! Pins every value the workspace derives from its 64-bit FNV-1a hash:
-//! cache keys, campaign and job fingerprints, serve request keys, fault
-//! decisions, verification seeds and retry jitter. Caches, journals and
-//! fault-injection seeds written by one build are only reusable by the next
-//! if none of these move, so each is asserted against a literal.
+//! cache keys, campaign and job fingerprints, fault decisions, verification
+//! seeds and retry jitter. Caches, journals and fault-injection seeds
+//! written by one build are only reusable by the next if none of these
+//! move, so each is asserted against a literal.
 //!
 //! Fingerprints the engine and the search keep private are read back from
 //! the file names they key on disk.
@@ -15,7 +15,6 @@ use aix::core::{
 };
 use aix::explore::{explore, seed_candidates, ExploreConfig};
 use aix::faults::{FaultMode, FaultSpec, FaultStage};
-use aix::serve::journal::request_hash;
 use aix::synth::Effort;
 use aix::verify::entry_rng;
 use rand::RngCore;
@@ -70,7 +69,7 @@ fn fault_grid() -> String {
             stage: None,
             delay_ms: 0,
         };
-        for stage in [FaultStage::Synth, FaultStage::Sta, FaultStage::Cache, FaultStage::Serve] {
+        for stage in [FaultStage::Synth, FaultStage::Sta, FaultStage::Cache] {
             for site in ["adder-w16-p12-ultra", "journal", ""] {
                 for attempt in 0..3 {
                     bits.push(if spec.fires(stage, site, attempt) { '1' } else { '0' });
@@ -114,7 +113,7 @@ fn hash_derived_values_are_pinned() {
 
     let mut verify_seed = entry_rng(42, "entry");
 
-    let pins: [(&str, String, &str); 10] = [
+    let pins: [(&str, String, &str); 9] = [
         (
             "Library::content_hash",
             format!("{:016x}", cells.content_hash()),
@@ -123,19 +122,14 @@ fn hash_derived_values_are_pinned() {
         ("engine fingerprint base", base, "6c846ba15ea2f665"),
         ("job adder-w16-p12-ultra", job, "9fc0776c07632ac7"),
         ("campaign adder-w16-p12-ultra fresh", campaign, "b24f6b8bf83c46be"),
-        (
-            "request_hash",
-            request_hash("{\"op\":\"characterize\",\"kind\":\"adder\"}"),
-            "74f2dbffaa1c29d1",
-        ),
         ("Candidate::fingerprint", format!("{candidate:016x}"), "6beeb5ecc5380916"),
         ("explore cache key", search_key, "bc68ac7305fa5d8d"),
         (
             "FaultSpec::fires grid",
             fault_grid(),
-            "001000001111111000001110001110000010 \
-             000000000110001111000011000010100000 \
-             111111110100101101111010111001110111 ",
+            "001000001111111000001110001 \
+             000000000110001111000011000 \
+             111111110100101101111010111 ",
         ),
         (
             "entry_rng(42, entry)",
