@@ -3,7 +3,8 @@
 //! 8.4 dB (10 y balance) in the paper.
 //!
 //! The whole chain executes at gate level: every MAC of both transforms
-//! runs through the event-driven timed simulator with aged delays.
+//! runs through timed simulation with aged delays, its outputs latched at
+//! the fresh clock edge (`aix_sim::TimedStreams`, one lane per block).
 
 use crate::Options;
 use aix_aging::{AgingScenario, Lifetime};

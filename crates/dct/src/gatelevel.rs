@@ -1,17 +1,18 @@
 //! Gate-level timed execution of the DCT/IDCT datapath.
 //!
 //! Every multiply-accumulate of the transform schedule runs on a
-//! synthesized 32-bit MAC netlist through the event-driven timed simulator,
-//! clocked at the *fresh* maximum frequency while the gates carry *aged*
-//! delays — the exact setup of the paper's motivational study (Fig. 2):
-//! naive guardband removal turns aging into nondeterministic timing errors
-//! that corrupt the image.
+//! synthesized 32-bit MAC netlist through timed simulation, clocked at the
+//! *fresh* maximum frequency while the gates carry *aged* delays — the
+//! exact setup of the paper's motivational study (Fig. 2): naive guardband
+//! removal turns aging into nondeterministic timing errors that corrupt
+//! the image.
 //!
-//! The packed [`PackedTimedSimulator`] runs up to 64 blocks lane-parallel,
-//! each lane a persistent stream of that block's MACs, all lanes stepped in
-//! one waveform walk. Each lane's MAC sequence is exact per-vector timed
-//! simulation (a MAC's timing depends on the *previous* MAC of the same
-//! block). Fresh runs are error-free and therefore bit-identical to RTL.
+//! [`TimedStreams`] runs up to 64 blocks lane-parallel, each lane a
+//! persistent stream of that block's MACs, and a step computes only the
+//! MAC outputs latched at the clock edge. Each lane's MAC sequence is
+//! exact per-vector timed simulation (a MAC's timing depends on the
+//! *previous* MAC of the same block). Fresh runs are error-free and
+//! therefore bit-identical to RTL.
 
 use crate::{engine, CoefficientImage, Quantizer};
 use aix_aging::{AgingModel, AgingScenario};
@@ -19,7 +20,7 @@ use aix_arith::{add_into, multiply_into, AdderKind, MultiplierKind};
 use aix_cells::Library;
 use aix_image::Image;
 use aix_netlist::{bus_from_u64, Netlist, NetlistError};
-use aix_sim::{golden_lane_word, PackedTimedSimulator, LANES};
+use aix_sim::{golden_lane_word, TimedStreams, LANES};
 use aix_sta::{analyze, ClockConstraint, NetDelays};
 use aix_synth::{compile, Effort};
 use std::sync::Arc;
@@ -182,12 +183,12 @@ impl GateLevelPipeline {
         let (width, height) = coefficients.dimensions();
         let mut image = Image::filled(width, height, 0);
         let blocks_per_row = width.div_ceil(8);
-        // One simulator per block group: streams mode pins the lane count
-        // at the first step, and the tail group may be narrower.
+        // One simulator per block group: the first step pins the lane
+        // count, and the tail group may be narrower.
         for (group_index, group) in coefficients.blocks().chunks(LANES).enumerate() {
-            let mut sim = PackedTimedSimulator::new(&self.netlist, &self.delays)?;
+            let mut sim = self.streams()?;
             let pixels = {
-                let mut mac = self.batch_mac_closure(&mut sim, &mut stats);
+                let mut mac = Self::batch_mac_closure(&mut sim, &mut stats);
                 engine::inverse_block_batch(&mut mac, group)
             };
             for (offset, block) in pixels.iter().enumerate() {
@@ -219,9 +220,9 @@ impl GateLevelPipeline {
             .collect();
         for group in coords.chunks(LANES) {
             let blocks: Vec<[u8; 64]> = group.iter().map(|&(bx, by)| image.block8(bx, by)).collect();
-            let mut sim = PackedTimedSimulator::new(&self.netlist, &self.delays)?;
+            let mut sim = self.streams()?;
             let pixels = {
-                let mut mac = self.batch_mac_closure(&mut sim, &mut stats);
+                let mut mac = Self::batch_mac_closure(&mut sim, &mut stats);
                 let mut coeffs = engine::forward_block_batch(&mut mac, &blocks);
                 if let Some(q) = quantizer {
                     for block in &mut coeffs {
@@ -237,37 +238,42 @@ impl GateLevelPipeline {
         Ok((out, stats))
     }
 
-    /// Builds the lane-batched MAC closure driving the packed timed
-    /// simulator: one lane per block, all lanes stepped in one waveform
-    /// walk per MAC.
+    /// A timed simulator of the MAC for one block group.
+    fn streams(&self) -> Result<TimedStreams<'_>, NetlistError> {
+        TimedStreams::new(&self.netlist, &self.delays, self.clock_ps)
+    }
+
+    /// Builds the lane-batched MAC closure driving `sim`: one lane per
+    /// block, all lanes stepped together per MAC.
     fn batch_mac_closure<'a, 'nl: 'a>(
-        &'a self,
-        sim: &'a mut PackedTimedSimulator<'nl>,
+        sim: &'a mut TimedStreams<'nl>,
         stats: &'a mut GateLevelStats,
     ) -> impl FnMut(&mut [i64], i64, &[i64]) + use<'a, 'nl> {
-        let clock = self.clock_ps;
         move |accs: &mut [i64], coeff: i64, samples: &[i64]| {
             let batch: Vec<Vec<bool>> = accs
                 .iter()
                 .zip(samples)
-                .map(|(&acc, &sample)| {
-                    let mut inputs = bus_from_u64(to_operand(coeff), WIDTH);
-                    inputs.extend(bus_from_u64(to_operand(sample), WIDTH));
-                    inputs.extend(bus_from_u64(to_acc(acc), ACC_WIDTH));
-                    inputs
-                })
+                .map(|(&acc, &sample)| mac_inputs(coeff, sample, acc))
                 .collect();
-            let outcome = sim
-                .step_streams(&batch, clock)
+            let error_lanes = sim
+                .step(&batch)
                 .expect("input width matches the synthesized MAC");
             stats.mac_ops += batch.len() as u64;
-            stats.timing_errors += u64::from(outcome.error_lanes().count_ones());
-            let sampled = outcome.sampled_words();
+            stats.timing_errors += u64::from(error_lanes.count_ones());
+            let sampled = sim.sampled_words();
             for (lane, acc) in accs.iter_mut().enumerate() {
                 *acc = from_bus(golden_lane_word(sampled, lane));
             }
         }
     }
+}
+
+/// The MAC's input vector for `coeff × sample + acc`.
+fn mac_inputs(coeff: i64, sample: i64, acc: i64) -> Vec<bool> {
+    let mut inputs = bus_from_u64(to_operand(coeff), WIDTH);
+    inputs.extend(bus_from_u64(to_operand(sample), WIDTH));
+    inputs.extend(bus_from_u64(to_acc(acc), ACC_WIDTH));
+    inputs
 }
 
 /// Two's-complement embedding of an `i64` into the 32-bit operand bus.
@@ -361,10 +367,7 @@ mod tests {
             (-1, -1, 0),
             (131_072, 120_000, -4_000_000_000),
         ] {
-            let mut inputs = bus_from_u64(to_operand(a), WIDTH);
-            inputs.extend(bus_from_u64(to_operand(b), WIDTH));
-            inputs.extend(bus_from_u64(to_acc(acc), ACC_WIDTH));
-            let out = nl.eval(&inputs).unwrap();
+            let out = nl.eval(&mac_inputs(a, b, acc)).unwrap();
             let got = from_bus(bus_to_u64(&out));
             let expect = from_bus(to_acc(a.wrapping_mul(b).wrapping_add(acc)));
             assert_eq!(got, expect, "{a}*{b}+{acc}");
@@ -401,6 +404,73 @@ mod tests {
         assert!(stats.timing_errors > 0, "10-year worst-case must err");
         let q = psnr(&frame, &decoded);
         assert!(q < clean - 5.0, "quality must collapse: {q} vs {clean}");
+    }
+
+    /// The Foreman frame's decode at a condition, as (timing errors, FNV-1a
+    /// of the decoded pixels).
+    fn foreman_decode(config: GateLevelConfig) -> (u64, u64) {
+        let frame = Sequence::Foreman.frame(24, 16, 0);
+        let coeffs = encode_image(&frame, &FixedPointTransform::exact());
+        let pipeline = GateLevelPipeline::new(&library(), config).unwrap();
+        let (decoded, stats) = pipeline.decode_image(&coeffs).unwrap();
+        assert_eq!(stats.mac_ops, 6144);
+        let hash = aix_obs::fnv1a(aix_obs::FNV_OFFSET, decoded.pixels());
+        (stats.timing_errors, hash)
+    }
+
+    /// A fresh MAC clocked at `factor` × its fresh critical path.
+    fn overclocked(factor: f64) -> GateLevelConfig {
+        let fresh_cp = GateLevelPipeline::new(&library(), GateLevelConfig::fresh())
+            .unwrap()
+            .fresh_critical_path_ps();
+        GateLevelConfig {
+            clock_ps: Some(factor * fresh_cp),
+            ..GateLevelConfig::fresh()
+        }
+    }
+
+    #[test]
+    fn error_rich_decodes_are_pinned() {
+        // Recorded from the waveform simulator that computed these decodes
+        // before the sampling program did: the same timing errors and the
+        // same pixels, in conditions where many MACs latch wrong values.
+        let worst = GateLevelConfig::aged(AgingScenario::worst_case(Lifetime::YEARS_10));
+        assert_eq!(foreman_decode(worst), (73, 0x144f_1070_30f1_9695));
+        assert_eq!(foreman_decode(overclocked(0.8)), (617, 0x831f_10ee_287c_540c));
+        assert_eq!(foreman_decode(overclocked(0.6)), (3790, 0xaa46_2396_992e_0a2b));
+    }
+
+    #[test]
+    fn overclocked_mac_streams_match_per_lane_scalars() {
+        use aix_sim::TimedSimulator;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const LANES_USED: usize = 5;
+        const STEPS: usize = 6;
+        let pipeline = GateLevelPipeline::new(&library(), overclocked(0.6)).unwrap();
+        let (netlist, delays) = (&pipeline.netlist, &pipeline.delays);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut streams = TimedStreams::new(netlist, delays, pipeline.clock_ps).unwrap();
+        let mut scalars: Vec<TimedSimulator> = (0..LANES_USED)
+            .map(|_| TimedSimulator::new(netlist, delays).unwrap())
+            .collect();
+        let mut errors = 0;
+        for step in 0..STEPS {
+            let batch: Vec<Vec<bool>> = (0..LANES_USED)
+                .map(|_| mac_inputs(rng.gen(), rng.gen(), rng.gen()))
+                .collect();
+            let error_lanes = streams.step(&batch).unwrap();
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                let expected = scalar.step(&batch[lane], pipeline.clock_ps).unwrap();
+                let bit = |word: &u64| (word >> lane) & 1 == 1;
+                let sampled: Vec<bool> = streams.sampled_words().iter().map(bit).collect();
+                let settled: Vec<bool> = streams.settled_words().iter().map(bit).collect();
+                assert_eq!(sampled, expected.sampled, "step {step} lane {lane}");
+                assert_eq!(settled, expected.settled, "step {step} lane {lane}");
+                assert_eq!(bit(&error_lanes), expected.timing_error, "step {step} lane {lane}");
+                errors += usize::from(expected.timing_error);
+            }
+        }
+        assert!(errors > 0, "0.6x the fresh clock must err");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * [`encode_image`] / [`decode_image`] / [`roundtrip_psnr`] — the image
 //!   pipeline used for quality evaluation (Fig. 2, Fig. 8b, Fig. 9).
 //! * [`GateLevelPipeline`] — the expensive counterpart: every MAC operation
-//!   of the IDCT executes on a synthesized gate-level netlist through the
-//!   event-driven timed simulator, so *nondeterministic* aging-induced
+//!   of the IDCT executes on a synthesized gate-level netlist through
+//!   timed simulation sampled at the clock edge
+//!   ([`aix_sim::TimedStreams`]), so *nondeterministic* aging-induced
 //!   timing errors corrupt the image exactly as in the paper's
 //!   motivational study.
 //!

@@ -8,7 +8,7 @@
 //!    structural Verilog subset the exporter emits (plus bus declarations,
 //!    escaped identifiers and positional connections for hand-written
 //!    sources), and an s-expression parser for EDIF 2.0.0 netlist views.
-//!    Both produce the same language-neutral [`Design`] AST and report
+//!    Both produce the same language-neutral `Design` AST and report
 //!    failures as [`ImportError`] values carrying a line:column [`Loc`].
 //! 2. **Cell mapping** — instantiated cell names resolve onto `aix-cells`
 //!    primitives through a [`CellAliases`] table: exact library names

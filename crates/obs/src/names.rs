@@ -80,21 +80,13 @@ pub mod sim {
     /// Span over one `Activity::collect` call: zero-delay switching
     /// activity of a stimulus stream.
     pub const SPAN_ACTIVITY_COLLECT: &str = "activity_collect";
-    /// Span over one `collect_timed_activity` call: glitch-aware
-    /// activity from the packed timed engine.
-    pub const SPAN_ACTIVITY_TIMED: &str = "activity_timed";
-    /// Span over one packed *timed* (event-driven) measurement — the
-    /// lane-parallel twin of a scalar `TimedSimulator` sweep. For
-    /// `consumer = "measure_errors"` it covers compiling the sampling
-    /// program too, and its close event records the program's
-    /// `live_nets`, `live_pairs` and `rows` (the rows of lane words its
-    /// store holds once op results share rows).
+    /// Span over compiling one timed sampling program. Its close event
+    /// records the program's `live_nets`, `live_pairs` and `rows` (the
+    /// rows of lane words its store holds once op results share rows).
+    /// For `consumer = "measure_errors"` it covers the whole measurement
+    /// the program then runs; for `consumer = "gate_level"` (one
+    /// `TimedStreams` of the gate-level IDCT) only the compile.
     pub const SPAN_TIMED_PACKED: &str = "sim_timed_packed";
-    /// Counter: waveform entries the packed timed engine built over one
-    /// timed-activity call (`consumer = "activity_timed"`), emitted once
-    /// per call with the total as `by`. One entry is one net changing in
-    /// up to 64 lanes at one instant.
-    pub const TIMED_EVENT_GROUPS: &str = "timed_event_groups";
     /// Counter: ops the demand-driven sampling program of one
     /// `measure_errors` call ran, emitted once per call with
     /// ops × batches as `by`. One op is one gate evaluated for up to 64

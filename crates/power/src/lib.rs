@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn glitch_aware_dynamic_power_is_higher() {
-        use aix_sim::collect_timed_activity;
+        use aix_sim::oracle::timed_activity;
         use aix_sta::NetDelays;
         let lib = Arc::new(Library::nangate45_like());
         let nl = build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(12)).unwrap();
@@ -220,7 +220,7 @@ mod tests {
             analyze_power(&nl, &Activity::collect(&nl, vectors.clone()).unwrap(), &cfg);
         let timed = analyze_power(
             &nl,
-            &collect_timed_activity(&nl, &NetDelays::fresh(&nl), vectors).unwrap(),
+            &timed_activity(&nl, &NetDelays::fresh(&nl), vectors).unwrap(),
             &cfg,
         );
         assert!(

@@ -21,7 +21,7 @@ pub struct Activity {
 impl Activity {
     /// Builds an activity record from raw statistics (ones per net,
     /// transitions per net, vector count) — used by the glitch-aware
-    /// timed-simulation extraction.
+    /// [`oracle::timed_activity`](crate::oracle::timed_activity).
     ///
     /// # Panics
     ///
@@ -136,74 +136,6 @@ impl Activity {
         let sum: f64 = (0..self.ones.len()).map(|i| self.toggle_rate(i)).sum();
         sum / self.ones.len() as f64
     }
-}
-
-/// Collects *glitch-aware* activity by running the event-driven timed
-/// simulator: every real transition counts, including hazards a zero-delay
-/// functional simulation never sees. Multiplier arrays in particular
-/// glitch heavily, so dynamic power computed from this activity is the
-/// honest figure.
-///
-/// Runs the lane-parallel [`PackedTimedSimulator`](crate::PackedTimedSimulator),
-/// 64 vectors per word, whose per-lane transition sequences equal the
-/// scalar [`oracle::timed_activity`](crate::oracle::timed_activity)'s.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn collect_timed_activity<I>(
-    netlist: &Netlist,
-    delays: &aix_sta::NetDelays,
-    stimuli: I,
-) -> Result<Activity, NetlistError>
-where
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _timed = aix_obs::span!(names::SPAN_ACTIVITY_TIMED, nets = netlist.net_count());
-    let _packed = aix_obs::span!(
-        names::SPAN_TIMED_PACKED,
-        consumer = names::SPAN_ACTIVITY_TIMED,
-        nets = netlist.net_count()
-    );
-    let mut sim = crate::PackedTimedSimulator::new(netlist, delays)?;
-    let mut ones = vec![0u64; netlist.net_count()];
-    let mut vectors = 0u64;
-    let mut batch: Vec<Vec<bool>> = Vec::with_capacity(LANES);
-    let flush = |batch: &[Vec<bool>],
-                 sim: &mut crate::PackedTimedSimulator,
-                 ones: &mut [u64]|
-     -> Result<(), NetlistError> {
-        // A generous clock: only settled values and real transition counts
-        // matter here, not sampling errors. After the step the
-        // engine's net words hold each lane's settled values.
-        sim.step_stream_batch(batch, f64::MAX / 4.0)?;
-        let mask = lane_mask(batch.len());
-        for (one, &w) in ones.iter_mut().zip(sim.net_words()) {
-            *one += u64::from((w & mask).count_ones());
-        }
-        Ok(())
-    };
-    for vector in stimuli {
-        batch.push(vector);
-        vectors += 1;
-        if batch.len() == LANES {
-            flush(&batch, &mut sim, &mut ones)?;
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        flush(&batch, &mut sim, &mut ones)?;
-    }
-    aix_obs::count_by!(
-        names::TIMED_EVENT_GROUPS,
-        sim.waveform_entries(),
-        consumer = names::SPAN_ACTIVITY_TIMED
-    );
-    Ok(Activity::from_parts(
-        ones,
-        sim.transition_counts().to_vec(),
-        vectors,
-    ))
 }
 
 /// Derives per-gate (pMOS, nMOS) stress pairs from extracted activity.
@@ -372,7 +304,7 @@ mod tests {
             NormalOperands::new(8, 9).vectors(150).collect();
         let functional = Activity::collect(&nl, vectors.clone()).unwrap();
         let timed =
-            collect_timed_activity(&nl, &NetDelays::fresh(&nl), vectors).unwrap();
+            crate::oracle::timed_activity(&nl, &NetDelays::fresh(&nl), vectors).unwrap();
         let mut strictly_more = 0;
         for (id, _) in nl.nets() {
             let f = functional.toggle_rate(id.index());

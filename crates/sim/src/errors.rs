@@ -93,15 +93,8 @@ where
     I: IntoIterator<Item = Vec<bool>>,
 {
     let clock_ticks = clock_ticks(clock_ps)?;
-    let mut span = aix_obs::span!(
-        aix_obs::names::sim::SPAN_TIMED_PACKED,
-        consumer = "measure_errors",
-        nets = netlist.net_count()
-    );
-    let mut program = TimedProgram::compile(netlist, delays, clock_ticks)?;
-    span.record("live_nets", program.live_nets());
-    span.record("live_pairs", program.live_pairs());
-    span.record("rows", program.rows());
+    let (mut program, _span) =
+        TimedProgram::compile_traced(netlist, delays, clock_ticks, "measure_errors")?;
     let mut golden = PackedEvaluator::new(netlist)?;
     let (mut stats, mut total_abs_error) = new_stats();
     let mut sampled_words = vec![0u64; netlist.outputs().len()];
@@ -306,7 +299,7 @@ mod tests {
     fn deep_netlists_compile_without_recursion() {
         // About 10 000 ops deep: far past what a recursive walk survives on
         // a test thread's stack. Each net glitches once per arrival, so the
-        // waveform engines would take quadratic time here; no oracle.
+        // scalar engine would take quadratic time here; no oracle.
         let nl = xor_chain(20_000);
         let delays = NetDelays::fresh(&nl);
         let clock = analyze(&nl, &delays).unwrap().max_delay_ps() * 0.5;

@@ -5,12 +5,13 @@
 //! production caller: the crate's public entry points
 //! ([`measure_errors`](crate::measure_errors),
 //! [`Activity::collect`](crate::Activity::collect),
-//! [`collect_timed_activity`](crate::collect_timed_activity),
 //! [`simulate_faults`](crate::simulate_faults),
 //! [`reference_outputs`](crate::reference_outputs)) run only the packed
 //! engines. These loops exist so the differential suites and the
 //! throughput benches have an independent, obviously-correct answer to
 //! compare the packed engines against, bit for bit.
+//! [`timed_activity`] has no packed twin: glitch-aware activity needs
+//! every transition, and only the scalar engine records them.
 
 use crate::errors::new_stats;
 use crate::faults::{FaultCoverage, StuckAtFault};
@@ -99,9 +100,9 @@ where
     Ok(Activity::from_parts(ones, toggles, vectors))
 }
 
-/// Scalar reference for
-/// [`collect_timed_activity`](crate::collect_timed_activity): one timed
-/// step per vector.
+/// Glitch-aware activity: signal probabilities from the settled values
+/// and toggle counts from every transition of the timed engine, hazards
+/// included, one timed step per vector.
 ///
 /// # Errors
 ///

@@ -12,10 +12,9 @@
 //! arrives, so a stream of one batch is the width-1 case of the same
 //! loop; [`simulate_faults`] walks one batch per fault at a time.
 //!
-//! Timed simulation is packed too:
-//! [`PackedTimedSimulator`](crate::PackedTimedSimulator) propagates
-//! per-net waveforms on the femtosecond tick grid in one levelized walk,
-//! 64 vectors per word with per-lane sample-at-clock state, and is
+//! Timed simulation is packed too: its sampling program runs after a
+//! walk of this evaluator, on the same lane words, for
+//! [`measure_errors`] and [`TimedStreams`](crate::TimedStreams), and is
 //! bit-identical to the scalar [`TimedSimulator`](crate::TimedSimulator)
 //! per lane. DESIGN.md records the argument for why that holds. The
 //! scalar engines survive only as the reference implementations in

@@ -5,9 +5,9 @@
 //! clock period are rounded to the nearest tick on entry, so two events that
 //! are arithmetically simultaneous always compare equal — accumulated `f64`
 //! sums reached via different gate paths can no longer fragment one instant
-//! into several evaluation batches. The packed engine
-//! ([`crate::PackedTimedSimulator`]) shares the same grid, which is what
-//! makes lane-exact differential testing possible.
+//! into several evaluation batches. The packed sampling program behind
+//! [`crate::measure_errors`] and [`crate::TimedStreams`] shares the same
+//! grid, which is what makes lane-exact differential testing possible.
 
 use aix_netlist::{Evaluator, NetDriver, NetId, Netlist, NetlistError};
 use aix_sta::NetDelays;

@@ -30,13 +30,112 @@
 //! op runs [`CellFunction::eval_rows`] over rows of one word per 64
 //! vectors, and at compile time an op's row goes back to a free list
 //! after its last reader, so the store holds only the live frontier.
+//!
+//! [`TimedStreams`] runs the same program in per-lane mode: up to 64
+//! independent streams, one batch of width 1 per step, where each lane's
+//! old word is its own settled word from the previous step rather than
+//! the previous vector's.
 
-use crate::packed::LANES;
-use crate::timed::quantize_delays;
-use crate::timed_packed::chain_stream;
+use crate::packed::{lane_mask, PackedEvaluator, LANES};
+use crate::timed::{clock_ticks, quantize_delays};
 use aix_cells::{CellFunction, MAX_INPUTS, MAX_OUTPUTS};
 use aix_netlist::{GateId, NetDriver, NetId, Netlist, NetlistError};
+use aix_obs::SpanGuard;
 use aix_sta::NetDelays;
+
+/// Timed simulation of up to 64 independent stimulus streams at one
+/// clock, one per lane. Lane *l* starts every [`step`](Self::step) from
+/// its own settled state of the previous step, so it equals a dedicated
+/// scalar [`TimedSimulator`](crate::TimedSimulator) stepping that lane's
+/// stream; like the scalar engine, the first step settles without
+/// timing. A step is one zero-delay [`PackedEvaluator`] walk (the settled
+/// words) plus one run of the sampling program compiled by
+/// [`new`](Self::new) (the sampled words).
+#[derive(Debug)]
+pub struct TimedStreams<'nl> {
+    golden: PackedEvaluator<'nl>,
+    program: TimedProgram,
+    /// Lane count pinned by the first step; 0 before it.
+    lanes: usize,
+    /// Output words sampled at the clock edge in the latest step.
+    sampled: Vec<u64>,
+}
+
+impl<'nl> TimedStreams<'nl> {
+    /// Compiles the sampling program of `netlist` under `delays`, clocked
+    /// at `clock_ps`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::InvalidClock`] for a NaN or negative
+    /// `clock_ps` (`+∞` never samples),
+    /// [`NetlistError::CombinationalCycle`] for cyclic netlists and
+    /// [`NetlistError::InvalidDelay`] for the delays
+    /// [`TimedSimulator::new`](crate::TimedSimulator::new) rejects.
+    pub fn new(
+        netlist: &'nl Netlist,
+        delays: &NetDelays,
+        clock_ps: f64,
+    ) -> Result<Self, NetlistError> {
+        let (program, _span) =
+            TimedProgram::compile_traced(netlist, delays, clock_ticks(clock_ps)?, "gate_level")?;
+        Ok(Self {
+            golden: PackedEvaluator::new(netlist)?,
+            program,
+            lanes: 0,
+            sampled: Vec::new(),
+        })
+    }
+
+    /// Applies the next vector of every stream, `batch[l]` to lane *l*,
+    /// and returns the mask of lanes that latched at least one wrong
+    /// output bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::InputWidthMismatch`] if a vector does not
+    /// match the number of primary inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty batch, a batch of more than [`LANES`] vectors,
+    /// or a lane count that differs from the first step's.
+    pub fn step(&mut self, batch: &[Vec<bool>]) -> Result<u64, NetlistError> {
+        self.golden.eval_batch(batch)?;
+        if self.lanes == 0 {
+            self.lanes = batch.len();
+        }
+        assert_eq!(
+            batch.len(),
+            self.lanes,
+            "the first step pins the lane count"
+        );
+        self.program.run_lanes(self.golden.net_words());
+        self.sampled.clear();
+        self.sampled.extend(self.program.sampled_words(0));
+        let mask = lane_mask(self.lanes);
+        Ok(self
+            .sampled
+            .iter()
+            .zip(self.settled_words())
+            .fold(0, |lanes, (&sampled, &settled)| {
+                lanes | ((sampled ^ settled) & mask)
+            }))
+    }
+
+    /// Output lane words latched at the clock edge in the latest step, in
+    /// port order; empty before the first step. A transition arriving
+    /// exactly at the edge is not latched.
+    pub fn sampled_words(&self) -> &[u64] {
+        &self.sampled
+    }
+
+    /// Output lane words after the latest step settled, in port order;
+    /// empty before the first step.
+    pub fn settled_words(&self) -> &[u64] {
+        self.golden.output_words()
+    }
+}
 
 /// An operand of the walk: a net's old or settled word, or an op result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +163,10 @@ struct Op<T> {
 }
 
 /// The compiled sampling program of one (netlist, delays, clock), plus
-/// the per-block state that chains one stimulus stream across blocks.
+/// the state that carries its streams from one run to the next: one
+/// stimulus stream chained across blocks ([`run`](Self::run)), or up to
+/// 64 independent streams, one per lane ([`run_lanes`](Self::run_lanes)).
+/// One program serves one of the two modes.
 ///
 /// The store holds rows of `width` lane words, one word per 64 vectors of
 /// the block. Each block fills the rows of the nets read at their old or
@@ -90,7 +192,9 @@ pub(crate) struct TimedProgram {
     width: usize,
     /// Row-major lane words: row `r`'s word `k` is `store[r * width + k]`.
     store: Vec<u64>,
-    /// Stream state of the old-read nets, see [`chain_stream`].
+    /// Stream state of the old-read nets: the stream's last settled bit
+    /// (see [`chain_stream`]), or in per-lane mode the settled word of
+    /// the previous run.
     prev: Vec<u64>,
     started: bool,
 }
@@ -195,6 +299,32 @@ impl TimedProgram {
         })
     }
 
+    /// [`compile`](Self::compile) inside a
+    /// [`SPAN_TIMED_PACKED`](aix_obs::names::sim::SPAN_TIMED_PACKED) span
+    /// for `consumer`, which records the program's live nets, live pairs
+    /// and rows. The span stays open while the caller holds its guard.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`](Self::compile).
+    pub(crate) fn compile_traced(
+        netlist: &Netlist,
+        delays: &NetDelays,
+        clock_ticks: u64,
+        consumer: &'static str,
+    ) -> Result<(Self, SpanGuard), NetlistError> {
+        let mut span = aix_obs::span!(
+            aix_obs::names::sim::SPAN_TIMED_PACKED,
+            consumer = consumer,
+            nets = netlist.net_count()
+        );
+        let program = Self::compile(netlist, delays, clock_ticks)?;
+        span.record("live_nets", program.live_nets());
+        span.record("live_pairs", program.live_pairs());
+        span.record("rows", program.rows());
+        Ok((program, span))
+    }
+
     /// Number of ops: the live (net, canonical instant) pairs.
     pub(crate) fn live_pairs(&self) -> usize {
         self.ops.len()
@@ -218,13 +348,44 @@ impl TimedProgram {
     /// outputs sampled at the clock edge with
     /// [`sampled_words`](Self::sampled_words).
     pub(crate) fn run(&mut self, settled: &[u64], vectors: usize) {
-        let width = vectors.div_ceil(LANES);
+        self.run_from(
+            settled,
+            vectors.div_ceil(LANES),
+            |row, prev, old, started| {
+                chain_stream(row, vectors, started, prev, old);
+            },
+        );
+    }
+
+    /// Runs the program on one batch of up to 64 independent streams, one
+    /// per lane, given every net's settled word (net `n`'s at
+    /// `settled[n]`): each lane starts from its own settled state of the
+    /// previous run (on the first run from this one's, the scalar
+    /// engine's untimed first step). Read the sampled outputs with
+    /// `sampled_words(0)`.
+    pub(crate) fn run_lanes(&mut self, settled: &[u64]) {
+        self.run_from(settled, 1, |row, prev, old, started| {
+            old[0] = if started { *prev } else { row[0] };
+            *prev = row[0];
+        });
+    }
+
+    /// The run behind both modes, over rows of `width` words: `start`
+    /// writes each old-read net's old row from its settled row, its
+    /// stream state and whether an earlier run happened; then the
+    /// settled-read nets' rows are copied in and the ops run.
+    fn run_from(
+        &mut self,
+        settled: &[u64],
+        width: usize,
+        mut start: impl FnMut(&[u64], &mut u64, &mut [u64], bool),
+    ) {
         self.width = width;
         self.store.resize(self.rows * width, 0);
         let row = |net: u32| &settled[net as usize * width..][..width];
         for (&(net, at), prev) in self.old.iter().zip(&mut self.prev) {
             let old = &mut self.store[at as usize * width..][..width];
-            chain_stream(row(net), vectors, self.started, prev, old);
+            start(row(net), prev, old, self.started);
         }
         self.started = true;
         for &(net, at) in &self.settled {
@@ -248,6 +409,25 @@ impl TimedProgram {
             .iter()
             .map(move |&row| self.store[row as usize * self.width + batch])
     }
+}
+
+/// Chains one stimulus stream across blocks, for one net: given the
+/// net's settled row of this block's `vectors` vectors (⌈`vectors` / 64⌉
+/// lane words, vector *v* in lane *v* mod 64 of word *v* / 64), writes
+/// the row its vectors start from into `old` — vector *v* from vector
+/// *v − 1*'s settled state, so old word *k* is `(settled_k << 1) | carry`
+/// with the carry the last lane of word *k − 1*, or of the previous
+/// block — and carries this block's last valid lane in `prev`. The
+/// stream's very first vector (while `started` is unset) starts from its
+/// own settled state: zero input transitions, the scalar engine's
+/// untimed first step.
+fn chain_stream(settled: &[u64], vectors: usize, started: bool, prev: &mut u64, old: &mut [u64]) {
+    let mut carry = if started { *prev } else { settled[0] & 1 };
+    for (old, &word) in old.iter_mut().zip(settled) {
+        *old = (word << 1) | carry;
+        carry = word >> (LANES - 1);
+    }
+    *prev = (settled[settled.len() - 1] >> ((vectors - 1) % LANES)) & 1;
 }
 
 /// No value or row yet.
@@ -574,4 +754,44 @@ fn widen(range: &mut Option<(u64, u64)>, first: u64, last: u64) {
         Some((a, b)) => (a.min(first), b.max(last)),
         None => (first, last),
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{OperandSource, TimedSimulator, UniformOperands};
+    use aix_arith::{build_adder, AdderKind, ComponentSpec};
+    use aix_cells::Library;
+
+    fn adder() -> Netlist {
+        let lib = std::sync::Arc::new(Library::nangate45_like());
+        build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(4)).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "the first step pins the lane count")]
+    fn lane_count_change_panics() {
+        // Empty and oversized batches panic in `PackedEvaluator::eval_batch`.
+        let nl = adder();
+        let mut sim = TimedStreams::new(&nl, &NetDelays::fresh(&nl), 100.0).unwrap();
+        let batch: Vec<Vec<bool>> = UniformOperands::new(4, 1).vectors(3).collect();
+        sim.step(&batch[..2]).unwrap();
+        let _ = sim.step(&batch);
+    }
+
+    #[test]
+    fn invalid_delays_rejected_like_scalar() {
+        let nl = adder();
+        let mut raw = NetDelays::fresh(&nl).as_slice().to_vec();
+        raw[2] = f64::NAN;
+        let delays = NetDelays::from_raw(raw);
+        assert!(matches!(
+            TimedSimulator::new(&nl, &delays),
+            Err(NetlistError::InvalidDelay { .. })
+        ));
+        assert!(matches!(
+            TimedStreams::new(&nl, &delays, 100.0),
+            Err(NetlistError::InvalidDelay { .. })
+        ));
+    }
 }

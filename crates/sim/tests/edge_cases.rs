@@ -8,7 +8,7 @@ use aix_cells::Library;
 use aix_netlist::{Netlist, NetlistError};
 use aix_sim::{
     full_fault_list, measure_errors, oracle, simulate_faults, Activity, OperandSource,
-    PackedTimedSimulator, StuckAtFault, TimedSimulator, UniformOperands,
+    StuckAtFault, TimedSimulator, TimedStreams, UniformOperands,
 };
 use aix_sta::NetDelays;
 use std::sync::Arc;
@@ -162,31 +162,17 @@ fn timed_simulator_step_rejects_bad_clocks() {
 }
 
 #[test]
-fn packed_stream_batch_step_rejects_bad_clocks() {
+fn timed_streams_reject_bad_clocks() {
     let nl = adder(4);
     let delays = NetDelays::fresh(&nl);
-    let batch: Vec<Vec<bool>> = UniformOperands::new(4, 4).vectors(5).collect();
-    let mut sim = PackedTimedSimulator::new(&nl, &delays).unwrap();
     for clock in BAD_CLOCKS {
-        assert_invalid_clock(sim.step_stream_batch(&batch, clock), clock);
+        assert_invalid_clock(TimedStreams::new(&nl, &delays, clock), clock);
     }
-    let outcome = sim.step_stream_batch(&batch, f64::INFINITY).unwrap();
-    assert_eq!(outcome.error_lanes(), 0);
-}
-
-#[test]
-fn packed_streams_step_rejects_bad_clocks() {
-    let nl = adder(4);
-    let delays = NetDelays::fresh(&nl);
-    let batch: Vec<Vec<bool>> = UniformOperands::new(4, 5).vectors(5).collect();
-    let mut sim = PackedTimedSimulator::new(&nl, &delays).unwrap();
-    for clock in BAD_CLOCKS {
-        assert_invalid_clock(sim.step_streams(&batch, clock), clock);
+    // An infinite clock never samples: no lane errs, on the untimed first
+    // step or on the timed ones after it.
+    let vectors: Vec<Vec<bool>> = UniformOperands::new(4, 5).vectors(15).collect();
+    let mut sim = TimedStreams::new(&nl, &delays, f64::INFINITY).unwrap();
+    for batch in vectors.chunks(5) {
+        assert_eq!(sim.step(batch).unwrap(), 0);
     }
-    sim.step_streams(&batch, f64::INFINITY).unwrap();
-    for clock in BAD_CLOCKS {
-        assert_invalid_clock(sim.step_streams(&batch, clock), clock);
-    }
-    let outcome = sim.step_streams(&batch, f64::INFINITY).unwrap();
-    assert_eq!(outcome.error_lanes(), 0);
 }

@@ -2,19 +2,15 @@
 //! emits one `timed_program_ops` counter event whose `by` is its sampling
 //! program's ops times its batches, and its span records the program's
 //! live nets, live pairs and store rows. Its block walks count one
-//! `packed_words` per 64-vector batch, as one-batch walks would. Timed
-//! activity extraction emits one
-//! `timed_event_groups` event whose `by` is the waveform entries it built.
-//! A test binary of its own, because the trace recorder is process-wide
-//! and other tests would add events to it.
+//! `packed_words` per 64-vector batch, as one-batch walks would. Each
+//! `TimedStreams` compile opens the same span, for the `gate_level`
+//! consumer, with the same fields. A test binary of its own, because the
+//! trace recorder is process-wide and other tests would add events to it.
 
 use aix_arith::{build_multiplier, ComponentSpec, MultiplierKind};
 use aix_cells::Library;
 use aix_obs::{names, EventKind, Recorder};
-use aix_sim::{
-    collect_timed_activity, measure_errors, OperandSource, PackedTimedSimulator, UniformOperands,
-    LANES,
-};
+use aix_sim::{measure_errors, OperandSource, TimedStreams, UniformOperands, LANES};
 use aix_sta::{analyze, NetDelays};
 use std::sync::Arc;
 
@@ -29,23 +25,8 @@ fn one_counter_event_per_measurement_with_its_work() {
     let vectors: Vec<Vec<bool>> = UniformOperands::new(6, 3).vectors(3 * LANES + 17).collect();
     let batches = vectors.len().div_ceil(LANES) as i64;
 
-    // Timed activity clocks generously; its entries come from the same
-    // waveform engine stepping the stream.
-    let mut sim = PackedTimedSimulator::new(&netlist, &delays).unwrap();
-    for batch in vectors.chunks(LANES) {
-        sim.step_stream_batch(batch, f64::INFINITY).unwrap();
-    }
-    let entries = sim.waveform_entries();
-    let transitions: u64 = sim.transition_counts().iter().sum();
-    assert!(entries > 0, "random operands make the multiplier switch");
-    assert!(
-        entries <= transitions,
-        "each entry changes at least one lane: {entries} entries, {transitions} transitions"
-    );
-
     aix_obs::install(Recorder::in_memory("timed-counter", false));
     let stats = measure_errors(&netlist, &delays, clock, vectors.iter().cloned()).unwrap();
-    collect_timed_activity(&netlist, &delays, vectors.iter().cloned()).unwrap();
     let recorder = aix_obs::uninstall().expect("recorder installed above");
     assert_eq!(stats.vectors, vectors.len() as u64);
     assert!(stats.erroneous > 0, "half the critical path must err");
@@ -94,17 +75,11 @@ fn one_counter_event_per_measurement_with_its_work() {
     assert_eq!(ops[0].str_field("consumer"), Some("measure_errors"));
     assert_eq!(ops[0].int_field("by"), Some(live_pairs * batches));
 
-    let groups = counters(names::sim::TIMED_EVENT_GROUPS);
-    assert_eq!(groups.len(), 1, "only timed activity builds waveforms");
-    assert_eq!(groups[0].str_field("consumer"), Some("activity_timed"));
-    assert_eq!(groups[0].int_field("by"), Some(entries as i64));
-
     let snapshot = recorder.snapshot();
     assert_eq!(
         snapshot.counter(names::sim::TIMED_PROGRAM_OPS),
         (live_pairs * batches) as u64
     );
-    assert_eq!(snapshot.counter(names::sim::TIMED_EVENT_GROUPS), entries);
 
     // Four full blocks of 1 024 vectors: the same totals as 64 one-batch
     // walks and program runs.
@@ -118,4 +93,33 @@ fn one_counter_event_per_measurement_with_its_work() {
         snapshot.counter(names::sim::TIMED_PROGRAM_OPS),
         live_pairs as u64 * 64
     );
+
+    // Each gate-level compile opens one span of its own, with the same
+    // program fields and the same values for the same program.
+    let batch: Vec<Vec<bool>> = UniformOperands::new(6, 5).vectors(LANES).collect();
+    aix_obs::install(Recorder::in_memory("timed-counter-gate-level", false));
+    for _ in 0..2 {
+        let mut streams = TimedStreams::new(&netlist, &delays, clock).unwrap();
+        streams.step(&batch).unwrap();
+    }
+    let recorder = aix_obs::uninstall().expect("recorder installed above");
+    let events = recorder.events();
+    let opens: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanOpen && e.name == names::sim::SPAN_TIMED_PACKED)
+        .collect();
+    assert_eq!(opens.len(), 2, "one span per compile");
+    for open in opens {
+        assert_eq!(open.str_field("consumer"), Some("gate_level"));
+        assert_eq!(open.int_field("nets"), Some(nets));
+        let close = events
+            .iter()
+            .find(|e| {
+                e.kind == EventKind::SpanClose && e.int_field("open_seq") == Some(open.seq as i64)
+            })
+            .expect("the span closes");
+        assert_eq!(close.int_field("live_nets"), Some(live_nets));
+        assert_eq!(close.int_field("live_pairs"), Some(live_pairs));
+        assert_eq!(close.int_field("rows"), Some(rows));
+    }
 }

@@ -1,21 +1,19 @@
-//! Property-based differential tests of the packed timed engine on the
-//! cases that are hard for levelized waveform propagation: random DAGs
-//! with multi-output cells, repeated fanin, constants and duplicate output
-//! ports, under raw delay annotations with zero-delay nets, equal-tick
-//! collisions and delays that saturate the tick grid. Every lane of
-//! `step_stream_batch` and `step_streams` must equal a scalar
-//! `TimedSimulator` stepping that lane's stream — the full `StepOutcome`
-//! and the per-net transition totals — at 1, 63, 64 and 65 lanes. The
-//! demand-driven `measure_errors` must equal the scalar oracle's whole
-//! `ErrorStats` on the same cases, and on streams that end just before,
-//! on and just after the block boundaries of 1 024 vectors, where
+//! Property-based differential tests of the timed sampling program on the
+//! cases that are hard for it: random DAGs with multi-output cells,
+//! repeated fanin, constants and duplicate output ports, under raw delay
+//! annotations with zero-delay nets, equal-tick collisions and delays that
+//! saturate the tick grid. Every lane of `TimedStreams` must equal a
+//! scalar `TimedSimulator` stepping that lane's stream — sampled and
+//! settled outputs and the timing-error flag — at 1, 63, 64 and 65 lanes.
+//! The demand-driven `measure_errors` must equal the scalar oracle's
+//! whole `ErrorStats` on the same cases, and on streams that end just
+//! before, on and just after the block boundaries of 1 024 vectors, where
 //! zero-delay activity must equal the oracle's too.
 
 use aix_cells::{CellFunction, DriveStrength, Library};
 use aix_netlist::Netlist;
 use aix_sim::{
-    measure_errors, oracle, Activity, PackedTimedSimulator, StepOutcome, TimedSimulator,
-    BLOCK_VECTORS, LANES,
+    measure_errors, oracle, Activity, TimedSimulator, TimedStreams, BLOCK_VECTORS, LANES,
 };
 use aix_sta::NetDelays;
 use proptest::prelude::*;
@@ -143,6 +141,44 @@ impl Case {
     }
 }
 
+/// Steps independent `streams` of equal length through `TimedStreams`,
+/// 64 per instance, and checks every lane at every step against a
+/// dedicated scalar simulator: sampled and settled outputs and the
+/// timing-error flag.
+fn check_streams(
+    netlist: &Netlist,
+    delays: &NetDelays,
+    clock: f64,
+    streams: &[Vec<Vec<bool>>],
+) -> Result<(), TestCaseError> {
+    for group in streams.chunks(LANES) {
+        let mut scalars: Vec<TimedSimulator> = group
+            .iter()
+            .map(|_| TimedSimulator::new(netlist, delays).unwrap())
+            .collect();
+        let mut packed = TimedStreams::new(netlist, delays, clock).unwrap();
+        for step in 0..group[0].len() {
+            let batch: Vec<Vec<bool>> = group.iter().map(|s| s[step].clone()).collect();
+            let error_lanes = packed.step(&batch).unwrap();
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                let expected = scalar.step(&batch[lane], clock).unwrap();
+                let bits = |words: &[u64]| -> Vec<bool> {
+                    words.iter().map(|word| (word >> lane) & 1 == 1).collect()
+                };
+                prop_assert_eq!(
+                    (bits(packed.sampled_words()), bits(packed.settled_words())),
+                    (expected.sampled, expected.settled),
+                    "step {} lane {}",
+                    step,
+                    lane
+                );
+                prop_assert_eq!((error_lanes >> lane) & 1 == 1, expected.timing_error);
+            }
+        }
+    }
+    Ok(())
+}
+
 fn case_strategy() -> impl Strategy<Value = Case> {
     let recipe = (
         1usize..=4,
@@ -175,77 +211,31 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// One stream chunked into 64-lane batches equals one scalar simulator
-    /// stepping the whole stream.
+    /// One stream stepped through a 1-lane `TimedStreams` equals one
+    /// scalar simulator stepping the whole stream.
     #[test]
     fn stream_batches_equal_scalar_steps(case in case_strategy()) {
         let library = Arc::new(Library::nangate45_like());
         let netlist = build(&case.recipe, &library);
         let delays = case.delays(&netlist);
-        let clock = case.clock_ps();
         let mut rng = StdRng::seed_from_u64(case.seed);
         let vectors = case.vectors(&mut rng, case.lanes(), netlist.inputs().len());
-        let mut scalar = TimedSimulator::new(&netlist, &delays).unwrap();
-        let mut packed = PackedTimedSimulator::new(&netlist, &delays).unwrap();
-        let mut index = 0;
-        for batch in vectors.chunks(LANES) {
-            let outcome = packed.step_stream_batch(batch, clock).unwrap();
-            for (lane, vector) in batch.iter().enumerate() {
-                let expected = scalar.step(vector, clock).unwrap();
-                prop_assert_eq!(outcome.timing_error(lane), expected.timing_error);
-                prop_assert_eq!(packed.lane_outcome(lane), expected, "vector {}", index);
-                index += 1;
-            }
-        }
-        prop_assert_eq!(packed.transition_counts(), scalar.transition_counts());
+        check_streams(&netlist, &delays, case.clock_ps(), &[vectors])?;
     }
 
     /// Independent streams, one per lane (65 streams take a 64-lane and a
-    /// 1-lane simulator), each equal to a dedicated scalar simulator.
+    /// 1-lane `TimedStreams`), each equal to a dedicated scalar simulator.
     #[test]
     fn independent_streams_equal_scalar_steps(case in case_strategy()) {
         const STEPS: usize = 4;
         let library = Arc::new(Library::nangate45_like());
         let netlist = build(&case.recipe, &library);
         let delays = case.delays(&netlist);
-        let clock = case.clock_ps();
         let mut rng = StdRng::seed_from_u64(case.seed);
         let streams: Vec<Vec<Vec<bool>>> = (0..case.lanes())
             .map(|_| case.vectors(&mut rng, STEPS, netlist.inputs().len()))
             .collect();
-        let mut scalar_totals = vec![0u64; netlist.net_count()];
-        let mut packed_totals = vec![0u64; netlist.net_count()];
-        for group in streams.chunks(LANES) {
-            let mut scalars: Vec<TimedSimulator> = group
-                .iter()
-                .map(|_| TimedSimulator::new(&netlist, &delays).unwrap())
-                .collect();
-            let mut packed = PackedTimedSimulator::new(&netlist, &delays).unwrap();
-            for step in 0..STEPS {
-                let batch: Vec<Vec<bool>> = group.iter().map(|s| s[step].clone()).collect();
-                let outcome = packed.step_streams(&batch, clock).unwrap();
-                for (lane, scalar) in scalars.iter_mut().enumerate() {
-                    let expected: StepOutcome = scalar.step(&group[lane][step], clock).unwrap();
-                    prop_assert_eq!(outcome.timing_error(lane), expected.timing_error);
-                    prop_assert_eq!(
-                        packed.lane_outcome(lane),
-                        expected,
-                        "step {} lane {}",
-                        step,
-                        lane
-                    );
-                }
-            }
-            for scalar in &scalars {
-                for (total, &count) in scalar_totals.iter_mut().zip(scalar.transition_counts()) {
-                    *total += count;
-                }
-            }
-            for (total, &count) in packed_totals.iter_mut().zip(packed.transition_counts()) {
-                *total += count;
-            }
-        }
-        prop_assert_eq!(packed_totals, scalar_totals);
+        check_streams(&netlist, &delays, case.clock_ps(), &streams)?;
     }
 
     /// The demand-driven error measurement equals the scalar oracle, down

@@ -451,6 +451,29 @@ fn removed_serve_fault_stage_is_rejected_naming_the_remaining_stages() {
 }
 
 #[test]
+fn a_failed_bench_log_write_is_only_a_warning() {
+    // Every write through the atomic-write path fails, the bench log's
+    // included: the campaign still completes, the library is printed and
+    // the exit code follows the campaign.
+    let output = aix()
+        .args([
+            "characterize", "--kind", "adder", "--width", "8", "--cache", "C", "--journal", "J",
+        ])
+        .env("AIX_FAULT", "shortwrite:p=1,stage=cache")
+        .output()
+        .expect("spawn aix");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.contains("warning") && stderr.contains("out/BENCH_characterize.json"),
+        "the warning must name the bench log: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let library = aix::core::ApproxLibrary::from_text(&stdout).expect("library printed");
+    assert!(library.get(aix::core::ComponentKind::Adder, 8).is_some());
+}
+
+#[test]
 fn serve_is_an_unknown_command() {
     for args in [&["serve"][..], &["serve", "status"]] {
         let output = aix().args(args).output().expect("spawn aix");

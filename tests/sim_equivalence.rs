@@ -1,10 +1,9 @@
 //! Differential conformance: the packed simulation engines must produce
 //! *identical* results to the scalar reference loops in `aix::sim::oracle`
 //! — same `ErrorStats` (including the f64 fields, bit for bit), same
-//! `Activity`, same `FaultCoverage`, and for
-//! the timed engines the same per-vector `StepOutcome` (sampled/settled
-//! outputs, timing-error flag, settle time, transitions) and per-net
-//! transition counters — for every library component shape, fresh and
+//! `Activity`, same `FaultCoverage`, and for `TimedStreams` the same
+//! per-vector sampled and settled outputs and timing-error flag as the
+//! scalar `TimedSimulator` — for every library component shape, fresh and
 //! aged, at vector counts that exercise full words, partial words and the
 //! scalar tail.
 
@@ -15,8 +14,8 @@ use aix::arith::{
 use aix::cells::Library;
 use aix::netlist::Netlist;
 use aix::sim::{
-    collect_timed_activity, full_fault_list, measure_errors, oracle, simulate_faults, Activity,
-    OperandSource, PackedTimedSimulator, TimedSimulator, UniformOperands,
+    full_fault_list, measure_errors, oracle, simulate_faults, Activity, OperandSource,
+    TimedSimulator, TimedStreams, UniformOperands, LANES,
 };
 use aix::sta::{analyze, NetDelays};
 use std::sync::Arc;
@@ -137,45 +136,53 @@ fn word_boundary_vector_counts_agree() {
     }
 }
 
-/// Asserts the packed timed engine reproduces the scalar engine *per
-/// vector*: every lane's sampled/settled outputs, timing-error flag,
-/// settle time and transition count, plus the cumulative per-net
-/// transition counters at the end of the stream.
+/// Asserts `TimedStreams` reproduces the scalar engine *per vector* on
+/// independent `streams` of equal length, 64 per instance: every lane's
+/// sampled and settled outputs and timing-error flag at every step, each
+/// lane against a dedicated scalar simulator. Returns the erroneous
+/// vectors.
 fn assert_timed_engines_agree(
     name: &str,
     netlist: &Netlist,
     delays: &NetDelays,
     clock_ps: f64,
-    vectors: &[Vec<bool>],
-) {
-    let mut scalar = TimedSimulator::new(netlist, delays).expect("scalar timed simulator");
-    let mut packed = PackedTimedSimulator::new(netlist, delays).expect("packed timed simulator");
-    let mut index = 0usize;
-    for batch in vectors.chunks(aix::sim::LANES) {
-        packed
-            .step_stream_batch(batch, clock_ps)
-            .expect("packed timed step");
-        for (lane, vector) in batch.iter().enumerate() {
-            let expected = scalar.step(vector, clock_ps).expect("scalar timed step");
-            assert_eq!(
-                packed.lane_outcome(lane),
-                expected,
-                "{name}: vector {index} (lane {lane}) diverges"
-            );
-            index += 1;
+    streams: &[&[Vec<bool>]],
+) -> usize {
+    let mut errors = 0;
+    for group in streams.chunks(LANES) {
+        let mut packed = TimedStreams::new(netlist, delays, clock_ps).expect("timed streams");
+        let mut scalars: Vec<TimedSimulator> = group
+            .iter()
+            .map(|_| TimedSimulator::new(netlist, delays).expect("scalar timed simulator"))
+            .collect();
+        for step in 0..group[0].len() {
+            let batch: Vec<Vec<bool>> = group.iter().map(|stream| stream[step].clone()).collect();
+            let error_lanes = packed.step(&batch).expect("timed step");
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                let expected = scalar.step(&batch[lane], clock_ps).expect("scalar timed step");
+                let bits = |words: &[u64]| -> Vec<bool> {
+                    words.iter().map(|word| (word >> lane) & 1 == 1).collect()
+                };
+                assert_eq!(
+                    (
+                        bits(packed.sampled_words()),
+                        bits(packed.settled_words()),
+                        (error_lanes >> lane) & 1 == 1
+                    ),
+                    (expected.sampled, expected.settled, expected.timing_error),
+                    "{name}: step {step} lane {lane} of {} diverges",
+                    group.len()
+                );
+                errors += usize::from(expected.timing_error);
+            }
         }
     }
-    assert_eq!(
-        scalar.transition_counts(),
-        packed.transition_counts(),
-        "{name}: per-net transition counts diverge over {} vectors",
-        vectors.len()
-    );
+    errors
 }
 
 /// Timed differential: adders of every architecture plus a multiplier,
 /// fresh and aged (10 and 20 years), must agree per vector between the
-/// scalar and packed event-driven engines.
+/// scalar engine and `TimedStreams`.
 #[test]
 fn timed_engines_agree_per_vector_fresh_and_aged() {
     let lib = cells();
@@ -232,14 +239,14 @@ fn timed_engines_agree_per_vector_fresh_and_aged() {
                 netlist,
                 delays,
                 clock,
-                &vectors,
+                &[&vectors],
             );
         }
     }
 }
 
-/// Lane-tail vector counts around the 64-lane word boundary for the timed
-/// engine, on an aged netlist so violations are actually in play.
+/// Short streams of 1, 63, 64 and 65 vectors through the timed engine, on
+/// an aged netlist so violations are actually in play.
 #[test]
 fn timed_word_boundary_vector_counts_agree() {
     let lib = cells();
@@ -259,28 +266,28 @@ fn timed_word_boundary_vector_counts_agree() {
             &netlist,
             &delays,
             clock,
-            &vectors,
+            &[&vectors],
         );
     }
 }
 
-/// Timed activity (signal probabilities + toggles from the event-driven
-/// engine, glitches included) must agree exactly across engines.
+/// Independent streams, one per lane, on an aged adder: 65 streams take a
+/// 64-lane and a 1-lane `TimedStreams`, and every lane equals a dedicated
+/// scalar simulator at every step.
 #[test]
-fn timed_activity_agrees_across_engines() {
+fn independent_streams_agree_per_lane() {
     let lib = cells();
     let netlist = build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(16)).unwrap();
+    let clock = analyze(&netlist, &NetDelays::fresh(&netlist))
+        .expect("acyclic netlist")
+        .max_delay_ps();
     let delays = NetDelays::aged(
         &netlist,
         &AgingModel::calibrated(),
         AgingScenario::worst_case(Lifetime::YEARS_10),
     );
-    for count in [65usize, 500] {
-        let vectors = stimuli(&netlist, count, 500);
-        let scalar = oracle::timed_activity(&netlist, &delays, vectors.iter().cloned())
-            .expect("scalar timed activity");
-        let packed = collect_timed_activity(&netlist, &delays, vectors.iter().cloned())
-            .expect("packed timed activity");
-        assert_eq!(scalar, packed, "timed Activity diverges over {count} vectors");
-    }
+    let vectors = stimuli(&netlist, 65 * 8, 500);
+    let streams: Vec<&[Vec<bool>]> = vectors.chunks(8).collect();
+    let errors = assert_timed_engines_agree("adder-16 x65", &netlist, &delays, clock, &streams);
+    assert!(errors > 0, "10-year worst-case aging must err");
 }
