@@ -166,7 +166,8 @@ struct Op<T> {
 /// the state that carries its streams from one run to the next: one
 /// stimulus stream chained across blocks ([`run`](Self::run)), or up to
 /// 64 independent streams, one per lane ([`run_lanes`](Self::run_lanes)).
-/// One program serves one of the two modes.
+/// One program serves one of the two modes: the first run picks it, and a
+/// run in the other mode panics.
 ///
 /// The store holds rows of `width` lane words, one word per 64 vectors of
 /// the block. Each block fills the rows of the nets read at their old or
@@ -196,7 +197,17 @@ pub(crate) struct TimedProgram {
     /// (see [`chain_stream`]), or in per-lane mode the settled word of
     /// the previous run.
     prev: Vec<u64>,
-    started: bool,
+    /// Mode of the runs so far; `None` before the first.
+    mode: Option<Mode>,
+}
+
+/// The two ways a [`TimedProgram`] carries its streams between runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// One stimulus stream, chained across the lanes and blocks.
+    Stream,
+    /// Up to 64 independent streams, one per lane.
+    Lanes,
 }
 
 impl TimedProgram {
@@ -295,7 +306,7 @@ impl TimedProgram {
             old: leaf_rows(old, 0),
             settled: leaf_rows(settled, 1),
             ops,
-            started: false,
+            mode: None,
         })
     }
 
@@ -347,10 +358,15 @@ impl TimedProgram {
     /// from its own, the scalar engine's untimed first step). Read the
     /// outputs sampled at the clock edge with
     /// [`sampled_words`](Self::sampled_words).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an earlier run was in per-lane mode.
     pub(crate) fn run(&mut self, settled: &[u64], vectors: usize) {
         self.run_from(
             settled,
             vectors.div_ceil(LANES),
+            Mode::Stream,
             |row, prev, old, started| {
                 chain_stream(row, vectors, started, prev, old);
             },
@@ -363,8 +379,12 @@ impl TimedProgram {
     /// previous run (on the first run from this one's, the scalar
     /// engine's untimed first step). Read the sampled outputs with
     /// `sampled_words(0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an earlier run was in stream mode.
     pub(crate) fn run_lanes(&mut self, settled: &[u64]) {
-        self.run_from(settled, 1, |row, prev, old, started| {
+        self.run_from(settled, 1, Mode::Lanes, |row, prev, old, started| {
             old[0] = if started { *prev } else { row[0] };
             *prev = row[0];
         });
@@ -378,16 +398,22 @@ impl TimedProgram {
         &mut self,
         settled: &[u64],
         width: usize,
+        mode: Mode,
         mut start: impl FnMut(&[u64], &mut u64, &mut [u64], bool),
     ) {
+        let started = self.mode.is_some();
+        assert_eq!(
+            *self.mode.get_or_insert(mode),
+            mode,
+            "one program serves one mode"
+        );
         self.width = width;
         self.store.resize(self.rows * width, 0);
         let row = |net: u32| &settled[net as usize * width..][..width];
         for (&(net, at), prev) in self.old.iter().zip(&mut self.prev) {
             let old = &mut self.store[at as usize * width..][..width];
-            start(row(net), prev, old, self.started);
+            start(row(net), prev, old, started);
         }
-        self.started = true;
         for &(net, at) in &self.settled {
             self.store[at as usize * width..][..width].copy_from_slice(row(net));
         }

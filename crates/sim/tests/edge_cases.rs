@@ -162,7 +162,20 @@ fn timed_simulator_step_rejects_bad_clocks() {
 }
 
 #[test]
-fn timed_streams_reject_bad_clocks() {
+fn packed_stream_batch_step_rejects_bad_clocks() {
+    // One stream in one packed batch, the sampling program's stream mode.
+    let nl = adder(4);
+    let delays = NetDelays::fresh(&nl);
+    let batch: Vec<Vec<bool>> = UniformOperands::new(4, 4).vectors(5).collect();
+    for clock in BAD_CLOCKS {
+        assert_invalid_clock(measure_errors(&nl, &delays, clock, batch.clone()), clock);
+    }
+    let stats = measure_errors(&nl, &delays, f64::INFINITY, batch).unwrap();
+    assert_eq!((stats.vectors, stats.erroneous), (5, 0));
+}
+
+#[test]
+fn packed_streams_step_rejects_bad_clocks() {
     let nl = adder(4);
     let delays = NetDelays::fresh(&nl);
     for clock in BAD_CLOCKS {
