@@ -6,10 +6,7 @@ type Experiment = fn(&aix_bench::Options) -> String;
 
 fn main() {
     let options = aix_bench::Options::from_env();
-    let runs: [(&str, Experiment); 15] = [
-        ("sim", experiments::sim::run),
-        ("import", experiments::import::run),
-        ("timed", experiments::timed::run),
+    let runs: [(&str, Experiment); 12] = [
         ("explore", experiments::explore::run),
         ("fig1", experiments::fig1::run),
         ("fig2", experiments::fig2::run),

@@ -1,7 +1,7 @@
-//! Runs the aging-aware approximation search on the study components and
-//! appends the `explore:` search-vs-truncation records to
-//! `out/BENCH_explore.json`. Pass `--full` for paper-scale budgets; see
-//! `aix_bench::Options` for flags.
+//! Runs the aging-aware approximation search on the study components,
+//! prints the search-vs-truncation table and fails unless the searched
+//! front beats uniform truncation on each. Pass `--full` for paper-scale
+//! budgets; see `aix_bench::Options` for flags.
 
 fn main() {
     let options = aix_bench::Options::from_env();

@@ -1,4 +1,5 @@
-//! Regenerates the paper's Fig. 2 experiment. Pass `--full` for
+//! Regenerates the paper's Fig. 2 experiment and times its gate-level
+//! round trip against the RTL model's (§III). Pass `--full` for
 //! paper-scale workloads; see `aix_bench::Options` for flags.
 
 fn main() {

@@ -5,14 +5,12 @@
 //! gate-level variant space (lower-OR adders, approximate full adders,
 //! column-pruned multipliers, approximate merges) on the study components
 //! and checks, per truncation operating point, whether a searched variant
-//! achieves strictly lower error at equal-or-better aged slack. The wins
-//! land as `explore:` records in `out/BENCH_explore.json`, so the bench
-//! trajectory shows whether the searched front keeps dominating the
-//! single-knob baseline.
+//! achieves strictly lower error at equal-or-better aged slack, and
+//! asserts that it does at one point at least on each component.
 
 use crate::{Options, Table};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
-use aix_core::{append_bench_json, default_bench_json_path, ComponentKind, EngineOptions};
+use aix_core::{ComponentKind, EngineOptions};
 use aix_explore::{explore, Candidate, ExploreConfig, ScoreContext, Score, score_candidate};
 use aix_cells::Library;
 use aix_sta::{analyze, NetDelays};
@@ -59,7 +57,7 @@ fn compare(
     width: usize,
     options: &Options,
     out: &mut String,
-) -> bool {
+) {
     let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
     let mut config = ExploreConfig::new(kind, width);
     config.scenario = scenario;
@@ -156,43 +154,11 @@ fn compare(
         comparisons.len(),
     );
 
-    let bench_path = default_bench_json_path().with_file_name("BENCH_explore.json");
-    let best = comparisons.iter().find_map(|c| {
-        c.winner.as_ref().map(|(label, score)| {
-            format!(
-                "{{\"against\":\"{}\",\"winner\":\"{label}\",\
-                 \"winner_mean_abs_error\":{:.6},\"trunc_mean_abs_error\":{:.6},\
-                 \"winner_slack_ps\":{:.3},\"trunc_slack_ps\":{:.3}}}",
-                c.truncation,
-                score.mean_abs_error,
-                c.trunc_score.mean_abs_error,
-                score.slack_ps,
-                c.trunc_score.slack_ps,
-            )
-        })
-    });
-    let record = format!(
-        "{{\"label\":\"explore:{kind}-{width}\",\"scenario\":\"{scenario}\",\
-         \"seed\":{SEED},\"budget\":{},\"vectors\":{},\"clock_ps\":{clock_ps:.3},\
-         \"front_size\":{},\"searched_points\":{},\"operating_points\":{},\
-         \"wins\":{wins},\"best\":{}}}",
-        config.budget,
-        config.vectors,
-        outcome.front.len(),
-        searched.len(),
-        comparisons.len(),
-        best.unwrap_or_else(|| "null".to_owned()),
-    );
-    if let Err(error) = append_bench_json(&bench_path, record) {
-        let _ = writeln!(out, "(could not append explore record: {error})");
-    }
-
     assert!(
         wins > 0,
         "{kind}-{width}: the searched front must beat uniform truncation \
          at at least one operating point"
     );
-    wins > 0
 }
 
 /// Runs the approximation-search experiment.
@@ -209,11 +175,7 @@ pub fn run(options: &Options) -> String {
         out,
         "expected shape: at every win row the searched variant has strictly\n\
          lower mean error at equal-or-better aged slack than the truncation\n\
-         point — multi-knob search dominates the paper's single knob.\n\
-         Records appended to {}.",
-        default_bench_json_path()
-            .with_file_name("BENCH_explore.json")
-            .display()
+         point — multi-knob search dominates the paper's single knob."
     );
     out
 }

@@ -14,10 +14,7 @@ pub mod fig8a;
 pub mod fig8b;
 pub mod fig8c;
 pub mod headline;
-pub mod import;
 pub mod schedule;
-pub mod sim;
-pub mod timed;
 
 use aix_aging::{AgingScenario, Lifetime};
 

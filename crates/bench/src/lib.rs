@@ -21,8 +21,7 @@ pub use table::Table;
 
 use aix_cells::Library;
 use aix_core::{
-    append_bench_record, default_bench_json_path, ApproxLibrary, CharacterizationConfig,
-    CharacterizationEngine, ComponentKind, EngineOptions,
+    ApproxLibrary, CharacterizationConfig, CharacterizationEngine, ComponentKind, EngineOptions,
 };
 use aix_synth::Effort;
 use std::path::Path;
@@ -37,9 +36,9 @@ pub const STUDY_WIDTH: usize = 32;
 ///
 /// A cold build runs the [`CharacterizationEngine`] (honouring `AIX_JOBS`
 /// and the persistent `AIX_CACHE` cache, so a repeated cold build reuses
-/// the per-component synthesis results) and appends its per-stage timings
-/// to `out/BENCH_characterize.json`; the resulting text artifact is cached
-/// whole at `cache_path`.
+/// the per-component synthesis results) and reports its per-stage timings
+/// on stderr; the resulting text artifact is cached whole at
+/// `cache_path`.
 ///
 /// # Errors
 ///
@@ -76,7 +75,6 @@ pub fn build_or_load_library(
     }
     let (library, report) = engine.characterize_all(&configs)?;
     aix_obs::progress!("(characterization engine: {})", report.summary());
-    let _ = append_bench_record(&default_bench_json_path(), "bench library", &report);
     if let Some(path) = cache_path {
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);

@@ -158,58 +158,12 @@ impl CellFunction {
         }
     }
 
-    /// Evaluates the function on 64 input vectors at once: bit `l` of each
-    /// input word carries lane `l`'s value, and bit `l` of each output word
-    /// receives lane `l`'s result. This is the parallel-pattern (bit-sliced)
-    /// form of [`eval`](Self::eval): every gate costs a handful of bitwise
-    /// machine ops for a whole word of stimulus vectors.
-    ///
-    /// Lanes beyond the caller's batch carry unspecified values; callers
-    /// mask with their lane mask before counting bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` or `outputs` are shorter than
-    /// [`input_count`](Self::input_count) /
-    /// [`output_count`](Self::output_count).
-    pub fn eval_words(self, inputs: &[u64], outputs: &mut [u64]) {
-        assert!(inputs.len() >= self.input_count(), "too few inputs for {self}");
-        assert!(
-            outputs.len() >= self.output_count(),
-            "too few outputs for {self}"
-        );
-        match self {
-            CellFunction::Inv => outputs[0] = !inputs[0],
-            CellFunction::Buf | CellFunction::Dff => outputs[0] = inputs[0],
-            CellFunction::Nand2 => outputs[0] = !(inputs[0] & inputs[1]),
-            CellFunction::Nand3 => outputs[0] = !(inputs[0] & inputs[1] & inputs[2]),
-            CellFunction::Nor2 => outputs[0] = !(inputs[0] | inputs[1]),
-            CellFunction::Nor3 => outputs[0] = !(inputs[0] | inputs[1] | inputs[2]),
-            CellFunction::And2 => outputs[0] = inputs[0] & inputs[1],
-            CellFunction::Or2 => outputs[0] = inputs[0] | inputs[1],
-            CellFunction::Xor2 => outputs[0] = inputs[0] ^ inputs[1],
-            CellFunction::Xnor2 => outputs[0] = !(inputs[0] ^ inputs[1]),
-            CellFunction::Aoi21 => outputs[0] = !((inputs[0] & inputs[1]) | inputs[2]),
-            CellFunction::Oai21 => outputs[0] = !((inputs[0] | inputs[1]) & inputs[2]),
-            CellFunction::Mux2 => {
-                outputs[0] = (inputs[0] & !inputs[2]) | (inputs[1] & inputs[2]);
-            }
-            CellFunction::HalfAdder => {
-                outputs[0] = inputs[0] ^ inputs[1];
-                outputs[1] = inputs[0] & inputs[1];
-            }
-            CellFunction::FullAdder => {
-                let (a, b, c) = (inputs[0], inputs[1], inputs[2]);
-                outputs[0] = a ^ b ^ c;
-                outputs[1] = (a & b) | (c & (a ^ b));
-            }
-        }
-    }
-
-    /// [`eval_words`](Self::eval_words) over rows of `width` lane words
-    /// held in one store: for every `k < width`, word `outputs[p] + k`
-    /// receives pin `p` of the function applied to words
-    /// `inputs[i] + k`. The `match`
+    /// Evaluates the function bit-sliced over rows of `width` lane words
+    /// held in one store: bit `l` of a word carries lane `l`'s value, and
+    /// for every `k < width`, word `outputs[p] + k` receives pin `p` of
+    /// [`eval`](Self::eval) applied lane by lane to words
+    /// `inputs[i] + k`, so one gate costs a handful of bitwise machine
+    /// ops for 64 stimulus vectors per word. The `match`
     /// runs once per call, so each function's loop over the row is a
     /// plain bitwise kernel. Offsets past the function's pins are
     /// ignored. Word `k` of every input row is read before word `k` of an
@@ -428,40 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn eval_words_matches_eval_on_every_lane() {
+    fn eval_rows_matches_eval_on_every_lane() {
         // Deterministic pseudo-random lane words exercise all input
         // combinations of every function in every lane position.
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for f in CellFunction::ALL {
-            for _ in 0..8 {
-                let words: Vec<u64> = (0..f.input_count()).map(|_| next()).collect();
-                let mut out_words = [0u64; MAX_OUTPUTS];
-                f.eval_words(&words, &mut out_words);
-                for lane in 0..64 {
-                    let bits: Vec<bool> =
-                        words.iter().map(|w| w >> lane & 1 == 1).collect();
-                    let mut out_bits = [false; MAX_OUTPUTS];
-                    f.eval(&bits, &mut out_bits);
-                    for pin in 0..f.output_count() {
-                        assert_eq!(
-                            out_words[pin] >> lane & 1 == 1,
-                            out_bits[pin],
-                            "{f} pin {pin} lane {lane}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eval_rows_matches_eval_words_on_every_word() {
         let mut state = 0x1319_8A2E_0370_7344u64;
         let mut next = move || {
             state ^= state << 13;
@@ -469,6 +392,7 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let bit = |word: u64, lane: usize| word >> lane & 1 == 1;
         for f in CellFunction::ALL {
             for width in [1usize, 3, 16] {
                 // Five rows, the outputs below the inputs and in reverse
@@ -479,12 +403,22 @@ mod tests {
                 let mut words = before.clone();
                 f.eval_rows(&mut words, inputs, outputs, width);
                 for k in 0..width {
-                    let row_words: Vec<u64> = inputs.iter().map(|&row| before[row + k]).collect();
-                    let mut out = [0u64; MAX_OUTPUTS];
-                    f.eval_words(&row_words, &mut out);
-                    assert_eq!(words[outputs[0] + k], out[0], "{f} word {k} of {width}");
-                    let carry = if f.output_count() == 2 { out[1] } else { before[k] };
-                    assert_eq!(words[outputs[1] + k], carry, "{f} pin 1 word {k} of {width}");
+                    for lane in 0..64 {
+                        let bits = inputs.map(|row| bit(before[row + k], lane));
+                        let mut out = [false; MAX_OUTPUTS];
+                        f.eval(&bits, &mut out);
+                        assert_eq!(
+                            bit(words[outputs[0] + k], lane),
+                            out[0],
+                            "{f} word {k} of {width} lane {lane}"
+                        );
+                        let carry = if f.output_count() == 2 { out[1] } else { bit(before[k], lane) };
+                        assert_eq!(
+                            bit(words[outputs[1] + k], lane),
+                            carry,
+                            "{f} pin 1 word {k} of {width} lane {lane}"
+                        );
+                    }
                     for &row in &inputs {
                         assert_eq!(words[row + k], before[row + k], "{f} input row changed");
                     }
@@ -497,12 +431,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn eval_rows_checks_row_bounds() {
         CellFunction::Nand2.eval_rows(&mut [0; 3], [0, 2, 0], [1, 1], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "too few inputs")]
-    fn eval_words_checks_arity() {
-        let mut out = [0u64; 2];
-        CellFunction::FullAdder.eval_words(&[0], &mut out);
     }
 }

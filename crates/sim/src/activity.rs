@@ -21,7 +21,7 @@ pub struct Activity {
 impl Activity {
     /// Builds an activity record from raw statistics (ones per net,
     /// transitions per net, vector count) — used by the glitch-aware
-    /// [`oracle::timed_activity`](crate::oracle::timed_activity).
+    /// reference `oracle::timed_activity` of the tests.
     ///
     /// # Panics
     ///
@@ -45,7 +45,7 @@ impl Activity {
     /// popcounts of `w_k ^ ((w_k >> 1) | (w_{k+1} << 63))`, with the last
     /// lane of each block carried into the next. Every statistic is an
     /// exact integer count, so the result is bit-identical to the scalar
-    /// [`oracle::activity`](crate::oracle::activity).
+    /// reference `oracle::activity` of the tests.
     ///
     /// # Errors
     ///

@@ -2,7 +2,7 @@
 
 use crate::golden::golden_lane_word;
 use crate::packed::{PackedEvaluator, LANES};
-use crate::timed::clock_ticks;
+use crate::ticks::clock_ticks;
 use crate::timed_program::TimedProgram;
 use aix_netlist::{Netlist, NetlistError};
 use aix_sta::NetDelays;
@@ -69,7 +69,7 @@ pub(crate) fn new_stats() -> (ErrorStats, f64) {
 /// zero-delay packed walk, which yields the old and settled rows of
 /// every net, plus one run of that program over rows of the same width.
 /// No waveform is built. Every per-lane outcome equals the scalar
-/// [`oracle::measure_errors`](crate::oracle::measure_errors), and errors
+/// reference `oracle::measure_errors` of the tests, and errors
 /// are tallied batch by batch, lanes in stimulus order, so the
 /// floating-point sums and the two results are byte-identical.
 ///

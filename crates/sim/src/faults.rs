@@ -85,9 +85,8 @@ pub fn full_fault_list(netlist: &Netlist) -> Vec<StuckAtFault> {
 /// Runs classic parallel-pattern single-fault simulation: 64 vectors per
 /// fault per netlist walk, detection decided by XORing the faulty output
 /// words against the fault-free reference words. Detection is a boolean
-/// per fault, so the coverage equals the scalar
-/// [`oracle::simulate_faults`](crate::oracle::simulate_faults)'s (the
-/// differential suite pins this).
+/// per fault, so the coverage equals the scalar reference
+/// `oracle::simulate_faults`'s (the differential suite pins this).
 ///
 /// # Errors
 ///

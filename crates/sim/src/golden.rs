@@ -4,8 +4,8 @@
 //! against a *golden* functional reference — the settled zero-delay
 //! outputs, numerically interpreted as one unsigned word where that makes
 //! sense. Centralizing it here means the packed engines and the scalar
-//! [`oracle`](crate::oracle) share one reference implementation and cannot
-//! drift apart on the reference side.
+//! reference loops of the tests (`oracle`) share one reference
+//! implementation and cannot drift apart on the reference side.
 
 use crate::packed::{PackedEvaluator, LANES};
 use aix_netlist::{Netlist, NetlistError};
@@ -62,9 +62,9 @@ pub fn golden_lane_words(words: &[u64]) -> [u64; LANES] {
 }
 
 /// Fault-free functional reference responses for a stimulus set, from
-/// the bit-parallel evaluator. They equal the scalar
-/// [`oracle::reference_outputs`](crate::oracle::reference_outputs) vector
-/// for vector (both implement the same zero-delay semantics).
+/// the bit-parallel evaluator. They equal the scalar reference
+/// `oracle::reference_outputs` of the tests vector for vector (both
+/// implement the same zero-delay semantics).
 ///
 /// # Errors
 ///

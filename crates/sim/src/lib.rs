@@ -19,30 +19,39 @@
 //! [`Activity`] counts over; [`TimedStreams`] (the gate-level IDCT of
 //! Fig. 2) runs it over up to 64 independent streams, one per lane. The
 //! other consumers are [`Activity`] / [`stress_pairs`] (Fig. 5 and
-//! actual-case STA) and [`simulate_faults`]. The scalar
-//! [`TimedSimulator`] and the loops in [`oracle`] are reference
-//! implementations the differential suites compare the packed engines
-//! against.
+//! actual-case STA) and [`simulate_faults`].
+//!
+//! The reference implementations the differential suites compare the
+//! packed engines against — the scalar event-driven `TimedSimulator` and
+//! the one-vector-per-walk loops of the `oracle` module — are built only
+//! for tests: under `cfg(test)`, or with the `oracle` feature, which the
+//! workspace switches on through dev-dependencies alone, so no release
+//! binary contains them.
 //!
 //! # Examples
 //!
 //! ```
 //! use aix_arith::{build_adder, AdderKind, ComponentSpec};
 //! use aix_cells::Library;
-//! use aix_netlist::bus_from_u64;
-//! use aix_sim::TimedSimulator;
-//! use aix_sta::NetDelays;
+//! use aix_sim::{measure_errors, OperandSource, UniformOperands};
+//! use aix_sta::{analyze, NetDelays};
 //! use std::sync::Arc;
 //!
 //! let lib = Arc::new(Library::nangate45_like());
 //! let adder = build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(8))?;
 //! let delays = NetDelays::fresh(&adder);
-//! let mut sim = TimedSimulator::new(&adder, &delays)?;
-//! let mut inputs = bus_from_u64(3, 8);
-//! inputs.extend(bus_from_u64(4, 8));
-//! // With a generous clock the sampled outputs equal the settled outputs.
-//! let out = sim.step(&inputs, 1e6)?;
-//! assert_eq!(out.sampled, out.settled);
+//! let critical_ps = analyze(&adder, &delays)?.max_delay_ps();
+//! // With a generous clock every sampled output equals the settled one.
+//! let relaxed = measure_errors(&adder, &delays, 1e6, UniformOperands::new(8, 1).vectors(256))?;
+//! assert_eq!(relaxed.erroneous, 0);
+//! // Clocked at a fifth of the carry chain, long carries are latched too early.
+//! let tight = measure_errors(
+//!     &adder,
+//!     &delays,
+//!     critical_ps * 0.2,
+//!     UniformOperands::new(8, 1).vectors(256),
+//! )?;
+//! assert!(tight.erroneous > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -50,9 +59,12 @@ mod activity;
 mod errors;
 mod faults;
 mod golden;
+#[cfg(any(test, feature = "oracle"))]
 pub mod oracle;
 mod packed;
 mod stimuli;
+mod ticks;
+#[cfg(any(test, feature = "oracle"))]
 mod timed;
 mod timed_program;
 
@@ -64,7 +76,9 @@ pub use packed::{lane_mask, pack_batch, PackedEvaluator, BLOCK_BATCHES, BLOCK_VE
 pub use stimuli::{
     NormalOperands, OperandSource, SignedNormalOperands, UniformOperands, VectorStream,
 };
-pub use timed::{ps_to_ticks, ticks_to_ps, StepOutcome, TimedSimulator, TICKS_PER_PS};
+pub use ticks::{ps_to_ticks, ticks_to_ps, TICKS_PER_PS};
+#[cfg(any(test, feature = "oracle"))]
+pub use timed::{StepOutcome, TimedSimulator};
 pub use timed_program::TimedStreams;
 
 /// The packed timed paths checked vector by vector against the scalar
@@ -75,7 +89,7 @@ pub use timed_program::TimedStreams;
 mod timed_packed {
     mod tests {
         use crate::packed::{PackedEvaluator, LANES};
-        use crate::timed::clock_ticks;
+        use crate::ticks::clock_ticks;
         use crate::timed_program::TimedProgram;
         use crate::{OperandSource, TimedSimulator, TimedStreams, UniformOperands};
         use aix_arith::{build_adder, AdderKind, ComponentSpec};

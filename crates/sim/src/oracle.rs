@@ -7,8 +7,9 @@
 //! [`Activity::collect`](crate::Activity::collect),
 //! [`simulate_faults`](crate::simulate_faults),
 //! [`reference_outputs`](crate::reference_outputs)) run only the packed
-//! engines. These loops exist so the differential suites and the
-//! throughput benches have an independent, obviously-correct answer to
+//! engines, and this module is built only for tests (`cfg(test)` or the
+//! `oracle` feature). These loops exist so the differential suites and
+//! the throughput tests have an independent, obviously-correct answer to
 //! compare the packed engines against, bit for bit.
 //! [`timed_activity`] has no packed twin: glitch-aware activity needs
 //! every transition, and only the scalar engine records them.
@@ -16,7 +17,7 @@
 use crate::errors::new_stats;
 use crate::faults::{FaultCoverage, StuckAtFault};
 use crate::golden::golden_word;
-use crate::timed::clock_ticks;
+use crate::ticks::clock_ticks;
 use crate::{Activity, ErrorStats, TimedSimulator};
 use aix_netlist::{Evaluator, NetDriver, Netlist, NetlistError};
 use aix_sta::NetDelays;

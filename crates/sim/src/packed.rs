@@ -15,10 +15,11 @@
 //! Timed simulation is packed too: its sampling program runs after a
 //! walk of this evaluator, on the same lane words, for
 //! [`measure_errors`] and [`TimedStreams`](crate::TimedStreams), and is
-//! bit-identical to the scalar [`TimedSimulator`](crate::TimedSimulator)
-//! per lane. DESIGN.md records the argument for why that holds. The
-//! scalar engines survive only as the reference implementations in
-//! [`oracle`](crate::oracle).
+//! bit-identical to the scalar `TimedSimulator` per lane. DESIGN.md
+//! records the argument for why that holds. The scalar engines survive
+//! only as the test-only reference implementations (`TimedSimulator` and
+//! the `oracle` module, built under `cfg(test)` or the `oracle`
+//! feature).
 //!
 //! [`measure_errors`]: crate::measure_errors
 //! [`Activity`]: crate::Activity

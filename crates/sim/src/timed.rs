@@ -1,84 +1,23 @@
-//! Event-driven timed simulation with per-net transport delays.
+//! The scalar event-driven timed simulator with per-net transport delays:
+//! the reference the sampling program is checked against, built only for
+//! tests (`cfg(test)` or the `oracle` feature).
 //!
-//! Time is discrete: every event lives on an integer **femtosecond tick
-//! grid** ([`TICKS_PER_PS`] ticks per picosecond). Delay annotations and the
-//! clock period are rounded to the nearest tick on entry, so two events that
-//! are arithmetically simultaneous always compare equal — accumulated `f64`
-//! sums reached via different gate paths can no longer fragment one instant
-//! into several evaluation batches. The packed sampling program behind
-//! [`crate::measure_errors`] and [`crate::TimedStreams`] shares the same
-//! grid, which is what makes lane-exact differential testing possible.
+//! Every event lives on the femtosecond tick grid
+//! ([`TICKS_PER_PS`](crate::TICKS_PER_PS) ticks per picosecond) that the
+//! sampling program behind [`crate::measure_errors`] and
+//! [`crate::TimedStreams`] uses too, which is what makes lane-exact
+//! differential testing possible.
 
-use aix_netlist::{Evaluator, NetDriver, NetId, Netlist, NetlistError};
+use crate::ticks::{clock_ticks, quantize_delays, ticks_to_ps};
+use aix_netlist::{Evaluator, NetDriver, Netlist, NetlistError};
 use aix_sta::NetDelays;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Number of simulation ticks per picosecond: the tick quantum is one
-/// femtosecond. Sub-femtosecond structure in a delay annotation is rounded
-/// away when a simulator is constructed.
-pub const TICKS_PER_PS: u64 = 1000;
-
-/// Quantizes a picosecond instant to the integer tick grid (nearest tick).
-///
-/// The conversion is total: `NaN` and negative values map to tick 0 and
-/// values beyond the grid saturate to `u64::MAX` (Rust float→int casts
-/// saturate), so an "effectively infinite" clock like `f64::MAX / 4.0`
-/// or `+∞` simply never samples. Timed entry points reject NaN and
-/// negative clock periods before converting them, and delay annotations
-/// are validated by [`TimedSimulator::new`].
-pub fn ps_to_ticks(ps: f64) -> u64 {
-    (ps * TICKS_PER_PS as f64).round() as u64
-}
-
-/// Validates a clock period and quantizes it to its sampling tick.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::InvalidClock`] for NaN and negative periods,
-/// which [`ps_to_ticks`] would silently turn into tick 0 (sampling before
-/// anything moves). `+∞` is accepted and never samples.
-pub(crate) fn clock_ticks(clock_ps: f64) -> Result<u64, NetlistError> {
-    if clock_ps.is_nan() || clock_ps < 0.0 {
-        return Err(NetlistError::InvalidClock {
-            clock: format!("{clock_ps:?}"),
-        });
-    }
-    Ok(ps_to_ticks(clock_ps))
-}
-
-/// Converts a tick count back to picoseconds.
-pub fn ticks_to_ps(ticks: u64) -> f64 {
-    ticks as f64 / TICKS_PER_PS as f64
-}
-
-/// Validates a delay annotation and quantizes it to ticks, one entry per
-/// net. Shared by the scalar and packed timed engines so both reject the
-/// same inputs and agree on every event time.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::InvalidDelay`] for NaN, negative, or non-finite
-/// entries.
-pub(crate) fn quantize_delays(delays: &NetDelays) -> Result<Vec<u64>, NetlistError> {
-    let slice = delays.as_slice();
-    let mut ticks = Vec::with_capacity(slice.len());
-    for (index, &ps) in slice.iter().enumerate() {
-        if !ps.is_finite() || ps < 0.0 {
-            return Err(NetlistError::InvalidDelay {
-                net: NetId::from_raw(u32::try_from(index).unwrap_or(u32::MAX)),
-                delay: format!("{ps:?}"),
-            });
-        }
-        ticks.push(ps_to_ticks(ps));
-    }
-    Ok(ticks)
-}
-
 /// One scheduled net transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
-    /// Instant in ticks (see [`TICKS_PER_PS`]).
+    /// Instant in ticks (see [`TICKS_PER_PS`](crate::TICKS_PER_PS)).
     time: u64,
     seq: u64,
     net: u32,
@@ -137,7 +76,7 @@ pub struct StepOutcome {
 /// switch at `t = 0` and the outputs are latched at `t = t_clock`, exactly
 /// like gate-level simulation of a pipeline stage under an aged `.sdf`
 /// annotation. All event times live on the femtosecond tick grid
-/// ([`TICKS_PER_PS`]).
+/// ([`TICKS_PER_PS`](crate::TICKS_PER_PS)).
 #[derive(Debug)]
 pub struct TimedSimulator<'nl> {
     netlist: &'nl Netlist,
@@ -372,6 +311,7 @@ impl<'nl> TimedSimulator<'nl> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TICKS_PER_PS;
     use aix_aging::{AgingModel, AgingScenario, Lifetime};
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_cells::{CellFunction, DriveStrength, Library};
@@ -543,20 +483,6 @@ mod tests {
             0,
             "equal-instant reconvergence must not glitch the XOR"
         );
-    }
-
-    #[test]
-    fn tick_quantization_is_total_and_saturating() {
-        assert_eq!(ps_to_ticks(0.0), 0);
-        assert_eq!(ps_to_ticks(1.0), TICKS_PER_PS);
-        assert_eq!(ps_to_ticks(0.0004), 0);
-        assert_eq!(ps_to_ticks(0.0006), 1);
-        assert_eq!(ps_to_ticks(f64::NAN), 0);
-        assert_eq!(ps_to_ticks(-5.0), 0);
-        assert_eq!(ps_to_ticks(f64::INFINITY), u64::MAX);
-        assert_eq!(ps_to_ticks(f64::MAX / 4.0), u64::MAX);
-        assert_eq!(ticks_to_ps(1500), 1.5);
-        assert_eq!(ps_to_ticks(ticks_to_ps(987_654_321)), 987_654_321);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! the previous vector's.
 
 use crate::packed::{lane_mask, PackedEvaluator, LANES};
-use crate::timed::{clock_ticks, quantize_delays};
+use crate::ticks::{clock_ticks, quantize_delays};
 use aix_cells::{CellFunction, MAX_INPUTS, MAX_OUTPUTS};
 use aix_netlist::{GateId, NetDriver, NetId, Netlist, NetlistError};
 use aix_obs::SpanGuard;
@@ -46,8 +46,8 @@ use aix_sta::NetDelays;
 /// Timed simulation of up to 64 independent stimulus streams at one
 /// clock, one per lane. Lane *l* starts every [`step`](Self::step) from
 /// its own settled state of the previous step, so it equals a dedicated
-/// scalar [`TimedSimulator`](crate::TimedSimulator) stepping that lane's
-/// stream; like the scalar engine, the first step settles without
+/// scalar reference `TimedSimulator` stepping that lane's stream (the
+/// tests check this); like the scalar engine, the first step settles without
 /// timing. A step is one zero-delay [`PackedEvaluator`] walk (the settled
 /// words) plus one run of the sampling program compiled by
 /// [`new`](Self::new) (the sampled words).
@@ -70,8 +70,8 @@ impl<'nl> TimedStreams<'nl> {
     /// Returns [`NetlistError::InvalidClock`] for a NaN or negative
     /// `clock_ps` (`+∞` never samples),
     /// [`NetlistError::CombinationalCycle`] for cyclic netlists and
-    /// [`NetlistError::InvalidDelay`] for the delays
-    /// [`TimedSimulator::new`](crate::TimedSimulator::new) rejects.
+    /// [`NetlistError::InvalidDelay`] for NaN, negative or non-finite
+    /// delays.
     pub fn new(
         netlist: &'nl Netlist,
         delays: &NetDelays,

@@ -7,8 +7,9 @@
 //! settled outputs and the timing-error flag — at 1, 63, 64 and 65 lanes.
 //! The demand-driven `measure_errors` must equal the scalar oracle's
 //! whole `ErrorStats` on the same cases, and on streams that end just
-//! before, on and just after the block boundaries of 1 024 vectors, where
-//! zero-delay activity must equal the oracle's too.
+//! before, on and just after the word boundaries of 64 and the block
+//! boundaries of 1 024 vectors, where zero-delay activity must equal the
+//! oracle's too.
 
 use aix_cells::{CellFunction, DriveStrength, Library};
 use aix_netlist::Netlist;
@@ -51,9 +52,15 @@ const CLOCKS_PS: [f64; 8] = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 1.5e16, f64::MAX / 4.
 /// Lane counts around the 64-lane word boundary.
 const LANE_COUNTS: [usize; 4] = [1, 63, 64, 65];
 
-/// Stream lengths around the block boundary: one short of a block, one
-/// block, and one and two blocks followed by a one-vector block.
-const BLOCK_EDGE_COUNTS: [usize; 4] = [
+/// Stream lengths around the word and block boundaries: one vector, one
+/// short of a word, one word, one word and one vector; one short of a
+/// block, one block, and one and two blocks followed by a one-vector
+/// block.
+const BLOCK_EDGE_COUNTS: [usize; 8] = [
+    1,
+    LANES - 1,
+    LANES,
+    LANES + 1,
     BLOCK_VECTORS - 1,
     BLOCK_VECTORS,
     BLOCK_VECTORS + 1,
@@ -261,10 +268,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Block-wide measurement and activity equal the scalar oracle on
-    /// streams that end at every kind of block boundary, so the stream
-    /// chaining carries across words and blocks.
+    /// streams that end at every kind of word and block boundary, so the
+    /// stream chaining carries across words and blocks.
     #[test]
-    fn block_edges_equal_the_oracle(case in case_strategy(), count_pick in 0usize..4) {
+    fn block_edges_equal_the_oracle(case in case_strategy(), count_pick in 0usize..8) {
         let library = Arc::new(Library::nangate45_like());
         let netlist = build(&case.recipe, &library);
         let delays = case.delays(&netlist);

@@ -245,32 +245,6 @@ fn timed_engines_agree_per_vector_fresh_and_aged() {
     }
 }
 
-/// Short streams of 1, 63, 64 and 65 vectors through the timed engine, on
-/// an aged netlist so violations are actually in play.
-#[test]
-fn timed_word_boundary_vector_counts_agree() {
-    let lib = cells();
-    let netlist = build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(16)).unwrap();
-    let clock = analyze(&netlist, &NetDelays::fresh(&netlist))
-        .expect("acyclic netlist")
-        .max_delay_ps();
-    let delays = NetDelays::aged(
-        &netlist,
-        &AgingModel::calibrated(),
-        AgingScenario::worst_case(Lifetime::YEARS_10),
-    );
-    for (index, count) in [1usize, 63, 64, 65].into_iter().enumerate() {
-        let vectors = stimuli(&netlist, count, 400 + index as u64);
-        assert_timed_engines_agree(
-            &format!("adder-16 x{count}"),
-            &netlist,
-            &delays,
-            clock,
-            &[&vectors],
-        );
-    }
-}
-
 /// Independent streams, one per lane, on an aged adder: 65 streams take a
 /// 64-lane and a 1-lane `TimedStreams`, and every lane equals a dedicated
 /// scalar simulator at every step.
