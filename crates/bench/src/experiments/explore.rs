@@ -8,9 +8,9 @@
 //! achieves strictly lower error at equal-or-better aged slack, and
 //! asserts that it does at one point at least on each component.
 
-use crate::{Options, Table};
+use crate::{engine_options, Options, Table};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
-use aix_core::{ComponentKind, EngineOptions};
+use aix_core::ComponentKind;
 use aix_explore::{explore, Candidate, ExploreConfig, ScoreContext, Score, score_candidate};
 use aix_cells::Library;
 use aix_sta::{analyze, NetDelays};
@@ -64,7 +64,9 @@ fn compare(
     config.seed = SEED;
     config.budget = options.scaled("budget", 96, 256);
     config.vectors = options.scaled("vectors", 1_024, 4_096);
-    config.jobs = EngineOptions::from_env().resolved_jobs();
+    config.jobs = engine_options()
+        .unwrap_or_else(|error| panic!("{error}"))
+        .resolved_jobs();
     let outcome = explore(cells, &config).expect("search on study components");
     assert!(
         outcome.quarantined.is_empty() && !outcome.cancelled,

@@ -16,13 +16,11 @@ pub mod experiments;
 mod options;
 mod table;
 
-pub use options::Options;
+pub use options::{engine_options, Options};
 pub use table::Table;
 
 use aix_cells::Library;
-use aix_core::{
-    ApproxLibrary, CharacterizationConfig, CharacterizationEngine, ComponentKind, EngineOptions,
-};
+use aix_core::{ApproxLibrary, CharacterizationConfig, CharacterizationEngine, ComponentKind};
 use aix_synth::Effort;
 use std::path::Path;
 use std::sync::Arc;
@@ -34,11 +32,11 @@ pub const STUDY_WIDTH: usize = 32;
 /// the paper's components: 32-bit adder, multiplier and MAC plus the 16-bit
 /// adder of the IDCT's rounding stage, all at the given effort.
 ///
-/// A cold build runs the [`CharacterizationEngine`] (honouring `AIX_JOBS`
-/// and the persistent `AIX_CACHE` cache, so a repeated cold build reuses
-/// the per-component synthesis results) and reports its per-stage timings
-/// on stderr; the resulting text artifact is cached whole at
-/// `cache_path`.
+/// A cold build runs the [`CharacterizationEngine`] on [`engine_options`]
+/// (so `AIX_JOBS` sets its workers, and the persistent `AIX_CACHE` cache
+/// lets a repeated cold build reuse the per-component synthesis results)
+/// and reports its per-stage timings on stderr; the resulting text
+/// artifact is cached whole at `cache_path`.
 ///
 /// # Errors
 ///
@@ -61,7 +59,7 @@ pub fn build_or_load_library(
             }
         }
     }
-    let engine = CharacterizationEngine::new(Arc::clone(cells), EngineOptions::from_env_strict()?);
+    let engine = CharacterizationEngine::new(Arc::clone(cells), engine_options()?);
     let mut configs: Vec<CharacterizationConfig> = ComponentKind::ALL
         .iter()
         .map(|&kind| CharacterizationConfig::paper_default(kind, STUDY_WIDTH))

@@ -1,7 +1,21 @@
 //! Minimal `--key=value` command-line option parsing for the experiment
-//! binaries (no external dependency needed).
+//! binaries (no external dependency needed), and the engine settings they
+//! read from the environment.
 
+use aix_core::{AixError, EngineOptions};
 use std::collections::HashMap;
+
+/// The engine settings of the figure binaries. They take no engine flags,
+/// so each setting is its `AIX_*` variable, else its default (see
+/// [`EngineOptions::resolve`]). This is the one place outside the `aix`
+/// CLI that reads the process environment.
+///
+/// # Errors
+///
+/// A malformed variable is an [`AixError::InvalidOption`] naming it.
+pub fn engine_options() -> Result<EngineOptions, AixError> {
+    EngineOptions::resolve(|_| None, |var| std::env::var(var).ok())
+}
 
 /// Parsed command-line options of an experiment binary.
 ///
@@ -42,11 +56,6 @@ impl Options {
             .get(key)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
-    }
-
-    /// A string option.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
     }
 
     /// Whether a bare flag was passed.

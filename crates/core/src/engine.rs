@@ -10,9 +10,9 @@
 //!   independent `(kind, width, precision)` *synthesis jobs* and
 //!   `(kind, width, precision, scenario)` *STA jobs*.
 //! * **Work pool** — jobs self-schedule over [`std::thread::scope`] worker
-//!   threads ([`parallel_map`]), with the thread count taken from an
-//!   explicit option, the `AIX_JOBS` environment variable, or the machine's
-//!   available parallelism.
+//!   threads ([`parallel_map`]), with the thread count taken from
+//!   [`EngineOptions::jobs`] or, when that is `0`, the machine's available
+//!   parallelism.
 //! * **Content-addressed cache** — per-synthesis-job results persist under
 //!   a cache directory (default `out/cache/`), keyed by a fingerprint of
 //!   (cell-library content hash, aging-model calibration, kind, width,
@@ -29,14 +29,17 @@
 //!   like the cache) recording planned, done and failed jobs. A rerun
 //!   with `resume` set skips completed work — even with caching off —
 //!   and produces byte-identical library text.
-//! * **Fault injection** — an [`aix_faults::FaultPlan`] (the `AIX_FAULT` /
-//!   `--fault` grammar) deterministically injects panics, I/O errors and
-//!   delays at synthesis, STA and cache sites, so all of the above is
-//!   testable end to end.
+//! * **Fault injection** — an [`aix_faults::FaultPlan`] (the `--fault` /
+//!   `AIX_FAULT` grammar) deterministically injects panics, I/O errors,
+//!   delays and torn writes at synthesis, STA and cache sites and at every
+//!   cache and journal write, so all of the above is testable end to end.
+//! * **Settings** — [`EngineOptions::resolve`] reads every setting by one
+//!   rule: its flag, else its variable, else its default.
 //! * **Observability** — [`EngineReport`] carries per-stage wall-clock and
-//!   cache/journal/retry counters; [`append_bench_record`] persists them as
-//!   machine-readable `BENCH_characterize.json` so the perf trajectory of
-//!   repeated runs is measurable. When a global `aix-obs` recorder is
+//!   cache/journal/retry counters; [`EngineReport::to_json_record`] renders
+//!   them as the machine-readable record the CLI appends to
+//!   `BENCH_characterize.json`, so the perf trajectory of repeated runs is
+//!   measurable. When a global `aix-obs` recorder is
 //!   installed the campaign additionally emits a structured trace:
 //!   `campaign`/`plan`/`synth_stage`/`sta_stage`/`merge` spans, per-job
 //!   `synth`/`sta` spans, `cache_hit`/`cache_miss`/`journal_hit` counter
@@ -96,8 +99,8 @@ use std::time::{Duration, Instant};
 /// How the engine schedules, caches and fault-guards its jobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOptions {
-    /// Worker threads; `0` resolves to `AIX_JOBS` or, failing that, the
-    /// machine's available parallelism.
+    /// Worker threads; `0` resolves to the machine's available
+    /// parallelism.
     pub jobs: usize,
     /// Directory of the persistent characterization cache; `None` disables
     /// on-disk caching.
@@ -116,13 +119,14 @@ pub struct EngineOptions {
     pub retries: usize,
     /// Base of the decorrelated-jitter retry backoff, in milliseconds.
     pub backoff_ms: u64,
-    /// Upper bound on any single backoff sleep, in milliseconds; `0`
-    /// leaves the backoff uncapped.
-    pub backoff_cap_ms: u64,
     /// Deterministic fault-injection plan evaluated at synthesis, STA and
-    /// cache sites; `None` injects nothing.
+    /// cache sites and at every cache and journal write; `None` injects
+    /// nothing.
     pub faults: Option<Arc<FaultPlan>>,
 }
+
+/// Upper bound on any single retry backoff sleep, in milliseconds.
+const BACKOFF_CAP_MS: u64 = 10_000;
 
 impl EngineOptions {
     /// One worker, no cache, no journal, no watchdog: the configuration
@@ -140,197 +144,111 @@ impl EngineOptions {
             job_timeout: None,
             retries: 0,
             backoff_ms: 0,
-            backoff_cap_ms: 0,
             faults: None,
         }
     }
 
-    /// The defaults the environment-driven constructors start from: jobs
-    /// auto-resolved, cache and journal at their default locations, no
-    /// watchdog, no retries (25 ms backoff base if retries are enabled),
-    /// no fault injection.
-    fn env_defaults() -> Self {
-        Self {
-            jobs: 0,
-            cache_dir: Some(default_cache_dir()),
-            journal_dir: Some(default_journal_dir()),
-            resume: false,
-            job_timeout: None,
-            retries: 0,
-            backoff_ms: 25,
-            backoff_cap_ms: 10_000,
-            faults: None,
-        }
-    }
-
-    /// Honours the environment leniently: `AIX_JOBS`, `AIX_CACHE`,
-    /// `AIX_JOURNAL`, `AIX_JOB_TIMEOUT`, `AIX_RETRIES`, `AIX_BACKOFF_MS`
-    /// and `AIX_FAULT`, with unparseable values silently ignored. Prefer
-    /// [`EngineOptions::from_env_strict`] anywhere a diagnostic can be
-    /// surfaced.
-    pub fn from_env() -> Self {
-        let mut options = Self::env_defaults();
-        if let Ok(value) = std::env::var("AIX_JOBS") {
-            if let Ok(jobs) = parse_env_jobs(&value) {
-                options.jobs = jobs;
-            }
-        }
-        options.cache_dir = env_dir("AIX_CACHE", default_cache_dir);
-        options.journal_dir = env_dir("AIX_JOURNAL", default_journal_dir);
-        if let Ok(value) = std::env::var("AIX_JOB_TIMEOUT") {
-            if let Ok(timeout) = parse_env_timeout("AIX_JOB_TIMEOUT", &value) {
-                options.job_timeout = timeout;
-            }
-        }
-        if let Ok(value) = std::env::var("AIX_RETRIES") {
-            if let Ok(retries) = parse_env_count("AIX_RETRIES", &value) {
-                options.retries = retries;
-            }
-        }
-        if let Ok(value) = std::env::var("AIX_BACKOFF_MS") {
-            if let Ok(backoff) = parse_env_count("AIX_BACKOFF_MS", &value) {
-                options.backoff_ms = backoff as u64;
-            }
-        }
-        if let Ok(value) = std::env::var("AIX_BACKOFF_CAP_MS") {
-            if let Ok(cap) = parse_env_count("AIX_BACKOFF_CAP_MS", &value) {
-                options.backoff_cap_ms = cap as u64;
-            }
-        }
-        if let Ok(value) = std::env::var("AIX_FAULT") {
-            if let Ok(plan) = parse_env_faults("AIX_FAULT", &value) {
-                options.faults = Some(plan);
-            }
-        }
-        options
-    }
-
-    /// Honours the same environment variables as
-    /// [`EngineOptions::from_env`], but a malformed or out-of-range value
-    /// is an error naming the variable — the same diagnostic shape the
-    /// equivalent CLI flag produces — instead of being silently ignored.
+    /// Resolves every setting by one rule: its flag, else its variable,
+    /// else its default, with one parser per value type for both sources.
+    /// `flag` looks a setting up by its flag name (`--jobs`) and `var` by
+    /// its variable name (`AIX_JOBS`): the CLI passes its parsed flags and
+    /// the process environment, the figure binaries no flags. `--resume`
+    /// has no variable. README's engine-settings table lists the rest.
     ///
     /// # Errors
     ///
-    /// Returns [`AixError::InvalidOption`] naming the offending variable.
-    pub fn from_env_strict() -> Result<Self, AixError> {
-        let mut options = Self::env_defaults();
-        if let Ok(value) = std::env::var("AIX_JOBS") {
-            options.jobs = parse_env_jobs(&value)?;
-        }
-        options.cache_dir = env_dir("AIX_CACHE", default_cache_dir);
-        options.journal_dir = env_dir("AIX_JOURNAL", default_journal_dir);
-        if let Ok(value) = std::env::var("AIX_JOB_TIMEOUT") {
-            options.job_timeout = parse_env_timeout("AIX_JOB_TIMEOUT", &value)?;
-        }
-        if let Ok(value) = std::env::var("AIX_RETRIES") {
-            options.retries = parse_env_count("AIX_RETRIES", &value)?;
-        }
-        if let Ok(value) = std::env::var("AIX_BACKOFF_MS") {
-            options.backoff_ms = parse_env_count("AIX_BACKOFF_MS", &value)? as u64;
-        }
-        if let Ok(value) = std::env::var("AIX_BACKOFF_CAP_MS") {
-            options.backoff_cap_ms = parse_env_count("AIX_BACKOFF_CAP_MS", &value)? as u64;
-        }
-        if let Ok(value) = std::env::var("AIX_FAULT") {
-            options.faults = Some(parse_env_faults("AIX_FAULT", &value)?);
-        }
-        Ok(options)
+    /// A malformed value is an [`AixError::InvalidOption`] naming the
+    /// flag or the variable that supplied it.
+    pub fn resolve(
+        flag: impl Fn(&'static str) -> Option<String>,
+        var: impl Fn(&'static str) -> Option<String>,
+    ) -> Result<Self, AixError> {
+        let get = |flag_name, var_name| match flag(flag_name) {
+            Some(value) => Some((flag_name, value)),
+            None => var(var_name).map(|value| (var_name, value)),
+        };
+        Ok(Self {
+            jobs: setting(get("--jobs", "AIX_JOBS"), parse_count, 0)?,
+            cache_dir: setting(get("--cache", "AIX_CACHE"), parse_dir, Some(default_cache_dir()))?,
+            journal_dir: setting(
+                get("--journal", "AIX_JOURNAL"),
+                parse_dir,
+                Some(default_journal_dir()),
+            )?,
+            resume: flag("--resume").is_some(),
+            job_timeout: setting(get("--job-timeout", "AIX_JOB_TIMEOUT"), parse_timeout, None)?,
+            retries: setting(get("--retries", "AIX_RETRIES"), parse_count, 0)?,
+            backoff_ms: setting(get("--backoff-ms", "AIX_BACKOFF_MS"), parse_count, 25)?,
+            faults: setting(get("--fault", "AIX_FAULT"), parse_faults, None)?,
+        })
     }
 
-    /// The effective worker count: an explicit `jobs`, else `AIX_JOBS`,
-    /// else the machine's available parallelism.
+    /// The effective worker count: `jobs`, or the machine's available
+    /// parallelism when `jobs` is `0`.
     pub fn resolved_jobs(&self) -> usize {
         if self.jobs > 0 {
             return self.jobs;
-        }
-        if let Some(jobs) = std::env::var("AIX_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&j| j > 0)
-        {
-            return jobs;
         }
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
 }
 
-/// What [`FaultPlan`] values are expected to look like, for diagnostics.
-pub const FAULT_GRAMMAR: &str = "`mode[:p=F,seed=N,stage=synth|sta|cache|import,ms=N]` specs \
-     (mode panic|io|delay|shortwrite|enospc), `;`-separated";
-
-/// Parses a worker-count value (`AIX_JOBS` / `--jobs`): a positive
-/// integer.
-pub(crate) fn parse_env_jobs(value: &str) -> Result<usize, AixError> {
-    value
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&jobs| jobs > 0)
-        .ok_or_else(|| AixError::InvalidOption {
-            flag: "AIX_JOBS",
-            value: value.to_owned(),
-            expected: "a positive integer",
-        })
+/// Parses a setting found as `(source, value)` with `parse`; `default`
+/// when it is unset. A malformed value is an error naming its source.
+fn setting<T>(
+    found: Option<(&'static str, String)>,
+    parse: fn(&str) -> Result<T, &'static str>,
+    default: T,
+) -> Result<T, AixError> {
+    let Some((source, value)) = found else {
+        return Ok(default);
+    };
+    parse(&value).map_err(|expected| AixError::InvalidOption {
+        flag: source,
+        value,
+        expected,
+    })
 }
 
-/// Parses a non-negative count (`AIX_RETRIES`, `AIX_BACKOFF_MS`).
-pub(crate) fn parse_env_count(flag: &'static str, value: &str) -> Result<usize, AixError> {
-    value
-        .trim()
-        .parse::<usize>()
-        .map_err(|_| AixError::InvalidOption {
-            flag,
-            value: value.to_owned(),
-            expected: "a non-negative integer",
-        })
+/// Parses a count. The error is what was expected, for diagnostics.
+fn parse_count<T: std::str::FromStr>(value: &str) -> Result<T, &'static str> {
+    value.trim().parse().map_err(|_| "a non-negative integer")
 }
 
-/// Parses a per-job timeout in (possibly fractional) seconds; `0`, `off`
-/// and `none` disable the watchdog.
-pub(crate) fn parse_env_timeout(
-    flag: &'static str,
-    value: &str,
-) -> Result<Option<Duration>, AixError> {
-    let trimmed = value.trim();
-    if matches!(trimmed, "0" | "off" | "none") {
-        return Ok(None);
+/// Parses a directory: `off`, `none` or `0` disable it.
+fn parse_dir(value: &str) -> Result<Option<PathBuf>, &'static str> {
+    Ok(match value {
+        "off" | "none" | "0" => None,
+        dir => Some(PathBuf::from(dir)),
+    })
+}
+
+/// Parses a wall-clock budget in (possibly fractional) seconds; `0`,
+/// `off` and `none` disable it. The error is what was expected, for
+/// diagnostics.
+///
+/// # Errors
+///
+/// Returns the expected form when `value` is not a positive number of
+/// seconds.
+pub fn parse_timeout(value: &str) -> Result<Option<Duration>, &'static str> {
+    match value.trim() {
+        "0" | "off" | "none" => Ok(None),
+        secs => secs
+            .parse::<f64>()
+            .ok()
+            .filter(|secs| secs.is_finite() && *secs > 0.0)
+            .map(|secs| Some(Duration::from_secs_f64(secs)))
+            .ok_or("a positive number of seconds, or `off`"),
     }
-    trimmed
-        .parse::<f64>()
-        .ok()
-        .filter(|secs| secs.is_finite() && *secs > 0.0)
-        .map(|secs| Some(Duration::from_secs_f64(secs)))
-        .ok_or_else(|| AixError::InvalidOption {
-            flag,
-            value: value.to_owned(),
-            expected: "a positive number of seconds, or `off`",
-        })
 }
 
-/// Parses a fault-injection plan (`AIX_FAULT` / `--fault`).
-pub(crate) fn parse_env_faults(
-    flag: &'static str,
-    value: &str,
-) -> Result<Arc<FaultPlan>, AixError> {
+/// Parses a fault plan.
+fn parse_faults(value: &str) -> Result<Option<Arc<FaultPlan>>, &'static str> {
     value
-        .parse::<FaultPlan>()
-        .map(Arc::new)
-        .map_err(|_| AixError::InvalidOption {
-            flag,
-            value: value.to_owned(),
-            expected: FAULT_GRAMMAR,
-        })
-}
-
-/// Resolves a directory-valued variable: `off`, `none` or `0` disable it,
-/// any other value is the directory, unset falls back to `default`.
-fn env_dir(name: &str, default: fn() -> PathBuf) -> Option<PathBuf> {
-    match std::env::var(name) {
-        Ok(value) if matches!(value.as_str(), "off" | "none" | "0") => None,
-        Ok(value) => Some(PathBuf::from(value)),
-        Err(_) => Some(default()),
-    }
+        .parse()
+        .map(|plan| Some(Arc::new(plan)))
+        .map_err(|_| aix_faults::GRAMMAR)
 }
 
 /// The default persistent cache location.
@@ -341,11 +259,6 @@ pub fn default_cache_dir() -> PathBuf {
 /// The default write-ahead journal location.
 pub fn default_journal_dir() -> PathBuf {
     PathBuf::from("out/journal")
-}
-
-/// The default path of the machine-readable characterization benchmark log.
-pub fn default_bench_json_path() -> PathBuf {
-    PathBuf::from("out/BENCH_characterize.json")
 }
 
 /// Runs `run` over `items` on up to `jobs` scoped worker threads and
@@ -568,26 +481,6 @@ impl EngineReport {
             self.job_failures,
         )
     }
-
-    /// Folds another report into this one (used when several engine runs
-    /// make up one logical build, e.g. the bench library covering four
-    /// components).
-    pub fn absorb(&mut self, other: &EngineReport) {
-        self.jobs = self.jobs.max(other.jobs);
-        self.synth_planned += other.synth_planned;
-        self.synth_executed += other.synth_executed;
-        self.sta_executed += other.sta_executed;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.journal_hits += other.journal_hits;
-        self.job_retries += other.job_retries;
-        self.job_failures += other.job_failures;
-        self.plan_ms += other.plan_ms;
-        self.synth_ms += other.synth_ms;
-        self.sta_ms += other.sta_ms;
-        self.merge_ms += other.merge_ms;
-        self.wall_ms += other.wall_ms;
-    }
 }
 
 /// One quarantined job of a campaign: which job, where it died, why.
@@ -672,52 +565,6 @@ impl Campaign {
         }
         library
     }
-}
-
-/// Appends one run record to the machine-readable benchmark log at `path`
-/// (created if absent). The file is a JSON object with a `runs` array, one
-/// record per engine run — comparing the wall-clock of consecutive records
-/// shows the cold-versus-warm cache trajectory. The rewrite is atomic
-/// (temp file + rename), so concurrent or killed runs cannot tear the log.
-///
-/// # Errors
-///
-/// Returns I/O errors from reading or writing the log.
-pub fn append_bench_record(
-    path: &Path,
-    label: &str,
-    report: &EngineReport,
-) -> std::io::Result<()> {
-    append_bench_json(path, report.to_json_record(label))
-}
-
-/// Appends one pre-rendered single-line JSON record (which must start with
-/// `{"label"` to survive future rewrites) to the benchmark log at `path`.
-/// This is the record-agnostic half of [`append_bench_record`], shared with
-/// trace summaries and other non-engine records.
-///
-/// # Errors
-///
-/// Returns I/O errors from reading or writing the log.
-pub fn append_bench_json(path: &Path, record: String) -> std::io::Result<()> {
-    // Existing records are one per line; carry them over verbatim.
-    let mut records: Vec<String> = match std::fs::read_to_string(path) {
-        Ok(text) => text
-            .lines()
-            .map(str::trim)
-            .filter(|line| line.starts_with("{\"label\""))
-            .map(|line| line.trim_end_matches(',').to_owned())
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    records.push(record);
-    let mut out = String::from("{\n  \"schema\": \"aix-bench-characterize/v1\",\n  \"runs\": [\n");
-    for (index, record) in records.iter().enumerate() {
-        let comma = if index + 1 < records.len() { "," } else { "" };
-        let _ = writeln!(out, "    {record}{comma}");
-    }
-    out.push_str("  ]\n}\n");
-    write_atomic(path, &out)
 }
 
 /// The parallel, persistently cached characterization engine.
@@ -841,7 +688,7 @@ impl CharacterizationEngine {
             timeout: self.options.job_timeout,
             retries: self.options.retries,
             backoff_ms: self.options.backoff_ms,
-            backoff_cap_ms: self.options.backoff_cap_ms,
+            backoff_cap_ms: BACKOFF_CAP_MS,
             faults: self.options.faults.clone(),
         }
     }
@@ -971,7 +818,14 @@ impl CharacterizationEngine {
             .options
             .journal_dir
             .as_ref()
-            .map(|dir| RunJournal::open(dir, campaign_fp, self.options.resume));
+            .map(|dir| {
+                RunJournal::open(
+                    dir,
+                    campaign_fp,
+                    self.options.resume,
+                    self.options.faults.clone(),
+                )
+            });
         if let Some(journal) = &mut journal {
             for job in &mut plan {
                 if job.hit {
@@ -1179,6 +1033,7 @@ impl CharacterizationEngine {
                                 &job.key_line,
                                 job.precision,
                                 &job.prior,
+                                self.options.faults.as_deref(),
                             );
                         }
                     }
@@ -1197,7 +1052,13 @@ impl CharacterizationEngine {
             }
             if let Some(path) = &job.cache_path {
                 if self.cache_fault_ok(&format!("write {}", job.site)) {
-                    let _ = write_cache_entries(path, &job.key_line, job.precision, &writeback);
+                    let _ = write_cache_entries(
+                        path,
+                        &job.key_line,
+                        job.precision,
+                        &writeback,
+                        self.options.faults.as_deref(),
+                    );
                 }
             }
             if let Some(journal) = &mut journal {
@@ -1294,20 +1155,21 @@ fn read_cache_entries(
     Some(entries)
 }
 
-/// Writes one cache file atomically (temp file + rename), using the same
-/// 6-decimal delay format as [`ApproxLibrary::to_text`] so cached delays
-/// reformat to byte-identical library text.
+/// Writes one cache file atomically (temp file + rename) under `plan`,
+/// using the same 6-decimal delay format as [`ApproxLibrary::to_text`] so
+/// cached delays reformat to byte-identical library text.
 fn write_cache_entries(
     path: &Path,
     key_line: &str,
     precision: usize,
     entries: &BTreeMap<String, f64>,
+    plan: Option<&FaultPlan>,
 ) -> std::io::Result<()> {
     let mut text = format!("{CACHE_HEADER}\n{key_line}\n");
     for (token, delay) in entries {
         let _ = writeln!(text, "entry {precision} {token} {delay:.6}");
     }
-    write_atomic(path, &text)
+    write_atomic(path, &text, plan)
 }
 
 #[cfg(test)]
@@ -1392,51 +1254,113 @@ mod tests {
         assert!(aged > c.fresh_full_delay_ps());
     }
 
-    #[test]
-    fn bench_record_json_accumulates_runs() {
-        let dir = std::env::temp_dir().join(format!("aix-bench-json-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("BENCH_characterize.json");
-        let report = EngineReport {
-            jobs: 2,
-            wall_ms: 12.5,
-            ..EngineReport::default()
+    /// [`EngineOptions::resolve`] over fixed `(name, value)` flags and
+    /// variables: hermetic stand-ins for the CLI's flags and the process
+    /// environment.
+    fn resolve(
+        flags: &[(&'static str, &str)],
+        vars: &[(&'static str, &str)],
+    ) -> Result<EngineOptions, AixError> {
+        let lookup = |pairs: &[(&'static str, &str)]| {
+            let pairs: Vec<(&str, String)> =
+                pairs.iter().map(|&(name, value)| (name, value.to_owned())).collect();
+            move |name| pairs.iter().find(|(key, _)| *key == name).map(|(_, v)| v.clone())
         };
-        append_bench_record(&path, "cold", &report).unwrap();
-        append_bench_record(&path, "warm \"quoted\"", &report).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"schema\": \"aix-bench-characterize/v1\""));
-        assert_eq!(text.matches("{\"label\"").count(), 2);
-        assert!(text.contains("\"label\":\"cold\""));
-        assert!(text.contains("warm \\\"quoted\\\""));
-        assert!(text.contains("\"wall_ms\":12.500"));
-        assert!(text.contains("\"job_failures\":0"));
-        let _ = std::fs::remove_dir_all(&dir);
+        EngineOptions::resolve(lookup(flags), lookup(vars))
     }
 
     #[test]
     fn env_value_parsers_accept_and_reject() {
-        assert_eq!(parse_env_jobs("4").unwrap(), 4);
-        for bad in ["0", "-1", "lots", ""] {
-            let err = parse_env_jobs(bad).unwrap_err();
+        let defaults = resolve(&[], &[]).unwrap();
+        let expected = EngineOptions {
+            jobs: 0,
+            cache_dir: Some(default_cache_dir()),
+            journal_dir: Some(default_journal_dir()),
+            backoff_ms: 25,
+            ..EngineOptions::sequential()
+        };
+        assert_eq!(defaults, expected);
+        let vars = [
+            ("AIX_JOBS", " 4 "),
+            ("AIX_RETRIES", "3"),
+            ("AIX_BACKOFF_MS", "0"),
+            ("AIX_JOB_TIMEOUT", "1.5"),
+            ("AIX_FAULT", "panic:p=0.1,seed=3"),
+        ];
+        let parsed = resolve(&[], &vars).unwrap();
+        assert_eq!((parsed.jobs, parsed.retries, parsed.backoff_ms), (4, 3, 0));
+        assert_eq!(parsed.job_timeout, Some(Duration::from_millis(1500)));
+        assert_eq!(parsed.faults.unwrap().to_string(), "panic:p=0.1,seed=3");
+        for off in ["off", "none", "0"] {
+            assert_eq!(parse_timeout(off), Ok(None));
+        }
+        for (name, bad) in [
+            ("AIX_JOBS", "-1"),
+            ("AIX_JOBS", ""),
+            ("AIX_RETRIES", "never"),
+            ("AIX_BACKOFF_MS", "1.5"),
+            ("AIX_JOB_TIMEOUT", "-2"),
+            ("AIX_JOB_TIMEOUT", "soon"),
+            ("AIX_FAULT", "explode"),
+        ] {
+            let err = resolve(&[], &[(name, bad)]).unwrap_err();
             assert!(
-                matches!(err, AixError::InvalidOption { flag: "AIX_JOBS", .. }),
-                "`{bad}` must name AIX_JOBS"
+                matches!(&err, AixError::InvalidOption { flag, value, .. }
+                    if *flag == name && value == bad),
+                "`{name}={bad}` must be rejected naming {name}: {err}"
             );
         }
-        assert_eq!(parse_env_count("AIX_RETRIES", "0").unwrap(), 0);
-        assert_eq!(parse_env_count("AIX_RETRIES", "3").unwrap(), 3);
-        assert!(parse_env_count("AIX_RETRIES", "never").is_err());
-        assert_eq!(parse_env_timeout("AIX_JOB_TIMEOUT", "off").unwrap(), None);
-        assert_eq!(parse_env_timeout("AIX_JOB_TIMEOUT", "0").unwrap(), None);
-        assert_eq!(
-            parse_env_timeout("AIX_JOB_TIMEOUT", "1.5").unwrap(),
-            Some(Duration::from_millis(1500))
-        );
-        assert!(parse_env_timeout("AIX_JOB_TIMEOUT", "-2").is_err());
-        assert!(parse_env_timeout("AIX_JOB_TIMEOUT", "soon").is_err());
-        assert!(parse_env_faults("AIX_FAULT", "panic:p=0.1,seed=3").is_ok());
-        let err = parse_env_faults("AIX_FAULT", "explode").unwrap_err();
-        assert!(err.to_string().contains("AIX_FAULT"));
+    }
+
+    #[test]
+    fn a_flag_beats_its_variable() {
+        let flags = [("--jobs", "2"), ("--cache", "flag-dir"), ("--fault", "io:stage=cache")];
+        let vars = [
+            ("AIX_JOBS", "three"),
+            ("AIX_CACHE", "var-dir"),
+            ("AIX_JOURNAL", "var-journal"),
+            ("AIX_FAULT", "explode"),
+        ];
+        // The flags' values win, and a variable behind a flag is never parsed.
+        let options = resolve(&flags, &vars).unwrap();
+        assert_eq!(options.jobs, 2);
+        assert_eq!(options.cache_dir, Some(PathBuf::from("flag-dir")));
+        assert_eq!(options.faults.unwrap().to_string(), "io:p=1,seed=0,stage=cache");
+        // A setting without its flag still comes from its variable.
+        assert_eq!(options.journal_dir, Some(PathBuf::from("var-journal")));
+    }
+
+    #[test]
+    fn zero_jobs_means_auto_from_either_source() {
+        let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        for options in [resolve(&[("--jobs", "0")], &[]), resolve(&[], &[("AIX_JOBS", "0")])] {
+            assert_eq!(options.unwrap().resolved_jobs(), auto);
+        }
+        assert_eq!(resolve(&[], &[("AIX_JOBS", "5")]).unwrap().resolved_jobs(), 5);
+    }
+
+    #[test]
+    fn off_disables_the_cache_and_the_journal() {
+        for off in ["off", "none", "0"] {
+            let flags = [("--cache", off), ("--journal", off)];
+            let vars = [("AIX_CACHE", off), ("AIX_JOURNAL", off)];
+            for options in [resolve(&flags, &[("AIX_CACHE", "dir")]), resolve(&[], &vars)] {
+                let options = options.unwrap();
+                assert_eq!((options.cache_dir, options.journal_dir), (None, None));
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_value_names_its_source() {
+        let from_flag = resolve(&[("--jobs", "three")], &[("AIX_JOBS", "4")]).unwrap_err();
+        let from_var = resolve(&[], &[("AIX_JOBS", "three")]).unwrap_err();
+        for (err, source) in [(from_flag, "--jobs"), (from_var, "AIX_JOBS")] {
+            assert!(
+                matches!(&err, AixError::InvalidOption { flag, value, .. }
+                    if *flag == source && value == "three"),
+                "the error must name {source}: {err}"
+            );
+        }
     }
 }

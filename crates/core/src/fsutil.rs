@@ -1,5 +1,5 @@
 //! Crash-safe filesystem helpers shared by the characterization cache, the
-//! run journal, the explore score cache and the benchmark log.
+//! run journal and the explore score cache, and by the CLI's benchmark log.
 
 use aix_faults::{FaultPlan, FaultStage, WriteFault};
 use std::io;
@@ -13,8 +13,8 @@ use std::path::Path;
 /// expose a renamed-but-empty file on filesystems that reorder data and
 /// metadata writes.)
 ///
-/// Injected `shortwrite`/`enospc` faults from the process-wide `AIX_FAULT`
-/// plan (stage `cache`, the persistence path) are emulated faithfully
+/// Injected `shortwrite`/`enospc` faults of `plan` (stage `cache`, the
+/// persistence path, at the file's name as site) are emulated faithfully
 /// here: a short write persists a prefix of the *temp* file and fails
 /// before the rename, an ENOSPC fails before writing anything. Either
 /// way the previous contents of `path` stay intact.
@@ -22,29 +22,14 @@ use std::path::Path;
 /// # Errors
 ///
 /// Returns I/O errors from the filesystem, or the injected fault.
-pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    write_atomic_under(path, text, aix_faults::env_plan(), FaultStage::Cache)
-}
-
-/// [`write_atomic`] against an explicit fault plan and stage, for tests
-/// that inject a plan of their own.
-///
-/// # Errors
-///
-/// Returns I/O errors from the filesystem, or the injected fault.
-pub fn write_atomic_under(
-    path: &Path,
-    text: &str,
-    plan: Option<&FaultPlan>,
-    stage: FaultStage,
-) -> io::Result<()> {
+pub fn write_atomic(path: &Path, text: &str, plan: Option<&FaultPlan>) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     if let Some(plan) = plan {
         let site = path.file_name().and_then(|n| n.to_str()).unwrap_or("write");
-        match plan.write_fault(stage, site, 1) {
+        match plan.write_fault(FaultStage::Cache, site, 1) {
             Some(WriteFault::Enospc) => {
                 return Err(io::Error::other(format!(
                     "injected fault: no space left writing `{site}`"
@@ -80,9 +65,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("aix-fsutil-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested").join("file.txt");
-        write_atomic(&path, "first").unwrap();
+        write_atomic(&path, "first", None).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "first");
-        write_atomic(&path, "second").unwrap();
+        write_atomic(&path, "second", None).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
         let siblings: Vec<_> = std::fs::read_dir(path.parent().unwrap())
             .unwrap()
@@ -102,16 +87,16 @@ mod tests {
         // First write under the fault: it fails and nothing readable
         // appears at the target path.
         let payload = "entry 8 fresh 1.234567\nentry 8 wc:10 2.345678\n";
-        let err = write_atomic_under(&path, payload, Some(&plan), FaultStage::Cache).unwrap_err();
+        let err = write_atomic(&path, payload, Some(&plan)).unwrap_err();
         assert!(err.to_string().contains("short write"));
         assert!(!path.exists(), "no torn file visible at the target path");
 
         // Seed good contents without the fault, then tear a rewrite: the
         // reader must still observe the complete old contents, even though
         // the torn temp file holds only a prefix of the new payload.
-        write_atomic_under(&path, "old complete contents\n", None, FaultStage::Cache).unwrap();
+        write_atomic(&path, "old complete contents\n", None).unwrap();
         let update = "new contents that will be torn mid-write\n";
-        let err = write_atomic_under(&path, update, Some(&plan), FaultStage::Cache).unwrap_err();
+        let err = write_atomic(&path, update, Some(&plan)).unwrap_err();
         assert!(err.to_string().contains("short write"));
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
@@ -122,7 +107,7 @@ mod tests {
         assert_eq!(torn, &update[..update.len() / 2], "temp holds a prefix");
 
         // A fault-free retry recovers cleanly over the torn temp.
-        write_atomic_under(&path, update, None, FaultStage::Cache).unwrap();
+        write_atomic(&path, update, None).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), update);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -132,10 +117,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("aix-fsutil-enospc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("journal");
-        write_atomic_under(&path, "previous\n", None, FaultStage::Cache).unwrap();
+        write_atomic(&path, "previous\n", None).unwrap();
 
         let plan: FaultPlan = "enospc:p=1".parse().unwrap();
-        let err = write_atomic_under(&path, "next\n", Some(&plan), FaultStage::Cache).unwrap_err();
+        let err = write_atomic(&path, "next\n", Some(&plan)).unwrap_err();
         assert!(err.to_string().contains("no space left"));
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "previous\n");
         let siblings: Vec<_> = std::fs::read_dir(&dir)
@@ -144,10 +129,9 @@ mod tests {
             .collect();
         assert_eq!(siblings.len(), 1, "no temp file written: {siblings:?}");
 
-        // Stage filters apply: an STA-stage-only plan leaves cache writes
-        // alone.
+        // Stage filters apply: an STA-stage-only plan leaves writes alone.
         let staged: FaultPlan = "enospc:p=1,stage=sta".parse().unwrap();
-        write_atomic_under(&path, "cached\n", Some(&staged), FaultStage::Cache).unwrap();
+        write_atomic(&path, "cached\n", Some(&staged)).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "cached\n");
         let _ = std::fs::remove_dir_all(&dir);
     }

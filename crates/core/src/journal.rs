@@ -39,12 +39,13 @@
 
 use crate::fsutil::write_atomic;
 use crate::library::parse_scenario;
+use aix_faults::FaultPlan;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// An open append-only line journal.
 #[derive(Debug)]
@@ -78,20 +79,25 @@ impl LineJournal {
     }
 
     /// Compacts the journal at `path` to `header` plus `records`, one per
-    /// line, atomically under the `AIX_FAULT` plan's `cache` stage, and
-    /// opens it for appending.
+    /// line, atomically under `plan`'s `cache` stage, and opens it for
+    /// appending.
     ///
     /// # Errors
     ///
     /// Returns I/O errors (or an injected fault) from the rewrite or the
     /// reopen.
-    pub fn compact(path: &Path, header: &str, records: &[String]) -> io::Result<Self> {
+    pub fn compact(
+        path: &Path,
+        header: &str,
+        records: &[String],
+        plan: Option<&FaultPlan>,
+    ) -> io::Result<Self> {
         let mut text = format!("{header}\n");
         for record in records {
             text.push_str(record);
             text.push('\n');
         }
-        write_atomic(path, &text)?;
+        write_atomic(path, &text, plan)?;
         Ok(Self {
             file: OpenOptions::new().append(true).open(path)?,
             append_lock: Mutex::new(()),
@@ -137,6 +143,8 @@ pub(crate) struct RunJournal {
     carried: Vec<String>,
     /// The open file, once [`RunJournal::record_plan`] has compacted it.
     file: Option<LineJournal>,
+    /// The fault plan the compaction writes under.
+    faults: Option<Arc<FaultPlan>>,
     /// Completed jobs loaded on resume or recorded this run:
     /// job fingerprint → scenario token → quantized delay.
     done: HashMap<u64, BTreeMap<String, f64>>,
@@ -148,14 +156,15 @@ impl RunJournal {
     /// over into the compacted file); otherwise any existing journal for
     /// this campaign is discarded and the run starts a fresh one. Prior
     /// `failed` records are never carried over — a resumed run retries
-    /// quarantined jobs.
-    pub fn open(dir: &Path, campaign: u64, resume: bool) -> Self {
+    /// quarantined jobs. The compaction writes under `faults`.
+    pub fn open(dir: &Path, campaign: u64, resume: bool, faults: Option<Arc<FaultPlan>>) -> Self {
         let path = dir.join(format!("campaign-{campaign:016x}.journal"));
         let mut journal = Self {
             path,
             campaign,
             carried: Vec::new(),
             file: None,
+            faults,
             done: HashMap::new(),
         };
         if resume {
@@ -223,7 +232,9 @@ impl RunJournal {
             format!("plan {planned}"),
         ];
         records.append(&mut self.carried);
-        self.file = LineJournal::compact(&self.path, JOURNAL_HEADER, &records).ok();
+        self.file =
+            LineJournal::compact(&self.path, JOURNAL_HEADER, &records, self.faults.as_deref())
+                .ok();
     }
 
     /// Records one job as done with its scenario delays. Idempotent: a job
@@ -275,12 +286,12 @@ mod tests {
     #[test]
     fn done_records_roundtrip_through_resume() {
         let dir = fresh_dir("roundtrip");
-        let mut journal = RunJournal::open(&dir, 0xabcd, false);
+        let mut journal = RunJournal::open(&dir, 0xabcd, false, None);
         journal.record_plan(3);
         journal.record_done(7, 12, &delays(&[("fresh", 101.5), ("wc:10", 120.25)]));
         journal.record_failed(8, "synth", 2, "panicked: kaput\nwith newline");
 
-        let resumed = RunJournal::open(&dir, 0xabcd, true);
+        let resumed = RunJournal::open(&dir, 0xabcd, true, None);
         let tokens = vec!["fresh".to_owned(), "wc:10".to_owned()];
         let entries = resumed.completed(7, &tokens).expect("job 7 is done");
         assert_eq!(entries["fresh"], 101.5);
@@ -298,7 +309,7 @@ mod tests {
     #[test]
     fn an_unterminated_final_line_is_never_parsed() {
         let dir = fresh_dir("torn-tail");
-        let mut journal = RunJournal::open(&dir, 4, false);
+        let mut journal = RunJournal::open(&dir, 4, false, None);
         journal.record_plan(2);
         journal.record_done(8, 12, &delays(&[("fresh", 99.25)]));
         // A crash mid-append cuts `done … fresh 101.500000` after `10`: the
@@ -309,7 +320,7 @@ mod tests {
             .unwrap();
         drop(file);
 
-        let mut resumed = RunJournal::open(&dir, 4, true);
+        let mut resumed = RunJournal::open(&dir, 4, true, None);
         assert!(resumed.completed(7, &["fresh".to_owned()]).is_none());
         assert_eq!(
             resumed.completed(8, &["fresh".to_owned()]).unwrap()["fresh"],
@@ -328,10 +339,10 @@ mod tests {
     #[test]
     fn fresh_open_discards_prior_records() {
         let dir = fresh_dir("fresh");
-        let mut journal = RunJournal::open(&dir, 1, false);
+        let mut journal = RunJournal::open(&dir, 1, false, None);
         journal.record_plan(1);
         journal.record_done(7, 12, &delays(&[("fresh", 10.0)]));
-        let fresh = RunJournal::open(&dir, 1, false);
+        let fresh = RunJournal::open(&dir, 1, false, None);
         assert!(fresh.completed(7, &["fresh".to_owned()]).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -339,11 +350,11 @@ mod tests {
     #[test]
     fn mismatched_campaign_and_torn_lines_are_ignored() {
         let dir = fresh_dir("mismatch");
-        let mut journal = RunJournal::open(&dir, 2, false);
+        let mut journal = RunJournal::open(&dir, 2, false, None);
         journal.record_plan(1);
         journal.record_done(9, 8, &delays(&[("fresh", 55.0)]));
         // A different campaign fingerprint never sees these records.
-        let other = RunJournal::open(&dir, 3, true);
+        let other = RunJournal::open(&dir, 3, true, None);
         assert!(other.completed(9, &["fresh".to_owned()]).is_none());
 
         // Corrupt the file with torn/garbage lines: loading skips them.
@@ -351,7 +362,7 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("done zzzz 8 fresh 1.0\ndone 0000000000000009 8 notascenario 1.0\ndone 0000000000000009 8 wc:10 -4.0\ngarbage\n");
         std::fs::write(&path, text).unwrap();
-        let resumed = RunJournal::open(&dir, 2, true);
+        let resumed = RunJournal::open(&dir, 2, true, None);
         assert!(resumed.completed(9, &["fresh".to_owned()]).is_some());
         assert!(resumed.completed(9, &["wc:10".to_owned()]).is_none());
         let _ = std::fs::remove_dir_all(&dir);

@@ -68,9 +68,9 @@ pub use characterize::{
 };
 pub use component::{ComponentKind, ParseComponentKindError};
 pub use engine::{
-    append_bench_json, append_bench_record, default_bench_json_path, default_cache_dir,
-    default_journal_dir, parallel_map, Campaign, CampaignStatus, CharacterizationEngine,
-    EngineOptions, EngineReport, JobFailure, NetlistCache, FAULT_GRAMMAR,
+    default_cache_dir, default_journal_dir, parallel_map, parse_timeout, Campaign,
+    CampaignStatus, CharacterizationEngine, EngineOptions, EngineReport, JobFailure,
+    NetlistCache,
 };
 pub use error::AixError;
 pub use guard::{decorrelated_backoff_ms, panic_message};

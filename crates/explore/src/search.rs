@@ -46,7 +46,8 @@ pub struct ExploreConfig {
     pub jobs: usize,
     /// Content-addressed score cache directory; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
-    /// Fault-injection plan consulted per candidate evaluation.
+    /// Fault-injection plan consulted per candidate evaluation and at
+    /// every score-cache write.
     pub faults: Option<Arc<FaultPlan>>,
     /// Cooperative cancellation, checked between and inside evaluations.
     pub cancel: Option<CancelToken>,
@@ -483,9 +484,9 @@ fn cache_load(config: &ExploreConfig, fingerprint: u64, label: &str, clock_ps: f
     })
 }
 
-/// Persists a freshly computed score. Float fields are stored as exact bit
-/// patterns so warm-cache runs reproduce cold-run reports byte-for-byte.
-/// Write failures are ignored — the cache is an accelerator, not a ledger.
+/// Persists a freshly computed score under the config's fault plan. Float
+/// fields are stored as exact bit patterns so warm-cache runs reproduce
+/// cold-run reports byte-for-byte. Write failures are ignored — the cache is an accelerator, not a ledger.
 fn cache_store(config: &ExploreConfig, fingerprint: u64, label: &str, score: &Score) {
     let Some(dir) = config.cache_dir.as_deref() else {
         return;
@@ -501,7 +502,11 @@ fn cache_store(config: &ExploreConfig, fingerprint: u64, label: &str, score: &Sc
         ("delay_bits", Value::from(f64_to_hex(score.aged_delay_ps))),
         ("gates", Value::from(score.gate_count)),
     ]);
-    let _ = write_atomic(&cache_path(dir, fingerprint), &record);
+    let _ = write_atomic(
+        &cache_path(dir, fingerprint),
+        &record,
+        config.faults.as_deref(),
+    );
 }
 
 fn f64_to_hex(v: f64) -> String {

@@ -7,11 +7,15 @@
 //! engine's own failure handling — panic isolation, retry with backoff,
 //! quarantine, resume — is itself testable.
 //!
-//! A [`FaultPlan`] is parsed from the `AIX_FAULT` environment variable (or
-//! the `--fault` CLI flag) using a small grammar:
+//! A [`FaultPlan`] is parsed from the `--fault` CLI flag or, when the flag
+//! is absent, the `AIX_FAULT` environment variable (flag, else variable,
+//! else no plan; a malformed value is an error naming the flag or the
+//! variable it came from). This crate reads neither: the caller resolves
+//! the plan once and passes it to every fault site, so one spec acts on
+//! the same sites however it is given. The grammar:
 //!
 //! ```text
-//! AIX_FAULT = spec (";" spec)*
+//! plan      = spec (";" spec)*
 //! spec      = mode [":" param ("," param)*]
 //! mode      = "panic" | "io" | "delay" | "shortwrite" | "enospc"
 //! param     = "p=" FLOAT        probability in [0, 1]   (default 1)
@@ -34,7 +38,6 @@
 use aix_obs::{fnv1a, FNV_OFFSET};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// What an injected fault does at the site it fires on.
@@ -170,7 +173,8 @@ impl fmt::Display for FaultSpec {
     }
 }
 
-/// A parsed `AIX_FAULT` value: the fault specs to evaluate at every site.
+/// A parsed fault plan (`--fault` / `AIX_FAULT`): the fault specs to
+/// evaluate at every site.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
@@ -188,14 +192,13 @@ impl ParseFaultError {
     }
 }
 
+/// What a fault plan looks like, for diagnostics.
+pub const GRAMMAR: &str = "`mode[:p=F,seed=N,stage=synth|sta|cache|import,ms=N]` \
+     with mode panic|io|delay|shortwrite|enospc, `;`-separated";
+
 impl fmt::Display for ParseFaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: expected `mode[:p=F,seed=N,stage=synth|sta|cache|import,ms=N]` \
-             with mode panic|io|delay|shortwrite|enospc, `;`-separated",
-            self.what
-        )
+        write!(f, "{}: expected {GRAMMAR}", self.what)
     }
 }
 
@@ -393,33 +396,6 @@ impl FaultPlan {
             };
             spec.fires(stage, site, attempt).then_some(fault)
         })
-    }
-}
-
-/// The process-wide plan parsed from `AIX_FAULT`, if any. Parsed once; a
-/// malformed value is reported to stderr once and ignored here — the `aix`
-/// CLI additionally validates `AIX_FAULT` strictly at startup and turns the
-/// same malformed value into a proper diagnostic.
-pub fn env_plan() -> Option<&'static FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let value = std::env::var("AIX_FAULT").ok()?;
-        match value.parse::<FaultPlan>() {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                aix_obs::warn!("ignoring malformed AIX_FAULT `{value}`: {e}");
-                None
-            }
-        }
-    })
-    .as_ref()
-}
-
-/// Probes the `AIX_FAULT` plan (panic/delay modes only) at a site with no
-/// error channel. A no-op when `AIX_FAULT` is unset.
-pub fn env_probe(stage: FaultStage, site: &str) {
-    if let Some(plan) = env_plan() {
-        plan.probe(stage, site, 0);
     }
 }
 

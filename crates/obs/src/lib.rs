@@ -13,8 +13,8 @@
 //! * **Deterministic events.** Trace lines carry seeded, reproducible
 //!   fields only (job keys, attempt numbers, cache verdicts). Wall-clock
 //!   enters the file solely as the `elapsed_us` field of `span_close`
-//!   events, and `AIX_TRACE_TIMINGS=off` removes even that, making traces
-//!   byte-comparable across runs and worker counts. Aggregates
+//!   events, and a recorder opened without timings removes even that,
+//!   making traces byte-comparable across runs and worker counts. Aggregates
 //!   (histograms, counter totals) stay in memory and are never serialized
 //!   into the trace.
 //! * **Crash-safe log.** The trace file is born atomically (temp +
@@ -56,19 +56,6 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-/// Environment variable that enables tracing without the `--trace` flag:
-/// `1`/`true` traces to the default path, any other non-empty value is
-/// taken as the trace file path (`0`/`false`/empty disable).
-pub const TRACE_ENV: &str = "AIX_TRACE";
-
-/// Environment variable that disables `elapsed_us` fields when set to
-/// `off`/`0`/`false`, making traces byte-deterministic.
-pub const TRACE_TIMINGS_ENV: &str = "AIX_TRACE_TIMINGS";
-
-/// Environment variable that silences progress output (same effect as the
-/// CLI's `--quiet`).
-pub const QUIET_ENV: &str = "AIX_QUIET";
 
 /// The 64-bit FNV-1a offset basis: the state a fresh [`fnv1a`] hash starts
 /// from.
@@ -269,27 +256,14 @@ pub fn uninstall() -> Option<Recorder> {
     guard.take().map(|state| Recorder { state })
 }
 
-/// Whether `AIX_TRACE_TIMINGS` asks for timing fields (the default) or
-/// byte-deterministic traces (`off`/`0`/`false`).
-pub fn timings_from_env() -> bool {
-    match std::env::var(TRACE_TIMINGS_ENV) {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    }
-}
-
 /// Silences (or re-enables) [`progress!`]/[`warn!`] output.
 pub fn set_quiet(quiet: bool) {
     QUIET.store(quiet, Ordering::SeqCst);
 }
 
-/// Whether progress output is currently silenced, either via
-/// [`set_quiet`] or the `AIX_QUIET` environment variable.
+/// Whether progress output is currently silenced by [`set_quiet`].
 pub fn quiet() -> bool {
-    if QUIET.load(Ordering::Relaxed) {
-        return true;
-    }
-    matches!(std::env::var(QUIET_ENV), Ok(v) if !matches!(v.trim(), "" | "0" | "false"))
+    QUIET.load(Ordering::Relaxed)
 }
 
 fn lock() -> std::sync::MutexGuard<'static, Option<State>> {
@@ -696,6 +670,6 @@ mod tests {
         progress!("hidden {}", 1);
         warn!("hidden {}", 2);
         set_quiet(false);
-        assert!(!quiet() || std::env::var(QUIET_ENV).is_ok());
+        assert!(!quiet());
     }
 }

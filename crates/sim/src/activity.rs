@@ -20,12 +20,14 @@ pub struct Activity {
 
 impl Activity {
     /// Builds an activity record from raw statistics (ones per net,
-    /// transitions per net, vector count) — used by the glitch-aware
-    /// reference `oracle::timed_activity` of the tests.
+    /// transitions per net, vector count) — used by the scalar references
+    /// `oracle::activity` and `oracle::timed_activity`, so it is built only
+    /// with them.
     ///
     /// # Panics
     ///
     /// Panics if the two statistics vectors differ in length.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn from_parts(ones: Vec<u64>, toggles: Vec<u64>, vectors: u64) -> Self {
         assert_eq!(ones.len(), toggles.len(), "per-net statistics must align");
         Self {

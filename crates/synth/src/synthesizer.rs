@@ -4,7 +4,6 @@
 use crate::{optimize, recover_area, size_for_performance, Planner};
 use aix_arith::{AdderKind, Canonical, ComponentSpec, MultiplierKind};
 use aix_cells::Library;
-use aix_faults::{env_probe, FaultStage};
 use aix_netlist::{Netlist, NetlistError};
 use aix_sta::NetDelays;
 use std::fmt;
@@ -179,10 +178,6 @@ impl Synthesizer {
             width = spec.width(),
             precision = spec.precision(),
         );
-        env_probe(
-            FaultStage::Synth,
-            &format!("adder w{} p{}", spec.width(), spec.precision()),
-        );
         self.synthesize(Canonical::Adder(self.effort.adder_kind(), spec))
     }
 
@@ -212,10 +207,6 @@ impl Synthesizer {
             width = spec.width(),
             precision = spec.precision(),
         );
-        env_probe(
-            FaultStage::Synth,
-            &format!("multiplier w{} p{}", spec.width(), spec.precision()),
-        );
         self.synthesize(Canonical::Multiplier(self.effort.multiplier_kind(), spec))
     }
 
@@ -243,10 +234,6 @@ impl Synthesizer {
             kind = "mac",
             width = spec.width(),
             precision = spec.precision(),
-        );
-        env_probe(
-            FaultStage::Synth,
-            &format!("mac w{} p{}", spec.width(), spec.precision()),
         );
         self.synthesize(Canonical::Mac(spec))
     }

@@ -20,10 +20,10 @@ use aix::aging::{AgingModel, AgingScenario, Lifetime};
 use aix::arith::ComponentSpec;
 use aix::cells::{degradation_to_text, to_liberty, DegradationAwareLibrary, Library};
 use aix::core::{
-    append_bench_json, append_bench_record, characterize_imported, default_bench_json_path,
-    idct_design, load_imported, panic_message, verify_imported, AixError, ApproxLibrary,
-    CampaignStatus, CancelToken, CharacterizationConfig, CharacterizationEngine, ComponentKind,
-    EngineOptions, ImportedConfig, FAULT_GRAMMAR,
+    characterize_imported, fsutil::write_atomic, idct_design, load_imported, panic_message,
+    parse_timeout, verify_imported, AixError, ApproxLibrary, CampaignStatus, CancelToken,
+    CharacterizationConfig, CharacterizationEngine, ComponentKind, EngineOptions, EngineReport,
+    ImportedConfig,
 };
 use aix::explore::ExploreConfig;
 use aix::dct::DatapathPrecision;
@@ -37,11 +37,11 @@ use aix::verify::{
     VerifyError, VerifyPolicy,
 };
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1).peekable();
@@ -103,14 +103,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// Installs the quiet flag and the global trace recorder from `--quiet`/
-/// `--trace[=FILE]` and their environment equivalents (`AIX_QUIET`,
-/// `AIX_TRACE`, `AIX_TRACE_TIMINGS`) before the command runs.
+/// Installs the quiet flag and the global trace recorder before the
+/// command runs. Each setting is its flag, else its variable: `--quiet`
+/// (`AIX_QUIET`), `--trace[=FILE]` (`AIX_TRACE`) and `AIX_TRACE_TIMINGS`,
+/// which has no flag.
 fn configure_observability(
     command: &str,
     options: &HashMap<String, String>,
 ) -> Result<(), AixError> {
-    if get(options, "--quiet").is_some() {
+    let setting = |flag: &str, var: &str| {
+        get(options, flag)
+            .map(str::to_owned)
+            .or_else(|| std::env::var(var).ok())
+    };
+    if setting("--quiet", "AIX_QUIET").is_some_and(|value| switch(&value)) {
         aix::obs::set_quiet(true);
     }
     // `trace summarize` reads traces, it must not record one of its own;
@@ -118,25 +124,25 @@ fn configure_observability(
     if matches!(command, "trace" | "help" | "--help" | "-h") {
         return Ok(());
     }
-    let path = match get(options, "--trace") {
-        Some("true") => Some(default_trace_path()),
-        Some(path) => Some(PathBuf::from(path)),
-        None => match std::env::var(aix::obs::TRACE_ENV) {
-            Ok(value) => match value.trim() {
-                "" | "0" | "false" => None,
-                "1" | "true" => Some(default_trace_path()),
-                path => Some(PathBuf::from(path)),
-            },
-            Err(_) => None,
-        },
+    let path = match setting("--trace", "AIX_TRACE").as_deref().map(str::trim) {
+        Some("1" | "true") => default_trace_path(),
+        Some(path) if switch(path) => PathBuf::from(path),
+        _ => return Ok(()),
     };
-    let Some(path) = path else {
-        return Ok(());
-    };
-    let recorder = aix::obs::Recorder::to_file(&path, command, aix::obs::timings_from_env())
+    let timings = std::env::var("AIX_TRACE_TIMINGS").map_or(true, |value| switch(&value));
+    let recorder = aix::obs::Recorder::to_file(&path, command, timings)
         .map_err(|e| AixError::io(path.display().to_string(), e))?;
     aix::obs::install(recorder);
     Ok(())
+}
+
+/// An on/off setting's value: empty, `0`, `false` and `off` (any case)
+/// are off, anything else is on.
+fn switch(value: &str) -> bool {
+    !matches!(
+        value.trim().to_ascii_lowercase().as_str(),
+        "" | "0" | "false" | "off"
+    )
 }
 
 /// The default trace location: one file per run, named after the wall
@@ -237,6 +243,11 @@ commands:
                                   append a machine-readable summary record to
                                   out/BENCH_characterize.json
   help                            show this message
+
+settings: a flag, else its variable (`--jobs` is AIX_JOBS, 0 = auto; likewise
+AIX_CACHE, AIX_JOURNAL, AIX_JOB_TIMEOUT, AIX_RETRIES, AIX_BACKOFF_MS,
+AIX_FAULT, AIX_TRACE, AIX_QUIET), else the default; `off` disables the cache
+and the journal. A malformed value is an error naming its flag or variable
 
 global flags (any command):
   --trace[=FILE]                  record a structured JSONL event trace
@@ -432,90 +443,62 @@ fn parse_verify_config(options: &HashMap<String, String>) -> Result<VerifyConfig
     })
 }
 
-/// Parses a wall-clock budget in seconds; `0`, `off` or `none` disable it.
-fn parse_timeout(flag: &'static str, value: &str) -> Result<Option<Duration>, AixError> {
-    if matches!(value, "0" | "off" | "none") {
-        return Ok(None);
-    }
-    match value.parse::<f64>() {
-        Ok(secs) if secs.is_finite() && secs > 0.0 => Ok(Some(Duration::from_secs_f64(secs))),
-        _ => Err(AixError::InvalidOption {
-            flag,
-            value: value.to_owned(),
-            expected: "a positive number of seconds (0/off/none disables)",
-        }),
-    }
-}
-
-/// Engine scheduling and robustness options. Flags override the matching
-/// environment variables: `--jobs N` (0 = auto; `AIX_JOBS`),
-/// `--cache DIR`/`--no-cache` (`AIX_CACHE`), `--journal DIR`/
-/// `--no-journal` (`AIX_JOURNAL`), `--resume`, `--job-timeout SECS`
-/// (`AIX_JOB_TIMEOUT`), `--retries N` (`AIX_RETRIES`), `--backoff-ms N`
-/// (`AIX_BACKOFF_MS`), `--backoff-cap-ms N` (`AIX_BACKOFF_CAP_MS`) and
-/// `--fault SPEC` (`AIX_FAULT`). A malformed environment value is
-/// rejected with the same diagnostic as its flag.
+/// Engine scheduling and robustness options, resolved by
+/// [`EngineOptions::resolve`]: each setting is its flag, else its
+/// environment variable, else its default, and a malformed value is an
+/// error naming the one that supplied it. `--no-cache` and `--no-journal`
+/// are `--cache off` and `--journal off`.
 fn parse_engine_options(options: &HashMap<String, String>) -> Result<EngineOptions, AixError> {
-    let mut engine = EngineOptions::from_env_strict()?;
-    if let Some(value) = get(options, "--jobs") {
-        engine.jobs = value.parse().map_err(|_| AixError::InvalidOption {
-            flag: "--jobs",
-            value: value.to_owned(),
-            expected: "a worker count (0 = auto)",
-        })?;
-    }
-    if get(options, "--no-cache").is_some() {
-        engine.cache_dir = None;
-    } else if let Some(dir) = get(options, "--cache") {
-        engine.cache_dir = Some(PathBuf::from(dir));
-    }
-    if get(options, "--no-journal").is_some() {
-        engine.journal_dir = None;
-    } else if let Some(dir) = get(options, "--journal") {
-        engine.journal_dir = Some(PathBuf::from(dir));
-    }
-    if get(options, "--resume").is_some() {
-        engine.resume = true;
-    }
-    if let Some(value) = get(options, "--job-timeout") {
-        engine.job_timeout = parse_timeout("--job-timeout", value)?;
-    }
-    engine.retries = parse_or(options, "--retries", engine.retries, "a retry count")?;
-    engine.backoff_ms = parse_or(
-        options,
-        "--backoff-ms",
-        engine.backoff_ms,
-        "a backoff in milliseconds",
-    )?;
-    engine.backoff_cap_ms = parse_or(
-        options,
-        "--backoff-cap-ms",
-        engine.backoff_cap_ms,
-        "a backoff cap in milliseconds (0 = uncapped)",
-    )?;
-    if let Some(value) = get(options, "--fault") {
-        let plan: FaultPlan = value.parse().map_err(|_| AixError::InvalidOption {
-            flag: "--fault",
-            value: value.to_owned(),
-            expected: FAULT_GRAMMAR,
-        })?;
-        engine.faults = Some(Arc::new(plan));
-    }
-    Ok(engine)
+    EngineOptions::resolve(
+        |flag| match flag {
+            "--cache" if get(options, "--no-cache").is_some() => Some(String::from("off")),
+            "--journal" if get(options, "--no-journal").is_some() => Some(String::from("off")),
+            _ => get(options, flag).map(str::to_owned),
+        },
+        |var| std::env::var(var).ok(),
+    )
 }
 
-/// Records an engine run in `out/BENCH_characterize.json` and echoes the
-/// per-stage summary. The record is a log of the run, not its result: a
-/// failed append is a warning naming the file, and the command's output
-/// and exit code still follow the campaign.
-fn record_engine_run(label: &str, report: &aix::core::EngineReport) {
+/// The path of the machine-readable characterization benchmark log.
+const BENCH_LOG: &str = "out/BENCH_characterize.json";
+
+/// Appends one pre-rendered single-line JSON record (which must start with
+/// `{"label"` to survive future rewrites) to the benchmark log at `path`
+/// (created if absent), under `plan`. The file is a JSON object with a
+/// `runs` array, one record per run: comparing the wall-clock of
+/// consecutive engine records shows the cold-versus-warm cache trajectory.
+/// The rewrite is atomic (temp file + rename), so concurrent or killed
+/// runs cannot tear the log.
+fn append_bench_json(path: &Path, record: String, plan: Option<&FaultPlan>) -> std::io::Result<()> {
+    // Existing records are one per line; carry them over verbatim.
+    let mut records: Vec<String> = match std::fs::read_to_string(path) {
+        Ok(text) => text
+            .lines()
+            .map(str::trim)
+            .filter(|line| line.starts_with("{\"label\""))
+            .map(|line| line.trim_end_matches(',').to_owned())
+            .collect(),
+        Err(_) => Vec::new(),
+    };
+    records.push(record);
+    let mut out = String::from("{\n  \"schema\": \"aix-bench-characterize/v1\",\n  \"runs\": [\n");
+    for (index, record) in records.iter().enumerate() {
+        let comma = if index + 1 < records.len() { "," } else { "" };
+        let _ = writeln!(out, "    {record}{comma}");
+    }
+    out.push_str("  ]\n}\n");
+    write_atomic(path, &out, plan)
+}
+
+/// Records a run of `engine` in `out/BENCH_characterize.json`, under the
+/// engine's fault plan, and echoes the per-stage summary. The record is a
+/// log of the run, not its result: a failed append is a warning naming the
+/// file, and the command's output and exit code still follow the campaign.
+fn record_engine_run(label: &str, report: &EngineReport, engine: &CharacterizationEngine) {
     aix::obs::progress!("# engine: {}", report.summary());
-    let path = default_bench_json_path();
-    if let Err(error) = append_bench_record(&path, label, report) {
-        eprintln!(
-            "aix: warning: engine run not recorded in {}: {error}",
-            path.display()
-        );
+    let (record, plan) = (report.to_json_record(label), engine.options().faults.as_deref());
+    if let Err(error) = append_bench_json(Path::new(BENCH_LOG), record, plan) {
+        eprintln!("aix: warning: engine run not recorded in {BENCH_LOG}: {error}");
     }
 }
 
@@ -547,10 +530,10 @@ fn trace_summarize(options: &HashMap<String, String>) -> CliResult {
         .map_err(|error| summary_error(&path, error))?;
     print!("{}", summary.render_table());
     if get(options, "--no-record").is_none() {
-        let bench = default_bench_json_path();
-        append_bench_json(&bench, summary.to_json_record())
-            .map_err(|e| AixError::io(bench.display().to_string(), e))?;
-        aix::obs::progress!("summary recorded in {}", bench.display());
+        let faults = parse_engine_options(options)?.faults;
+        append_bench_json(Path::new(BENCH_LOG), summary.to_json_record(), faults.as_deref())
+            .map_err(|e| AixError::io(BENCH_LOG, e))?;
+        aix::obs::progress!("summary recorded in {BENCH_LOG}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -837,7 +820,7 @@ fn characterize(options: &HashMap<String, String>) -> CliResult {
     config.effort = parse_effort(options)?;
     let engine = CharacterizationEngine::new(Arc::clone(&cells), parse_engine_options(options)?);
     let campaign = engine.characterize_campaign(std::slice::from_ref(&config));
-    record_engine_run(&format!("characterize {kind} {width}"), &campaign.report);
+    record_engine_run(&format!("characterize {kind} {width}"), &campaign.report, &engine);
     for failure in &campaign.failures {
         eprintln!("aix: job FAILED: {failure}");
     }
@@ -920,7 +903,12 @@ fn explore(options: &HashMap<String, String>) -> CliResult {
     config.cache_dir = engine.cache_dir;
     config.faults = engine.faults;
     if let Some(value) = get(options, "--deadline") {
-        config.cancel = parse_timeout("--deadline", value)?.map(CancelToken::deadline_in);
+        let deadline = parse_timeout(value).map_err(|expected| AixError::InvalidOption {
+            flag: "--deadline",
+            value: value.to_owned(),
+            expected,
+        })?;
+        config.cancel = deadline.map(CancelToken::deadline_in);
     }
 
     let cells = Arc::new(Library::nangate45_like());
@@ -1001,7 +989,7 @@ fn flow(options: &HashMap<String, String>) -> CliResult {
             .map(|(kind, width)| CharacterizationConfig::paper_default(kind, width))
             .into();
             let (library, report) = engine.characterize_all(&configs)?;
-            record_engine_run("flow idct-library", &report);
+            record_engine_run("flow idct-library", &report, &engine);
             library
         }
     };
@@ -1085,7 +1073,7 @@ fn verify(options: &HashMap<String, String>) -> CliResult {
                     .map(|kind| CharacterizationConfig::quick(kind, 16))
                     .into();
             let (library, report) = engine.characterize_all(&configs)?;
-            record_engine_run("verify demo-library", &report);
+            record_engine_run("verify demo-library", &report, &engine);
             library
         }
     };
@@ -1208,4 +1196,31 @@ fn export(options: &HashMap<String, String>) -> CliResult {
         println!("  {dir}/{name}");
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_record_json_accumulates_runs() {
+        let dir = std::env::temp_dir().join(format!("aix-bench-json-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("BENCH_characterize.json");
+        let report = EngineReport {
+            jobs: 2,
+            wall_ms: 12.5,
+            ..EngineReport::default()
+        };
+        append_bench_json(&path, report.to_json_record("cold"), None).unwrap();
+        append_bench_json(&path, report.to_json_record("warm \"quoted\""), None).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"schema\": \"aix-bench-characterize/v1\""));
+        assert_eq!(text.matches("{\"label\"").count(), 2);
+        assert!(text.contains("\"label\":\"cold\""));
+        assert!(text.contains("warm \\\"quoted\\\""));
+        assert!(text.contains("\"wall_ms\":12.500"));
+        assert!(text.contains("\"job_failures\":0"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

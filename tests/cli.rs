@@ -411,6 +411,11 @@ fn garbage_env_jobs_is_rejected_like_the_flag() {
     assert!(!output.status.success());
     let flag_stderr = String::from_utf8_lossy(&output.stderr);
     assert!(flag_stderr.contains("--jobs") && flag_stderr.contains("three"));
+
+    // `0` means auto from either source.
+    let by_var = aix().args(base).env("AIX_JOBS", "0").output().expect("spawn aix").status;
+    let by_flag = aix().args(base).args(["--jobs", "0"]).output().expect("spawn aix").status;
+    assert!(by_var.success() && by_flag.success(), "AIX_JOBS=0 and --jobs 0 mean auto");
 }
 
 #[test]
@@ -454,23 +459,94 @@ fn removed_serve_fault_stage_is_rejected_naming_the_remaining_stages() {
 fn a_failed_bench_log_write_is_only_a_warning() {
     // Every write through the atomic-write path fails, the bench log's
     // included: the campaign still completes, the library is printed and
-    // the exit code follows the campaign.
-    let output = aix()
-        .args([
+    // the exit code follows the campaign. The spec acts the same through
+    // the flag and through the variable.
+    let spec = "shortwrite:p=1,stage=cache";
+    for by_flag in [true, false] {
+        let mut command = aix();
+        command.args([
             "characterize", "--kind", "adder", "--width", "8", "--cache", "C", "--journal", "J",
-        ])
-        .env("AIX_FAULT", "shortwrite:p=1,stage=cache")
-        .output()
-        .expect("spawn aix");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
-    assert!(
-        stderr.contains("warning") && stderr.contains("out/BENCH_characterize.json"),
-        "the warning must name the bench log: {stderr}"
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let library = aix::core::ApproxLibrary::from_text(&stdout).expect("library printed");
-    assert!(library.get(aix::core::ComponentKind::Adder, 8).is_some());
+        ]);
+        if by_flag {
+            command.args(["--fault", spec]);
+        } else {
+            command.env("AIX_FAULT", spec);
+        }
+        let output = command.output().expect("spawn aix");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+        assert!(
+            stderr.contains("warning") && stderr.contains("out/BENCH_characterize.json"),
+            "the warning must name the bench log: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let library = aix::core::ApproxLibrary::from_text(&stdout).expect("library printed");
+        assert!(library.get(aix::core::ComponentKind::Adder, 8).is_some());
+    }
+}
+
+/// Every file in the `C` (cache) and `J` (journal) directories under
+/// `root`, by path, with its bytes. The process-id suffix of a temp file
+/// (`x.tmp.<pid>`) reads as `x.tmp.PID`, so the files two processes leave
+/// compare equal.
+fn cache_and_journal(root: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    for dir in ["C", "J"] {
+        for entry in std::fs::read_dir(root.join(dir)).into_iter().flatten() {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy().into_owned();
+            let name = match name.rsplit_once(".tmp.") {
+                Some((stem, pid)) if pid.bytes().all(|b| b.is_ascii_digit()) => {
+                    format!("{stem}.tmp.PID")
+                }
+                _ => name,
+            };
+            files.insert(format!("{dir}/{name}"), std::fs::read(&path).expect("read file"));
+        }
+    }
+    files
+}
+
+#[test]
+fn one_fault_spec_writes_the_same_trees_through_the_flag_and_the_variable() {
+    let precisions =
+        aix::core::CharacterizationConfig::paper_default(aix::core::ComponentKind::Adder, 8)
+            .precisions;
+    let (seed, _) = partial_panic_seed(8, &precisions);
+    let dir = std::env::temp_dir().join(format!("aix-cli-one-plan-{}", std::process::id()));
+    for (spec, code) in [
+        (String::from("shortwrite:p=1,stage=cache"), 0),
+        (format!("panic:p=0.5,seed={seed},stage=synth"), 2),
+    ] {
+        let run = |by_flag: bool| {
+            let root = dir.join(if by_flag { "flag" } else { "var" });
+            let _ = std::fs::remove_dir_all(&root);
+            let mut command = aix();
+            command.args(["characterize", "--kind", "adder", "--width", "8", "--cache"]);
+            command.arg(root.join("C")).arg("--journal").arg(root.join("J"));
+            if by_flag {
+                command.args(["--fault", &spec]);
+            } else {
+                command.env("AIX_FAULT", &spec);
+            }
+            let output = command.output().expect("spawn aix");
+            let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+            (output.status.code(), stdout, cache_and_journal(&root))
+        };
+        let (by_flag, by_var) = (run(true), run(false));
+        let names = |files: &std::collections::BTreeMap<String, Vec<u8>>| {
+            files.keys().cloned().collect::<Vec<_>>()
+        };
+        assert_eq!(by_flag.0, Some(code), "`{spec}` exit code");
+        assert_eq!(
+            (by_flag.0, &by_flag.1, names(&by_flag.2)),
+            (by_var.0, &by_var.1, names(&by_var.2)),
+            "`{spec}`: exit code, stdout or file names differ"
+        );
+        assert!(by_flag.2 == by_var.2, "`{spec}`: file bytes differ");
+        assert!(names(&by_flag.2).iter().any(|name| name.starts_with("J/")), "journal written");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -483,17 +559,12 @@ fn serve_is_an_unknown_command() {
     }
 }
 
-#[test]
-fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
+/// The first seed whose `panic:p=0.5,stage=synth` spec fires on some but
+/// not all synthesis jobs of `characterize --kind adder --width W` (its
+/// precisions are given), and how many jobs it fails.
+fn partial_panic_seed(width: usize, precisions: &[usize]) -> (u64, usize) {
     use aix::faults::{FaultMode, FaultSpec, FaultStage};
-    let dir = std::env::temp_dir().join(format!("aix-cli-fault-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let journal = dir.join("journal");
-
-    // A seed whose panic spec fires on some but not all of the four
-    // synthesis sites of `characterize --kind adder --width 4`.
-    let (seed, doomed) = (0..10_000u64)
+    (0..10_000u64)
         .map(|seed| {
             let spec = FaultSpec {
                 mode: FaultMode::Panic,
@@ -502,13 +573,23 @@ fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
                 stage: Some(FaultStage::Synth),
                 delay_ms: 0,
             };
-            let doomed = (1..=4)
-                .filter(|p| spec.fires(FaultStage::Synth, &format!("adder-w4-p{p}-ultra"), 1))
+            let doomed = precisions
+                .iter()
+                .filter(|p| spec.fires(FaultStage::Synth, &format!("adder-w{width}-p{p}-ultra"), 1))
                 .count();
             (seed, doomed)
         })
-        .find(|&(_, doomed)| doomed > 0 && doomed < 4)
-        .expect("a partial seed exists");
+        .find(|&(_, doomed)| doomed > 0 && doomed < precisions.len())
+        .expect("a partial seed exists")
+}
+
+#[test]
+fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
+    let dir = std::env::temp_dir().join(format!("aix-cli-fault-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("journal");
+    let (seed, doomed) = partial_panic_seed(4, &[1, 2, 3, 4]);
 
     let characterize = |extra: &[String], out: &std::path::Path| {
         let mut cmd = aix();
