@@ -19,37 +19,35 @@
 //!   precision, effort). A warm run skips synthesis and STA entirely.
 //!   Corrupted, truncated or stale files are detected and fall back to
 //!   re-synthesis — they can never poison results.
-//! * **Fault containment** — every synthesis and STA job runs under a
-//!   guard (panic isolation, an optional wall-clock watchdog, seeded
-//!   retry with exponential backoff for transient I/O failures). A job
-//!   that panics, hangs or exhausts its retries becomes a [`JobFailure`]
-//!   in the campaign's report; the other jobs complete normally.
-//! * **Crash-safe resume** — with a journal directory configured, the
-//!   campaign appends a write-ahead journal (atomic temp-file + rename,
-//!   like the cache) recording planned, done and failed jobs. A rerun
-//!   with `resume` set skips completed work — even with caching off —
-//!   and produces byte-identical library text.
+//! * **Fault containment** — every synthesis and STA job runs once under
+//!   panic isolation. A job that panics or errors becomes a
+//!   [`JobFailure`] in the campaign's report; the other jobs complete
+//!   normally.
+//! * **Rerun is resume** — each finished job is written to the cache as
+//!   the campaign merges it, so a rerun after a partial or interrupted
+//!   campaign serves the finished jobs from the cache, synthesizes only
+//!   the rest, and produces byte-identical library text.
 //! * **Fault injection** — an [`aix_faults::FaultPlan`] (the `--fault` /
 //!   `AIX_FAULT` grammar) deterministically injects panics, I/O errors,
 //!   delays and torn writes at synthesis, STA and cache sites and at every
-//!   cache and journal write, so all of the above is testable end to end.
+//!   cache write, so all of the above is testable end to end.
 //! * **Settings** — [`EngineOptions::resolve`] reads every setting by one
 //!   rule: its flag, else its variable, else its default.
 //! * **Observability** — [`EngineReport`] carries per-stage wall-clock and
-//!   cache/journal/retry counters; [`EngineReport::to_json_record`] renders
+//!   cache and failure counters; [`EngineReport::to_json_record`] renders
 //!   them as the machine-readable record the CLI appends to
 //!   `BENCH_characterize.json`, so the perf trajectory of repeated runs is
 //!   measurable. When a global `aix-obs` recorder is
 //!   installed the campaign additionally emits a structured trace:
 //!   `campaign`/`plan`/`synth_stage`/`sta_stage`/`merge` spans, per-job
-//!   `synth`/`sta` spans, `cache_hit`/`cache_miss`/`journal_hit` counter
+//!   `synth`/`sta` spans, `cache_hit`/`cache_miss` counter
 //!   events (in plan order, from sequential code — so warm-run traces are
 //!   byte-identical for any worker count) and one `quarantine` event per
 //!   [`JobFailure`], in merge order.
 //!
 //! The engine is deterministic: characterization output is byte-identical
-//! for any job count, for cold versus warm caches, and for interrupted
-//! runs resumed from the journal. Jobs never share mutable state; results
+//! for any job count, for cold versus warm caches, and for a partial run
+//! finished by a rerun. Jobs never share mutable state; results
 //! merge in planned order, and cached delays round-trip through the same
 //! 6-decimal text format the [`ApproxLibrary`] serializes, which reformats
 //! to identical bytes.
@@ -71,8 +69,7 @@
 //! ```
 
 use crate::fsutil::write_atomic;
-use crate::guard::{JobError, JobGuard};
-use crate::journal::RunJournal;
+use crate::guard::run_guarded;
 use crate::library::{parse_scenario, scenario_token};
 use crate::{
     AixError, ApproxLibrary, CharacterizationConfig, CharacterizationEntry,
@@ -96,7 +93,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How the engine schedules, caches and fault-guards its jobs.
+/// How the engine schedules and caches its jobs, and which faults it
+/// injects.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOptions {
     /// Worker threads; `0` resolves to the machine's available
@@ -105,31 +103,13 @@ pub struct EngineOptions {
     /// Directory of the persistent characterization cache; `None` disables
     /// on-disk caching.
     pub cache_dir: Option<PathBuf>,
-    /// Directory of the write-ahead run journal; `None` disables
-    /// journaling (and therefore resume).
-    pub journal_dir: Option<PathBuf>,
-    /// Whether to load a prior journal for the same campaign and skip jobs
-    /// it records as done.
-    pub resume: bool,
-    /// Wall-clock watchdog per job attempt; `None` lets jobs run
-    /// unbounded.
-    pub job_timeout: Option<Duration>,
-    /// Retry budget for *transient* job failures (I/O errors, timeouts).
-    /// Panics and structural errors never retry.
-    pub retries: usize,
-    /// Base of the decorrelated-jitter retry backoff, in milliseconds.
-    pub backoff_ms: u64,
     /// Deterministic fault-injection plan evaluated at synthesis, STA and
-    /// cache sites and at every cache and journal write; `None` injects
-    /// nothing.
+    /// cache sites and at every cache write; `None` injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
-/// Upper bound on any single retry backoff sleep, in milliseconds.
-const BACKOFF_CAP_MS: u64 = 10_000;
-
 impl EngineOptions {
-    /// One worker, no cache, no journal, no watchdog: the configuration
+    /// One worker, no cache, no faults: the configuration
     /// that reproduces the historical sequential [`characterize_component`]
     /// behaviour exactly (it is also what that function now uses
     /// internally).
@@ -139,11 +119,6 @@ impl EngineOptions {
         Self {
             jobs: 1,
             cache_dir: None,
-            journal_dir: None,
-            resume: false,
-            job_timeout: None,
-            retries: 0,
-            backoff_ms: 0,
             faults: None,
         }
     }
@@ -152,8 +127,8 @@ impl EngineOptions {
     /// else its default, with one parser per value type for both sources.
     /// `flag` looks a setting up by its flag name (`--jobs`) and `var` by
     /// its variable name (`AIX_JOBS`): the CLI passes its parsed flags and
-    /// the process environment, the figure binaries no flags. `--resume`
-    /// has no variable. README's engine-settings table lists the rest.
+    /// the process environment, the figure binaries no flags. README's
+    /// engine-settings table lists every setting.
     ///
     /// # Errors
     ///
@@ -170,15 +145,6 @@ impl EngineOptions {
         Ok(Self {
             jobs: setting(get("--jobs", "AIX_JOBS"), parse_count, 0)?,
             cache_dir: setting(get("--cache", "AIX_CACHE"), parse_dir, Some(default_cache_dir()))?,
-            journal_dir: setting(
-                get("--journal", "AIX_JOURNAL"),
-                parse_dir,
-                Some(default_journal_dir()),
-            )?,
-            resume: flag("--resume").is_some(),
-            job_timeout: setting(get("--job-timeout", "AIX_JOB_TIMEOUT"), parse_timeout, None)?,
-            retries: setting(get("--retries", "AIX_RETRIES"), parse_count, 0)?,
-            backoff_ms: setting(get("--backoff-ms", "AIX_BACKOFF_MS"), parse_count, 25)?,
             faults: setting(get("--fault", "AIX_FAULT"), parse_faults, None)?,
         })
     }
@@ -254,11 +220,6 @@ fn parse_faults(value: &str) -> Result<Option<Arc<FaultPlan>>, &'static str> {
 /// The default persistent cache location.
 pub fn default_cache_dir() -> PathBuf {
     PathBuf::from("out/cache")
-}
-
-/// The default write-ahead journal location.
-pub fn default_journal_dir() -> PathBuf {
-    PathBuf::from("out/journal")
 }
 
 /// Runs `run` over `items` on up to `jobs` scoped worker threads and
@@ -399,7 +360,7 @@ pub struct EngineReport {
     pub jobs: usize,
     /// Synthesis jobs the planner expanded (one per precision per config).
     pub synth_planned: usize,
-    /// Synthesis jobs actually executed (planned minus cache/journal hits).
+    /// Synthesis jobs actually executed (planned minus cache hits).
     pub synth_executed: usize,
     /// STA passes executed (scenarios × executed synthesis jobs).
     pub sta_executed: usize,
@@ -407,11 +368,11 @@ pub struct EngineReport {
     pub cache_hits: usize,
     /// Synthesis jobs that consulted the cache and missed.
     pub cache_misses: usize,
-    /// Synthesis jobs satisfied from a resumed run journal.
-    pub journal_hits: usize,
-    /// Extra job attempts spent on transient-failure retries.
+    /// Always `0`, since every job runs once; `summary` and
+    /// `to_json_record` leave it out. Kept only because the `aix-benchmark`
+    /// crate reports it as its `core.engine.retries` metric.
     pub job_retries: usize,
-    /// Jobs that exhausted their guard and were quarantined.
+    /// Jobs that failed and were quarantined.
     pub job_failures: usize,
     /// Planning stage wall-clock, in milliseconds (includes cache probes).
     pub plan_ms: f64,
@@ -444,12 +405,6 @@ impl EngineReport {
             self.sta_ms,
             self.merge_ms,
         );
-        if self.journal_hits > 0 {
-            let _ = write!(line, ", {} journal hit(s)", self.journal_hits);
-        }
-        if self.job_retries > 0 {
-            let _ = write!(line, ", {} retry(ies)", self.job_retries);
-        }
         if self.job_failures > 0 {
             let _ = write!(line, ", {} job(s) FAILED", self.job_failures);
         }
@@ -462,8 +417,7 @@ impl EngineReport {
             "{{\"label\":\"{}\",\"jobs\":{},\"wall_ms\":{:.3},\"plan_ms\":{:.3},\
              \"synth_ms\":{:.3},\"sta_ms\":{:.3},\"merge_ms\":{:.3},\
              \"synth_planned\":{},\"synth_executed\":{},\"sta_executed\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"journal_hits\":{},\
-             \"job_retries\":{},\"job_failures\":{}}}",
+             \"cache_hits\":{},\"cache_misses\":{},\"job_failures\":{}}}",
             label.replace('\\', "\\\\").replace('"', "\\\""),
             self.jobs,
             self.wall_ms,
@@ -476,8 +430,6 @@ impl EngineReport {
             self.sta_executed,
             self.cache_hits,
             self.cache_misses,
-            self.journal_hits,
-            self.job_retries,
             self.job_failures,
         )
     }
@@ -497,9 +449,7 @@ pub struct JobFailure {
     pub scenario: Option<String>,
     /// Stage the failure occurred in: `synth` or `sta`.
     pub stage: &'static str,
-    /// Attempts spent before quarantining, including retries.
-    pub attempts: usize,
-    /// Human-readable cause (error display, panic message, or timeout).
+    /// Human-readable cause (error display or panic message).
     pub reason: String,
 }
 
@@ -509,11 +459,7 @@ impl fmt::Display for JobFailure {
         if let Some(token) = &self.scenario {
             write!(f, " @{token}")?;
         }
-        write!(
-            f,
-            " [{}]: {} ({} attempt(s))",
-            self.stage, self.reason, self.attempts
-        )
+        write!(f, " [{}]: {}", self.stage, self.reason)
     }
 }
 
@@ -536,7 +482,7 @@ pub struct Campaign {
     /// One characterization per config, in config order. A config whose
     /// jobs all failed yields an empty characterization (no entries).
     pub characterizations: Vec<ComponentCharacterization>,
-    /// Stage timings and cache/journal/retry counters.
+    /// Stage timings and cache and failure counters.
     pub report: EngineReport,
     /// Quarantined jobs, in planned order; empty for a clean run.
     pub failures: Vec<JobFailure>,
@@ -577,7 +523,7 @@ impl Campaign {
 pub struct CharacterizationEngine {
     cells: Arc<Library>,
     options: EngineOptions,
-    netlists: Arc<NetlistCache>,
+    netlists: NetlistCache,
     fingerprint_base: u64,
 }
 
@@ -586,19 +532,7 @@ pub struct CharacterizationEngine {
 struct FailureInfo {
     stage: &'static str,
     scenario: Option<String>,
-    attempts: usize,
     reason: String,
-}
-
-impl From<(&'static str, Option<String>, JobError)> for FailureInfo {
-    fn from((stage, scenario, error): (&'static str, Option<String>, JobError)) -> Self {
-        Self {
-            stage,
-            scenario,
-            attempts: error.attempts,
-            reason: error.reason,
-        }
-    }
 }
 
 impl CharacterizationEngine {
@@ -613,7 +547,7 @@ impl CharacterizationEngine {
         Self {
             cells,
             options,
-            netlists: Arc::new(NetlistCache::new()),
+            netlists: NetlistCache::new(),
             fingerprint_base,
         }
     }
@@ -682,17 +616,6 @@ impl CharacterizationEngine {
         fnv1a(hash, effort.token().as_bytes())
     }
 
-    /// The per-job guard assembled from the engine options.
-    fn guard(&self) -> JobGuard {
-        JobGuard {
-            timeout: self.options.job_timeout,
-            retries: self.options.retries,
-            backoff_ms: self.options.backoff_ms,
-            backoff_cap_ms: BACKOFF_CAP_MS,
-            faults: self.options.faults.clone(),
-        }
-    }
-
     /// Evaluates cache-stage fault injection at `site`. An injected I/O
     /// error or panic here degrades the probe/writeback to a miss/skip —
     /// exactly how a real unreadable cache behaves — and never fails the
@@ -702,20 +625,19 @@ impl CharacterizationEngine {
             return true;
         };
         catch_unwind(AssertUnwindSafe(|| {
-            plan.check(FaultStage::Cache, site, 1).is_ok()
+            plan.check(FaultStage::Cache, site).is_ok()
         }))
         .unwrap_or(false)
     }
 
     /// Runs the whole batch as a fault-tolerant campaign: every synthesis
-    /// and STA job is panic-isolated, watchdog-bounded and retried per the
-    /// engine options; completed jobs land in the write-ahead journal (when
-    /// configured) so an interrupted campaign resumes without recomputing;
+    /// and STA job runs once, panic-isolated; completed jobs land in the
+    /// cache (when configured), so a rerun computes only what is missing;
     /// quarantined jobs are reported, not fatal.
     pub fn characterize_campaign(&self, configs: &[CharacterizationConfig]) -> Campaign {
         let wall = Instant::now();
         let jobs = self.options.resolved_jobs();
-        let model = Arc::new(AgingModel::calibrated());
+        let model = AgingModel::calibrated();
         let mut report = EngineReport {
             jobs,
             ..EngineReport::default()
@@ -743,31 +665,22 @@ impl CharacterizationEngine {
         struct SynthJob {
             config_index: usize,
             precision: usize,
-            fingerprint: u64,
             cache_path: Option<PathBuf>,
             key_line: String,
             site: String,
-            /// Valid prior entries found on disk or in the journal
-            /// (token → delay). Used as the result on a full hit and
-            /// merged into the writeback on a partial one.
+            /// Valid prior entries found in the cache (token → delay).
+            /// Used as the result on a full hit and merged into the
+            /// writeback on a partial one.
             prior: BTreeMap<String, f64>,
             /// Whether `prior` covers every requested scenario.
             hit: bool,
-            /// Whether the hit came from the resumed journal rather than
-            /// the cache.
-            journal_hit: bool,
         }
         let mut plan: Vec<SynthJob> = Vec::new();
-        let mut campaign_fp = self.fingerprint_base;
         for (config_index, config) in configs.iter().enumerate() {
             let tokens = &config_tokens[config_index];
             for &precision in &config.precisions {
                 let fingerprint =
                     self.fingerprint(config.kind, config.width, precision, config.effort);
-                campaign_fp = fnv1a(campaign_fp, &fingerprint.to_le_bytes());
-                for token in tokens {
-                    campaign_fp = fnv1a(campaign_fp, token.as_bytes());
-                }
                 let site = format!(
                     "{}-w{}-p{}-{}",
                     config.kind, config.width, precision, config.effort,
@@ -799,54 +712,20 @@ impl CharacterizationEngine {
                 plan.push(SynthJob {
                     config_index,
                     precision,
-                    fingerprint,
                     cache_path,
                     key_line,
                     site,
                     prior,
                     hit,
-                    journal_hit: false,
                 });
             }
         }
         report.synth_planned = plan.len();
-
-        // Write-ahead journal: open (loading prior progress on resume) and
-        // record the plan before any job runs. Jobs a prior run completed
-        // are hits served from the journal — independent of the cache.
-        let mut journal = self
-            .options
-            .journal_dir
-            .as_ref()
-            .map(|dir| {
-                RunJournal::open(
-                    dir,
-                    campaign_fp,
-                    self.options.resume,
-                    self.options.faults.clone(),
-                )
-            });
-        if let Some(journal) = &mut journal {
-            for job in &mut plan {
-                if job.hit {
-                    continue;
-                }
-                let tokens = &config_tokens[job.config_index];
-                if let Some(entries) = journal.completed(job.fingerprint, tokens) {
-                    job.prior = entries.clone();
-                    job.hit = true;
-                    job.journal_hit = true;
-                    report.journal_hits += 1;
-                    aix_obs::count!(names::JOURNAL_HIT, job = &job.site);
-                }
-            }
-            journal.record_plan(plan.len());
-        }
         report.plan_ms = elapsed_ms(plan_start);
         plan_span.close();
         aix_obs::gauge!(names::SYNTH_PLANNED, report.synth_planned as f64);
 
-        // Synthesis stage: pool over the misses, each job under the guard.
+        // Synthesis stage: pool over the misses, each job panic-isolated.
         // Results keep plan order, so failures are deterministic under any
         // job count.
         let synth_start = Instant::now();
@@ -858,7 +737,7 @@ impl CharacterizationEngine {
             .collect();
         report.synth_executed = to_synthesize.len();
         let synth_span = aix_obs::span!(names::SPAN_SYNTH_STAGE, executed = report.synth_executed);
-        let guard = self.guard();
+        let faults = self.options.faults.as_deref();
         let synthesized_list = parallel_map(jobs, to_synthesize, |index| {
             let job = &plan[index];
             let config = &configs[job.config_index];
@@ -871,10 +750,8 @@ impl CharacterizationEngine {
                 width = width,
                 precision = precision,
             );
-            let outcome = guard.run(FaultStage::Synth, &job.site, || {
-                let cells = Arc::clone(&self.cells);
-                let netlists = Arc::clone(&self.netlists);
-                move || netlists.synthesize(&cells, kind, width, precision, effort)
+            let outcome = run_guarded(faults, FaultStage::Synth, &job.site, || {
+                self.netlists.synthesize(&self.cells, kind, width, precision, effort)
             });
             (index, outcome)
         });
@@ -882,13 +759,16 @@ impl CharacterizationEngine {
         let mut failed: HashMap<usize, FailureInfo> = HashMap::new();
         for (index, outcome) in synthesized_list {
             match outcome {
-                Ok((netlist, attempts)) => {
-                    report.job_retries += attempts - 1;
+                Ok(netlist) => {
                     netlists.insert(index, netlist);
                 }
-                Err(error) => {
-                    report.job_retries += error.attempts - 1;
-                    failed.insert(index, ("synth", None, error).into());
+                Err(reason) => {
+                    let info = FailureInfo {
+                        stage: "synth",
+                        scenario: None,
+                        reason,
+                    };
+                    failed.insert(index, info);
                 }
             }
         }
@@ -920,35 +800,35 @@ impl CharacterizationEngine {
                 width = config.width,
                 precision = job.precision,
             );
-            let outcome = guard.run(FaultStage::Sta, &site, || {
-                let netlist = Arc::clone(&netlists[&index]);
-                let model = Arc::clone(&model);
-                move || {
-                    let delays = NetDelays::aged(&netlist, &model, scenario);
-                    analyze(&netlist, &delays)
-                        .map(|r| quantize_ps(r.max_delay_ps()))
-                        .map_err(AixError::from)
-                }
+            let outcome = run_guarded(faults, FaultStage::Sta, &site, || {
+                let netlist = &netlists[&index];
+                let delays = NetDelays::aged(netlist, &model, scenario);
+                analyze(netlist, &delays)
+                    .map(|r| quantize_ps(r.max_delay_ps()))
+                    .map_err(AixError::from)
             });
             ((index, scenario_index), outcome)
         });
         let mut delays: HashMap<(usize, usize), f64> = HashMap::new();
         for ((index, scenario_index), outcome) in delays_list {
             match outcome {
-                Ok((delay, attempts)) => {
-                    report.job_retries += attempts - 1;
+                Ok(delay) => {
                     delays.insert((index, scenario_index), delay);
                 }
-                Err(error) => {
-                    report.job_retries += error.attempts - 1;
+                Err(reason) => {
                     // The first failing scenario (in scenario order) names
                     // the job's quarantine; later failures add nothing.
                     let token = config_tokens[plan[index].config_index][scenario_index].clone();
+                    let info = FailureInfo {
+                        stage: "sta",
+                        scenario: Some(token),
+                        reason,
+                    };
                     let entry = failed.entry(index);
                     use std::collections::hash_map::Entry;
                     match entry {
                         Entry::Vacant(slot) => {
-                            slot.insert(("sta", Some(token), error).into());
+                            slot.insert(info);
                         }
                         Entry::Occupied(mut slot) => {
                             // Deterministic pick: the smallest scenario
@@ -961,7 +841,7 @@ impl CharacterizationEngine {
                                 .and_then(|t| tokens.iter().position(|x| x == t))
                                 .unwrap_or(0);
                             if slot.get().stage == "sta" && scenario_index < existing {
-                                slot.insert(("sta", Some(token), error).into());
+                                slot.insert(info);
                             }
                         }
                     }
@@ -972,7 +852,7 @@ impl CharacterizationEngine {
         sta_span.close();
 
         // Merge in planned order — deterministic for any job count — and
-        // write misses back to the cache and journal (best effort; a
+        // write misses back to the cache (best effort; a
         // read-only directory degrades to cold runs, never to an error).
         let merge_start = Instant::now();
         let merge_span = aix_obs::span!(names::SPAN_MERGE);
@@ -984,14 +864,6 @@ impl CharacterizationEngine {
         for (index, job) in plan.iter().enumerate() {
             let config = &configs[job.config_index];
             if let Some(info) = failed.remove(&index) {
-                if let Some(journal) = &mut journal {
-                    journal.record_failed(
-                        job.fingerprint,
-                        info.stage,
-                        info.attempts,
-                        &info.reason,
-                    );
-                }
                 // Quarantine events mirror `JobFailure` records one-to-one,
                 // in the same (planned) order, so the trace and the
                 // campaign report can be cross-checked.
@@ -999,7 +871,6 @@ impl CharacterizationEngine {
                     names::QUARANTINE_JOB,
                     job = &job.site,
                     stage = info.stage,
-                    attempts = info.attempts,
                 );
                 failures.push(JobFailure {
                     kind: config.kind,
@@ -1007,7 +878,6 @@ impl CharacterizationEngine {
                     precision: job.precision,
                     scenario: info.scenario,
                     stage: info.stage,
-                    attempts: info.attempts,
                     reason: info.reason,
                 });
                 continue;
@@ -1020,23 +890,6 @@ impl CharacterizationEngine {
                         scenario: scenario.into(),
                         delay_ps: job.prior[&token],
                     });
-                }
-                if let Some(journal) = &mut journal {
-                    journal.record_done(job.fingerprint, job.precision, &job.prior);
-                }
-                // A journal hit still warms the cache for future runs.
-                if job.journal_hit {
-                    if let Some(path) = &job.cache_path {
-                        if self.cache_fault_ok(&format!("write {}", job.site)) {
-                            let _ = write_cache_entries(
-                                path,
-                                &job.key_line,
-                                job.precision,
-                                &job.prior,
-                                self.options.faults.as_deref(),
-                            );
-                        }
-                    }
                 }
                 continue;
             }
@@ -1060,9 +913,6 @@ impl CharacterizationEngine {
                         self.options.faults.as_deref(),
                     );
                 }
-            }
-            if let Some(journal) = &mut journal {
-                journal.record_done(job.fingerprint, job.precision, &writeback);
             }
         }
         for characterization in &mut out {
@@ -1243,7 +1093,6 @@ mod tests {
             config.precisions.len() * config.scenarios.len()
         );
         assert_eq!(report.cache_hits + report.cache_misses, 0, "no cache dir");
-        assert_eq!(report.journal_hits, 0, "no journal dir");
         assert_eq!(report.job_failures, 0);
         let aged = c
             .delay_ps(
@@ -1275,32 +1124,29 @@ mod tests {
         let expected = EngineOptions {
             jobs: 0,
             cache_dir: Some(default_cache_dir()),
-            journal_dir: Some(default_journal_dir()),
-            backoff_ms: 25,
             ..EngineOptions::sequential()
         };
         assert_eq!(defaults, expected);
         let vars = [
             ("AIX_JOBS", " 4 "),
-            ("AIX_RETRIES", "3"),
-            ("AIX_BACKOFF_MS", "0"),
-            ("AIX_JOB_TIMEOUT", "1.5"),
+            ("AIX_CACHE", "var-cache"),
             ("AIX_FAULT", "panic:p=0.1,seed=3"),
         ];
         let parsed = resolve(&[], &vars).unwrap();
-        assert_eq!((parsed.jobs, parsed.retries, parsed.backoff_ms), (4, 3, 0));
-        assert_eq!(parsed.job_timeout, Some(Duration::from_millis(1500)));
+        assert_eq!(parsed.jobs, 4);
+        assert_eq!(parsed.cache_dir, Some(PathBuf::from("var-cache")));
         assert_eq!(parsed.faults.unwrap().to_string(), "panic:p=0.1,seed=3");
         for off in ["off", "none", "0"] {
             assert_eq!(parse_timeout(off), Ok(None));
         }
+        assert_eq!(parse_timeout("1.5"), Ok(Some(Duration::from_millis(1500))));
+        for bad in ["-2", "soon"] {
+            assert!(parse_timeout(bad).is_err(), "`{bad}` must be rejected");
+        }
         for (name, bad) in [
             ("AIX_JOBS", "-1"),
             ("AIX_JOBS", ""),
-            ("AIX_RETRIES", "never"),
-            ("AIX_BACKOFF_MS", "1.5"),
-            ("AIX_JOB_TIMEOUT", "-2"),
-            ("AIX_JOB_TIMEOUT", "soon"),
+            ("AIX_JOBS", "1.5"),
             ("AIX_FAULT", "explode"),
         ] {
             let err = resolve(&[], &[(name, bad)]).unwrap_err();
@@ -1314,20 +1160,14 @@ mod tests {
 
     #[test]
     fn a_flag_beats_its_variable() {
-        let flags = [("--jobs", "2"), ("--cache", "flag-dir"), ("--fault", "io:stage=cache")];
-        let vars = [
-            ("AIX_JOBS", "three"),
-            ("AIX_CACHE", "var-dir"),
-            ("AIX_JOURNAL", "var-journal"),
-            ("AIX_FAULT", "explode"),
-        ];
+        let flags = [("--jobs", "2"), ("--fault", "io:stage=cache")];
+        let vars = [("AIX_JOBS", "three"), ("AIX_CACHE", "var-dir"), ("AIX_FAULT", "explode")];
         // The flags' values win, and a variable behind a flag is never parsed.
         let options = resolve(&flags, &vars).unwrap();
         assert_eq!(options.jobs, 2);
-        assert_eq!(options.cache_dir, Some(PathBuf::from("flag-dir")));
         assert_eq!(options.faults.unwrap().to_string(), "io:p=1,seed=0,stage=cache");
         // A setting without its flag still comes from its variable.
-        assert_eq!(options.journal_dir, Some(PathBuf::from("var-journal")));
+        assert_eq!(options.cache_dir, Some(PathBuf::from("var-dir")));
     }
 
     #[test]
@@ -1340,13 +1180,12 @@ mod tests {
     }
 
     #[test]
-    fn off_disables_the_cache_and_the_journal() {
+    fn off_disables_the_cache() {
         for off in ["off", "none", "0"] {
-            let flags = [("--cache", off), ("--journal", off)];
-            let vars = [("AIX_CACHE", off), ("AIX_JOURNAL", off)];
-            for options in [resolve(&flags, &[("AIX_CACHE", "dir")]), resolve(&[], &vars)] {
-                let options = options.unwrap();
-                assert_eq!((options.cache_dir, options.journal_dir), (None, None));
+            let by_flag = resolve(&[("--cache", off)], &[("AIX_CACHE", "dir")]);
+            let by_var = resolve(&[], &[("AIX_CACHE", off)]);
+            for options in [by_flag, by_var] {
+                assert_eq!(options.unwrap().cache_dir, None);
             }
         }
     }

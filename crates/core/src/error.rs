@@ -64,14 +64,11 @@ pub enum AixError {
         /// What the flag accepts, phrased for the error message.
         expected: &'static str,
     },
-    /// One guarded job of a campaign was quarantined: it panicked, timed
-    /// out, or exhausted its retry budget.
+    /// One guarded job of a campaign was quarantined: it panicked.
     JobFailed {
         /// The job, named as `kind wW pP [@scenario]`.
         job: String,
-        /// Attempts spent, including retries.
-        attempts: usize,
-        /// Human-readable cause (error display, panic message, timeout).
+        /// Human-readable cause (error display or panic message).
         reason: String,
     },
     /// A characterization campaign finished with quarantined jobs, in a
@@ -108,11 +105,7 @@ impl fmt::Display for AixError {
                 value,
                 expected,
             } => write!(f, "bad {flag} `{value}`: expected {expected}"),
-            AixError::JobFailed {
-                job,
-                attempts,
-                reason,
-            } => write!(f, "job {job} failed after {attempts} attempt(s): {reason}"),
+            AixError::JobFailed { job, reason } => write!(f, "job {job} failed: {reason}"),
             AixError::CampaignIncomplete {
                 failed,
                 planned,

@@ -1,5 +1,5 @@
-//! Crash-safe filesystem helpers shared by the characterization cache, the
-//! run journal and the explore score cache, and by the CLI's benchmark log.
+//! Crash-safe filesystem helpers shared by the characterization cache and
+//! the explore score cache, and by the CLI's benchmark log.
 
 use aix_faults::{FaultPlan, FaultStage, WriteFault};
 use std::io;
@@ -29,7 +29,7 @@ pub fn write_atomic(path: &Path, text: &str, plan: Option<&FaultPlan>) -> io::Re
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     if let Some(plan) = plan {
         let site = path.file_name().and_then(|n| n.to_str()).unwrap_or("write");
-        match plan.write_fault(FaultStage::Cache, site, 1) {
+        match plan.write_fault(FaultStage::Cache, site) {
             Some(WriteFault::Enospc) => {
                 return Err(io::Error::other(format!(
                     "injected fault: no space left writing `{site}`"
@@ -106,7 +106,7 @@ mod tests {
         let torn = std::fs::read_to_string(&tmp).unwrap();
         assert_eq!(torn, &update[..update.len() / 2], "temp holds a prefix");
 
-        // A fault-free retry recovers cleanly over the torn temp.
+        // A fault-free rewrite recovers cleanly over the torn temp.
         write_atomic(&path, update, None).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), update);
         let _ = std::fs::remove_dir_all(&dir);
@@ -116,7 +116,7 @@ mod tests {
     fn enospc_fault_fails_before_touching_anything() {
         let dir = std::env::temp_dir().join(format!("aix-fsutil-enospc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("journal");
+        let path = dir.join("cache.lib");
         write_atomic(&path, "previous\n", None).unwrap();
 
         let plan: FaultPlan = "enospc:p=1".parse().unwrap();

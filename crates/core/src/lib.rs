@@ -53,7 +53,6 @@ pub mod fsutil;
 mod guard;
 mod idct;
 mod imported;
-mod journal;
 mod library;
 mod microarch;
 mod quality;
@@ -68,12 +67,11 @@ pub use characterize::{
 };
 pub use component::{ComponentKind, ParseComponentKindError};
 pub use engine::{
-    default_cache_dir, default_journal_dir, parallel_map, parse_timeout, Campaign,
-    CampaignStatus, CharacterizationEngine, EngineOptions, EngineReport, JobFailure,
-    NetlistCache,
+    default_cache_dir, parallel_map, parse_timeout, Campaign, CampaignStatus,
+    CharacterizationEngine, EngineOptions, EngineReport, JobFailure, NetlistCache,
 };
 pub use error::AixError;
-pub use guard::{decorrelated_backoff_ms, panic_message};
+pub use guard::panic_message;
 pub use idct::{idct_design, IDCT_BLOCK_NAMES};
 pub use imported::{
     characterize_imported, input_buses, load_imported, truncate_imported, verify_imported,

@@ -349,7 +349,7 @@ pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<Explore
         }
         let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<Score, String> {
             if let Some(plan) = &config.faults {
-                plan.check(FaultStage::Synth, &label, 0)
+                plan.check(FaultStage::Synth, &label)
                     .map_err(|e| e.to_string())?;
             }
             score_candidate(&context, &candidate).map_err(|e| e.to_string())

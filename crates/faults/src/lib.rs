@@ -4,8 +4,9 @@
 //! a guarantee violation would be in silicon. This crate aims the same idea
 //! at the *infrastructure*: seeded, reproducible faults inside the
 //! synthesis, STA and cache paths of a characterization campaign, so the
-//! engine's own failure handling — panic isolation, retry with backoff,
-//! quarantine, resume — is itself testable.
+//! engine's own failure handling — panic isolation, quarantine, atomic
+//! writes and the cache that lets a plain rerun finish the quarantined
+//! jobs — is itself testable.
 //!
 //! A [`FaultPlan`] is parsed from the `--fault` CLI flag or, when the flag
 //! is absent, the `AIX_FAULT` environment variable (flag, else variable,
@@ -29,11 +30,9 @@
 //! and `io:p=0.5,seed=3,stage=cache;delay:p=0.1,ms=50` combines an I/O
 //! fault in the cache path with a scheduling delay everywhere.
 //!
-//! Whether a fault fires depends **only** on `(seed, stage, site, attempt)`
-//! — never on wall-clock, thread scheduling or iteration order — so a run
-//! under a given plan is exactly reproducible at any job count, and a retry
-//! (which bumps `attempt`) can deterministically succeed where the first
-//! attempt was made to fail.
+//! Whether a fault fires depends **only** on `(seed, stage, site)` — never
+//! on wall-clock, thread scheduling or iteration order — so a run under a
+//! given plan is exactly reproducible at any job count.
 
 use aix_obs::{fnv1a, FNV_OFFSET};
 use std::fmt;
@@ -45,11 +44,11 @@ use std::time::Duration;
 pub enum FaultMode {
     /// Panic, as a buggy or resource-exhausted job would.
     Panic,
-    /// Surface an `std::io::Error` (the transient-failure shape: cache I/O,
-    /// filesystem hiccups).
+    /// Surface an `std::io::Error` (the shape of a cache I/O failure or a
+    /// filesystem hiccup).
     Io,
-    /// Sleep for the spec's `ms`, modelling a hung or very slow job; pairs
-    /// with the engine's per-job timeout watchdog.
+    /// Sleep for the spec's `ms`, modelling a slow job, so deadline tests
+    /// can outlast their budget on any host.
     Delay,
     /// A write that persists only a prefix of its bytes before failing —
     /// the torn-write shape atomic-rename persistence must mask.
@@ -137,9 +136,9 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// Whether this spec fires at `(stage, site, attempt)`. Pure function
-    /// of the spec and its arguments.
-    pub fn fires(&self, stage: FaultStage, site: &str, attempt: usize) -> bool {
+    /// Whether this spec fires at `(stage, site)`. Pure function of the
+    /// spec and its arguments.
+    pub fn fires(&self, stage: FaultStage, site: &str) -> bool {
         if self.stage.is_some_and(|s| s != stage) {
             return false;
         }
@@ -153,7 +152,9 @@ impl FaultSpec {
         hash = fnv1a(hash, self.mode.token().as_bytes());
         hash = fnv1a(hash, stage.token().as_bytes());
         hash = fnv1a(hash, site.as_bytes());
-        hash = fnv1a(hash, &(attempt as u64).to_le_bytes());
+        // The fixed `1` keeps every decision where earlier builds, which
+        // numbered job attempts from 1, put it.
+        hash = fnv1a(hash, &1u64.to_le_bytes());
         // Map the hash to [0, 1) with 20 bits of resolution.
         let unit = (hash >> 44) as f64 / (1u64 << 20) as f64;
         unit < self.probability
@@ -309,7 +310,7 @@ impl FaultPlan {
         &self.specs
     }
 
-    /// Evaluates every spec at `(stage, site, attempt)`. Delay faults sleep
+    /// Evaluates every spec at `(stage, site)`. Delay faults sleep
     /// and evaluation continues; the first firing panic fault panics with a
     /// message naming the site; the first firing I/O fault returns an
     /// injected [`std::io::Error`].
@@ -322,37 +323,29 @@ impl FaultPlan {
     ///
     /// Panics when a `panic` spec fires — by design; callers isolate jobs
     /// with `catch_unwind`.
-    pub fn check(
-        &self,
-        stage: FaultStage,
-        site: &str,
-        attempt: usize,
-    ) -> Result<(), std::io::Error> {
+    pub fn check(&self, stage: FaultStage, site: &str) -> Result<(), std::io::Error> {
         for spec in &self.specs {
-            if !spec.fires(stage, site, attempt) {
+            if !spec.fires(stage, site) {
                 continue;
             }
             match spec.mode {
                 FaultMode::Delay => {
                     std::thread::sleep(Duration::from_millis(spec.delay_ms));
                 }
-                FaultMode::Panic => panic!(
-                    "injected fault: panic at {stage} site `{site}` (attempt {attempt})"
-                ),
+                FaultMode::Panic => panic!("injected fault: panic at {stage} site `{site}`"),
                 FaultMode::Io => {
                     return Err(std::io::Error::other(format!(
-                        "injected fault: I/O error at {stage} site `{site}` (attempt {attempt})"
+                        "injected fault: I/O error at {stage} site `{site}`"
                     )))
                 }
                 FaultMode::ShortWrite => {
                     return Err(std::io::Error::other(format!(
-                        "injected fault: short write at {stage} site `{site}` (attempt {attempt})"
+                        "injected fault: short write at {stage} site `{site}`"
                     )))
                 }
                 FaultMode::Enospc => {
                     return Err(std::io::Error::other(format!(
-                        "injected fault: no space left at {stage} site `{site}` \
-                         (attempt {attempt})"
+                        "injected fault: no space left at {stage} site `{site}`"
                     )))
                 }
             }
@@ -363,18 +356,16 @@ impl FaultPlan {
     /// Like [`check`](Self::check), for call sites with no error channel
     /// (deep inside synthesis): honours panic and delay specs, ignores
     /// the I/O-flavoured specs.
-    pub fn probe(&self, stage: FaultStage, site: &str, attempt: usize) {
+    pub fn probe(&self, stage: FaultStage, site: &str) {
         for spec in &self.specs {
-            if spec.mode.is_io() || !spec.fires(stage, site, attempt) {
+            if spec.mode.is_io() || !spec.fires(stage, site) {
                 continue;
             }
             match spec.mode {
                 FaultMode::Delay => {
                     std::thread::sleep(Duration::from_millis(spec.delay_ms));
                 }
-                FaultMode::Panic => panic!(
-                    "injected fault: panic at {stage} site `{site}` (attempt {attempt})"
-                ),
+                FaultMode::Panic => panic!("injected fault: panic at {stage} site `{site}`"),
                 FaultMode::Io | FaultMode::ShortWrite | FaultMode::Enospc => {
                     unreachable!("filtered above")
                 }
@@ -387,14 +378,14 @@ impl FaultPlan {
     /// use this to emulate the failure faithfully (persist a prefix of the
     /// temp file, or refuse up front) rather than merely returning an
     /// error after a clean write.
-    pub fn write_fault(&self, stage: FaultStage, site: &str, attempt: usize) -> Option<WriteFault> {
+    pub fn write_fault(&self, stage: FaultStage, site: &str) -> Option<WriteFault> {
         self.specs.iter().find_map(|spec| {
             let fault = match spec.mode {
                 FaultMode::ShortWrite => WriteFault::Short,
                 FaultMode::Enospc => WriteFault::Enospc,
                 _ => return None,
             };
-            spec.fires(stage, site, attempt).then_some(fault)
+            spec.fires(stage, site).then_some(fault)
         })
     }
 }
@@ -449,8 +440,8 @@ mod tests {
         let mut fired = 0usize;
         for site in 0..1000 {
             let name = format!("synth adder-w16-p{site}");
-            let a = spec.fires(FaultStage::Synth, &name, 1);
-            let b = spec.fires(FaultStage::Synth, &name, 1);
+            let a = spec.fires(FaultStage::Synth, &name);
+            let b = spec.fires(FaultStage::Synth, &name);
             assert_eq!(a, b, "same inputs, same decision");
             fired += usize::from(a);
         }
@@ -461,18 +452,8 @@ mod tests {
         let other = FaultSpec { seed: 12, ..spec };
         assert!((0..1000).any(|site| {
             let name = format!("synth adder-w16-p{site}");
-            spec.fires(FaultStage::Synth, &name, 1) != other.fires(FaultStage::Synth, &name, 1)
+            spec.fires(FaultStage::Synth, &name) != other.fires(FaultStage::Synth, &name)
         }));
-
-        // Attempts decorrelate: a site that fires on attempt 1 does not
-        // fire on every retry.
-        let firing: Vec<String> = (0..1000)
-            .map(|site| format!("synth adder-w16-p{site}"))
-            .filter(|name| spec.fires(FaultStage::Synth, name, 1))
-            .collect();
-        assert!(firing
-            .iter()
-            .any(|name| !spec.fires(FaultStage::Synth, name, 2)));
     }
 
     #[test]
@@ -484,22 +465,22 @@ mod tests {
             stage: Some(FaultStage::Cache),
             delay_ms: 0,
         };
-        assert!(spec.fires(FaultStage::Cache, "x", 1));
-        assert!(!spec.fires(FaultStage::Synth, "x", 1));
+        assert!(spec.fires(FaultStage::Cache, "x"));
+        assert!(!spec.fires(FaultStage::Synth, "x"));
         let never = FaultSpec {
             probability: 0.0,
             stage: None,
             ..spec
         };
-        assert!(!never.fires(FaultStage::Cache, "x", 1));
+        assert!(!never.fires(FaultStage::Cache, "x"));
     }
 
     #[test]
     fn check_surfaces_io_and_probe_ignores_it() {
         let plan: FaultPlan = "io:p=1".parse().unwrap();
-        let err = plan.check(FaultStage::Synth, "site", 1).unwrap_err();
+        let err = plan.check(FaultStage::Synth, "site").unwrap_err();
         assert!(err.to_string().contains("injected fault"));
-        plan.probe(FaultStage::Synth, "site", 1); // must not panic or error
+        plan.probe(FaultStage::Synth, "site"); // must not panic or error
     }
 
     #[test]
@@ -515,27 +496,27 @@ mod tests {
 
         // write_fault() reports the emulation shape; stage filters apply.
         assert_eq!(
-            plan.write_fault(FaultStage::Import, "adder.v", 1),
+            plan.write_fault(FaultStage::Import, "adder.v"),
             Some(WriteFault::Short)
         );
         assert_eq!(
-            plan.write_fault(FaultStage::Cache, "journal", 1),
+            plan.write_fault(FaultStage::Cache, "lib.txt"),
             Some(WriteFault::Enospc)
         );
-        assert_eq!(plan.write_fault(FaultStage::Synth, "x", 1), None);
+        assert_eq!(plan.write_fault(FaultStage::Synth, "x"), None);
 
-        // At guard sites the same specs surface as transient I/O errors,
+        // At guard sites the same specs surface as I/O errors,
         // and probe (no error channel) ignores them.
-        let err = plan.check(FaultStage::Import, "adder.v", 1).unwrap_err();
+        let err = plan.check(FaultStage::Import, "adder.v").unwrap_err();
         assert!(err.to_string().contains("short write"));
-        let err = plan.check(FaultStage::Cache, "journal", 1).unwrap_err();
+        let err = plan.check(FaultStage::Cache, "lib.txt").unwrap_err();
         assert!(err.to_string().contains("no space left"));
-        plan.probe(FaultStage::Import, "adder.v", 1);
-        plan.probe(FaultStage::Cache, "journal", 1);
+        plan.probe(FaultStage::Import, "adder.v");
+        plan.probe(FaultStage::Cache, "lib.txt");
 
         // An io-only plan offers no write emulation.
         let io: FaultPlan = "io:p=1".parse().unwrap();
-        assert_eq!(io.write_fault(FaultStage::Cache, "x", 1), None);
+        assert_eq!(io.write_fault(FaultStage::Cache, "x"), None);
     }
 
     #[test]
@@ -547,9 +528,9 @@ mod tests {
             stage: Some(FaultStage::Cache),
             delay_ms: 0,
         };
-        assert!(spec.fires(FaultStage::Cache, "lib.txt", 1));
+        assert!(spec.fires(FaultStage::Cache, "lib.txt"));
         for stage in [FaultStage::Synth, FaultStage::Sta, FaultStage::Import] {
-            assert!(!spec.fires(stage, "lib.txt", 1));
+            assert!(!spec.fires(stage, "lib.txt"));
         }
     }
 
@@ -560,9 +541,9 @@ mod tests {
         let again: FaultPlan = plan.to_string().parse().unwrap();
         assert_eq!(again, plan);
         let spec = &plan.specs()[0];
-        assert!(spec.fires(FaultStage::Import, "adder.v", 0));
+        assert!(spec.fires(FaultStage::Import, "adder.v"));
         for stage in [FaultStage::Synth, FaultStage::Sta, FaultStage::Cache] {
-            assert!(!spec.fires(stage, "adder.v", 0));
+            assert!(!spec.fires(stage, "adder.v"));
         }
     }
 
@@ -592,9 +573,9 @@ mod tests {
     #[test]
     fn check_panics_on_panic_spec() {
         let plan: FaultPlan = "panic:p=1,stage=sta".parse().unwrap();
-        assert!(plan.check(FaultStage::Synth, "site", 1).is_ok());
+        assert!(plan.check(FaultStage::Synth, "site").is_ok());
         let caught = std::panic::catch_unwind(|| {
-            let _ = plan.check(FaultStage::Sta, "site", 1);
+            let _ = plan.check(FaultStage::Sta, "site");
         });
         assert!(caught.is_err());
     }

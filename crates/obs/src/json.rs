@@ -15,7 +15,7 @@ use std::fmt;
 pub enum Value {
     /// A string field (job keys, stage names, reasons).
     Str(String),
-    /// An integer field (widths, precisions, attempts, counts).
+    /// An integer field (widths, precisions, counts).
     Int(i64),
     /// A float field (delays, rates). Non-finite floats cannot be
     /// represented in JSON; convert them via [`Value::from`] (which falls

@@ -11,7 +11,7 @@
 //!   when no recorder is installed; the [`span!`]/[`count!`] macros do not
 //!   evaluate their field expressions in that case.
 //! * **Deterministic events.** Trace lines carry seeded, reproducible
-//!   fields only (job keys, attempt numbers, cache verdicts). Wall-clock
+//!   fields only (job keys, precisions, cache verdicts). Wall-clock
 //!   enters the file solely as the `elapsed_us` field of `span_close`
 //!   events, and a recorder opened without timings removes even that,
 //!   making traces byte-comparable across runs and worker counts. Aggregates
@@ -149,7 +149,7 @@ impl Recorder {
     ///
     /// The file is created atomically — the `run_start` header is written
     /// to a temp file in the same directory which is then renamed into
-    /// place (the same pattern as the engine's cache and journal writes) —
+    /// place (the same pattern as the engine's cache writes) —
     /// and subsequent events are appended one `write` per line.
     pub fn to_file(path: &Path, label: &str, timings: bool) -> io::Result<Self> {
         let mut state = State {

@@ -13,8 +13,8 @@
 pub mod core {
     /// Span over one whole characterization campaign.
     pub const SPAN_CAMPAIGN: &str = "campaign";
-    /// Span over planning: fingerprinting every synthesis job, probing the
-    /// cache and, on resume, the journal.
+    /// Span over planning: fingerprinting every synthesis job and probing
+    /// the cache.
     pub const SPAN_PLAN: &str = "plan";
     /// Counter: a synthesis job's entries were all found in the on-disk
     /// cache.
@@ -22,9 +22,6 @@ pub mod core {
     /// Counter: a synthesis job missed (or only partly hit) the on-disk
     /// cache.
     pub const CACHE_MISS: &str = "cache_miss";
-    /// Counter: a cache-missing job was served from a resumed run
-    /// journal.
-    pub const JOURNAL_HIT: &str = "journal_hit";
     /// Gauge: synthesis jobs planned for the campaign.
     pub const SYNTH_PLANNED: &str = "synth_planned";
     /// Span over the synthesis stage: the worker pool over every planned
@@ -43,11 +40,6 @@ pub mod core {
     /// Quarantine: a job failed for good and was left out of the
     /// campaign; one per `JobFailure`, in plan order.
     pub const QUARANTINE_JOB: &str = "job";
-    /// Counter: a guarded job attempt failed transiently (`cause` is
-    /// `io` or `timeout`) and is retried.
-    pub const JOB_RETRY: &str = "job_retry";
-    /// Counter: a guarded job's last attempt hit the watchdog.
-    pub const JOB_TIMEOUT: &str = "job_timeout";
     /// Span over estimating one design's area, leakage and dynamic power
     /// (the `DesignMetrics` of Fig. 8c).
     pub const SPAN_DESIGN_METRICS: &str = "design_metrics";

@@ -473,7 +473,6 @@ pub fn verify_library(
                 characterization.kind(),
                 characterization.width()
             ),
-            attempts: 1,
             reason: format!("panicked: {}", aix_core::panic_message(payload)),
         })??;
         entry_span.close();

@@ -177,8 +177,6 @@ commands:
                                   flow and verify
   characterize  --kind adder|multiplier|mac --width N [--effort area|medium|ultra]
                 [--out FILE] [--jobs N] [--cache DIR] [--no-cache]
-                [--journal DIR] [--no-journal] [--resume]
-                [--job-timeout SECS] [--retries N] [--backoff-ms N]
                 [--fault SPEC]
                                   characterize a component and print/store the
                                   aging-induced approximation library row;
@@ -186,9 +184,8 @@ commands:
                                   over the persistent cache (default out/cache,
                                   also AIX_CACHE; per-stage timings appended to
                                   out/BENCH_characterize.json). Failed jobs are
-                                  quarantined, reported, and recorded in the
-                                  write-ahead journal (default out/journal, also
-                                  AIX_JOURNAL) so --resume retries only them.
+                                  quarantined and reported; finished jobs are
+                                  cached, so a rerun redoes only the failures.
                                   Exit code: 0 complete, 2 partial, 1 empty.
                                   --fault injects deterministic faults (panic,
                                   io, delay; also AIX_FAULT) for harness tests.
@@ -245,9 +242,8 @@ commands:
   help                            show this message
 
 settings: a flag, else its variable (`--jobs` is AIX_JOBS, 0 = auto; likewise
-AIX_CACHE, AIX_JOURNAL, AIX_JOB_TIMEOUT, AIX_RETRIES, AIX_BACKOFF_MS,
-AIX_FAULT, AIX_TRACE, AIX_QUIET), else the default; `off` disables the cache
-and the journal. A malformed value is an error naming its flag or variable
+AIX_CACHE, AIX_FAULT, AIX_TRACE, AIX_QUIET), else the default; `off`
+disables the cache. A malformed value is an error naming its flag or variable
 
 global flags (any command):
   --trace[=FILE]                  record a structured JSONL event trace
@@ -443,16 +439,14 @@ fn parse_verify_config(options: &HashMap<String, String>) -> Result<VerifyConfig
     })
 }
 
-/// Engine scheduling and robustness options, resolved by
+/// Engine scheduling, cache and fault-injection options, resolved by
 /// [`EngineOptions::resolve`]: each setting is its flag, else its
 /// environment variable, else its default, and a malformed value is an
-/// error naming the one that supplied it. `--no-cache` and `--no-journal`
-/// are `--cache off` and `--journal off`.
+/// error naming the one that supplied it. `--no-cache` is `--cache off`.
 fn parse_engine_options(options: &HashMap<String, String>) -> Result<EngineOptions, AixError> {
     EngineOptions::resolve(
         |flag| match flag {
             "--cache" if get(options, "--no-cache").is_some() => Some(String::from("off")),
-            "--journal" if get(options, "--no-journal").is_some() => Some(String::from("off")),
             _ => get(options, flag).map(str::to_owned),
         },
         |var| std::env::var(var).ok(),
@@ -619,7 +613,7 @@ fn import_files(files: &[String], options: &HashMap<String, String>) -> CliResul
         // panic quarantines the file instead of crashing the CLI.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(plan) = &faults {
-                plan.probe(FaultStage::Import, file, 1);
+                plan.probe(FaultStage::Import, file);
             }
             load_imported(file, &cells)
         }));
@@ -854,7 +848,7 @@ fn characterize(options: &HashMap<String, String>) -> CliResult {
         CampaignStatus::Partial => {
             eprintln!(
                 "aix: campaign PARTIAL: {} of {} job(s) failed; \
-                 rerun with --resume to retry only the failures",
+                 rerun to redo only the failures (the cache serves the rest)",
                 campaign.failures.len(),
                 campaign.report.synth_planned
             );

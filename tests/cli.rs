@@ -221,7 +221,7 @@ fn out_of_range_widths_and_zero_vectors_name_the_flag() {
     for (command, flag) in cases {
         let output = aix()
             .args(command.split_whitespace())
-            .args(["--no-cache", "--no-journal"])
+            .arg("--no-cache")
             .output()
             .expect("spawn aix");
         let code = output.status.code();
@@ -388,7 +388,6 @@ fn garbage_env_jobs_is_rejected_like_the_flag() {
         "--width",
         "4",
         "--no-cache",
-        "--no-journal",
     ];
     let output = aix()
         .args(base)
@@ -427,7 +426,6 @@ fn removed_serve_fault_stage_is_rejected_naming_the_remaining_stages() {
         "--width",
         "4",
         "--no-cache",
-        "--no-journal",
     ];
     let output = aix()
         .args(base)
@@ -465,7 +463,7 @@ fn a_failed_bench_log_write_is_only_a_warning() {
     for by_flag in [true, false] {
         let mut command = aix();
         command.args([
-            "characterize", "--kind", "adder", "--width", "8", "--cache", "C", "--journal", "J",
+            "characterize", "--kind", "adder", "--width", "8", "--cache", "C",
         ]);
         if by_flag {
             command.args(["--fault", spec]);
@@ -485,24 +483,21 @@ fn a_failed_bench_log_write_is_only_a_warning() {
     }
 }
 
-/// Every file in the `C` (cache) and `J` (journal) directories under
-/// `root`, by path, with its bytes. The process-id suffix of a temp file
-/// (`x.tmp.<pid>`) reads as `x.tmp.PID`, so the files two processes leave
-/// compare equal.
-fn cache_and_journal(root: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+/// Every file in the cache directory `C` under `root`, by name, with its
+/// bytes. The process-id suffix of a temp file (`x.tmp.<pid>`) reads as
+/// `x.tmp.PID`, so the files two processes leave compare equal.
+fn cache_tree(root: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
     let mut files = std::collections::BTreeMap::new();
-    for dir in ["C", "J"] {
-        for entry in std::fs::read_dir(root.join(dir)).into_iter().flatten() {
-            let path = entry.expect("directory entry").path();
-            let name = path.file_name().expect("file name").to_string_lossy().into_owned();
-            let name = match name.rsplit_once(".tmp.") {
-                Some((stem, pid)) if pid.bytes().all(|b| b.is_ascii_digit()) => {
-                    format!("{stem}.tmp.PID")
-                }
-                _ => name,
-            };
-            files.insert(format!("{dir}/{name}"), std::fs::read(&path).expect("read file"));
-        }
+    for entry in std::fs::read_dir(root.join("C")).into_iter().flatten() {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().expect("file name").to_string_lossy().into_owned();
+        let name = match name.rsplit_once(".tmp.") {
+            Some((stem, pid)) if pid.bytes().all(|b| b.is_ascii_digit()) => {
+                format!("{stem}.tmp.PID")
+            }
+            _ => name,
+        };
+        files.insert(name, std::fs::read(&path).expect("read file"));
     }
     files
 }
@@ -512,18 +507,20 @@ fn one_fault_spec_writes_the_same_trees_through_the_flag_and_the_variable() {
     let precisions =
         aix::core::CharacterizationConfig::paper_default(aix::core::ComponentKind::Adder, 8)
             .precisions;
-    let (seed, _) = partial_panic_seed(8, &precisions);
+    let (seed, doomed) = partial_panic_seed(8, &precisions);
     let dir = std::env::temp_dir().join(format!("aix-cli-one-plan-{}", std::process::id()));
-    for (spec, code) in [
-        (String::from("shortwrite:p=1,stage=cache"), 0),
-        (format!("panic:p=0.5,seed={seed},stage=synth"), 2),
+    // (spec, exit code, cache files written): the torn writes leave none,
+    // the partial run caches its survivors.
+    for (spec, code, cached) in [
+        (String::from("shortwrite:p=1,stage=cache"), 0, 0),
+        (format!("panic:p=0.5,seed={seed},stage=synth"), 2, precisions.len() - doomed),
     ] {
         let run = |by_flag: bool| {
             let root = dir.join(if by_flag { "flag" } else { "var" });
             let _ = std::fs::remove_dir_all(&root);
             let mut command = aix();
             command.args(["characterize", "--kind", "adder", "--width", "8", "--cache"]);
-            command.arg(root.join("C")).arg("--journal").arg(root.join("J"));
+            command.arg(root.join("C"));
             if by_flag {
                 command.args(["--fault", &spec]);
             } else {
@@ -531,7 +528,7 @@ fn one_fault_spec_writes_the_same_trees_through_the_flag_and_the_variable() {
             }
             let output = command.output().expect("spawn aix");
             let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-            (output.status.code(), stdout, cache_and_journal(&root))
+            (output.status.code(), stdout, cache_tree(&root))
         };
         let (by_flag, by_var) = (run(true), run(false));
         let names = |files: &std::collections::BTreeMap<String, Vec<u8>>| {
@@ -544,7 +541,8 @@ fn one_fault_spec_writes_the_same_trees_through_the_flag_and_the_variable() {
             "`{spec}`: exit code, stdout or file names differ"
         );
         assert!(by_flag.2 == by_var.2, "`{spec}`: file bytes differ");
-        assert!(names(&by_flag.2).iter().any(|name| name.starts_with("J/")), "journal written");
+        let written = by_flag.2.keys().filter(|name| name.ends_with(".lib")).count();
+        assert_eq!(written, cached, "`{spec}`: cache files written");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -575,7 +573,7 @@ fn partial_panic_seed(width: usize, precisions: &[usize]) -> (u64, usize) {
             };
             let doomed = precisions
                 .iter()
-                .filter(|p| spec.fires(FaultStage::Synth, &format!("adder-w{width}-p{p}-ultra"), 1))
+                .filter(|p| spec.fires(FaultStage::Synth, &format!("adder-w{width}-p{p}-ultra")))
                 .count();
             (seed, doomed)
         })
@@ -588,28 +586,27 @@ fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!("aix-cli-fault-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let journal = dir.join("journal");
     let (seed, doomed) = partial_panic_seed(4, &[1, 2, 3, 4]);
 
     let characterize = |extra: &[String], out: &std::path::Path| {
         let mut cmd = aix();
-        cmd.args(["characterize", "--kind", "adder", "--width", "4", "--no-cache"]);
+        cmd.args(["characterize", "--kind", "adder", "--width", "4"]);
         cmd.args(extra);
         cmd.arg("--out").arg(out);
         cmd.output().expect("spawn aix")
     };
-    let journal_flag = || format!("--journal={}", journal.display());
+    let cache_flag = format!("--cache={}", dir.join("cache").display());
 
     let reference = dir.join("ref.txt");
-    let output = characterize(&["--no-journal".into()], &reference);
+    let output = characterize(&["--no-cache".into()], &reference);
     assert!(output.status.success(), "fault-free run completes");
 
     // Faulted run: the partial exit code, a failure report naming the
-    // jobs, and a journal recording them.
+    // jobs, and the survivors cached.
     let partial = dir.join("part.txt");
     let output = characterize(
         &[
-            journal_flag(),
+            cache_flag.clone(),
             format!("--fault=panic:p=0.5,seed={seed},stage=synth"),
         ],
         &partial,
@@ -620,23 +617,28 @@ fn injected_faults_quarantine_jobs_and_resume_is_byte_identical() {
         stderr.contains("job FAILED") && stderr.contains("adder w4"),
         "failures are reported by job: {stderr}"
     );
-    assert!(stderr.contains("--resume"), "the report suggests resuming");
+    assert!(stderr.contains("rerun"), "the report suggests a rerun: {stderr}");
     assert_eq!(stderr.matches("job FAILED").count(), doomed, "{stderr}");
 
-    // Resume without faults: completes and matches the reference bytes.
-    let resumed = dir.join("resumed.txt");
-    let output = characterize(&[journal_flag(), "--resume".into()], &resumed);
+    // A plain rerun without faults: the cache serves the survivors, only
+    // the quarantined jobs are synthesized, and the bytes match the
+    // reference.
+    let rerun = dir.join("rerun.txt");
+    let output = characterize(&[cache_flag], &rerun);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "stderr: {stderr}");
     assert!(
-        stderr.contains(&format!(", {} journal hit(s)", 4 - doomed)),
+        stderr.contains(&format!(
+            "4 synth planned, {doomed} executed ({} cache hit / {doomed} miss)",
+            4 - doomed
+        )),
         "only the quarantined jobs re-run: {stderr}"
     );
     let reference_text = std::fs::read_to_string(&reference).expect("reference");
-    let resumed_text = std::fs::read_to_string(&resumed).expect("resumed");
+    let rerun_text = std::fs::read_to_string(&rerun).expect("rerun");
     assert_eq!(
-        resumed_text, reference_text,
-        "resumed output is byte-identical to the uninterrupted run"
+        rerun_text, reference_text,
+        "the rerun's output is byte-identical to the uninterrupted run"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@ use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An `aix` command that runs in its own scratch working directory, with
-/// its own cache and journal there, so no run writes into the repository
+/// its own cache there, so no run writes into the repository
 /// or shares files with another run. The directory is removed when the
 /// command is dropped, so a spawned child must not outlive it.
 pub struct Aix {
@@ -46,8 +46,7 @@ pub fn aix() -> Aix {
     let mut command = Command::new(env!("CARGO_BIN_EXE_aix"));
     command
         .current_dir(&dir)
-        .env("AIX_CACHE", dir.join("cache"))
-        .env("AIX_JOURNAL", dir.join("journal"));
+        .env("AIX_CACHE", dir.join("cache"));
     Aix { command, dir }
 }
 

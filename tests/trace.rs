@@ -1,6 +1,6 @@
 //! Trace-conformance tests: spawn the real `aix` binary with `--trace`
 //! and assert over the recorded JSONL event stream — the trace doubles as
-//! a conformance surface for the engine's cache, journal and quarantine
+//! a conformance surface for the engine's cache and quarantine
 //! behaviour, so these tests pin exactly which work each run performed.
 //!
 //! All traced runs set `AIX_TRACE_TIMINGS=off` so events carry no
@@ -46,7 +46,7 @@ fn count(events: &[Event], kind: EventKind, name: &str) -> usize {
 fn characterize_adder8(cache: &Path, trace: &Path, jobs: &str) -> std::process::Output {
     aix()
         .args(["characterize", "--kind", "adder", "--width", "8"])
-        .args(["--effort", "medium", "--no-journal", "--jobs", jobs])
+        .args(["--effort", "medium", "--jobs", jobs])
         .arg(format!("--cache={}", cache.display()))
         .arg(format!("--trace={}", trace.display()))
         .output()
@@ -137,7 +137,7 @@ fn partial_panic_seed() -> (u64, usize) {
                 delay_ms: 0,
             };
             let doomed = (1..=4)
-                .filter(|p| spec.fires(FaultStage::Synth, &format!("adder-w4-p{p}-ultra"), 1))
+                .filter(|p| spec.fires(FaultStage::Synth, &format!("adder-w4-p{p}-ultra")))
                 .count();
             (doomed > 0 && doomed < 4).then_some((seed, doomed))
         })
@@ -147,13 +147,13 @@ fn partial_panic_seed() -> (u64, usize) {
 #[test]
 fn quarantine_events_mirror_job_failures_and_resume_traces_the_remainder() {
     let dir = scratch("fault");
-    let journal = dir.join("journal");
+    let cache = dir.join("cache");
     let (seed, doomed) = partial_panic_seed();
 
     let characterize = |extra: &[String], trace: &Path| {
         let mut cmd = aix();
-        cmd.args(["characterize", "--kind", "adder", "--width", "4", "--no-cache"]);
-        cmd.arg(format!("--journal={}", journal.display()));
+        cmd.args(["characterize", "--kind", "adder", "--width", "4"]);
+        cmd.arg(format!("--cache={}", cache.display()));
         cmd.arg(format!("--trace={}", trace.display()));
         cmd.args(extra);
         cmd.arg("--out").arg(dir.join("lib.txt"));
@@ -200,24 +200,31 @@ fn quarantine_events_mirror_job_failures_and_resume_traces_the_remainder() {
         );
     }
 
-    // Resume: the journal replays the survivors (journal_hit each) and
+    // A plain rerun: the cache serves the survivors (cache_hit each) and
     // only the quarantined remainder is synthesized again.
-    let resume_trace = dir.join("resume.jsonl");
-    let output = characterize(&["--resume".into()], &resume_trace);
+    let rerun_trace = dir.join("rerun.jsonl");
+    let output = characterize(&[], &rerun_trace);
     assert!(
         output.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-    let resumed = events(&resume_trace);
-    TraceSummary::from_events(&resumed, true).expect("strict resume trace");
+    let rerun = events(&rerun_trace);
+    TraceSummary::from_events(&rerun, true).expect("strict rerun trace");
     assert_eq!(
-        count(&resumed, EventKind::Counter, "journal_hit"),
+        count(&rerun, EventKind::Counter, "cache_hit"),
         4 - doomed,
-        "every earlier success replays from the journal"
+        "every earlier success is served from the cache"
     );
-    assert_eq!(count(&resumed, EventKind::SpanOpen, "synth"), doomed);
-    assert_eq!(count(&resumed, EventKind::Quarantine, "job"), 0);
+    assert_eq!(count(&rerun, EventKind::SpanOpen, "synth"), doomed);
+    assert_eq!(count(&rerun, EventKind::Quarantine, "job"), 0);
+
+    // The rerun's library is byte-identical to a fault-free cold run's.
+    let rerun_text = std::fs::read_to_string(dir.join("lib.txt")).expect("rerun library");
+    let output = characterize(&["--no-cache".into()], &dir.join("reference.jsonl"));
+    assert!(output.status.success(), "the fault-free run completes");
+    let reference_text = std::fs::read_to_string(dir.join("lib.txt")).expect("reference");
+    assert_eq!(rerun_text, reference_text);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -228,7 +235,7 @@ fn quiet_runs_are_silent_on_stderr() {
     for env_quiet in [false, true] {
         let mut cmd = aix();
         cmd.args(["characterize", "--kind", "adder", "--width", "4"]);
-        cmd.args(["--no-cache", "--no-journal"]);
+        cmd.arg("--no-cache");
         if env_quiet {
             cmd.env("AIX_QUIET", "1");
         } else {
