@@ -6,7 +6,7 @@
 //! 24 bits suffice for 1 year and 22 bits for 10 years of worst-case
 //! aging; the actual case needs a smaller reduction.
 
-use crate::{build_or_load_library, default_library_cache, Options, Table, STUDY_WIDTH};
+use crate::{build_library, Options, Table, STUDY_WIDTH};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_arith::ComponentSpec;
 use aix_cells::Library;
@@ -25,8 +25,7 @@ pub fn run(options: &Options) -> String {
     let cells = Arc::new(Library::nangate45_like());
     let model = AgingModel::calibrated();
     let vectors = options.scaled("vectors", 400, 10_000);
-    let library = build_or_load_library(&cells, Effort::Ultra, Some(&default_library_cache()))
-        .expect("characterization");
+    let library = build_library(&cells).expect("characterization");
     let mut characterization = library
         .get(ComponentKind::Adder, STUDY_WIDTH)
         .expect("library covers the 32-bit adder")

@@ -5,11 +5,10 @@
 //! 29 % (multiplier) and 80 % (MAC); 2 and 3 bits fully compensate 1 and
 //! 10 years respectively.
 
-use crate::{build_or_load_library, default_library_cache, Options, Table, STUDY_WIDTH};
+use crate::{build_library, Options, Table, STUDY_WIDTH};
 use aix_aging::{AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::{CharacterizationScenario, ComponentCharacterization, ComponentKind};
-use aix_synth::Effort;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -72,8 +71,7 @@ fn component_section(out: &mut String, characterization: &ComponentCharacterizat
 /// Runs the Fig. 7 experiment.
 pub fn run(_options: &Options) -> String {
     let cells = Arc::new(Library::nangate45_like());
-    let library = build_or_load_library(&cells, Effort::Ultra, Some(&default_library_cache()))
-        .expect("characterization");
+    let library = build_library(&cells).expect("characterization");
     let mut out = String::new();
     let _ = writeln!(out, "Fig. 7 — multiplier and MAC characterization\n");
     for kind in [ComponentKind::Mac, ComponentKind::Multiplier] {

@@ -6,7 +6,7 @@
 //! slack of −8.3 % after 10 years of worst-case aging; a 3-bit precision
 //! reduction restores timing, all other blocks stay exact.
 
-use crate::{build_or_load_library, default_library_cache, Options, Table};
+use crate::{build_library, Options, Table};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::{apply_aging_approximations, idct_design};
@@ -20,8 +20,7 @@ use std::sync::Arc;
 pub fn run(_options: &Options) -> String {
     let cells = Arc::new(Library::nangate45_like());
     let model = AgingModel::calibrated();
-    let library = build_or_load_library(&cells, Effort::Ultra, Some(&default_library_cache()))
-        .expect("characterization");
+    let library = build_library(&cells).expect("characterization");
     let design = idct_design(&cells, Effort::Ultra).expect("IDCT synthesis");
     let constraint = design.timing_constraint().expect("STA").period_ps();
 

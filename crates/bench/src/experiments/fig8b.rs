@@ -5,7 +5,7 @@
 //! Paper reference: average PSNR drop ≈ 8 dB; every sequence stays at or
 //! above 30 dB except `mobile` (≈ 28 dB), which is still visually good.
 
-use crate::{build_or_load_library, default_library_cache, Options, Table};
+use crate::{build_library, Options, Table};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::{apply_aging_approximations, average_psnr_db, evaluate_sequences, idct_design};
@@ -17,8 +17,7 @@ use std::sync::Arc;
 /// Selects the 10-year worst-case datapath precision via the Fig. 6 flow.
 pub fn planned_precision(cells: &Arc<Library>) -> DatapathPrecision {
     let model = AgingModel::calibrated();
-    let library = build_or_load_library(cells, Effort::Ultra, Some(&default_library_cache()))
-        .expect("characterization");
+    let library = build_library(cells).expect("characterization");
     let design = idct_design(cells, Effort::Ultra).expect("IDCT synthesis");
     let plan = apply_aging_approximations(
         &design,

@@ -4,7 +4,7 @@
 //! Paper reference: +11 % frequency, −14 % leakage, −4 % dynamic power,
 //! −13 % energy, −13 % area.
 
-use crate::{build_or_load_library, default_library_cache, Options, Table};
+use crate::{build_library, Options, Table};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::{apply_aging_approximations, compare_against_aging_aware, idct_design};
@@ -18,8 +18,7 @@ pub fn run(options: &Options) -> String {
     let cells = Arc::new(Library::nangate45_like());
     let model = AgingModel::calibrated();
     let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
-    let library = build_or_load_library(&cells, Effort::Ultra, Some(&default_library_cache()))
-        .expect("characterization");
+    let library = build_library(&cells).expect("characterization");
     let design = idct_design(&cells, Effort::Ultra).expect("IDCT synthesis");
     let plan =
         apply_aging_approximations(&design, &library, &model, scenario).expect("flow");

@@ -2,7 +2,7 @@
 //! a small precision reduction sustains 10 years of worst-case aging with
 //! a mild PSNR cost while *improving* area and energy efficiency.
 
-use crate::{build_or_load_library, default_library_cache, Options};
+use crate::{build_library, Options};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::{
@@ -19,8 +19,7 @@ pub fn run(options: &Options) -> String {
     let cells = Arc::new(Library::nangate45_like());
     let model = AgingModel::calibrated();
     let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
-    let library = build_or_load_library(&cells, Effort::Ultra, Some(&default_library_cache()))
-        .expect("characterization");
+    let library = build_library(&cells).expect("characterization");
     let design = idct_design(&cells, Effort::Ultra).expect("IDCT synthesis");
     let plan = apply_aging_approximations(&design, &library, &model, scenario).expect("flow");
     let validation = plan

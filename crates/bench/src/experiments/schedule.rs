@@ -3,7 +3,7 @@
 //! year over the projected lifetime instead of paying the end-of-life
 //! approximation from day one.
 
-use crate::{build_or_load_library, default_library_cache, Options, Table};
+use crate::{build_library, Options, Table};
 use aix_aging::{AgingModel, Lifetime, StressCondition};
 use aix_cells::Library;
 use aix_core::{
@@ -20,8 +20,7 @@ pub fn run(options: &Options) -> String {
     let height = options.scaled("height", 72, 144);
     let cells = Arc::new(Library::nangate45_like());
     let model = AgingModel::calibrated();
-    let library = build_or_load_library(&cells, Effort::Ultra, Some(&default_library_cache()))
-        .expect("characterization");
+    let library = build_library(&cells).expect("characterization");
     let design = idct_design(&cells, Effort::Ultra).expect("IDCT synthesis");
     let checkpoints: Vec<Lifetime> = (1..=10)
         .map(|y| Lifetime::from_years(f64::from(y)))

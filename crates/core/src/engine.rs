@@ -7,22 +7,25 @@
 //! measurable and robust:
 //!
 //! * **Job planner** — a [`CharacterizationConfig`] batch expands into
-//!   independent `(kind, width, precision)` *synthesis jobs* and
-//!   `(kind, width, precision, scenario)` *STA jobs*.
-//! * **Work pool** — jobs self-schedule over [`std::thread::scope`] worker
-//!   threads ([`parallel_map`]), with the thread count taken from
-//!   [`EngineOptions::jobs`] or, when that is `0`, the machine's available
-//!   parallelism.
+//!   independent `(kind, width, precision)` *jobs*, one per unit of the
+//!   paper's pre-characterization: synthesize the component once, then
+//!   run aging-aware STA at each of the config's scenarios.
+//! * **Work pool** — the jobs that miss the cache self-schedule over
+//!   [`std::thread::scope`] worker threads ([`parallel_map`]), with the
+//!   thread count taken from [`EngineOptions::jobs`] or, when that is `0`,
+//!   the machine's available parallelism. Each job holds its netlist only
+//!   while it runs.
 //! * **Content-addressed cache** — per-synthesis-job results persist under
 //!   a cache directory (default `out/cache/`), keyed by a fingerprint of
 //!   (cell-library content hash, aging-model calibration, kind, width,
 //!   precision, effort). A warm run skips synthesis and STA entirely.
 //!   Corrupted, truncated or stale files are detected and fall back to
 //!   re-synthesis — they can never poison results.
-//! * **Fault containment** — every synthesis and STA job runs once under
-//!   panic isolation. A job that panics or errors becomes a
-//!   [`JobFailure`] in the campaign's report; the other jobs complete
-//!   normally.
+//! * **Fault containment** — every job's synthesis and each of its STA
+//!   passes runs once under [`run_guarded`], in scenario order. A job
+//!   whose synthesis or STA pass panics or errors stops there and becomes
+//!   a [`JobFailure`] naming that stage (and the first failing scenario);
+//!   the other jobs complete normally.
 //! * **Rerun is resume** — each finished job is written to the cache as
 //!   the campaign merges it, so a rerun after a partial or interrupted
 //!   campaign serves the finished jobs from the cache, synthesizes only
@@ -33,17 +36,16 @@
 //!   cache write, so all of the above is testable end to end.
 //! * **Settings** — [`EngineOptions::resolve`] reads every setting by one
 //!   rule: its flag, else its variable, else its default.
-//! * **Observability** — [`EngineReport`] carries per-stage wall-clock and
-//!   cache and failure counters; [`EngineReport::to_json_record`] renders
-//!   them as the machine-readable record the CLI appends to
-//!   `BENCH_characterize.json`, so the perf trajectory of repeated runs is
-//!   measurable. When a global `aix-obs` recorder is
-//!   installed the campaign additionally emits a structured trace:
-//!   `campaign`/`plan`/`synth_stage`/`sta_stage`/`merge` spans, per-job
-//!   `synth`/`sta` spans, `cache_hit`/`cache_miss` counter
-//!   events (in plan order, from sequential code — so warm-run traces are
-//!   byte-identical for any worker count) and one `quarantine` event per
-//!   [`JobFailure`], in merge order.
+//! * **Observability** — [`EngineReport`] carries the campaign's
+//!   end-to-end wall clock and its cache, STA-pass and failure counters;
+//!   [`EngineReport::to_json_record`] renders them as the machine-readable
+//!   record the CLI appends to `BENCH_characterize.json`. Stage and job
+//!   times come from the `aix-obs` trace alone: when a global recorder is
+//!   installed the campaign emits `campaign`/`plan`/`jobs`/`merge` spans,
+//!   per-job `synth` and per-pass `sta` spans, `cache_hit`/`cache_miss`
+//!   counter events (in plan order, from sequential code — so warm-run
+//!   traces are byte-identical for any worker count) and one `quarantine`
+//!   event per [`JobFailure`], in merge order.
 //!
 //! The engine is deterministic: characterization output is byte-identical
 //! for any job count, for cold versus warm caches, and for a partial run
@@ -79,15 +81,13 @@ use aix_aging::{AgingModel, Calibration};
 use aix_arith::ComponentSpec;
 use aix_cells::Library;
 use aix_faults::{FaultPlan, FaultStage};
-use aix_netlist::Netlist;
 use aix_obs::names::core as names;
 use aix_obs::{fnv1a, FNV_OFFSET};
 use aix_sta::{analyze, NetDelays};
 use aix_synth::Effort;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -278,82 +278,7 @@ where
         .collect()
 }
 
-/// Thread-safe memoization of synthesized netlists, keyed by
-/// `(kind, width, precision, effort)`. Synthesis is deterministic, so
-/// concurrent duplicate synthesis is merely wasted work — the first result
-/// stored wins and all callers observe identical netlists.
-///
-/// The engine shares one cache across a whole batch; re-verification
-/// ([`aix-verify`]) reuses the same type so the full-width constraint
-/// netlist is synthesized once per component rather than once per scenario.
-///
-/// A poisoned inner mutex is recovered, not propagated: the map holds only
-/// complete `Arc<Netlist>` values (insertion is a single move), so a
-/// panicking synthesis job on a sibling thread cannot leave it in an
-/// inconsistent state — and must not take down every other worker.
-///
-/// [`aix-verify`]: crate#
-#[derive(Debug, Default)]
-pub struct NetlistCache {
-    inner: Mutex<HashMap<SynthKey, Arc<Netlist>>>,
-}
-
-/// Memoization key of one synthesis job: `(kind, width, precision, effort)`.
-type SynthKey = (ComponentKind, usize, usize, Effort);
-
-impl NetlistCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct netlists held.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .len()
-    }
-
-    /// Whether no netlist has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Synthesizes `(kind, width, precision)` at `effort`, or returns the
-    /// memoized netlist.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid specs and synthesis failures as [`AixError`].
-    pub fn synthesize(
-        &self,
-        cells: &Arc<Library>,
-        kind: ComponentKind,
-        width: usize,
-        precision: usize,
-        effort: Effort,
-    ) -> Result<Arc<Netlist>, AixError> {
-        let key = (kind, width, precision, effort);
-        if let Some(hit) = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(&key)
-        {
-            return Ok(Arc::clone(hit));
-        }
-        let spec = ComponentSpec::new(width, precision)?;
-        let netlist = Arc::new(kind.synthesize(cells, spec, effort)?);
-        let mut lock = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Ok(Arc::clone(lock.entry(key).or_insert(netlist)))
-    }
-}
-
-/// Per-stage wall-clock and cache/fault counters of one engine run.
+/// Wall-clock and cache/fault counters of one engine run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineReport {
     /// Worker threads the run resolved to.
@@ -362,7 +287,8 @@ pub struct EngineReport {
     pub synth_planned: usize,
     /// Synthesis jobs actually executed (planned minus cache hits).
     pub synth_executed: usize,
-    /// STA passes executed (scenarios × executed synthesis jobs).
+    /// STA passes run: every scenario of each executed synthesis job, up
+    /// to and including a job's first failing one.
     pub sta_executed: usize,
     /// Synthesis jobs satisfied from the on-disk cache.
     pub cache_hits: usize,
@@ -374,14 +300,6 @@ pub struct EngineReport {
     pub job_retries: usize,
     /// Jobs that failed and were quarantined.
     pub job_failures: usize,
-    /// Planning stage wall-clock, in milliseconds (includes cache probes).
-    pub plan_ms: f64,
-    /// Synthesis stage wall-clock, in milliseconds.
-    pub synth_ms: f64,
-    /// STA stage wall-clock, in milliseconds.
-    pub sta_ms: f64,
-    /// Merge/cache-writeback stage wall-clock, in milliseconds.
-    pub merge_ms: f64,
     /// End-to-end wall-clock, in milliseconds.
     pub wall_ms: f64,
 }
@@ -391,8 +309,7 @@ impl EngineReport {
     pub fn summary(&self) -> String {
         let mut line = format!(
             "{} job(s) · {:.0} ms wall: {} synth planned, {} executed \
-             ({} cache hit / {} miss), {} STA passes \
-             [plan {:.0} · synth {:.0} · sta {:.0} · merge {:.0} ms]",
+             ({} cache hit / {} miss), {} STA passes",
             self.jobs,
             self.wall_ms,
             self.synth_planned,
@@ -400,10 +317,6 @@ impl EngineReport {
             self.cache_hits,
             self.cache_misses,
             self.sta_executed,
-            self.plan_ms,
-            self.synth_ms,
-            self.sta_ms,
-            self.merge_ms,
         );
         if self.job_failures > 0 {
             let _ = write!(line, ", {} job(s) FAILED", self.job_failures);
@@ -414,17 +327,12 @@ impl EngineReport {
     /// The run as one machine-readable JSON object (a single line).
     pub fn to_json_record(&self, label: &str) -> String {
         format!(
-            "{{\"label\":\"{}\",\"jobs\":{},\"wall_ms\":{:.3},\"plan_ms\":{:.3},\
-             \"synth_ms\":{:.3},\"sta_ms\":{:.3},\"merge_ms\":{:.3},\
+            "{{\"label\":\"{}\",\"jobs\":{},\"wall_ms\":{:.3},\
              \"synth_planned\":{},\"synth_executed\":{},\"sta_executed\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\"job_failures\":{}}}",
             label.replace('\\', "\\\\").replace('"', "\\\""),
             self.jobs,
             self.wall_ms,
-            self.plan_ms,
-            self.synth_ms,
-            self.sta_ms,
-            self.merge_ms,
             self.synth_planned,
             self.synth_executed,
             self.sta_executed,
@@ -523,12 +431,28 @@ impl Campaign {
 pub struct CharacterizationEngine {
     cells: Arc<Library>,
     options: EngineOptions,
-    netlists: NetlistCache,
     fingerprint_base: u64,
 }
 
-/// Where and why one planned job failed, keyed by plan index until the
-/// merge stage turns it into a [`JobFailure`].
+/// One planned synthesis job: a `(config, precision)` pair and what the
+/// on-disk cache already holds for it.
+struct PlannedJob {
+    config_index: usize,
+    precision: usize,
+    cache_path: Option<PathBuf>,
+    key_line: String,
+    /// The job's fault site and trace name, `{kind}-w{width}-p{precision}-{effort}`.
+    site: String,
+    /// Valid prior entries found in the cache (token → delay). Used as
+    /// the result on a full hit and merged into the writeback on a
+    /// partial one.
+    prior: BTreeMap<String, f64>,
+    /// Whether `prior` covers every requested scenario.
+    hit: bool,
+}
+
+/// Where and why one planned job failed, until the merge stage turns it
+/// into a [`JobFailure`].
 struct FailureInfo {
     stage: &'static str,
     scenario: Option<String>,
@@ -547,7 +471,6 @@ impl CharacterizationEngine {
         Self {
             cells,
             options,
-            netlists: NetlistCache::new(),
             fingerprint_base,
         }
     }
@@ -555,11 +478,6 @@ impl CharacterizationEngine {
     /// The engine's scheduling options.
     pub fn options(&self) -> &EngineOptions {
         &self.options
-    }
-
-    /// The in-process netlist memoization this engine populates.
-    pub fn netlists(&self) -> &NetlistCache {
-        &self.netlists
     }
 
     /// Characterizes one component, treating any job failure as an error.
@@ -621,18 +539,82 @@ impl CharacterizationEngine {
     /// exactly how a real unreadable cache behaves — and never fails the
     /// job.
     fn cache_fault_ok(&self, site: &str) -> bool {
-        let Some(plan) = &self.options.faults else {
-            return true;
-        };
-        catch_unwind(AssertUnwindSafe(|| {
-            plan.check(FaultStage::Cache, site).is_ok()
-        }))
-        .unwrap_or(false)
+        run_guarded(
+            self.options.faults.as_deref(),
+            FaultStage::Cache,
+            site,
+            || Ok(()),
+        )
+        .is_ok()
     }
 
-    /// Runs the whole batch as a fault-tolerant campaign: every synthesis
-    /// and STA job runs once, panic-isolated; completed jobs land in the
-    /// cache (when configured), so a rerun computes only what is missing;
+    /// Runs one planned miss start to end: synthesizes its netlist, then
+    /// times it at each of the config's scenarios in order, stopping at
+    /// the first failure. Every step is [`run_guarded`] at its fault site
+    /// (`{site}` for synthesis, `{site}@{token}` for STA), and every STA
+    /// pass run is counted in `sta_passes`. Returns the quantized delays
+    /// in scenario order, or where and why the job failed; the netlist is
+    /// dropped when the job ends.
+    fn run_job(
+        &self,
+        job: &PlannedJob,
+        config: &CharacterizationConfig,
+        tokens: &[String],
+        model: &AgingModel,
+        sta_passes: &AtomicUsize,
+    ) -> Result<Vec<f64>, FailureInfo> {
+        let faults = self.options.faults.as_deref();
+        let netlist = {
+            let _span = aix_obs::span!(
+                names::SPAN_SYNTH,
+                job = &job.site,
+                kind = config.kind.label(),
+                width = config.width,
+                precision = job.precision,
+            );
+            run_guarded(faults, FaultStage::Synth, &job.site, || {
+                let spec = ComponentSpec::new(config.width, job.precision)?;
+                Ok(config.kind.synthesize(&self.cells, spec, config.effort)?)
+            })
+        }
+        .map_err(|reason| FailureInfo {
+            stage: "synth",
+            scenario: None,
+            reason,
+        })?;
+        config
+            .scenarios
+            .iter()
+            .zip(tokens)
+            .map(|(&scenario, token)| {
+                let site = format!("{}@{token}", job.site);
+                let _span = aix_obs::span!(
+                    names::SPAN_STA,
+                    job = &site,
+                    kind = config.kind.label(),
+                    width = config.width,
+                    precision = job.precision,
+                );
+                sta_passes.fetch_add(1, Ordering::Relaxed);
+                run_guarded(faults, FaultStage::Sta, &site, || {
+                    let delays = NetDelays::aged(&netlist, model, scenario);
+                    analyze(&netlist, &delays)
+                        .map(|r| quantize_ps(r.max_delay_ps()))
+                        .map_err(AixError::from)
+                })
+                .map_err(|reason| FailureInfo {
+                    stage: "sta",
+                    scenario: Some(token.clone()),
+                    reason,
+                })
+            })
+            .collect()
+    }
+
+    /// Runs the whole batch as a fault-tolerant campaign: each job that
+    /// misses the cache is synthesized and timed at every scenario in one
+    /// panic-isolated pass, run once; completed jobs land in the cache
+    /// (when configured), so a rerun computes only what is missing;
     /// quarantined jobs are reported, not fatal.
     pub fn characterize_campaign(&self, configs: &[CharacterizationConfig]) -> Campaign {
         let wall = Instant::now();
@@ -643,14 +625,13 @@ impl CharacterizationEngine {
             ..EngineReport::default()
         };
         // The resolved worker count is deliberately absent from every trace
-        // event: all events outside the worker pools are emitted from
+        // event: all events outside the worker pool are emitted from
         // sequential code, so a warm (all-hit) run's trace is byte-identical
         // for any `--jobs` value.
         let campaign_span = aix_obs::span!(names::SPAN_CAMPAIGN, configs = configs.len());
 
         // Plan: one synthesis job per (config, precision), probing the
         // on-disk cache. A hit must cover every requested scenario.
-        let plan_start = Instant::now();
         let plan_span = aix_obs::span!(names::SPAN_PLAN);
         let config_tokens: Vec<Vec<String>> = configs
             .iter()
@@ -662,20 +643,7 @@ impl CharacterizationEngine {
                     .collect()
             })
             .collect();
-        struct SynthJob {
-            config_index: usize,
-            precision: usize,
-            cache_path: Option<PathBuf>,
-            key_line: String,
-            site: String,
-            /// Valid prior entries found in the cache (token → delay).
-            /// Used as the result on a full hit and merged into the
-            /// writeback on a partial one.
-            prior: BTreeMap<String, f64>,
-            /// Whether `prior` covers every requested scenario.
-            hit: bool,
-        }
-        let mut plan: Vec<SynthJob> = Vec::new();
+        let mut plan: Vec<PlannedJob> = Vec::new();
         for (config_index, config) in configs.iter().enumerate() {
             let tokens = &config_tokens[config_index];
             for &precision in &config.precisions {
@@ -709,7 +677,7 @@ impl CharacterizationEngine {
                         aix_obs::count!(names::CACHE_MISS, job = &site);
                     }
                 }
-                plan.push(SynthJob {
+                plan.push(PlannedJob {
                     config_index,
                     precision,
                     cache_path,
@@ -721,187 +689,86 @@ impl CharacterizationEngine {
             }
         }
         report.synth_planned = plan.len();
-        report.plan_ms = elapsed_ms(plan_start);
         plan_span.close();
         aix_obs::gauge!(names::SYNTH_PLANNED, report.synth_planned as f64);
 
-        // Synthesis stage: pool over the misses, each job panic-isolated.
-        // Results keep plan order, so failures are deterministic under any
-        // job count.
-        let synth_start = Instant::now();
-        let to_synthesize: Vec<usize> = plan
-            .iter()
-            .enumerate()
-            .filter(|(_, job)| !job.hit)
-            .map(|(index, _)| index)
-            .collect();
-        report.synth_executed = to_synthesize.len();
-        let synth_span = aix_obs::span!(names::SPAN_SYNTH_STAGE, executed = report.synth_executed);
-        let faults = self.options.faults.as_deref();
-        let synthesized_list = parallel_map(jobs, to_synthesize, |index| {
-            let job = &plan[index];
-            let config = &configs[job.config_index];
-            let (kind, width, precision, effort) =
-                (config.kind, config.width, job.precision, config.effort);
-            let _job_span = aix_obs::span!(
-                names::SPAN_SYNTH,
-                job = &job.site,
-                kind = config.kind.label(),
-                width = width,
-                precision = precision,
-            );
-            let outcome = run_guarded(faults, FaultStage::Synth, &job.site, || {
-                self.netlists.synthesize(&self.cells, kind, width, precision, effort)
-            });
-            (index, outcome)
+        // Jobs stage: one pool over the misses, each synthesized and timed
+        // in one guarded job. Outcomes keep plan order, so failures are
+        // deterministic under any job count.
+        let misses: Vec<&PlannedJob> = plan.iter().filter(|job| !job.hit).collect();
+        report.synth_executed = misses.len();
+        let jobs_span = aix_obs::span!(names::SPAN_JOBS, executed = report.synth_executed);
+        let sta_passes = AtomicUsize::new(0);
+        let outcomes = parallel_map(jobs, misses, |job| {
+            let index = job.config_index;
+            self.run_job(
+                job,
+                &configs[index],
+                &config_tokens[index],
+                &model,
+                &sta_passes,
+            )
         });
-        let mut netlists: HashMap<usize, Arc<Netlist>> = HashMap::new();
-        let mut failed: HashMap<usize, FailureInfo> = HashMap::new();
-        for (index, outcome) in synthesized_list {
-            match outcome {
-                Ok(netlist) => {
-                    netlists.insert(index, netlist);
-                }
-                Err(reason) => {
-                    let info = FailureInfo {
-                        stage: "synth",
-                        scenario: None,
-                        reason,
-                    };
-                    failed.insert(index, info);
-                }
-            }
-        }
-        report.synth_ms = elapsed_ms(synth_start);
-        synth_span.close();
-
-        // STA stage: one guarded job per (synthesized precision, scenario).
-        // Jobs whose synthesis was quarantined are skipped outright.
-        let sta_start = Instant::now();
-        let sta_plan: Vec<(usize, usize)> = plan
-            .iter()
-            .enumerate()
-            .filter(|(index, job)| !job.hit && netlists.contains_key(index))
-            .flat_map(|(index, job)| {
-                (0..configs[job.config_index].scenarios.len()).map(move |s| (index, s))
-            })
-            .collect();
-        report.sta_executed = sta_plan.len();
-        let sta_span = aix_obs::span!(names::SPAN_STA_STAGE, executed = report.sta_executed);
-        let delays_list = parallel_map(jobs, sta_plan, |(index, scenario_index)| {
-            let job = &plan[index];
-            let config = &configs[job.config_index];
-            let scenario = config.scenarios[scenario_index];
-            let site = format!("{}@{}", job.site, config_tokens[job.config_index][scenario_index]);
-            let _job_span = aix_obs::span!(
-                names::SPAN_STA,
-                job = &site,
-                kind = config.kind.label(),
-                width = config.width,
-                precision = job.precision,
-            );
-            let outcome = run_guarded(faults, FaultStage::Sta, &site, || {
-                let netlist = &netlists[&index];
-                let delays = NetDelays::aged(netlist, &model, scenario);
-                analyze(netlist, &delays)
-                    .map(|r| quantize_ps(r.max_delay_ps()))
-                    .map_err(AixError::from)
-            });
-            ((index, scenario_index), outcome)
-        });
-        let mut delays: HashMap<(usize, usize), f64> = HashMap::new();
-        for ((index, scenario_index), outcome) in delays_list {
-            match outcome {
-                Ok(delay) => {
-                    delays.insert((index, scenario_index), delay);
-                }
-                Err(reason) => {
-                    // The first failing scenario (in scenario order) names
-                    // the job's quarantine; later failures add nothing.
-                    let token = config_tokens[plan[index].config_index][scenario_index].clone();
-                    let info = FailureInfo {
-                        stage: "sta",
-                        scenario: Some(token),
-                        reason,
-                    };
-                    let entry = failed.entry(index);
-                    use std::collections::hash_map::Entry;
-                    match entry {
-                        Entry::Vacant(slot) => {
-                            slot.insert(info);
-                        }
-                        Entry::Occupied(mut slot) => {
-                            // Deterministic pick: the smallest scenario
-                            // token index wins regardless of worker order.
-                            let tokens = &config_tokens[plan[index].config_index];
-                            let existing = slot
-                                .get()
-                                .scenario
-                                .as_ref()
-                                .and_then(|t| tokens.iter().position(|x| x == t))
-                                .unwrap_or(0);
-                            if slot.get().stage == "sta" && scenario_index < existing {
-                                slot.insert(info);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        report.sta_ms = elapsed_ms(sta_start);
-        sta_span.close();
+        report.sta_executed = sta_passes.into_inner();
+        jobs_span.close();
 
         // Merge in planned order — deterministic for any job count — and
         // write misses back to the cache (best effort; a
         // read-only directory degrades to cold runs, never to an error).
-        let merge_start = Instant::now();
         let merge_span = aix_obs::span!(names::SPAN_MERGE);
         let mut out: Vec<ComponentCharacterization> = configs
             .iter()
             .map(|c| ComponentCharacterization::new(c.kind, c.width, c.effort))
             .collect();
         let mut failures: Vec<JobFailure> = Vec::new();
-        for (index, job) in plan.iter().enumerate() {
+        let mut outcomes = outcomes.into_iter();
+        for job in &plan {
             let config = &configs[job.config_index];
-            if let Some(info) = failed.remove(&index) {
-                // Quarantine events mirror `JobFailure` records one-to-one,
-                // in the same (planned) order, so the trace and the
-                // campaign report can be cross-checked.
-                aix_obs::quarantine!(
-                    names::QUARANTINE_JOB,
-                    job = &job.site,
-                    stage = info.stage,
-                );
-                failures.push(JobFailure {
-                    kind: config.kind,
-                    width: config.width,
-                    precision: job.precision,
-                    scenario: info.scenario,
-                    stage: info.stage,
-                    reason: info.reason,
-                });
-                continue;
-            }
+            let scenarios = config
+                .scenarios
+                .iter()
+                .zip(&config_tokens[job.config_index]);
+            let characterization = &mut out[job.config_index];
             if job.hit {
-                for &scenario in &config.scenarios {
-                    let token = scenario_token(scenario.into());
-                    out[job.config_index].add_entry(CharacterizationEntry {
+                for (&scenario, token) in scenarios {
+                    characterization.add_entry(CharacterizationEntry {
                         precision: job.precision,
                         scenario: scenario.into(),
-                        delay_ps: job.prior[&token],
+                        delay_ps: job.prior[token],
                     });
                 }
                 continue;
             }
+            let delays = match outcomes.next().expect("one outcome per miss") {
+                Ok(delays) => delays,
+                Err(info) => {
+                    // Quarantine events mirror `JobFailure` records
+                    // one-to-one, in the same (planned) order, so the trace
+                    // and the campaign report can be cross-checked.
+                    aix_obs::quarantine!(
+                        names::QUARANTINE_JOB,
+                        job = &job.site,
+                        stage = info.stage,
+                    );
+                    failures.push(JobFailure {
+                        kind: config.kind,
+                        width: config.width,
+                        precision: job.precision,
+                        scenario: info.scenario,
+                        stage: info.stage,
+                        reason: info.reason,
+                    });
+                    continue;
+                }
+            };
             let mut writeback = job.prior.clone();
-            for (scenario_index, &scenario) in config.scenarios.iter().enumerate() {
-                let delay_ps = delays[&(index, scenario_index)];
-                out[job.config_index].add_entry(CharacterizationEntry {
+            for ((&scenario, token), delay_ps) in scenarios.zip(delays) {
+                characterization.add_entry(CharacterizationEntry {
                     precision: job.precision,
                     scenario: scenario.into(),
                     delay_ps,
                 });
-                writeback.insert(scenario_token(scenario.into()), delay_ps);
+                writeback.insert(token.clone(), delay_ps);
             }
             if let Some(path) = &job.cache_path {
                 if self.cache_fault_ok(&format!("write {}", job.site)) {
@@ -919,9 +786,8 @@ impl CharacterizationEngine {
             characterization.enforce_synthesis_monotonicity();
         }
         report.job_failures = failures.len();
-        report.merge_ms = elapsed_ms(merge_start);
         merge_span.close();
-        report.wall_ms = elapsed_ms(wall);
+        report.wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         campaign_span.close();
         Campaign {
             characterizations: out,
@@ -942,10 +808,6 @@ fn require_complete(campaign: &Campaign) -> Result<(), AixError> {
             first: first.to_string(),
         }),
     }
-}
-
-fn elapsed_ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 /// Quantizes a delay to the 6-decimal (sub-femtosecond) resolution of the
@@ -1060,24 +922,6 @@ mod tests {
             base,
             again.fingerprint(ComponentKind::Adder, 16, 12, Effort::Ultra)
         );
-    }
-
-    #[test]
-    fn netlist_cache_memoizes() {
-        let cells = cells();
-        let cache = NetlistCache::new();
-        let a = cache
-            .synthesize(&cells, ComponentKind::Adder, 8, 8, Effort::Medium)
-            .unwrap();
-        let b = cache
-            .synthesize(&cells, ComponentKind::Adder, 8, 8, Effort::Medium)
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup is memoized");
-        assert_eq!(cache.len(), 1);
-        cache
-            .synthesize(&cells, ComponentKind::Adder, 8, 6, Effort::Medium)
-            .unwrap();
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -1,13 +1,39 @@
 //! Per-job panic isolation.
 //!
-//! Every synthesis and STA job of a campaign runs through [`run_guarded`]
+//! Every synthesis and STA pass of a campaign, every cache probe and
+//! writeback, and every explored candidate runs through [`run_guarded`]
 //! so that one misbehaving job — a panic or an error — is converted into a
 //! per-job failure reason instead of taking the whole process (or, through
-//! mutex poisoning, every sibling worker) down.
+//! mutex poisoning, every sibling worker) down. A contained panic is
+//! reported once, as that reason: it never reaches the panic hook, so it
+//! prints no `panicked at` message of its own.
 
 use crate::AixError;
 use aix_faults::{FaultPlan, FaultStage};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
+
+thread_local! {
+    /// Whether this thread is running guarded work, whose panics
+    /// [`run_guarded`] reports as failure reasons.
+    static GUARDED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Installs, once per process, a panic hook that stays silent for panics
+/// raised inside [`run_guarded`] and hands every other panic to the hook
+/// it replaced, so uncontained panics still print.
+fn silence_contained_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !GUARDED.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+}
 
 /// Renders a caught panic payload (`&str` or `String`, the payloads
 /// `panic!` produces) as a message for failure reports.
@@ -24,12 +50,14 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs one job once, after evaluating `faults` at `(stage, site)`. The
 /// job's error, an injected fault or a panic becomes the failure's
 /// reason: the error's display, or `panicked: <message>`.
-pub(crate) fn run_guarded<T>(
+pub fn run_guarded<T>(
     faults: Option<&FaultPlan>,
     stage: FaultStage,
     site: &str,
     work: impl FnOnce() -> Result<T, AixError>,
 ) -> Result<T, String> {
+    silence_contained_panics();
+    let outer = GUARDED.with(|guarded| guarded.replace(true));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = faults {
             plan.check(stage, site)
@@ -37,6 +65,7 @@ pub(crate) fn run_guarded<T>(
         }
         work()
     }));
+    GUARDED.with(|guarded| guarded.set(outer));
     match outcome {
         Ok(result) => result.map_err(|error| error.to_string()),
         Err(payload) => Err(format!("panicked: {}", panic_message(payload))),
@@ -75,6 +104,24 @@ mod tests {
         .unwrap_err();
         assert_eq!(reason, "panicked: kaput");
         assert_eq!(calls.load(Ordering::SeqCst), 1, "a panicking job runs once");
+    }
+
+    #[test]
+    fn only_guarded_work_is_marked_guarded() {
+        assert!(!GUARDED.with(Cell::get));
+        let (nested, still_guarded) = run_guarded(None, FaultStage::Synth, "outer", || {
+            let nested = run_guarded(
+                None,
+                FaultStage::Sta,
+                "inner",
+                || -> Result<(), AixError> { panic!("inner") },
+            );
+            Ok((nested, GUARDED.with(Cell::get)))
+        })
+        .unwrap();
+        assert_eq!(nested, Err("panicked: inner".to_owned()));
+        assert!(still_guarded, "a nested guard restores its caller's mark");
+        assert!(!GUARDED.with(Cell::get), "the mark ends with the guard");
     }
 
     #[test]

@@ -68,10 +68,10 @@ pub use characterize::{
 pub use component::{ComponentKind, ParseComponentKindError};
 pub use engine::{
     default_cache_dir, parallel_map, parse_timeout, Campaign, CampaignStatus,
-    CharacterizationEngine, EngineOptions, EngineReport, JobFailure, NetlistCache,
+    CharacterizationEngine, EngineOptions, EngineReport, JobFailure,
 };
 pub use error::AixError;
-pub use guard::panic_message;
+pub use guard::{panic_message, run_guarded};
 pub use idct::{idct_design, IDCT_BLOCK_NAMES};
 pub use imported::{
     characterize_imported, input_buses, load_imported, truncate_imported, verify_imported,

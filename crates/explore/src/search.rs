@@ -16,13 +16,12 @@ use crate::score::{score_candidate, ScoreContext};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::fsutil::write_atomic;
-use aix_core::{parallel_map, AixError, CampaignStatus, CancelToken, ComponentKind};
+use aix_core::{parallel_map, run_guarded, AixError, CampaignStatus, CancelToken, ComponentKind};
 use aix_faults::{FaultPlan, FaultStage};
 use aix_obs::{fnv1a, parse_object, render_object, Value, FNV_OFFSET};
 use aix_sta::{analyze, NetDelays};
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -347,22 +346,16 @@ pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<Explore
         if let Some(score) = cache_load(config, fingerprint, &label, clock_ps) {
             return (candidate, Evaluation::Scored { score, from_cache: true });
         }
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<Score, String> {
-            if let Some(plan) = &config.faults {
-                plan.check(FaultStage::Synth, &label)
-                    .map_err(|e| e.to_string())?;
-            }
-            score_candidate(&context, &candidate).map_err(|e| e.to_string())
-        }));
-        match attempt {
-            Ok(Ok(score)) => {
+        let faults = config.faults.as_deref();
+        let scored = run_guarded(faults, FaultStage::Synth, &label, || {
+            score_candidate(&context, &candidate)
+        });
+        match scored {
+            Ok(score) => {
                 cache_store(config, fingerprint, &label, &score);
                 (candidate, Evaluation::Scored { score, from_cache: false })
             }
-            Ok(Err(reason)) => (candidate, Evaluation::Quarantined(reason)),
-            Err(payload) => {
-                (candidate, Evaluation::Quarantined(aix_core::panic_message(payload)))
-            }
+            Err(reason) => (candidate, Evaluation::Quarantined(reason)),
         }
     };
 

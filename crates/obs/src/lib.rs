@@ -1,5 +1,5 @@
 //! `aix-obs` — dependency-free structured observability for the aix
-//! workspace: hierarchical spans, typed counters/gauges/histograms and a
+//! workspace: hierarchical spans, typed counters and gauges and a
 //! crash-safe JSON-lines event trace, behind a global [`Recorder`] whose
 //! default is a no-op. It also holds the workspace's one hash function,
 //! [`fnv1a`], because it is dependency-free and every crate that keys
@@ -14,9 +14,10 @@
 //!   fields only (job keys, precisions, cache verdicts). Wall-clock
 //!   enters the file solely as the `elapsed_us` field of `span_close`
 //!   events, and a recorder opened without timings removes even that,
-//!   making traces byte-comparable across runs and worker counts. Aggregates
-//!   (histograms, counter totals) stay in memory and are never serialized
-//!   into the trace.
+//!   making traces byte-comparable across runs and worker counts.
+//! * **One aggregate.** The recorder keeps events only; counter totals,
+//!   last gauge values and per-span times are summed from the events by
+//!   [`TraceSummary`], for an in-memory recorder and a trace file alike.
 //! * **Crash-safe log.** The trace file is born atomically (temp +
 //!   rename, carrying the `run_start` header) and then grows by
 //!   single-`write` appended lines, so a killed run leaves at most one
@@ -34,24 +35,23 @@
 //!     obs::count!("cache_miss", job = "adder-w8-p6-ultra");
 //! }
 //! let rec = obs::uninstall().unwrap();
-//! assert_eq!(rec.snapshot().counter("cache_miss"), 1);
 //! assert_eq!(rec.events().len(), 4); // run_start, span_open, counter, span_close
+//! let summary = obs::TraceSummary::from_events(rec.events(), true)?;
+//! assert_eq!(summary.counter("cache_miss"), 1);
+//! # Ok::<(), obs::SummaryError>(())
 //! ```
 
 mod event;
 mod json;
-mod metrics;
 pub mod names;
 mod span;
 mod summary;
 
 pub use event::{Event, EventError, EventKind, TRACE_SCHEMA};
 pub use json::{parse_object, render_object, JsonError, Value};
-pub use metrics::{Histogram, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use span::SpanGuard;
 pub use summary::{StageSummary, SummaryError, TraceSummary};
 
-use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,9 +94,6 @@ struct State {
     sink: Sink,
     path: Option<PathBuf>,
     timings: bool,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl State {
@@ -118,7 +115,8 @@ impl State {
     }
 }
 
-/// A trace recorder: the event sink plus its in-memory aggregates.
+/// A trace recorder: the event sink. [`TraceSummary`] aggregates what it
+/// recorded.
 ///
 /// Construct one, [`install`] it globally, run instrumented code, then
 /// [`uninstall`] to get it back for inspection.
@@ -137,9 +135,6 @@ impl Recorder {
             sink: Sink::Memory(Vec::new()),
             path: None,
             timings,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
         };
         emit_run_start(&mut state, label);
         Self { state }
@@ -157,9 +152,6 @@ impl Recorder {
             sink: Sink::Memory(Vec::new()),
             path: Some(path.to_owned()),
             timings,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
         };
         emit_run_start(&mut state, label);
         let Sink::Memory(header) = &state.sink else {
@@ -192,30 +184,6 @@ impl Recorder {
         match &self.state.sink {
             Sink::Memory(events) => events,
             Sink::File(_) => &[],
-        }
-    }
-
-    /// A deterministic (name-sorted) copy of the aggregates.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .state
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            gauges: self
-                .state
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            histograms: self
-                .state
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
         }
     }
 }
@@ -268,8 +236,8 @@ pub fn quiet() -> bool {
 
 fn lock() -> std::sync::MutexGuard<'static, Option<State>> {
     // A panic while holding the lock (e.g. a quarantined job mid-emit)
-    // must not take observability down with it: the state is a log plus
-    // monotonic aggregates, valid at every intermediate step.
+    // must not take observability down with it: the state is an
+    // append-only log, valid at every intermediate step.
     GLOBAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -297,11 +265,6 @@ pub(crate) fn close_span(
     recorded: Vec<(String, Value)>,
 ) {
     with_state(|state| {
-        state
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe_us(elapsed_us);
         let mut fields = vec![("open_seq".to_owned(), Value::from(open_seq))];
         fields.extend(recorded);
         if state.timings {
@@ -311,32 +274,27 @@ pub(crate) fn close_span(
     });
 }
 
-/// Increments counter `name` and emits a `counter` event. Prefer the
+/// Emits a `counter` event, adding 1 to counter `name`. Prefer the
 /// [`count!`] macro.
 pub fn counter(name: &str, fields: Vec<(String, Value)>) {
-    with_state(|state| {
-        *state.counters.entry(name.to_owned()).or_insert(0) += 1;
-        state.emit(EventKind::Counter, name, fields);
-    });
+    with_state(|state| state.emit(EventKind::Counter, name, fields));
 }
 
-/// Adds `by` to counter `name` and emits one `counter` event carrying
-/// `by` as its first field, so a pass that tallies thousands of steps
+/// Emits one `counter` event carrying `by` as its first field, adding
+/// `by` to counter `name`, so a pass that tallies thousands of steps
 /// writes one line. Prefer the [`count_by!`] macro.
 pub fn counter_by(name: &str, by: u64, fields: Vec<(String, Value)>) {
     with_state(|state| {
-        *state.counters.entry(name.to_owned()).or_insert(0) += by;
         let mut all = vec![("by".to_owned(), Value::from(by))];
         all.extend(fields);
         state.emit(EventKind::Counter, name, all);
     });
 }
 
-/// Sets gauge `name` to `value` and emits a `gauge` event. Prefer the
+/// Emits a `gauge` event setting gauge `name` to `value`. Prefer the
 /// [`gauge!`] macro.
 pub fn gauge(name: &str, value: f64, fields: Vec<(String, Value)>) {
     with_state(|state| {
-        state.gauges.insert(name.to_owned(), value);
         let mut all = vec![("value".to_owned(), Value::from(value))];
         all.extend(fields);
         state.emit(EventKind::Gauge, name, all);
@@ -352,20 +310,6 @@ pub fn quarantine(name: &str, fields: Vec<(String, Value)>) {
 /// Emits a free-form `message` event. Prefer the [`event!`] macro.
 pub fn message(name: &str, fields: Vec<(String, Value)>) {
     with_state(|state| state.emit(EventKind::Message, name, fields));
-}
-
-/// A point-in-time copy of the global recorder's aggregates, if one is
-/// installed.
-pub fn snapshot() -> Option<MetricsSnapshot> {
-    with_state(|state| MetricsSnapshot {
-        counters: state.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        gauges: state.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        histograms: state
-            .histograms
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect(),
-    })
 }
 
 /// Opens a hierarchical span; returns a [`SpanGuard`] that closes it when
@@ -547,10 +491,12 @@ mod tests {
         let synth_open = rec.events()[2].seq;
         assert_eq!(rec.events()[4].int_field("open_seq"), Some(synth_open as i64));
         assert!(rec.events()[4].field("elapsed_us").is_some());
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter("cache_hit"), 1);
-        assert_eq!(snap.counter("cache_miss"), 1);
-        assert_eq!(snap.histogram("synth").unwrap().count(), 1);
+        let summary = TraceSummary::from_events(rec.events(), true).unwrap();
+        assert_eq!(summary.counter("cache_hit"), 1);
+        assert_eq!(summary.counter("cache_miss"), 1);
+        let synth = summary.stages.iter().find(|s| s.name == "synth").unwrap();
+        assert_eq!((synth.spans, synth.unclosed), (1, 0));
+        assert!(synth.total_us.is_some(), "timings on: the close has its time");
     }
 
     #[test]
@@ -621,12 +567,13 @@ mod tests {
         count_by!("moves", 5usize, pass = "sizing");
         count_by!("moves", 2u64);
         let rec = uninstall().unwrap();
-        assert_eq!(rec.snapshot().counter("moves"), 7);
         assert_eq!(rec.events().len(), 3, "one event per call");
         assert_eq!(rec.events()[1].int_field("by"), Some(5));
         assert_eq!(rec.events()[1].str_field("pass"), Some("sizing"));
         let summary = TraceSummary::from_events(rec.events(), true).unwrap();
         assert_eq!(summary.counters, vec![("moves".to_owned(), 7)]);
+        assert_eq!(summary.counter("moves"), 7);
+        assert_eq!(summary.counter("missing"), 0);
     }
 
     #[test]
@@ -656,8 +603,8 @@ mod tests {
         gauge!("jobs_planned", 24.0f64);
         gauge!("jobs_planned", 8.0f64, stage = "resume");
         let rec = uninstall().unwrap();
-        let snap = rec.snapshot();
-        assert_eq!(snap.gauges, vec![("jobs_planned".to_owned(), 8.0)]);
+        let summary = TraceSummary::from_events(rec.events(), true).unwrap();
+        assert_eq!(summary.gauges, vec![("jobs_planned".to_owned(), 8.0)]);
         assert_eq!(rec.events()[2].str_field("stage"), Some("resume"));
     }
 

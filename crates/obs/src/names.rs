@@ -8,8 +8,8 @@
 //! quarantine a producer records takes its name from this module.
 
 /// Characterization-engine events (`aix-core`): one span per campaign and
-/// per stage, one per synthesis or STA job, and counters that mirror the
-/// campaign's `EngineReport`.
+/// per stage, one per job's synthesis and per STA pass, and counters that
+/// mirror the campaign's `EngineReport`.
 pub mod core {
     /// Span over one whole characterization campaign.
     pub const SPAN_CAMPAIGN: &str = "campaign";
@@ -24,15 +24,12 @@ pub mod core {
     pub const CACHE_MISS: &str = "cache_miss";
     /// Gauge: synthesis jobs planned for the campaign.
     pub const SYNTH_PLANNED: &str = "synth_planned";
-    /// Span over the synthesis stage: the worker pool over every planned
-    /// job that missed.
-    pub const SPAN_SYNTH_STAGE: &str = "synth_stage";
-    /// Span over one synthesis job.
+    /// Span over the jobs stage: the worker pool over every planned job
+    /// that missed, each synthesized and then timed at every scenario.
+    pub const SPAN_JOBS: &str = "jobs";
+    /// Span over one job's synthesis.
     pub const SPAN_SYNTH: &str = "synth";
-    /// Span over the STA stage: the worker pool over every
-    /// (job, scenario) pair that needs aged delays.
-    pub const SPAN_STA_STAGE: &str = "sta_stage";
-    /// Span over one STA job.
+    /// Span over one job's STA pass at one scenario.
     pub const SPAN_STA: &str = "sta";
     /// Span over merging job results into characterizations and writing
     /// the cache back.

@@ -256,6 +256,14 @@ impl TraceSummary {
         })
     }
 
+    /// The total of counter `name`, or 0 when the trace has none.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find_map(|(n, total)| (n == name).then_some(*total))
+            .unwrap_or(0)
+    }
+
     /// The per-stage latency/counter table, human-readable.
     pub fn render_table(&self) -> String {
         let mut out = String::new();

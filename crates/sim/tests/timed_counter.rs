@@ -9,7 +9,7 @@
 
 use aix_arith::{build_multiplier, ComponentSpec, MultiplierKind};
 use aix_cells::Library;
-use aix_obs::{names, EventKind, Recorder};
+use aix_obs::{names, EventKind, Recorder, TraceSummary};
 use aix_sim::{measure_errors, OperandSource, TimedStreams, UniformOperands, LANES};
 use aix_sta::{analyze, NetDelays};
 use std::sync::Arc;
@@ -75,9 +75,9 @@ fn one_counter_event_per_measurement_with_its_work() {
     assert_eq!(ops[0].str_field("consumer"), Some("measure_errors"));
     assert_eq!(ops[0].int_field("by"), Some(live_pairs * batches));
 
-    let snapshot = recorder.snapshot();
+    let summary = TraceSummary::from_events(recorder.events(), true).unwrap();
     assert_eq!(
-        snapshot.counter(names::sim::TIMED_PROGRAM_OPS),
+        summary.counter(names::sim::TIMED_PROGRAM_OPS),
         (live_pairs * batches) as u64
     );
 
@@ -87,10 +87,10 @@ fn one_counter_event_per_measurement_with_its_work() {
     aix_obs::install(Recorder::in_memory("timed-counter-blocks", false));
     measure_errors(&netlist, &delays, clock, vectors).unwrap();
     let recorder = aix_obs::uninstall().expect("recorder installed above");
-    let snapshot = recorder.snapshot();
-    assert_eq!(snapshot.counter(names::sim::PACKED_WORDS), 64);
+    let summary = TraceSummary::from_events(recorder.events(), true).unwrap();
+    assert_eq!(summary.counter(names::sim::PACKED_WORDS), 64);
     assert_eq!(
-        snapshot.counter(names::sim::TIMED_PROGRAM_OPS),
+        summary.counter(names::sim::TIMED_PROGRAM_OPS),
         live_pairs as u64 * 64
     );
 

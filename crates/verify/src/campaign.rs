@@ -11,14 +11,17 @@
 
 use crate::perturb::{entry_rng, Perturbation};
 use aix_aging::{AgingModel, AgingScenario};
+use aix_arith::ComponentSpec;
 use aix_cells::Library;
 use aix_core::{
-    AixError, ApproxLibrary, CharacterizationScenario, ComponentCharacterization,
-    ComponentKind, NetlistCache,
+    AixError, ApproxLibrary, CharacterizationScenario, ComponentCharacterization, ComponentKind,
 };
+use aix_netlist::Netlist;
 use aix_obs::names::verify as names;
 use aix_sim::{measure_errors, OperandSource, SignedNormalOperands};
 use aix_sta::{analyze, NetDelays};
+use aix_synth::Effort;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -243,7 +246,7 @@ impl CampaignReport {
 ///
 /// Propagates STA failures.
 pub fn measure_margins(
-    netlist: &aix_netlist::Netlist,
+    netlist: &Netlist,
     model: &AgingModel,
     scenario: AgingScenario,
     constraint_ps: f64,
@@ -269,7 +272,7 @@ pub fn measure_margins(
 ///
 /// Propagates simulator errors.
 fn simulate_violation(
-    netlist: &aix_netlist::Netlist,
+    netlist: &Netlist,
     delays: &NetDelays,
     constraint_ps: f64,
     width: usize,
@@ -286,45 +289,52 @@ fn simulate_violation(
     Ok(stats.error_rate())
 }
 
-/// Verifies the deployment point of one characterization under one
-/// scenario: re-synthesizes at the library's chosen precision, re-derives
-/// the constraint, and samples margins.
-///
-/// # Errors
-///
-/// Propagates synthesis and STA failures.
-pub fn verify_deployment(
-    cells: &Arc<Library>,
-    model: &AgingModel,
-    characterization: &ComponentCharacterization,
-    scenario: CharacterizationScenario,
-    config: &VerifyConfig,
-) -> Result<EntryVerdict, AixError> {
-    verify_deployment_cached(
-        cells,
-        model,
-        characterization,
-        scenario,
-        config,
-        &NetlistCache::new(),
-    )
+/// Memoization of synthesized netlists over one verification campaign,
+/// keyed by `(kind, width, precision, effort)`: each component's
+/// full-width constraint netlist in particular is synthesized once and
+/// shared by every scenario of its characterization.
+#[derive(Debug, Default)]
+struct NetlistCache {
+    netlists: HashMap<(ComponentKind, usize, usize, Effort), Netlist>,
 }
 
-/// [`verify_deployment`] with an explicit netlist cache, so a whole
-/// campaign synthesizes each `(kind, width, precision)` netlist once — the
-/// full-width constraint netlist in particular is shared by every scenario
-/// of a characterization instead of being rebuilt per scenario.
+impl NetlistCache {
+    /// Synthesizes `(kind, width, precision)` at `effort`, or returns the
+    /// memoized netlist.
+    fn synthesize(
+        &mut self,
+        cells: &Arc<Library>,
+        kind: ComponentKind,
+        width: usize,
+        precision: usize,
+        effort: Effort,
+    ) -> Result<&Netlist, AixError> {
+        use std::collections::hash_map::Entry;
+        match self.netlists.entry((kind, width, precision, effort)) {
+            Entry::Occupied(hit) => Ok(hit.into_mut()),
+            Entry::Vacant(slot) => {
+                let spec = ComponentSpec::new(width, precision)?;
+                Ok(slot.insert(kind.synthesize(cells, spec, effort)?))
+            }
+        }
+    }
+}
+
+/// Verifies the deployment point of one characterization under one
+/// scenario: re-synthesizes at the library's chosen precision (through
+/// the campaign's `netlists`), re-derives the constraint, and samples
+/// margins.
 ///
 /// # Errors
 ///
 /// Propagates synthesis and STA failures.
-pub fn verify_deployment_cached(
+fn verify_deployment(
     cells: &Arc<Library>,
     model: &AgingModel,
     characterization: &ComponentCharacterization,
     scenario: CharacterizationScenario,
     config: &VerifyConfig,
-    netlists: &NetlistCache,
+    netlists: &mut NetlistCache,
 ) -> Result<EntryVerdict, AixError> {
     let kind = characterization.kind();
     let width = characterization.width();
@@ -334,7 +344,7 @@ pub fn verify_deployment_cached(
     // Re-derive the constraint from scratch — never trust the library's
     // own fresh anchor.
     let full = netlists.synthesize(cells, kind, width, width, effort)?;
-    let constraint_ps = analyze(&full, &NetDelays::fresh(&full))?.max_delay_ps();
+    let constraint_ps = analyze(full, &NetDelays::fresh(full))?.max_delay_ps();
 
     let Some(precision) = characterization.required_precision(scenario) else {
         return Ok(EntryVerdict {
@@ -378,8 +388,7 @@ pub fn verify_deployment_cached(
 
     let netlist = netlists.synthesize(cells, kind, width, precision, effort)?;
     let label = format!("{kind}-{width}-K{precision}@{scenario_label}");
-    let (nominal, margins) =
-        measure_margins(&netlist, model, aging, constraint_ps, config, &label)?;
+    let (nominal, margins) = measure_margins(netlist, model, aging, constraint_ps, config, &label)?;
     let stats = MarginStats::from_margins(&margins, config.margin_target_ps);
     let passed = stats.first_failure.is_none();
 
@@ -387,18 +396,18 @@ pub fn verify_deployment_cached(
     // the outputs: re-draw the samples and clock the worst one through the
     // timed simulator.
     let violation_error_rate = if !passed && config.sim_vectors > 0 {
-        let base = NetDelays::aged(&netlist, model, aging);
+        let base = NetDelays::aged(netlist, model, aging);
         let mut rng = entry_rng(config.seed, &label);
         let mut worst: Option<(f64, NetDelays)> = None;
         for margin in &margins {
-            let perturbed = config.perturbation.perturb(&mut rng, &netlist, &base);
+            let perturbed = config.perturbation.perturb(&mut rng, netlist, &base);
             if worst.as_ref().is_none_or(|(m, _)| margin < m) {
                 worst = Some((*margin, perturbed));
             }
         }
         let (_, delays) = worst.expect("at least one sample");
         Some(simulate_violation(
-            &netlist,
+            netlist,
             &delays,
             constraint_ps,
             width,
@@ -444,7 +453,7 @@ pub fn verify_library(
     // One netlist cache for the whole campaign: every (kind, width,
     // precision) — notably each component's full-width constraint netlist —
     // is synthesized once, however many scenarios reference it.
-    let netlists = NetlistCache::new();
+    let mut netlists = NetlistCache::default();
     let campaign_span = aix_obs::span!(names::SPAN_CAMPAIGN, components = library.iter().count());
     let worklist = library
         .iter()
@@ -458,13 +467,13 @@ pub fn verify_library(
         );
         let entry_span = aix_obs::span!(names::SPAN_ENTRY, entry = &entry_site);
         let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            verify_deployment_cached(
+            verify_deployment(
                 cells,
                 model,
                 characterization,
                 scenario,
                 config,
-                &netlists,
+                &mut netlists,
             )
         }))
         .map_err(|payload| AixError::JobFailed {
@@ -522,6 +531,24 @@ mod tests {
 
     fn cells() -> Arc<Library> {
         Arc::new(Library::nangate45_like())
+    }
+
+    #[test]
+    fn netlist_cache_memoizes() {
+        let cells = cells();
+        let mut cache = NetlistCache::default();
+        let first: *const Netlist = cache
+            .synthesize(&cells, ComponentKind::Adder, 8, 8, Effort::Medium)
+            .unwrap();
+        let second: *const Netlist = cache
+            .synthesize(&cells, ComponentKind::Adder, 8, 8, Effort::Medium)
+            .unwrap();
+        assert_eq!(first, second, "second lookup is memoized");
+        assert_eq!(cache.netlists.len(), 1);
+        cache
+            .synthesize(&cells, ComponentKind::Adder, 8, 6, Effort::Medium)
+            .unwrap();
+        assert_eq!(cache.netlists.len(), 2);
     }
 
     fn quick_library(cells: &Arc<Library>) -> ApproxLibrary {

@@ -54,7 +54,7 @@ pub mod perturb;
 pub mod policy;
 
 pub use campaign::{
-    measure_margins, verify_deployment, verify_deployment_cached, verify_library,
+    measure_margins, verify_library,
     CampaignReport, EntryVerdict, MarginStats, VerdictKind, VerifyConfig,
 };
 pub use inject::{

@@ -182,8 +182,8 @@ commands:
                                   aging-induced approximation library row;
                                   runs on N workers (0 = auto, also AIX_JOBS)
                                   over the persistent cache (default out/cache,
-                                  also AIX_CACHE; per-stage timings appended to
-                                  out/BENCH_characterize.json). Failed jobs are
+                                  also AIX_CACHE; wall time and counters appended
+                                  to out/BENCH_characterize.json). Failed jobs are
                                   quarantined and reported; finished jobs are
                                   cached, so a rerun redoes only the failures.
                                   Exit code: 0 complete, 2 partial, 1 empty.

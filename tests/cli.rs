@@ -167,6 +167,40 @@ fn explore_quarantines_injected_faults_and_exits_partial() {
 }
 
 #[test]
+fn contained_panics_are_reported_once_without_a_panic_message() {
+    // A panic the job guard contains is reported as its job's failure
+    // only: it never reaches the panic hook, whose `panicked at` message
+    // (and backtrace) would repeat it.
+    let output = aix()
+        .args(["characterize", "--kind", "adder", "--width", "8", "--quiet"])
+        .args(["--fault", "panic:p=0.4,seed=7,stage=synth"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("spawn aix");
+    assert_eq!(output.status.code(), Some(2), "a partial campaign exits 2");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("job FAILED"), "stderr: {stderr}");
+    assert_eq!(stderr.matches("campaign PARTIAL").count(), 1, "stderr: {stderr}");
+    assert!(
+        stderr
+            .lines()
+            .all(|line| line.contains("job FAILED") || line.contains("campaign PARTIAL")),
+        "--quiet prints only the failure report: {stderr}"
+    );
+
+    let output = aix()
+        .args(["explore", "--kind", "adder", "--width", "8", "--budget", "24"])
+        .args(["--vectors", "256", "--no-cache", "--fault", "panic:p=0.3,seed=9,stage=synth"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("spawn aix");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("QUARANTINED"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked at"), "stderr: {stderr}");
+}
+
+#[test]
 fn explore_honors_a_deadline_mid_search() {
     // Every evaluation sleeps 100 ms first, one at a time, so half a second
     // scores at most five of the 21 generation-zero seeds however fast the
