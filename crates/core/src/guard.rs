@@ -4,9 +4,12 @@
 //! writeback, and every explored candidate runs through [`run_guarded`]
 //! so that one misbehaving job — a panic or an error — is converted into a
 //! per-job failure reason instead of taking the whole process (or, through
-//! mutex poisoning, every sibling worker) down. A contained panic is
-//! reported once, as that reason: it never reaches the panic hook, so it
-//! prints no `panicked at` message of its own.
+//! mutex poisoning, every sibling worker) down. Callers that report a
+//! panic apart from their job's errors (each file of `aix import`, each
+//! entry of a verification campaign) use the primitive beneath it,
+//! [`contain_panic`]. A contained panic is reported once, by its caller:
+//! it never reaches the panic hook, so it prints no `panicked at` message
+//! of its own.
 
 use crate::AixError;
 use aix_faults::{FaultPlan, FaultStage};
@@ -16,12 +19,12 @@ use std::sync::Once;
 
 thread_local! {
     /// Whether this thread is running guarded work, whose panics
-    /// [`run_guarded`] reports as failure reasons.
+    /// [`contain_panic`] hands back to its caller.
     static GUARDED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Installs, once per process, a panic hook that stays silent for panics
-/// raised inside [`run_guarded`] and hands every other panic to the hook
+/// raised inside [`contain_panic`] and hands every other panic to the hook
 /// it replaced, so uncontained panics still print.
 fn silence_contained_panics() {
     static INSTALL: Once = Once::new();
@@ -37,7 +40,7 @@ fn silence_contained_panics() {
 
 /// Renders a caught panic payload (`&str` or `String`, the payloads
 /// `panic!` produces) as a message for failure reports.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -45,6 +48,20 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
+}
+
+/// Runs `work` with this thread marked guarded, so a panic it raises
+/// prints nothing, and catches that panic: it comes back as its message.
+///
+/// # Errors
+///
+/// Returns the panic's message if `work` panics.
+pub fn contain_panic<T>(work: impl FnOnce() -> T) -> Result<T, String> {
+    silence_contained_panics();
+    let outer = GUARDED.with(|guarded| guarded.replace(true));
+    let outcome = catch_unwind(AssertUnwindSafe(work));
+    GUARDED.with(|guarded| guarded.set(outer));
+    outcome.map_err(panic_message)
 }
 
 /// Runs one job once, after evaluating `faults` at `(stage, site)`. The
@@ -56,19 +73,16 @@ pub fn run_guarded<T>(
     site: &str,
     work: impl FnOnce() -> Result<T, AixError>,
 ) -> Result<T, String> {
-    silence_contained_panics();
-    let outer = GUARDED.with(|guarded| guarded.replace(true));
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let outcome = contain_panic(|| {
         if let Some(plan) = faults {
             plan.check(stage, site)
                 .map_err(|e| AixError::io(format!("{stage} site `{site}`"), e))?;
         }
         work()
-    }));
-    GUARDED.with(|guarded| guarded.set(outer));
+    });
     match outcome {
         Ok(result) => result.map_err(|error| error.to_string()),
-        Err(payload) => Err(format!("panicked: {}", panic_message(payload))),
+        Err(message) => Err(format!("panicked: {message}")),
     }
 }
 

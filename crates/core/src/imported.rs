@@ -25,6 +25,7 @@ use crate::error::AixError;
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_netlist::{import_netlist, GateSink, ImportFormat, NetDriver, NetId, Netlist};
+use aix_sim::reference_outputs;
 use aix_sta::{analyze, NetDelays};
 use aix_synth::Planner;
 use std::fmt::Write as _;
@@ -206,24 +207,19 @@ fn stimuli(inputs: usize, vectors: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Functional (zero-delay) error of `variant` against `original` on shared
-/// stimuli: erroneous-vector fraction plus magnitude statistics, weighting
+/// Functional (zero-delay) error of a variant's outputs `approx` against
+/// the original's `golden`, both per shared stimulus vector in stimulus
+/// order: erroneous-vector fraction plus magnitude statistics, weighting
 /// output bit `i` by `2^i` (saturated beyond 63 outputs).
-fn functional_error(
-    original: &Netlist,
-    variant: &Netlist,
-    vectors: &[Vec<bool>],
-) -> Result<(f64, f64, f64), AixError> {
+fn functional_error(golden: &[Vec<bool>], approx: &[Vec<bool>]) -> (f64, f64, f64) {
     let mut erroneous = 0usize;
     let mut sum_abs = 0.0f64;
     let mut max_abs = 0.0f64;
-    for vector in vectors {
-        let golden = original.eval(vector).map_err(AixError::Netlist)?;
-        let approx = variant.eval(vector).map_err(AixError::Netlist)?;
+    for (golden, approx) in golden.iter().zip(approx) {
         if golden != approx {
             erroneous += 1;
             let mut diff = 0.0f64;
-            for (bit, (g, a)) in golden.iter().zip(&approx).enumerate() {
+            for (bit, (g, a)) in golden.iter().zip(approx).enumerate() {
                 if g != a {
                     diff += 2.0f64.powi(bit.min(63) as i32);
                 }
@@ -232,12 +228,8 @@ fn functional_error(
             max_abs = max_abs.max(diff);
         }
     }
-    let count = vectors.len().max(1) as f64;
-    Ok((
-        100.0 * erroneous as f64 / count,
-        sum_abs / count,
-        max_abs,
-    ))
+    let count = golden.len().max(1) as f64;
+    (100.0 * erroneous as f64 / count, sum_abs / count, max_abs)
 }
 
 /// Parameters of the imported-design pipeline.
@@ -411,6 +403,7 @@ pub fn characterize_imported(
         .map_err(AixError::Netlist)?
         .max_delay_ps();
     let vectors = stimuli(netlist.inputs().len(), config.vectors, config.seed);
+    let golden = reference_outputs(netlist, &vectors).map_err(AixError::Netlist)?;
 
     let mut variants = Vec::with_capacity(max_cut as usize + 1);
     for cut in 0..=max_cut {
@@ -419,8 +412,8 @@ pub fn characterize_imported(
         let aged_ps = analyze(&variant, &aged)
             .map_err(AixError::Netlist)?
             .max_delay_ps();
-        let (error_percent, mean_abs_error, max_abs_error) =
-            functional_error(netlist, &variant, &vectors)?;
+        let approx = reference_outputs(&variant, &vectors).map_err(AixError::Netlist)?;
+        let (error_percent, mean_abs_error, max_abs_error) = functional_error(&golden, &approx);
         variants.push(ImportedVariant {
             cut,
             gates: variant.gate_count(),
@@ -608,6 +601,62 @@ mod tests {
         }
         let rendered = report.render();
         assert!(rendered.contains("Eq. 2"), "{rendered}");
+    }
+
+    /// The packed error columns equal, bit for bit, the same statistics
+    /// summed vector by vector over scalar `Netlist::eval` outputs.
+    #[test]
+    fn error_columns_match_a_scalar_recomputation() {
+        let cells = lib();
+        let rca8 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/rca8.v");
+        let designs = [
+            load_imported(rca8, &cells).unwrap(),
+            build_adder(&cells, AdderKind::KoggeStone, ComponentSpec::full(8)).unwrap(),
+        ];
+        let config = ImportedConfig::default();
+        for netlist in &designs {
+            let report =
+                characterize_imported(netlist, &AgingModel::calibrated(), &config).unwrap();
+            assert!(report.variants.len() > 1, "{}", netlist.name());
+            let vectors = stimuli(netlist.inputs().len(), config.vectors, config.seed);
+            for variant in &report.variants {
+                let truncated = truncate_imported(netlist, variant.cut).unwrap();
+                let (mut erroneous, mut sum_abs, mut max_abs) = (0usize, 0.0f64, 0.0f64);
+                for vector in &vectors {
+                    let golden = netlist.eval(vector).unwrap();
+                    let approx = truncated.eval(vector).unwrap();
+                    if golden != approx {
+                        erroneous += 1;
+                        let mut diff = 0.0f64;
+                        for (bit, (g, a)) in golden.iter().zip(&approx).enumerate() {
+                            if g != a {
+                                diff += 2.0f64.powi(bit.min(63) as i32);
+                            }
+                        }
+                        sum_abs += diff;
+                        max_abs = max_abs.max(diff);
+                    }
+                }
+                let count = vectors.len() as f64;
+                let label = format!("{} cut {}", netlist.name(), variant.cut);
+                assert_eq!(
+                    variant.error_percent.to_bits(),
+                    (100.0 * erroneous as f64 / count).to_bits(),
+                    "{label}"
+                );
+                assert_eq!(
+                    variant.mean_abs_error.to_bits(),
+                    (sum_abs / count).to_bits(),
+                    "{label}"
+                );
+                assert_eq!(
+                    variant.max_abs_error.to_bits(),
+                    max_abs.to_bits(),
+                    "{label}"
+                );
+            }
+            assert!(report.variants.iter().any(|v| v.mean_abs_error > 0.0));
+        }
     }
 
     #[test]

@@ -47,7 +47,6 @@ mod actual;
 mod characterize;
 mod component;
 mod engine;
-mod cancel;
 mod error;
 pub mod fsutil;
 mod guard;
@@ -60,7 +59,6 @@ mod savings;
 mod schedule;
 
 pub use actual::{actual_case_delays, idct_operand_trace, ActualCaseStress, StimulusKind};
-pub use cancel::CancelToken;
 pub use characterize::{
     characterize_component, CharacterizationConfig, CharacterizationEntry,
     CharacterizationScenario, ComponentCharacterization,
@@ -71,7 +69,7 @@ pub use engine::{
     CharacterizationEngine, EngineOptions, EngineReport, JobFailure,
 };
 pub use error::AixError;
-pub use guard::{panic_message, run_guarded};
+pub use guard::{contain_panic, run_guarded};
 pub use idct::{idct_design, IDCT_BLOCK_NAMES};
 pub use imported::{
     characterize_imported, input_buses, load_imported, truncate_imported, verify_imported,

@@ -24,8 +24,8 @@
 //! cache keyed by the candidate fingerprint, so reports are byte-identical
 //! for any `--jobs` count and for cold vs warm caches. Candidate failures
 //! (including injected `AIX_FAULT` panics) are quarantined per candidate
-//! and the search reports a partial front; a [`aix_core::CancelToken`]
-//! deadline stops the search between evaluations.
+//! and the search reports a partial front; a deadline
+//! ([`ExploreConfig::deadline`]) stops the search between evaluations.
 
 mod candidate;
 mod pareto;

@@ -16,7 +16,7 @@ use crate::score::{score_candidate, ScoreContext};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::fsutil::write_atomic;
-use aix_core::{parallel_map, run_guarded, AixError, CampaignStatus, CancelToken, ComponentKind};
+use aix_core::{parallel_map, run_guarded, AixError, CampaignStatus, ComponentKind};
 use aix_faults::{FaultPlan, FaultStage};
 use aix_obs::{fnv1a, parse_object, render_object, Value, FNV_OFFSET};
 use aix_sta::{analyze, NetDelays};
@@ -24,6 +24,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Search configuration. Everything that influences the outcome is in here
 /// (plus the library), so equal configs produce byte-identical fronts.
@@ -48,8 +49,9 @@ pub struct ExploreConfig {
     /// Fault-injection plan consulted per candidate evaluation and at
     /// every score-cache write.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Cooperative cancellation, checked between and inside evaluations.
-    pub cancel: Option<CancelToken>,
+    /// Wall-clock deadline, checked between and inside evaluations:
+    /// candidates not yet started once it passes are skipped.
+    pub deadline: Option<Instant>,
 }
 
 impl ExploreConfig {
@@ -66,7 +68,7 @@ impl ExploreConfig {
             jobs: 1,
             cache_dir: None,
             faults: None,
-            cancel: None,
+            deadline: None,
         }
     }
 }
@@ -338,7 +340,7 @@ pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<Explore
     let mut cancelled = false;
 
     let evaluate = |candidate: Candidate| -> (Candidate, Evaluation) {
-        if config.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        if config.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
             return (candidate, Evaluation::Skipped);
         }
         let label = candidate.label();
@@ -364,7 +366,7 @@ pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<Explore
         if scored >= config.budget {
             break;
         }
-        if config.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        if config.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
             cancelled = true;
             break;
         }
@@ -608,9 +610,7 @@ mod tests {
     #[test]
     fn pre_cancelled_token_yields_empty_outcome() {
         let mut config = small_config(ComponentKind::Adder, 8);
-        let token = CancelToken::new();
-        token.cancel();
-        config.cancel = Some(token);
+        config.deadline = Some(Instant::now());
         let outcome = explore(&library(), &config).unwrap();
         assert!(outcome.front.is_empty());
         assert!(outcome.cancelled);
@@ -621,21 +621,15 @@ mod tests {
     #[test]
     fn mid_search_cancellation_reports_partial_front() {
         // Each evaluation sleeps 50 ms, so the 24 generation-zero seeds
-        // alone outlast the 200 ms canceller however fast scoring is.
+        // alone outlast the 200 ms deadline however fast scoring is.
         let mut config = small_config(ComponentKind::Multiplier, 8);
         config.budget = 500;
         config.faults = Some(Arc::new(
             "delay:p=1,ms=50,stage=synth".parse::<FaultPlan>().unwrap(),
         ));
-        let token = CancelToken::new();
-        config.cancel = Some(token.clone());
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(200));
-            token.cancel();
-        });
+        config.deadline = Some(Instant::now() + std::time::Duration::from_millis(200));
         let outcome = explore(&library(), &config).unwrap();
-        canceller.join().unwrap();
-        assert!(outcome.cancelled, "token must cut the search short");
+        assert!(outcome.cancelled, "the deadline must cut the search short");
         assert_ne!(outcome.status(), CampaignStatus::Complete);
     }
 

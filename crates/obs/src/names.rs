@@ -63,8 +63,7 @@ pub mod verify {
 /// lane words.
 pub mod sim {
     /// Span over one packed *value-mode* (zero-delay) measurement; its
-    /// `consumer` field names the caller (`activity_collect`,
-    /// `simulate_faults`).
+    /// `consumer` field names the caller (`activity_collect`).
     pub const SPAN_PACKED: &str = "sim_packed";
     /// Span over one `Activity::collect` call: zero-delay switching
     /// activity of a stimulus stream.

@@ -1,6 +1,6 @@
 //! Shared golden-reference helpers.
 //!
-//! Every error/fault measurement in this crate compares a circuit response
+//! Every error measurement in this crate compares a circuit response
 //! against a *golden* functional reference — the settled zero-delay
 //! outputs, numerically interpreted as one unsigned word where that makes
 //! sense. Centralizing it here means the packed engines and the scalar
@@ -61,7 +61,7 @@ pub fn golden_lane_words(words: &[u64]) -> [u64; LANES] {
     matrix
 }
 
-/// Fault-free functional reference responses for a stimulus set, from
+/// Functional reference responses for a stimulus set, from
 /// the bit-parallel evaluator. They equal the scalar reference
 /// `oracle::reference_outputs` of the tests vector for vector (both
 /// implement the same zero-delay semantics).

@@ -19,7 +19,7 @@
 //! [`Activity`] counts over; [`TimedStreams`] (the gate-level IDCT of
 //! Fig. 2) runs it over up to 64 independent streams, one per lane. The
 //! other consumers are [`Activity`] / [`stress_pairs`] (Fig. 5 and
-//! actual-case STA) and [`simulate_faults`].
+//! actual-case STA).
 //!
 //! The reference implementations the differential suites compare the
 //! packed engines against — the scalar event-driven `TimedSimulator` and
@@ -57,7 +57,6 @@
 
 mod activity;
 mod errors;
-mod faults;
 mod golden;
 #[cfg(any(test, feature = "oracle"))]
 pub mod oracle;
@@ -70,7 +69,6 @@ mod timed_program;
 
 pub use activity::{stress_histogram, stress_pairs, Activity, StressHistogram};
 pub use errors::{measure_errors, ErrorStats};
-pub use faults::{full_fault_list, simulate_faults, FaultCoverage, StuckAtFault};
 pub use golden::{golden_lane_word, golden_lane_words, golden_word, reference_outputs};
 pub use packed::{lane_mask, pack_batch, PackedEvaluator, BLOCK_BATCHES, BLOCK_VECTORS, LANES};
 pub use stimuli::{

@@ -5,7 +5,6 @@
 //! production caller: the crate's public entry points
 //! ([`measure_errors`](crate::measure_errors),
 //! [`Activity::collect`](crate::Activity::collect),
-//! [`simulate_faults`](crate::simulate_faults),
 //! [`reference_outputs`](crate::reference_outputs)) run only the packed
 //! engines, and this module is built only for tests (`cfg(test)` or the
 //! `oracle` feature). These loops exist so the differential suites and
@@ -15,11 +14,10 @@
 //! every transition, and only the scalar engine records them.
 
 use crate::errors::new_stats;
-use crate::faults::{FaultCoverage, StuckAtFault};
 use crate::golden::golden_word;
 use crate::ticks::clock_ticks;
 use crate::{Activity, ErrorStats, TimedSimulator};
-use aix_netlist::{Evaluator, NetDriver, Netlist, NetlistError};
+use aix_netlist::{Evaluator, Netlist, NetlistError};
 use aix_sta::NetDelays;
 
 /// Scalar reference for [`measure_errors`](crate::measure_errors): one
@@ -139,45 +137,8 @@ where
     ))
 }
 
-/// Scalar reference for [`simulate_faults`](crate::simulate_faults):
-/// serial single-fault simulation, one vector per netlist walk.
-///
-/// # Errors
-///
-/// Propagates evaluator errors (cyclic netlist, width mismatch).
-pub fn simulate_faults(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    stimuli: &[Vec<bool>],
-) -> Result<FaultCoverage, NetlistError> {
-    let references = reference_outputs(netlist, stimuli)?;
-    let order = netlist.topological_order()?;
-    let mut detected = Vec::new();
-    let mut undetected = Vec::new();
-    for &fault in faults {
-        let mut caught = false;
-        for (vector, reference) in stimuli.iter().zip(&references) {
-            let response = eval_with_fault(netlist, &order, vector, fault);
-            if &response != reference {
-                caught = true;
-                break;
-            }
-        }
-        if caught {
-            detected.push(fault);
-        } else {
-            undetected.push(fault);
-        }
-    }
-    Ok(FaultCoverage {
-        detected,
-        undetected,
-        vectors: stimuli.len(),
-    })
-}
-
 /// Scalar reference for [`reference_outputs`](crate::reference_outputs):
-/// the fault-free zero-delay outputs of every stimulus vector.
+/// the zero-delay outputs of every stimulus vector.
 ///
 /// # Errors
 ///
@@ -190,48 +151,5 @@ pub fn reference_outputs(
     stimuli
         .iter()
         .map(|vector| Ok(evaluator.eval(vector)?.to_vec()))
-        .collect()
-}
-
-/// Evaluates one vector with the fault folded in: a serial fault
-/// simulation pass over the precomputed topological order, forcing the
-/// faulty net's value wherever it would be driven.
-fn eval_with_fault(
-    netlist: &Netlist,
-    order: &[aix_netlist::GateId],
-    vector: &[bool],
-    fault: StuckAtFault,
-) -> Vec<bool> {
-    let mut values = vec![false; netlist.net_count()];
-    for (id, net) in netlist.nets() {
-        if let NetDriver::Constant(v) = net.driver {
-            values[id.index()] = v;
-        }
-    }
-    for (&input, &value) in netlist.inputs().iter().zip(vector) {
-        values[input.index()] = value;
-    }
-    values[fault.net.index()] = fault.value;
-    let mut in_buf = [false; aix_cells::MAX_INPUTS];
-    let mut out_buf = [false; aix_cells::MAX_OUTPUTS];
-    for &gate_id in order {
-        let gate = netlist.gate(gate_id);
-        let function = netlist.library().cell(gate.cell).function;
-        for (slot, &net) in in_buf.iter_mut().zip(&gate.inputs) {
-            *slot = values[net.index()];
-        }
-        function.eval(&in_buf[..gate.inputs.len()], &mut out_buf);
-        for (pin, &net) in gate.outputs.iter().enumerate() {
-            values[net.index()] = if net == fault.net {
-                fault.value
-            } else {
-                out_buf[pin]
-            };
-        }
-    }
-    netlist
-        .outputs()
-        .iter()
-        .map(|(_, n)| values[n.index()])
         .collect()
 }

@@ -10,7 +10,7 @@
 //! ([`CellFunction::eval_rows`]). [`measure_errors`] and [`Activity`]
 //! stream their stimuli through block walks, packing each vector as it
 //! arrives, so a stream of one batch is the width-1 case of the same
-//! loop; [`simulate_faults`] walks one batch per fault at a time.
+//! loop.
 //!
 //! Timed simulation is packed too: its sampling program runs after a
 //! walk of this evaluator, on the same lane words, for
@@ -23,7 +23,6 @@
 //!
 //! [`measure_errors`]: crate::measure_errors
 //! [`Activity`]: crate::Activity
-//! [`simulate_faults`]: crate::simulate_faults
 
 use aix_cells::{CellFunction, MAX_INPUTS, MAX_OUTPUTS};
 use aix_netlist::{GateId, NetDriver, NetId, Netlist, NetlistError};
@@ -60,12 +59,6 @@ impl Op {
             inputs: std::array::from_fn(|at| pin(inputs, at)),
             outputs: std::array::from_fn(|at| pin(outputs, at)),
         }
-    }
-
-    fn drives(&self, net: usize) -> bool {
-        self.outputs[..self.function.output_count()]
-            .iter()
-            .any(|&out| out as usize == net)
     }
 }
 
@@ -110,8 +103,8 @@ pub struct PackedEvaluator<'nl> {
     /// Batch-major output words: port `p`'s word `k` is
     /// `output_words[k * outputs + p]`.
     output_words: Vec<u64>,
-    /// Constant nets and their (all-lane) words, re-asserted per walk so
-    /// a fault forced onto a tie net cannot leak into later walks.
+    /// Constant nets and their (all-lane) words, written whenever the
+    /// store is resized: no op writes a constant net.
     const_words: Vec<(NetId, u64)>,
     /// Lane words per net of the latest walk (1..=[`BLOCK_BATCHES`]).
     width: usize,
@@ -168,27 +161,6 @@ impl<'nl> PackedEvaluator<'nl> {
     ///
     /// Panics if the batch is empty or holds more than [`LANES`] vectors.
     pub fn eval_batch(&mut self, batch: &[Vec<bool>]) -> Result<(), NetlistError> {
-        self.eval_batch_forced(batch, None)
-    }
-
-    /// [`eval_batch`](Self::eval_batch) with an optional stuck-at fault:
-    /// `force = Some((net, value))` pins `net` to `value` in every lane,
-    /// overriding both its initial value and anything its driver writes —
-    /// the packed twin of the scalar fault simulator's forcing rule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InputWidthMismatch`] if any vector does not
-    /// match the number of primary inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or holds more than [`LANES`] vectors.
-    pub fn eval_batch_forced(
-        &mut self,
-        batch: &[Vec<bool>],
-        force: Option<(NetId, bool)>,
-    ) -> Result<(), NetlistError> {
         assert!(
             (1..=LANES).contains(&batch.len()),
             "batch of {} vectors (expected 1..={LANES})",
@@ -205,7 +177,7 @@ impl<'nl> PackedEvaluator<'nl> {
         for (pos, &net) in self.netlist.inputs().iter().enumerate() {
             self.words[net.index()] = pack_position(batch, pos);
         }
-        self.walk(batch.len(), force);
+        self.walk(batch.len());
         Ok(())
     }
 
@@ -242,7 +214,7 @@ impl<'nl> PackedEvaluator<'nl> {
                 self.words[net.index() * width + k] = word;
             }
         }
-        self.walk(vectors, None);
+        self.walk(vectors);
         Ok(())
     }
 
@@ -298,40 +270,27 @@ impl<'nl> PackedEvaluator<'nl> {
         Ok(())
     }
 
-    /// Sizes the word stores for `width` words per net. Every net's words
-    /// are rewritten by each walk, so stale contents never leak.
+    /// Sizes the word stores for `width` words per net and writes the
+    /// constant nets' words. Every other net's words are rewritten by each
+    /// walk, so stale contents never leak.
     fn set_width(&mut self, width: usize) {
         if self.width != width {
             self.width = width;
             self.words.resize(self.netlist.net_count() * width, 0);
             self.output_words
                 .resize(self.netlist.outputs().len() * width, 0);
+            for &(net, word) in &self.const_words {
+                self.words[net.index() * width..][..width].fill(word);
+            }
         }
     }
 
-    /// The one compiled walk behind every entry point: the input words
-    /// are already in place; constants are re-asserted, the fault (if
-    /// any) forced before the walk and again right after the only op
-    /// that writes its net, and every op evaluated once.
-    fn walk(&mut self, vectors: usize, force: Option<(NetId, bool)>) {
+    /// The one compiled walk behind every entry point: the input and
+    /// constant words are already in place, and every op is evaluated
+    /// once.
+    fn walk(&mut self, vectors: usize) {
         let width = self.width;
-        for &(net, word) in &self.const_words {
-            self.words[net.index() * width..][..width].fill(word);
-        }
-        let force = force.map(|(net, value)| (net.index(), if value { !0 } else { 0 }));
-        let split = force.map_or(0, |(net, _)| {
-            self.ops
-                .iter()
-                .position(|op| op.drives(net))
-                .map_or(0, |at| at + 1)
-        });
-        let (head, tail) = self.ops.split_at(split);
-        for ops in [head, tail] {
-            if let Some((net, word)) = force {
-                self.words[net * width..][..width].fill(word);
-            }
-            run_ops(ops, &mut self.words, width);
-        }
+        run_ops(&self.ops, &mut self.words, width);
         let ports = self.netlist.outputs().len();
         for (port, (_, net)) in self.netlist.outputs().iter().enumerate() {
             for (k, &word) in row(&self.words, net.index(), width).iter().enumerate() {
@@ -546,39 +505,6 @@ mod tests {
                     "{lanes}-vector walk, vector {lane}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn forced_net_matches_stuck_at_semantics() {
-        let lib = lib();
-        let nl = mixed_netlist(&lib);
-        let mut packed = PackedEvaluator::new(&nl).unwrap();
-        // Force the NAND output low: y0 becomes 0 XOR c = c.
-        let nand_out = nl.gate(GateId::from_raw(0)).outputs[0];
-        let batch: Vec<Vec<bool>> = (0u8..8)
-            .map(|bits| vec![bits & 1 != 0, bits & 2 != 0, bits & 4 != 0])
-            .collect();
-        packed.eval_batch_forced(&batch, Some((nand_out, false))).unwrap();
-        for (lane, vector) in batch.iter().enumerate() {
-            assert_eq!(packed.output_lane_values(lane)[0], vector[2], "lane {lane}");
-        }
-        // A fault on a constant net must not leak into the next clean batch.
-        let tie1 = nl
-            .nets()
-            .find_map(|(id, net)| {
-                matches!(net.driver, NetDriver::Constant(true)).then_some(id)
-            })
-            .unwrap();
-        packed.eval_batch_forced(&batch, Some((tie1, false))).unwrap();
-        for lane in 0..batch.len() {
-            assert!(!packed.output_lane_values(lane)[1], "faulted tie1 kills y1");
-        }
-        packed.eval_batch(&batch).unwrap();
-        let mut scalar = Evaluator::new(&nl).unwrap();
-        for (lane, vector) in batch.iter().enumerate() {
-            let expect = scalar.eval(vector).unwrap().to_vec();
-            assert_eq!(packed.output_lane_values(lane), expect, "clean lane {lane}");
         }
     }
 

@@ -9,8 +9,8 @@
 use aix_cells::{CellFunction, DriveStrength, Library};
 use aix_netlist::{import_verilog, Evaluator, NetId, Netlist};
 use aix_sim::{
-    lane_mask, measure_errors, oracle, pack_batch, simulate_faults, Activity, PackedEvaluator,
-    StuckAtFault, BLOCK_BATCHES, BLOCK_VECTORS, LANES,
+    lane_mask, measure_errors, oracle, pack_batch, Activity, PackedEvaluator, BLOCK_BATCHES,
+    BLOCK_VECTORS, LANES,
 };
 use aix_sta::NetDelays;
 use proptest::prelude::*;
@@ -124,8 +124,7 @@ fn block_vectors_strategy() -> impl Strategy<Value = usize> {
 
 /// Checks every lane of block walks over `stimuli` against the scalar
 /// evaluator and every net's words of each block against one-batch
-/// walks, then the forced one-batch walks behind fault simulation against
-/// the scalar fault simulator, every net stuck at 0 and at 1.
+/// walks.
 fn check_block_walks(netlist: &Netlist, stimuli: &[Vec<bool>]) -> Result<(), TestCaseError> {
     let mut scalar = Evaluator::new(netlist).unwrap();
     let mut block = PackedEvaluator::new(netlist).unwrap();
@@ -158,14 +157,6 @@ fn check_block_walks(netlist: &Netlist, stimuli: &[Vec<bool>]) -> Result<(), Tes
             }
         }
     }
-    let faults: Vec<StuckAtFault> = netlist
-        .nets()
-        .flat_map(|(net, _)| [false, true].map(|value| StuckAtFault { net, value }))
-        .collect();
-    prop_assert_eq!(
-        simulate_faults(netlist, &faults, stimuli).unwrap(),
-        oracle::simulate_faults(netlist, &faults, stimuli).unwrap()
-    );
     Ok(())
 }
 
@@ -173,8 +164,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Block walks equal the scalar evaluator lane for lane and one-batch
-    /// walks word for word, and forced walks detect what the scalar
-    /// fault simulator detects.
+    /// walks word for word.
     #[test]
     fn block_walks_equal_scalar_eval_and_batch_walks(
         recipe in recipe_strategy(),

@@ -466,7 +466,7 @@ pub fn verify_library(
             characterization.width()
         );
         let entry_span = aix_obs::span!(names::SPAN_ENTRY, entry = &entry_site);
-        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let verdict = aix_core::contain_panic(|| {
             verify_deployment(
                 cells,
                 model,
@@ -475,14 +475,14 @@ pub fn verify_library(
                 config,
                 &mut netlists,
             )
-        }))
-        .map_err(|payload| AixError::JobFailed {
+        })
+        .map_err(|message| AixError::JobFailed {
             job: format!(
                 "{} w{} @{scenario}",
                 characterization.kind(),
                 characterization.width()
             ),
-            reason: format!("panicked: {}", aix_core::panic_message(payload)),
+            reason: format!("panicked: {message}"),
         })??;
         entry_span.close();
         aix_obs::count!(

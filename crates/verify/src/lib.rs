@@ -13,9 +13,6 @@
 //!   (min/mean/p99, first-failing sample). Violating samples are clocked
 //!   through the timed simulator to measure how *observable* the
 //!   violation is.
-//! * [`inject`] — **fault injection**: single-gate delay faults screened
-//!   by STA and simulated for observability, plus the classic stuck-at
-//!   campaign reusing [`aix_sim::simulate_faults`].
 //! * [`policy`] — **graceful degradation**: a [`VerifyPolicy`] gate on
 //!   the microarchitecture flow. Under [`VerifyPolicy::Degrade`], a block
 //!   whose planned precision fails verification loses one more LSB and is
@@ -49,16 +46,12 @@
 //! ```
 
 pub mod campaign;
-pub mod inject;
 pub mod perturb;
 pub mod policy;
 
 pub use campaign::{
     measure_margins, verify_library,
     CampaignReport, EntryVerdict, MarginStats, VerdictKind, VerifyConfig,
-};
-pub use inject::{
-    inject_delay_faults, stuck_at_campaign, DelayFault, DelayFaultOutcome, DelayFaultReport,
 };
 pub use perturb::{entry_rng, Perturbation};
 pub use policy::{

@@ -20,8 +20,8 @@ use aix::aging::{AgingModel, AgingScenario, Lifetime};
 use aix::arith::ComponentSpec;
 use aix::cells::{degradation_to_text, to_liberty, DegradationAwareLibrary, Library};
 use aix::core::{
-    characterize_imported, fsutil::write_atomic, idct_design, load_imported, panic_message,
-    parse_timeout, verify_imported, AixError, ApproxLibrary, CampaignStatus, CancelToken,
+    characterize_imported, contain_panic, fsutil::write_atomic, idct_design, load_imported,
+    parse_timeout, verify_imported, AixError, ApproxLibrary, CampaignStatus,
     CharacterizationConfig, CharacterizationEngine, ComponentKind, EngineOptions, EngineReport,
     ImportedConfig,
 };
@@ -611,16 +611,16 @@ fn import_files(files: &[String], options: &HashMap<String, String>) -> CliResul
     for file in files {
         // Guard each file like an engine job: an injected (or genuine)
         // panic quarantines the file instead of crashing the CLI.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = contain_panic(|| {
             if let Some(plan) = &faults {
                 plan.probe(FaultStage::Import, file);
             }
             load_imported(file, &cells)
-        }));
+        });
         match result {
             Err(panic) => {
                 failed += 1;
-                eprintln!("aix: import QUARANTINED: {file}: {}", panic_message(panic));
+                eprintln!("aix: import QUARANTINED: {file}: {panic}");
             }
             Ok(Err(error)) => {
                 failed += 1;
@@ -902,7 +902,7 @@ fn explore(options: &HashMap<String, String>) -> CliResult {
             value: value.to_owned(),
             expected,
         })?;
-        config.cancel = deadline.map(CancelToken::deadline_in);
+        config.deadline = deadline.map(|budget| std::time::Instant::now() + budget);
     }
 
     let cells = Arc::new(Library::nangate45_like());

@@ -14,7 +14,7 @@
 //! * [`aging`], [`cells`], [`netlist`], [`arith`], [`synth`], [`sta`],
 //!   [`sim`], [`power`] — the EDA substrate everything is built on.
 //! * [`verify`] — adversarial re-validation: Monte-Carlo guarantee
-//!   verification, fault injection and graceful precision degradation.
+//!   verification and graceful precision degradation.
 //! * [`faults`] — the deterministic fault-injection harness (`AIX_FAULT`)
 //!   used to exercise campaign fault tolerance end to end.
 //! * [`obs`] — the structured observability layer: hierarchical spans,

@@ -799,6 +799,24 @@ fn import_fault_probe_quarantines_the_file() {
     );
 }
 
+#[test]
+fn a_contained_import_panic_prints_only_its_quarantine_line() {
+    // The per-file guard contains the panic like a campaign job's: the
+    // panic hook stays silent, so neither a `panicked at` message nor a
+    // backtrace precedes the file's one report line.
+    let output = aix()
+        .args(["import", &corpus("full_adder.v")])
+        .args(["--fault", "panic:p=1,seed=3,stage=import"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("spawn aix");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "stderr: {stderr}");
+    assert!(lines[0].starts_with("aix: import QUARANTINED: "), "stderr: {stderr}");
+}
+
 /// The acceptance loop: the full aging flow (activity → aged STA → Eq. 2
 /// precision selection) completes on one imported Verilog and one
 /// imported EDIF corpus design.

@@ -1,7 +1,7 @@
 //! Differential conformance: the packed simulation engines must produce
 //! *identical* results to the scalar reference loops in `aix::sim::oracle`
 //! — same `ErrorStats` (including the f64 fields, bit for bit), same
-//! `Activity`, same `FaultCoverage`, and for `TimedStreams` the same
+//! `Activity`, and for `TimedStreams` the same
 //! per-vector sampled and settled outputs and timing-error flag as the
 //! scalar `TimedSimulator` — for every library component shape, fresh and
 //! aged, at vector counts that exercise full words, partial words and the
@@ -14,8 +14,8 @@ use aix::arith::{
 use aix::cells::Library;
 use aix::netlist::Netlist;
 use aix::sim::{
-    full_fault_list, measure_errors, oracle, simulate_faults, Activity, OperandSource,
-    TimedSimulator, TimedStreams, UniformOperands, LANES,
+    measure_errors, oracle, Activity, OperandSource, TimedSimulator, TimedStreams,
+    UniformOperands, LANES,
 };
 use aix::sta::{analyze, NetDelays};
 use std::sync::Arc;
@@ -34,7 +34,7 @@ fn stimuli(netlist: &Netlist, count: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Asserts both engines agree exactly on all three value-mode consumers.
+/// Asserts both engines agree exactly on activity and error measurement.
 fn assert_engines_agree(name: &str, netlist: &Netlist, vectors: &[Vec<bool>]) {
     let scalar_activity =
         oracle::activity(netlist, vectors.iter().cloned()).expect("scalar activity");
@@ -63,18 +63,6 @@ fn assert_engines_agree(name: &str, netlist: &Netlist, vectors: &[Vec<bool>]) {
         scalar_errors, packed_errors,
         "{name}: ErrorStats diverges over {} vectors",
         vectors.len()
-    );
-
-    let faults = full_fault_list(netlist);
-    let fault_vectors = &vectors[..vectors.len().min(96)];
-    let scalar_coverage =
-        oracle::simulate_faults(netlist, &faults, fault_vectors).expect("scalar fault simulation");
-    let packed_coverage =
-        simulate_faults(netlist, &faults, fault_vectors).expect("packed fault simulation");
-    assert_eq!(
-        scalar_coverage, packed_coverage,
-        "{name}: FaultCoverage diverges over {} vectors",
-        fault_vectors.len()
     );
 }
 
