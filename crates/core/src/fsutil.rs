@@ -1,5 +1,5 @@
 //! Crash-safe filesystem helpers shared by the characterization cache and
-//! the explore score cache, and by the CLI's benchmark log.
+//! the CLI's benchmark log.
 
 use aix_faults::{FaultPlan, FaultStage, WriteFault};
 use std::io;

@@ -20,9 +20,9 @@
 //! the Pareto front of (error, aged delay, gate count): generation zero is
 //! the exact baseline plus uniform-truncation and single-knob ladders, and
 //! each later generation mutates the surviving front. Evaluation fans out
-//! through `aix-core::parallel_map` with a content-addressed on-disk score
-//! cache keyed by the candidate fingerprint, so reports are byte-identical
-//! for any `--jobs` count and for cold vs warm caches. Candidate failures
+//! through `aix-core::parallel_map` and scores every planned candidate
+//! afresh, keeping nothing on disk; reports are byte-identical for any
+//! `--jobs` count. Candidate failures
 //! (including injected `AIX_FAULT` panics) are quarantined per candidate
 //! and the search reports a partial front; a deadline
 //! ([`ExploreConfig::deadline`]) stops the search between evaluations.

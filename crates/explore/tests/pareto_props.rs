@@ -1,8 +1,8 @@
 //! Property tests for the Pareto front: for *any* set of scores, the front
 //! returns no dominated point, and its contents (and order) are invariant
 //! under the insertion order. Together with the search's own byte-identity
-//! tests (jobs=1 vs N, cold vs warm cache) this pins the determinism
-//! contract the CLI and CI rely on.
+//! test (jobs=1 vs N) this pins the determinism contract the CLI and CI
+//! rely on.
 
 use aix_core::ComponentKind;
 use aix_explore::{Candidate, FrontPoint, ParetoFront, Score};

@@ -125,10 +125,8 @@ pub mod explore {
     pub const SPAN_SIMULATE: &str = "explore_simulate";
     /// Span over a candidate's aged delays and STA.
     pub const SPAN_STA: &str = "explore_sta";
-    /// Counter: a candidate was evaluated (freshly scored, not from cache).
+    /// Counter: a candidate was scored.
     pub const EVALUATED: &str = "explore_evaluated";
-    /// Counter: a candidate's score was served from the on-disk cache.
-    pub const CACHE_HIT: &str = "explore_cache_hit";
     /// Counter: a candidate evaluation panicked or failed and was
     /// quarantined; the search continued without it.
     pub const QUARANTINED: &str = "explore_quarantined";
