@@ -46,7 +46,10 @@ impl HciModel {
             ("time_exponent", time_exponent),
             ("activity_exponent", activity_exponent),
         ] {
-            assert!(v.is_finite() && v >= 0.0, "HCI parameter {name} invalid: {v}");
+            assert!(
+                v.is_finite() && v >= 0.0,
+                "HCI parameter {name} invalid: {v}"
+            );
         }
         Self {
             b,
@@ -124,12 +127,7 @@ impl CombinedAgingModel {
 
     /// Delay factor for a gate whose networks carry `stress` duty cycles
     /// and whose output toggles `toggle_rate` times per cycle.
-    pub fn delay_factor(
-        &self,
-        stress: StressPair,
-        toggle_rate: f64,
-        lifetime: Lifetime,
-    ) -> f64 {
+    pub fn delay_factor(&self, stress: StressPair, toggle_rate: f64, lifetime: Lifetime) -> f64 {
         let hci_shift = self.hci.delta_vth(toggle_rate, lifetime).volts();
         let factor_for = |s| {
             let bti_shift = self.bti.delta_vth(s, lifetime).volts();
@@ -170,7 +168,11 @@ mod tests {
     fn zero_activity_reduces_to_pure_bti() {
         let combined = CombinedAgingModel::calibrated();
         let bti_only = AgingModel::calibrated();
-        for s in [StressFactor::RECOVERY, StressFactor::BALANCED, StressFactor::WORST] {
+        for s in [
+            StressFactor::RECOVERY,
+            StressFactor::BALANCED,
+            StressFactor::WORST,
+        ] {
             let pair = StressPair::uniform(s);
             let a = combined.delay_factor(pair, 0.0, Lifetime::YEARS_10);
             let b = bti_only.pair_delay_factor(pair, Lifetime::YEARS_10);
@@ -181,8 +183,7 @@ mod tests {
     #[test]
     fn hci_is_secondary_to_worst_case_bti() {
         let combined = CombinedAgingModel::calibrated();
-        let bti_part =
-            combined.delay_factor(StressPair::WORST, 0.0, Lifetime::YEARS_10) - 1.0;
+        let bti_part = combined.delay_factor(StressPair::WORST, 0.0, Lifetime::YEARS_10) - 1.0;
         let idle_pair = StressPair::uniform(StressFactor::RECOVERY);
         let hci_part = combined.delay_factor(idle_pair, 1.0, Lifetime::YEARS_10) - 1.0;
         assert!(hci_part > 0.0);

@@ -90,7 +90,10 @@ impl AlphaPowerLaw {
     ///
     /// Panics if `factor < 1.0`.
     pub fn delta_vth_for_factor(&self, factor: f64) -> DeltaVth {
-        assert!(factor >= 1.0, "degradation factor must be ≥ 1, got {factor}");
+        assert!(
+            factor >= 1.0,
+            "degradation factor must be ≥ 1, got {factor}"
+        );
         let fresh = self.overdrive();
         DeltaVth::from_volts(fresh * (1.0 - factor.powf(-1.0 / self.alpha)))
     }

@@ -34,8 +34,8 @@ mod stress;
 mod vth;
 
 pub use calibration::{
-    Calibration, ALPHA, CALIBRATION_VERSION, DELTA_VTH_10Y_WORST_V, STRESS_EXPONENT,
-    TIME_EXPONENT, VDD_V, VTH0_V,
+    Calibration, ALPHA, CALIBRATION_VERSION, DELTA_VTH_10Y_WORST_V, STRESS_EXPONENT, TIME_EXPONENT,
+    VDD_V, VTH0_V,
 };
 pub use hci::{CombinedAgingModel, HciModel};
 pub use law::AlphaPowerLaw;
@@ -85,7 +85,8 @@ impl AgingModel {
     /// Multiplicative gate-delay degradation (≥ 1.0) for a single stress
     /// factor applied to both transistor types.
     pub fn delay_factor(&self, stress: StressFactor, lifetime: Lifetime) -> f64 {
-        self.law.degradation_factor(self.delta_vth(stress, lifetime))
+        self.law
+            .degradation_factor(self.delta_vth(stress, lifetime))
     }
 
     /// Delay degradation for a (pMOS, nMOS) stress pair.

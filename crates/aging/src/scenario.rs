@@ -128,7 +128,10 @@ mod tests {
     #[test]
     fn stress_pairs_match_conditions() {
         assert_eq!(StressCondition::Worst.stress_pair(), StressPair::WORST);
-        assert_eq!(StressCondition::Balanced.stress_pair(), StressPair::BALANCED);
+        assert_eq!(
+            StressCondition::Balanced.stress_pair(),
+            StressPair::BALANCED
+        );
         let s = StressFactor::new(0.3).unwrap();
         assert_eq!(
             StressCondition::Uniform(s).stress_pair(),

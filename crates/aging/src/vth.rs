@@ -89,7 +89,10 @@ impl BtiModel {
             ("time_exponent", time_exponent),
             ("stress_exponent", stress_exponent),
         ] {
-            assert!(v.is_finite() && v >= 0.0, "BTI parameter {name} invalid: {v}");
+            assert!(
+                v.is_finite() && v >= 0.0,
+                "BTI parameter {name} invalid: {v}"
+            );
         }
         Self {
             a,
@@ -142,8 +145,12 @@ mod tests {
     #[test]
     fn power_law_in_time() {
         let bti = BtiModel::new(0.05, 0.16, 0.5);
-        let y1 = bti.delta_vth(StressFactor::WORST, Lifetime::YEARS_1).volts();
-        let y10 = bti.delta_vth(StressFactor::WORST, Lifetime::YEARS_10).volts();
+        let y1 = bti
+            .delta_vth(StressFactor::WORST, Lifetime::YEARS_1)
+            .volts();
+        let y10 = bti
+            .delta_vth(StressFactor::WORST, Lifetime::YEARS_10)
+            .volts();
         assert!((y10 / y1 - 10f64.powf(0.16)).abs() < 1e-9);
     }
 
@@ -153,7 +160,9 @@ mod tests {
         let half = bti
             .delta_vth(StressFactor::BALANCED, Lifetime::YEARS_1)
             .volts();
-        let full = bti.delta_vth(StressFactor::WORST, Lifetime::YEARS_1).volts();
+        let full = bti
+            .delta_vth(StressFactor::WORST, Lifetime::YEARS_1)
+            .volts();
         assert!((half / full - 0.5f64.powf(0.5)).abs() < 1e-9);
     }
 

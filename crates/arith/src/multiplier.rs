@@ -75,9 +75,7 @@ pub fn multiply_into(
     let cells = CellSet::resolve(nl.library());
     match kind {
         MultiplierKind::Array => array_multiplier(nl, &cells, a, b),
-        MultiplierKind::Wallace => {
-            wallace_multiplier(nl, &cells, a, b, AdderKind::CarrySelect)
-        }
+        MultiplierKind::Wallace => wallace_multiplier(nl, &cells, a, b, AdderKind::CarrySelect),
         MultiplierKind::WallacePrefix => {
             wallace_multiplier(nl, &cells, a, b, AdderKind::KoggeStone)
         }
@@ -175,7 +173,8 @@ pub(crate) fn compress(
         for (w, column) in columns.iter().enumerate() {
             let mut idx = 0;
             while column.len() - idx >= 3 {
-                let out = nl.add_gate(cells.fa, &[column[idx], column[idx + 1], column[idx + 2]])?;
+                let out =
+                    nl.add_gate(cells.fa, &[column[idx], column[idx + 1], column[idx + 2]])?;
                 next[w].push(out[0]);
                 if w + 1 < width {
                     next[w + 1].push(out[1]);
@@ -199,7 +198,12 @@ pub(crate) fn compress(
 
 /// The two rows left by [`compress`], with `zero` where a column ran out.
 pub(crate) fn two_rows(columns: &[Vec<NetId>], zero: NetId) -> (Vec<NetId>, Vec<NetId>) {
-    let row = |k: usize| columns.iter().map(|c| c.get(k).copied().unwrap_or(zero)).collect();
+    let row = |k: usize| {
+        columns
+            .iter()
+            .map(|c| c.get(k).copied().unwrap_or(zero))
+            .collect()
+    };
     (row(0), row(1))
 }
 

@@ -177,7 +177,8 @@ pub fn variant_add_into(
         } else {
             nl.add_gate(cells.and2, &[a[start - 1], b[start - 1]])?[0]
         };
-        let (seg_sum, seg_cout) = add_into(nl, variant.kind, &a[start..end], &b[start..end], Some(cin))?;
+        let (seg_sum, seg_cout) =
+            add_into(nl, variant.kind, &a[start..end], &b[start..end], Some(cin))?;
         sum.extend(seg_sum);
         carry = seg_cout;
         start = end;
@@ -522,7 +523,9 @@ mod tests {
     #[test]
     fn exact_mac_variant_matches_reference() {
         let lib = lib();
-        let nl = MacVariant::exact(ComponentSpec::full(4)).build(&lib).unwrap();
+        let nl = MacVariant::exact(ComponentSpec::full(4))
+            .build(&lib)
+            .unwrap();
         for a in 0u64..16 {
             for b in 0u64..16 {
                 for acc in [0u64, 5, 200, 255] {

@@ -17,12 +17,7 @@ use aix_synth::{Effort, Synthesizer};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-fn error_row(
-    netlist: &Netlist,
-    model: &AgingModel,
-    vectors: usize,
-    seed: u64,
-) -> Vec<String> {
+fn error_row(netlist: &Netlist, model: &AgingModel, vectors: usize, seed: u64) -> Vec<String> {
     let clock = analyze(netlist, &NetDelays::fresh(netlist))
         .expect("synthesized netlists are acyclic")
         .max_delay_ps();

@@ -16,8 +16,8 @@ use crate::Options;
 use aix_aging::{AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_dct::{
-    decode_image, encode_image_quantized, FixedPointTransform, GateLevelConfig,
-    GateLevelPipeline, Quantizer,
+    decode_image, encode_image_quantized, FixedPointTransform, GateLevelConfig, GateLevelPipeline,
+    Quantizer,
 };
 use aix_image::{psnr, write_pgm, Sequence};
 use std::fmt::Write as _;
@@ -33,10 +33,7 @@ const UNUSABLE_PSNR_DB: f64 = 20.0;
 /// step improves the image, the 10 y frame is strictly worse than the
 /// fresh one, and it is unusable (below [`UNUSABLE_PSNR_DB`]).
 fn is_collapse([fresh, one_year, ten_years]: [f64; 3]) -> bool {
-    fresh >= one_year
-        && one_year >= ten_years
-        && fresh > ten_years
-        && ten_years < UNUSABLE_PSNR_DB
+    fresh >= one_year && one_year >= ten_years && fresh > ten_years && ten_years < UNUSABLE_PSNR_DB
 }
 
 /// A rate as a percentage with at least three significant digits, so a
@@ -82,10 +79,8 @@ pub fn run(options: &Options) -> String {
     let jobs = crate::engine_options()
         .unwrap_or_else(|error| panic!("{error}"))
         .resolved_jobs();
-    let results: Vec<_> = aix_core::parallel_map(
-        jobs,
-        conditions.to_vec(),
-        |(label, scenario, paper)| {
+    let results: Vec<_> =
+        aix_core::parallel_map(jobs, conditions.to_vec(), |(label, scenario, paper)| {
             let pipeline = GateLevelPipeline::new(&cells, GateLevelConfig::aged(scenario))
                 .expect("pipeline synthesis");
             let quantizer = Quantizer::jpeg_quality(aix_core::PIPELINE_JPEG_QUALITY);
@@ -94,8 +89,7 @@ pub fn run(options: &Options) -> String {
                 .roundtrip_image(&frame, Some(&quantizer))
                 .expect("gate-level round trip");
             (label, paper, decoded, stats, start.elapsed().as_secs_f64())
-        },
-    );
+        });
     // The fresh condition's round trip is the gate-level time of §III.
     let gate_level_s = results[0].4;
     let mut measured = Vec::new();

@@ -82,7 +82,10 @@ pub fn run(options: &Options) -> String {
     ];
 
     let mut out = String::new();
-    let _ = writeln!(out, "Fig. 4 — 32-bit adder characterization [delay in ps]\n");
+    let _ = writeln!(
+        out,
+        "Fig. 4 — 32-bit adder characterization [delay in ps]\n"
+    );
     let headers: Vec<&str> = std::iter::once("precision")
         .chain(scenarios.iter().map(|(l, _)| l.as_str()))
         .collect();
@@ -120,7 +123,11 @@ pub fn run(options: &Options) -> String {
     }
     for (label, scenario, paper) in [
         ("1y worst case", CharacterizationScenario::from(wc1), "24b"),
-        ("10y worst case", CharacterizationScenario::from(wc10), "22b"),
+        (
+            "10y worst case",
+            CharacterizationScenario::from(wc10),
+            "22b",
+        ),
         (
             "10y actual case (ND)",
             CharacterizationScenario::ActualNormal(Lifetime::YEARS_10),

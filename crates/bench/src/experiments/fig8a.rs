@@ -30,7 +30,10 @@ pub fn run(_options: &Options) -> String {
         "Fig. 8(a) — IDCT under the Fig. 6 flow (constraint {constraint:.1} ps)\n"
     );
     for (label, scenario) in [
-        ("1y worst case", AgingScenario::worst_case(Lifetime::YEARS_1)),
+        (
+            "1y worst case",
+            AgingScenario::worst_case(Lifetime::YEARS_1),
+        ),
         (
             "10y worst case",
             AgingScenario::worst_case(Lifetime::YEARS_10),
@@ -59,11 +62,7 @@ pub fn run(_options: &Options) -> String {
                 format!("{:.1}", block.fresh_delay_ps),
                 format!("{:.1}", block.aged_delay_ps),
                 format!("{:+.1}%", block.relative_slack * 100.0),
-                format!(
-                    "{}b (-{} bits)",
-                    block.precision,
-                    block.truncated_bits()
-                ),
+                format!("{}b (-{} bits)", block.precision, block.truncated_bits()),
                 format!("{aged_after:.1}"),
                 if *aged_after <= constraint + 1e-9 {
                     "yes".into()

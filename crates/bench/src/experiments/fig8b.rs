@@ -28,10 +28,7 @@ pub fn planned_precision(cells: &Arc<Library>) -> DatapathPrecision {
     .expect("flow");
     let mult = plan.block("multiplier").expect("multiplier block");
     let acc = plan.block("accumulator").expect("accumulator block");
-    DatapathPrecision::new(
-        mult.truncated_bits() as u32,
-        acc.truncated_bits() as u32,
-    )
+    DatapathPrecision::new(mult.truncated_bits() as u32, acc.truncated_bits() as u32)
 }
 
 /// Runs the Fig. 8(b) experiment.

@@ -20,8 +20,7 @@ pub fn run(options: &Options) -> String {
     let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
     let library = build_library(&cells).expect("characterization");
     let design = idct_design(&cells, Effort::Ultra).expect("IDCT synthesis");
-    let plan =
-        apply_aging_approximations(&design, &library, &model, scenario).expect("flow");
+    let plan = apply_aging_approximations(&design, &library, &model, scenario).expect("flow");
     let report = compare_against_aging_aware(&design, &plan, &cells, &model, scenario, vectors)
         .expect("comparison");
 

@@ -6,8 +6,8 @@ use crate::{build_library, Options};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
 use aix_cells::Library;
 use aix_core::{
-    apply_aging_approximations, average_psnr_db, compare_against_aging_aware,
-    evaluate_sequences, idct_design,
+    apply_aging_approximations, average_psnr_db, compare_against_aging_aware, evaluate_sequences,
+    idct_design,
 };
 use aix_dct::DatapathPrecision;
 use aix_synth::Effort;
@@ -27,10 +27,8 @@ pub fn run(options: &Options) -> String {
         .expect("validation");
     let mult = plan.block("multiplier").expect("multiplier block");
     let acc = plan.block("accumulator").expect("accumulator block");
-    let precision = DatapathPrecision::new(
-        mult.truncated_bits() as u32,
-        acc.truncated_bits() as u32,
-    );
+    let precision =
+        DatapathPrecision::new(mult.truncated_bits() as u32, acc.truncated_bits() as u32);
     let results = evaluate_sequences(precision, 176, 144);
     let average = average_psnr_db(&results);
     let exact: f64 = results.iter().map(|r| r.exact_psnr_db).sum::<f64>() / results.len() as f64;

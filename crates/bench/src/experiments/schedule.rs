@@ -6,9 +6,7 @@
 use crate::{build_library, Options, Table};
 use aix_aging::{AgingModel, Lifetime, StressCondition};
 use aix_cells::Library;
-use aix_core::{
-    average_psnr_db, evaluate_sequences, idct_design, plan_degradation_schedule,
-};
+use aix_core::{average_psnr_db, evaluate_sequences, idct_design, plan_degradation_schedule};
 use aix_dct::DatapathPrecision;
 use aix_synth::Effort;
 use std::fmt::Write as _;
@@ -54,8 +52,7 @@ pub fn run(options: &Options) -> String {
         let avg = if truncation == last_truncation {
             last_avg
         } else {
-            let results =
-                evaluate_sequences(DatapathPrecision::new(truncation, 0), width, height);
+            let results = evaluate_sequences(DatapathPrecision::new(truncation, 0), width, height);
             average_psnr_db(&results)
         };
         last_truncation = truncation;

@@ -31,7 +31,8 @@ impl Table {
 
     /// Appends a row; missing cells render empty, extra cells are kept.
     pub fn row(&mut self, cells: &[&str]) {
-        self.rows.push(cells.iter().map(|s| s.to_string()).collect());
+        self.rows
+            .push(cells.iter().map(|s| s.to_string()).collect());
     }
 
     /// Appends a row of owned strings.

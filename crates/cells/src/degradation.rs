@@ -175,10 +175,8 @@ mod tests {
         let m = model();
         let table = DegradationTable::generate(&m, Lifetime::YEARS_10, 1.0);
         for (p, n) in [(0.23, 0.77), (0.51, 0.49), (0.95, 0.05)] {
-            let pair = StressPair::new(
-                StressFactor::new(p).unwrap(),
-                StressFactor::new(n).unwrap(),
-            );
+            let pair =
+                StressPair::new(StressFactor::new(p).unwrap(), StressFactor::new(n).unwrap());
             let exact = m.pair_delay_factor(pair, Lifetime::YEARS_10);
             let interp = table.factor(pair);
             assert!(

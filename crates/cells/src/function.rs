@@ -127,7 +127,10 @@ impl CellFunction {
     /// [`input_count`](Self::input_count) /
     /// [`output_count`](Self::output_count).
     pub fn eval(self, inputs: &[bool], outputs: &mut [bool]) {
-        assert!(inputs.len() >= self.input_count(), "too few inputs for {self}");
+        assert!(
+            inputs.len() >= self.input_count(),
+            "too few inputs for {self}"
+        );
         assert!(
             outputs.len() >= self.output_count(),
             "too few outputs for {self}"
@@ -412,7 +415,11 @@ mod tests {
                             out[0],
                             "{f} word {k} of {width} lane {lane}"
                         );
-                        let carry = if f.output_count() == 2 { out[1] } else { bit(before[k], lane) };
+                        let carry = if f.output_count() == 2 {
+                            out[1]
+                        } else {
+                            bit(before[k], lane)
+                        };
                         assert_eq!(
                             bit(words[outputs[1] + k], lane),
                             carry,

@@ -127,12 +127,11 @@ pub fn parse_degradation_text(
         .and_then(|v| v.strip_suffix('y'))
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| err("missing lifetime"))?;
-    let lifetime =
-        Lifetime::try_from_years(lifetime_years).map_err(|_| err("bad lifetime"))?;
+    let lifetime = Lifetime::try_from_years(lifetime_years).map_err(|_| err("bad lifetime"))?;
     let mut tables = Vec::new();
     let mut current: Option<(String, Vec<[f64; STRESS_GRID_POINTS]>)> = None;
     let finish = |current: &mut Option<(String, Vec<[f64; STRESS_GRID_POINTS]>)>,
-                      tables: &mut Vec<(String, DegradationTable)>|
+                  tables: &mut Vec<(String, DegradationTable)>|
      -> Result<(), ParseDegradationError> {
         if let Some((name, rows)) = current.take() {
             let grid: [[f64; STRESS_GRID_POINTS]; STRESS_GRID_POINTS] = rows

@@ -121,8 +121,7 @@ pub fn idct_operand_trace(sequence: Sequence, max_pairs: usize) -> Vec<(u64, u64
                 if trace.len() >= max_pairs {
                     break;
                 }
-                let coeff =
-                    i64::from(aix_dct::idct_coefficient(x, u)) << OPERAND_SHIFT;
+                let coeff = i64::from(aix_dct::idct_coefficient(x, u)) << OPERAND_SHIFT;
                 let sample = i64::from(block[u * 8 + x]) << OPERAND_SHIFT;
                 trace.push((embed32(coeff), embed32(sample)));
             }
@@ -161,8 +160,7 @@ mod tests {
         let nl = multiplier();
         let model = AgingModel::calibrated();
         let stress =
-            ActualCaseStress::extract(&nl, StimulusKind::NormalDistribution, 16, 300, 1)
-                .unwrap();
+            ActualCaseStress::extract(&nl, StimulusKind::NormalDistribution, 16, 300, 1).unwrap();
         let actual = analyze(
             &nl,
             &actual_case_delays(&nl, &stress, &model, Lifetime::YEARS_10),
@@ -176,7 +174,10 @@ mod tests {
         .unwrap()
         .max_delay_ps();
         let fresh = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
-        assert!(fresh < actual && actual < worst, "{fresh} < {actual} < {worst}");
+        assert!(
+            fresh < actual && actual < worst,
+            "{fresh} < {actual} < {worst}"
+        );
     }
 
     #[test]
@@ -187,16 +188,10 @@ mod tests {
         // values are embedded for.
         let nl = multiplier32();
         let normal =
-            ActualCaseStress::extract(&nl, StimulusKind::NormalDistribution, 32, 400, 2)
+            ActualCaseStress::extract(&nl, StimulusKind::NormalDistribution, 32, 400, 2).unwrap();
+        let idct =
+            ActualCaseStress::extract(&nl, StimulusKind::IdctTrace(Sequence::Foreman), 32, 400, 2)
                 .unwrap();
-        let idct = ActualCaseStress::extract(
-            &nl,
-            StimulusKind::IdctTrace(Sequence::Foreman),
-            32,
-            400,
-            2,
-        )
-        .unwrap();
         let h_normal = stress_histogram(normal.pairs());
         let h_idct = stress_histogram(idct.pairs());
         let distance = h_normal.distance(&h_idct);
@@ -242,8 +237,7 @@ mod tests {
         let lib = Arc::new(Library::nangate45_like());
         let mac = aix_arith::build_mac(&lib, ComponentSpec::full(8)).unwrap();
         let stress =
-            ActualCaseStress::extract(&mac, StimulusKind::NormalDistribution, 8, 100, 3)
-                .unwrap();
+            ActualCaseStress::extract(&mac, StimulusKind::NormalDistribution, 8, 100, 3).unwrap();
         assert_eq!(stress.pairs().len(), mac.gate_count());
     }
 }

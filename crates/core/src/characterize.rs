@@ -172,11 +172,7 @@ impl ComponentCharacterization {
     }
 
     /// Delay at an exact (precision, scenario) point.
-    pub fn delay_ps(
-        &self,
-        precision: usize,
-        scenario: CharacterizationScenario,
-    ) -> Option<f64> {
+    pub fn delay_ps(&self, precision: usize, scenario: CharacterizationScenario) -> Option<f64> {
         self.entries
             .iter()
             .find(|e| e.precision == precision && scenario_eq(e.scenario, scenario))
@@ -400,10 +396,7 @@ mod tests {
         let fresh = c.fresh_full_delay_ps();
         assert!(fresh > 0.0);
         let aged = c
-            .delay_ps(
-                16,
-                CharacterizationScenario::worst_case(Lifetime::YEARS_10),
-            )
+            .delay_ps(16, CharacterizationScenario::worst_case(Lifetime::YEARS_10))
             .unwrap();
         assert!(aged > fresh * 1.1, "aged {aged} vs fresh {fresh}");
     }
@@ -438,10 +431,7 @@ mod tests {
     fn nonnegative_slack_keeps_full_precision() {
         let c = quick_adder();
         assert_eq!(
-            c.precision_for_relative_slack(
-                AgingScenario::worst_case(Lifetime::YEARS_10),
-                0.05
-            ),
+            c.precision_for_relative_slack(AgingScenario::worst_case(Lifetime::YEARS_10), 0.05),
             Some(16)
         );
     }
@@ -500,9 +490,8 @@ mod tests {
         // quadratic and took tens of seconds at this size.
         let mut c = ComponentCharacterization::new(ComponentKind::Adder, 128, Effort::Medium);
         for s in 0..100u64 {
-            let scenario = CharacterizationScenario::worst_case(Lifetime::from_years(
-                1.0 + s as f64,
-            ));
+            let scenario =
+                CharacterizationScenario::worst_case(Lifetime::from_years(1.0 + s as f64));
             for p in 0..100usize {
                 c.add_entry(CharacterizationEntry {
                     precision: 128 - p,

@@ -144,7 +144,11 @@ impl EngineOptions {
         };
         Ok(Self {
             jobs: setting(get("--jobs", "AIX_JOBS"), parse_count, 0)?,
-            cache_dir: setting(get("--cache", "AIX_CACHE"), parse_dir, Some(default_cache_dir()))?,
+            cache_dir: setting(
+                get("--cache", "AIX_CACHE"),
+                parse_dir,
+                Some(default_cache_dir()),
+            )?,
             faults: setting(get("--fault", "AIX_FAULT"), parse_faults, None)?,
         })
     }
@@ -496,7 +500,9 @@ impl CharacterizationEngine {
         require_complete(&campaign)?;
         let mut characterizations = campaign.characterizations;
         Ok((
-            characterizations.pop().expect("one config yields one result"),
+            characterizations
+                .pop()
+                .expect("one config yields one result"),
             campaign.report,
         ))
     }
@@ -955,9 +961,16 @@ mod tests {
         vars: &[(&'static str, &str)],
     ) -> Result<EngineOptions, AixError> {
         let lookup = |pairs: &[(&'static str, &str)]| {
-            let pairs: Vec<(&str, String)> =
-                pairs.iter().map(|&(name, value)| (name, value.to_owned())).collect();
-            move |name| pairs.iter().find(|(key, _)| *key == name).map(|(_, v)| v.clone())
+            let pairs: Vec<(&str, String)> = pairs
+                .iter()
+                .map(|&(name, value)| (name, value.to_owned()))
+                .collect();
+            move |name| {
+                pairs
+                    .iter()
+                    .find(|(key, _)| *key == name)
+                    .map(|(_, v)| v.clone())
+            }
         };
         EngineOptions::resolve(lookup(flags), lookup(vars))
     }
@@ -1005,11 +1018,18 @@ mod tests {
     #[test]
     fn a_flag_beats_its_variable() {
         let flags = [("--jobs", "2"), ("--fault", "io:stage=cache")];
-        let vars = [("AIX_JOBS", "three"), ("AIX_CACHE", "var-dir"), ("AIX_FAULT", "explode")];
+        let vars = [
+            ("AIX_JOBS", "three"),
+            ("AIX_CACHE", "var-dir"),
+            ("AIX_FAULT", "explode"),
+        ];
         // The flags' values win, and a variable behind a flag is never parsed.
         let options = resolve(&flags, &vars).unwrap();
         assert_eq!(options.jobs, 2);
-        assert_eq!(options.faults.unwrap().to_string(), "io:p=1,seed=0,stage=cache");
+        assert_eq!(
+            options.faults.unwrap().to_string(),
+            "io:p=1,seed=0,stage=cache"
+        );
         // A setting without its flag still comes from its variable.
         assert_eq!(options.cache_dir, Some(PathBuf::from("var-dir")));
     }
@@ -1017,10 +1037,16 @@ mod tests {
     #[test]
     fn zero_jobs_means_auto_from_either_source() {
         let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        for options in [resolve(&[("--jobs", "0")], &[]), resolve(&[], &[("AIX_JOBS", "0")])] {
+        for options in [
+            resolve(&[("--jobs", "0")], &[]),
+            resolve(&[], &[("AIX_JOBS", "0")]),
+        ] {
             assert_eq!(options.unwrap().resolved_jobs(), auto);
         }
-        assert_eq!(resolve(&[], &[("AIX_JOBS", "5")]).unwrap().resolved_jobs(), 5);
+        assert_eq!(
+            resolve(&[], &[("AIX_JOBS", "5")]).unwrap().resolved_jobs(),
+            5
+        );
     }
 
     #[test]

@@ -225,7 +225,10 @@ mod tests {
         let parse = ApproxLibrary::from_text("not a library").unwrap_err();
         let err = AixError::library_file("lib.txt", parse);
         let text = err.to_string();
-        assert!(text.contains("lib.txt") && text.contains("line 1"), "{text}");
+        assert!(
+            text.contains("lib.txt") && text.contains("line 1"),
+            "{text}"
+        );
     }
 
     #[test]

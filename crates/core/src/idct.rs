@@ -31,7 +31,10 @@ pub const IDCT_BLOCK_NAMES: [&str; 3] = ["multiplier", "accumulator", "rounding"
 /// assert_eq!(design.blocks().len(), 3);
 /// # Ok::<(), aix_netlist::NetlistError>(())
 /// ```
-pub fn idct_design(library: &Arc<Library>, effort: Effort) -> Result<MicroarchDesign, NetlistError> {
+pub fn idct_design(
+    library: &Arc<Library>,
+    effort: Effort,
+) -> Result<MicroarchDesign, NetlistError> {
     let mut design = MicroarchDesign::new("idct", effort);
     design.add_block(library, "multiplier", ComponentKind::Multiplier, 32)?;
     design.add_block(library, "accumulator", ComponentKind::Adder, 32)?;
@@ -59,7 +62,8 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            delays[0], constraint.period_ps(),
+            delays[0],
+            constraint.period_ps(),
             "the multiplier sets the clock"
         );
         assert!(delays[1] < delays[0] && delays[2] < delays[1]);

@@ -162,10 +162,7 @@ fn tie_into<S: GateSink>(netlist: &Netlist, cut: u32, sink: &mut S) -> Result<()
             new
         });
     }
-    let resolve = |sink: &mut S, map: &[Option<NetId>], net: NetId| match netlist
-        .net(net)
-        .driver
-    {
+    let resolve = |sink: &mut S, map: &[Option<NetId>], net: NetId| match netlist.net(net).driver {
         NetDriver::Constant(value) => sink.constant(value),
         _ => map[net.index()].expect("topological order maps fanin first"),
     };
@@ -303,7 +300,10 @@ impl ImportedReport {
     /// clock — the highest precision that still compensates the aging.
     /// `None` when no truncation does.
     pub fn required_cut(&self) -> Option<u32> {
-        self.variants.iter().find(|v| v.meets_clock()).map(|v| v.cut)
+        self.variants
+            .iter()
+            .find(|v| v.meets_clock())
+            .map(|v| v.cut)
     }
 
     /// The variants no other variant dominates on
@@ -532,10 +532,8 @@ mod tests {
     fn buses_are_recovered_from_input_names() {
         let (_, netlist) = imported_adder(8);
         let buses = input_buses(&netlist);
-        let shape: Vec<(String, usize)> = buses
-            .iter()
-            .map(|b| (b.name.clone(), b.width()))
-            .collect();
+        let shape: Vec<(String, usize)> =
+            buses.iter().map(|b| (b.name.clone(), b.width())).collect();
         // RCA inputs: a[8], b[8] plus the carry-in scalar.
         assert!(shape.contains(&("a".into(), 8)), "{shape:?}");
         assert!(shape.contains(&("b".into(), 8)), "{shape:?}");

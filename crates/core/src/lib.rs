@@ -84,5 +84,5 @@ pub use quality::{
     average_psnr_db, evaluate_sequences, evaluate_video, SequenceQuality, PIPELINE_JPEG_QUALITY,
 };
 pub use savings::DesignMetrics;
-pub use schedule::{plan_degradation_schedule, DegradationSchedule, ScheduleStep};
 pub use savings::{compare_against_aging_aware, SavingsReport};
+pub use schedule::{plan_degradation_schedule, DegradationSchedule, ScheduleStep};

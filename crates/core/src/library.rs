@@ -98,13 +98,7 @@ impl ApproxLibrary {
     pub fn to_text(&self) -> String {
         let mut out = String::from("aix-approx-library v1\n");
         for c in self.components.values() {
-            let _ = writeln!(
-                out,
-                "component {} {} {}",
-                c.kind(),
-                c.width(),
-                c.effort()
-            );
+            let _ = writeln!(out, "component {} {} {}", c.kind(), c.width(), c.effort());
             for e in c.entries() {
                 let _ = writeln!(
                     out,
@@ -215,15 +209,14 @@ impl ApproxLibrary {
 pub(crate) fn scenario_token(scenario: CharacterizationScenario) -> String {
     match scenario {
         CharacterizationScenario::Uniform(AgingScenario::Fresh) => "fresh".to_owned(),
-        CharacterizationScenario::Uniform(AgingScenario::Aged { stress, lifetime }) => {
-            match stress {
-                StressCondition::Worst => format!("wc:{}", lifetime.years()),
-                StressCondition::Balanced => format!("bal:{}", lifetime.years()),
-                StressCondition::Uniform(s) => {
-                    format!("uniform:{}:{}", s.value(), lifetime.years())
-                }
+        CharacterizationScenario::Uniform(AgingScenario::Aged { stress, lifetime }) => match stress
+        {
+            StressCondition::Worst => format!("wc:{}", lifetime.years()),
+            StressCondition::Balanced => format!("bal:{}", lifetime.years()),
+            StressCondition::Uniform(s) => {
+                format!("uniform:{}:{}", s.value(), lifetime.years())
             }
-        }
+        },
         CharacterizationScenario::ActualNormal(lt) => format!("acnd:{}", lt.years()),
         CharacterizationScenario::ActualIdct(lt) => format!("acidct:{}", lt.years()),
     }
@@ -275,7 +268,11 @@ mod tests {
                 CharacterizationScenario::worst_case(Lifetime::YEARS_10),
                 295.0,
             ),
-            (12, CharacterizationScenario::ActualNormal(Lifetime::YEARS_10), 280.0),
+            (
+                12,
+                CharacterizationScenario::ActualNormal(Lifetime::YEARS_10),
+                280.0,
+            ),
         ] {
             c.add_entry(CharacterizationEntry {
                 precision,
@@ -309,10 +306,7 @@ mod tests {
         for (a, b) in original.entries().iter().zip(parsed.entries()) {
             assert_eq!(a.precision, b.precision);
             assert!((a.delay_ps - b.delay_ps).abs() < 1e-6);
-            assert_eq!(
-                scenario_token(a.scenario),
-                scenario_token(b.scenario)
-            );
+            assert_eq!(scenario_token(a.scenario), scenario_token(b.scenario));
         }
         assert_eq!(parsed.effort(), Effort::Ultra);
     }
@@ -346,9 +340,7 @@ mod tests {
             ApproxLibrary::from_text("aix-approx-library v1\nentry 3 fresh 1.0").is_err(),
             "entry before component"
         );
-        assert!(
-            ApproxLibrary::from_text("aix-approx-library v1\nbogus record").is_err()
-        );
+        assert!(ApproxLibrary::from_text("aix-approx-library v1\nbogus record").is_err());
         assert!(ApproxLibrary::from_text(
             "aix-approx-library v1\ncomponent adder 16 ultra\nentry x fresh 1.0"
         )
@@ -357,7 +349,8 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_ignored() {
-        let text = "aix-approx-library v1\n\n# comment\ncomponent mac 8 medium\nentry 8 fresh 100.0\n";
+        let text =
+            "aix-approx-library v1\n\n# comment\ncomponent mac 8 medium\nentry 8 fresh 100.0\n";
         let lib = ApproxLibrary::from_text(text).unwrap();
         assert_eq!(lib.len(), 1);
         let c = lib.get(ComponentKind::Mac, 8).unwrap();

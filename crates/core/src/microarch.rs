@@ -92,8 +92,7 @@ impl MicroarchDesign {
     pub fn timing_constraint(&self) -> Result<ClockConstraint, NetlistError> {
         let mut worst = 0.0f64;
         for block in &self.blocks {
-            let delay = analyze(&block.netlist, &NetDelays::fresh(&block.netlist))?
-                .max_delay_ps();
+            let delay = analyze(&block.netlist, &NetDelays::fresh(&block.netlist))?.max_delay_ps();
             worst = worst.max(delay);
         }
         Ok(ClockConstraint::from_period_ps(worst))
@@ -242,12 +241,13 @@ pub fn apply_aging_approximations(
         let precision = if slack_ps >= 0.0 {
             block.width
         } else {
-            let characterization = library.get(block.kind, block.width).ok_or(
-                FlowError::MissingCharacterization {
-                    kind: block.kind,
-                    width: block.width,
-                },
-            )?;
+            let characterization =
+                library
+                    .get(block.kind, block.width)
+                    .ok_or(FlowError::MissingCharacterization {
+                        kind: block.kind,
+                        width: block.width,
+                    })?;
             characterization
                 .precision_for_relative_slack(scenario, relative_slack)
                 .ok_or_else(|| FlowError::Uncompensable {

@@ -131,7 +131,12 @@ mod tests {
                 r.sequence
             );
             assert!(r.drop_db() > 0.0, "{} must lose quality", r.sequence);
-            assert!(r.ssim > 0.0 && r.ssim < 1.0, "{}: ssim {}", r.sequence, r.ssim);
+            assert!(
+                r.ssim > 0.0 && r.ssim < 1.0,
+                "{}: ssim {}",
+                r.sequence,
+                r.ssim
+            );
         }
     }
 

@@ -143,8 +143,8 @@ pub fn compare_against_aging_aware(
     // Ours: planned precisions at the fresh constraint.
     let mut ours_blocks = Vec::new();
     for block in &plan.blocks {
-        let spec = ComponentSpec::new(block.width, block.precision)
-            .expect("plan precisions are valid");
+        let spec =
+            ComponentSpec::new(block.width, block.precision).expect("plan precisions are valid");
         let netlist = block
             .kind
             .synthesize(library, spec, design.effort())
@@ -159,7 +159,13 @@ pub fn compare_against_aging_aware(
     for block in design.blocks() {
         let mut netlist = block.netlist.clone();
         let iterations = netlist.gate_count().min(400);
-        aging_aware_synthesize(&mut netlist, model, scenario, plan.constraint_ps, iterations)?;
+        aging_aware_synthesize(
+            &mut netlist,
+            model,
+            scenario,
+            plan.constraint_ps,
+            iterations,
+        )?;
         let aged = analyze(&netlist, &NetDelays::aged(&netlist, model, scenario))?;
         baseline_clock = baseline_clock.max(aged.max_delay_ps());
         baseline_blocks.push((block.width, netlist));
@@ -173,8 +179,8 @@ pub fn compare_against_aging_aware(
 mod tests {
     use super::*;
     use crate::{
-        apply_aging_approximations, characterize_component, ApproxLibrary,
-        CharacterizationConfig, ComponentKind,
+        apply_aging_approximations, characterize_component, ApproxLibrary, CharacterizationConfig,
+        ComponentKind,
     };
     use aix_aging::Lifetime;
 

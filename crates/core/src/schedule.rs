@@ -9,8 +9,8 @@
 //! its transistors actually slow down, instead of paying the end-of-life
 //! approximation from day one.
 
-use crate::{apply_aging_approximations, ApproxLibrary, ApproximationPlan, MicroarchDesign};
 use crate::microarch::FlowError;
+use crate::{apply_aging_approximations, ApproxLibrary, ApproximationPlan, MicroarchDesign};
 use aix_aging::{AgingModel, AgingScenario, Lifetime, StressCondition};
 
 /// One checkpoint of a degradation schedule.

@@ -65,7 +65,10 @@ fn warm_cache_skips_all_synthesis_and_is_byte_identical() {
     assert_eq!(cold_report.cache_misses, config.precisions.len());
 
     let (warm, warm_report) = engine(1, Some(&dir)).characterize(&config).unwrap();
-    assert_eq!(warm_report.synth_executed, 0, "warm run must skip synthesis");
+    assert_eq!(
+        warm_report.synth_executed, 0,
+        "warm run must skip synthesis"
+    );
     assert_eq!(warm_report.sta_executed, 0, "warm run must skip STA");
     assert_eq!(warm_report.cache_hits, config.precisions.len());
     assert_eq!(warm_report.cache_misses, 0);
@@ -113,7 +116,11 @@ fn corrupted_and_stale_cache_entries_fall_back_to_resynthesis() {
     let key_fields: Vec<&str> = lines[1].split_whitespace().collect();
     let doctored = format!(
         "{} {} {} {} {} {}",
-        key_fields[0], key_fields[1], key_fields[2], key_fields[3], key_fields[4],
+        key_fields[0],
+        key_fields[1],
+        key_fields[2],
+        key_fields[3],
+        key_fields[4],
         "0000000000000000",
     );
     lines[1] = doctored;

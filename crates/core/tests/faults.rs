@@ -3,10 +3,10 @@
 //! report the incomplete campaign.
 
 use aix_aging::{AgingScenario, StressCondition};
+use aix_cells::Library;
 use aix_core::{
     CampaignStatus, CharacterizationConfig, CharacterizationEngine, ComponentKind, EngineOptions,
 };
-use aix_cells::Library;
 use aix_faults::{FaultMode, FaultPlan, FaultSpec, FaultStage};
 use std::sync::Arc;
 
@@ -116,8 +116,10 @@ fn injected_sta_panic_quarantines_the_job_at_its_first_failing_scenario() {
 
     let mut partial_texts = Vec::new();
     for jobs in [1, 4] {
-        let dir = std::env::temp_dir()
-            .join(format!("aix-faults-test-sta-j{jobs}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "aix-faults-test-sta-j{jobs}-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let options = |faults| EngineOptions {
             jobs,
@@ -133,7 +135,12 @@ fn injected_sta_panic_quarantines_the_job_at_its_first_failing_scenario() {
         let quarantined: Vec<(usize, String)> = campaign
             .failures
             .iter()
-            .map(|f| (f.precision, f.scenario.clone().expect("STA failures name a scenario")))
+            .map(|f| {
+                (
+                    f.precision,
+                    f.scenario.clone().expect("STA failures name a scenario"),
+                )
+            })
             .collect();
         assert_eq!(quarantined, doomed, "jobs={jobs}");
         for failure in &campaign.failures {
@@ -232,7 +239,10 @@ fn all_or_nothing_entry_points_surface_campaign_incomplete() {
     let text = err.to_string();
     assert!(text.contains("campaign incomplete"), "{text}");
     assert!(text.contains(&format!("{} of {}", doomed.len(), config.precisions.len())));
-    assert!(text.contains("adder w10"), "first failure names the job: {text}");
+    assert!(
+        text.contains("adder w10"),
+        "first failure names the job: {text}"
+    );
 }
 
 #[test]
@@ -248,8 +258,10 @@ fn a_cached_rerun_finishes_a_partial_campaign_to_identical_bytes() {
         .to_text();
 
     for jobs in [1, 4] {
-        let dir = std::env::temp_dir()
-            .join(format!("aix-faults-test-rerun-j{jobs}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "aix-faults-test-rerun-j{jobs}-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let options = |faults| EngineOptions {
             jobs,
@@ -263,8 +275,8 @@ fn a_cached_rerun_finishes_a_partial_campaign_to_identical_bytes() {
 
         // The rerun serves every finished job from the cache and
         // synthesizes only the quarantined ones.
-        let rerun = CharacterizationEngine::new(cells(), options(None))
-            .characterize_campaign(&configs);
+        let rerun =
+            CharacterizationEngine::new(cells(), options(None)).characterize_campaign(&configs);
         assert_eq!(rerun.status(), CampaignStatus::Complete, "jobs={jobs}");
         assert_eq!(rerun.report.synth_executed, doomed);
         assert_eq!(rerun.report.cache_misses, doomed);

@@ -89,10 +89,7 @@ mod tests {
                 if u == v {
                     assert!(dot > 0);
                 } else {
-                    assert!(
-                        dot.abs() < 1 << 13,
-                        "rows {u},{v} not orthogonal: {dot}"
-                    );
+                    assert!(dot.abs() < 1 << 13, "rows {u},{v} not orthogonal: {dot}");
                 }
             }
         }

@@ -293,11 +293,19 @@ mod tests {
             .collect();
         let batch_coeffs = forward_block_batch(&mut exact_batch, &blocks);
         for (lane, block) in blocks.iter().enumerate() {
-            assert_eq!(batch_coeffs[lane], forward_block(&mut exact, block), "lane {lane}");
+            assert_eq!(
+                batch_coeffs[lane],
+                forward_block(&mut exact, block),
+                "lane {lane}"
+            );
         }
         let batch_pixels = inverse_block_batch(&mut exact_batch, &batch_coeffs);
         for (lane, coeffs) in batch_coeffs.iter().enumerate() {
-            assert_eq!(batch_pixels[lane], inverse_block(&mut exact, coeffs), "lane {lane}");
+            assert_eq!(
+                batch_pixels[lane],
+                inverse_block(&mut exact, coeffs),
+                "lane {lane}"
+            );
         }
     }
 

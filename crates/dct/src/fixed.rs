@@ -116,7 +116,10 @@ mod tests {
         let e9 = err(9);
         let e14 = err(14);
         assert!(e0 <= e9 + 1e-9 && e9 <= e14 + 1e-9, "{e0} {e9} {e14}");
-        assert!(e9 < 80.0, "truncation just past the guard bits stays mild: MSE {e9}");
+        assert!(
+            e9 < 80.0,
+            "truncation just past the guard bits stays mild: MSE {e9}"
+        );
         assert!(e14 > e9, "heavy truncation hurts");
     }
 

@@ -219,7 +219,8 @@ impl GateLevelPipeline {
             .flat_map(|by| (0..bw).map(move |bx| (bx, by)))
             .collect();
         for group in coords.chunks(LANES) {
-            let blocks: Vec<[u8; 64]> = group.iter().map(|&(bx, by)| image.block8(bx, by)).collect();
+            let blocks: Vec<[u8; 64]> =
+                group.iter().map(|&(bx, by)| image.block8(bx, by)).collect();
             let mut sim = self.streams()?;
             let pixels = {
                 let mut mac = Self::batch_mac_closure(&mut sim, &mut stats);
@@ -300,11 +301,11 @@ fn from_bus(raw: u64) -> i64 {
 /// accumulate, output truncated to the low 32 bits (the datapath wraps at
 /// the register width), then cleanup, timing-driven sizing and area
 /// recovery — the "ultra compile" treatment.
-fn build_mac_netlist(library: &Arc<Library>, mult_truncation: u32) -> Result<Netlist, NetlistError> {
-    let mut nl = Netlist::new(
-        format!("idct_mac_t{mult_truncation}"),
-        Arc::clone(library),
-    );
+fn build_mac_netlist(
+    library: &Arc<Library>,
+    mult_truncation: u32,
+) -> Result<Netlist, NetlistError> {
+    let mut nl = Netlist::new(format!("idct_mac_t{mult_truncation}"), Arc::clone(library));
     let a = nl.add_input_bus("a", WIDTH);
     let b = nl.add_input_bus("b", WIDTH);
     let acc = nl.add_input_bus("acc", ACC_WIDTH);
@@ -329,8 +330,13 @@ fn build_mac_netlist(library: &Arc<Library>, mult_truncation: u32) -> Result<Net
     };
     let product = multiply_into(&mut nl, MultiplierKind::Wallace, &extend(&at), &extend(&bt))?;
     let _ = zero;
-    let (sum, _overflow) =
-        add_into(&mut nl, AdderKind::CarrySelect, &product[..ACC_WIDTH], &acc, None)?;
+    let (sum, _overflow) = add_into(
+        &mut nl,
+        AdderKind::CarrySelect,
+        &product[..ACC_WIDTH],
+        &acc,
+        None,
+    )?;
     for (i, &net) in sum.iter().take(ACC_WIDTH).enumerate() {
         nl.mark_output(format!("out[{i}]"), net);
     }
@@ -436,8 +442,14 @@ mod tests {
         // same pixels, in conditions where many MACs latch wrong values.
         let worst = GateLevelConfig::aged(AgingScenario::worst_case(Lifetime::YEARS_10));
         assert_eq!(foreman_decode(worst), (73, 0x144f_1070_30f1_9695));
-        assert_eq!(foreman_decode(overclocked(0.8)), (617, 0x831f_10ee_287c_540c));
-        assert_eq!(foreman_decode(overclocked(0.6)), (3790, 0xaa46_2396_992e_0a2b));
+        assert_eq!(
+            foreman_decode(overclocked(0.8)),
+            (617, 0x831f_10ee_287c_540c)
+        );
+        assert_eq!(
+            foreman_decode(overclocked(0.6)),
+            (3790, 0xaa46_2396_992e_0a2b)
+        );
     }
 
     #[test]
@@ -466,7 +478,11 @@ mod tests {
                 let settled: Vec<bool> = streams.settled_words().iter().map(bit).collect();
                 assert_eq!(sampled, expected.sampled, "step {step} lane {lane}");
                 assert_eq!(settled, expected.settled, "step {step} lane {lane}");
-                assert_eq!(bit(&error_lanes), expected.timing_error, "step {step} lane {lane}");
+                assert_eq!(
+                    bit(&error_lanes),
+                    expected.timing_error,
+                    "step {step} lane {lane}"
+                );
                 errors += usize::from(expected.timing_error);
             }
         }
@@ -478,8 +494,12 @@ mod tests {
         let lib = library();
         let full = build_mac_netlist(&lib, 0).unwrap();
         let cut = build_mac_netlist(&lib, 6).unwrap();
-        let d_full = analyze(&full, &NetDelays::fresh(&full)).unwrap().max_delay_ps();
-        let d_cut = analyze(&cut, &NetDelays::fresh(&cut)).unwrap().max_delay_ps();
+        let d_full = analyze(&full, &NetDelays::fresh(&full))
+            .unwrap()
+            .max_delay_ps();
+        let d_cut = analyze(&cut, &NetDelays::fresh(&cut))
+            .unwrap()
+            .max_delay_ps();
         assert!(d_cut < d_full, "{d_cut} vs {d_full}");
         assert!(cut.stats().area_um2 < full.stats().area_um2);
     }

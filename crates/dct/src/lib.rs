@@ -47,7 +47,9 @@ pub use coeffs::{dct_coefficient, idct_coefficient, COEFF_FRACTION_BITS};
 pub use engine::OPERAND_SHIFT;
 pub use fixed::FixedPointTransform;
 pub use gatelevel::{GateLevelConfig, GateLevelPipeline};
-pub use pipeline::{decode_image, encode_image, encode_image_quantized, roundtrip_psnr, CoefficientImage};
+pub use pipeline::{
+    decode_image, encode_image, encode_image_quantized, roundtrip_psnr, CoefficientImage,
+};
+pub use precision::DatapathPrecision;
 pub use quant::Quantizer;
 pub use rate::{estimate_bits_per_pixel, estimate_block_bits, ZIGZAG};
-pub use precision::DatapathPrecision;

@@ -7,9 +7,9 @@ use aix_image::Image;
 
 /// The JPEG zigzag scan order over an 8×8 block in raster indexing.
 pub const ZIGZAG: [usize; 64] = [
-    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27,
-    20, 13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58,
-    59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
+    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27, 20,
+    13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58, 59,
+    52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ];
 
 /// Bits needed for the magnitude category of a level (JPEG "size").
@@ -107,8 +107,7 @@ mod tests {
     fn busy_content_costs_more_bits() {
         let t = FixedPointTransform::exact();
         let q = Quantizer::jpeg_quality(75);
-        let smooth =
-            estimate_bits_per_pixel(&Sequence::MissAmerica.frame(64, 48, 0), &t, &q);
+        let smooth = estimate_bits_per_pixel(&Sequence::MissAmerica.frame(64, 48, 0), &t, &q);
         let busy = estimate_bits_per_pixel(&Sequence::Mobile.frame(64, 48, 0), &t, &q);
         assert!(busy > smooth, "mobile {busy:.2} vs miss {smooth:.2}");
     }

@@ -91,7 +91,11 @@ fn exact_value(kind: ComponentKind, width: usize, vector: &[bool]) -> u64 {
         ComponentKind::Multiplier => a.wrapping_mul(b),
         ComponentKind::Mac => {
             let acc = golden_word(&vector[2 * width..]);
-            let mask = if width >= 32 { u64::MAX } else { (1u64 << (2 * width)) - 1 };
+            let mask = if width >= 32 {
+                u64::MAX
+            } else {
+                (1u64 << (2 * width)) - 1
+            };
             a.wrapping_mul(b).wrapping_add(acc) & mask
         }
     }
@@ -192,7 +196,9 @@ mod tests {
     fn context(kind: ComponentKind, width: usize) -> ScoreContext {
         let library = Arc::new(Library::nangate45_like());
         let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
-        let baseline = Candidate::exact(kind, width).build_optimized(&library).unwrap();
+        let baseline = Candidate::exact(kind, width)
+            .build_optimized(&library)
+            .unwrap();
         let delays = NetDelays::aged(&baseline, &AgingModel::calibrated(), scenario);
         let clock_ps = analyze(&baseline, &delays).unwrap().max_delay_ps();
         let stimuli = ScoreContext::stimuli_for(kind, width, 256, 42);
@@ -217,7 +223,10 @@ mod tests {
         let truncated = Candidate::truncated(ComponentKind::Adder, 16, 10).unwrap();
         let score = score_candidate(&ctx, &truncated).unwrap();
         assert!(score.mean_abs_error > 0.0);
-        assert!(score.slack_ps > 0.0, "truncation should shorten the aged path");
+        assert!(
+            score.slack_ps > 0.0,
+            "truncation should shorten the aged path"
+        );
         let exact = score_candidate(&ctx, &Candidate::exact(ComponentKind::Adder, 16)).unwrap();
         assert!(score.gate_count < exact.gate_count);
     }

@@ -163,7 +163,13 @@ impl FaultSpec {
 
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:p={},seed={}", self.mode.token(), self.probability, self.seed)?;
+        write!(
+            f,
+            "{}:p={},seed={}",
+            self.mode.token(),
+            self.probability,
+            self.seed
+        )?;
         if let Some(stage) = self.stage {
             write!(f, ",stage={stage}")?;
         }
@@ -225,7 +231,11 @@ impl FromStr for FaultPlan {
                 "delay" => FaultMode::Delay,
                 "shortwrite" => FaultMode::ShortWrite,
                 "enospc" => FaultMode::Enospc,
-                other => return Err(ParseFaultError::new(format!("unknown fault mode `{other}`"))),
+                other => {
+                    return Err(ParseFaultError::new(format!(
+                        "unknown fault mode `{other}`"
+                    )))
+                }
             };
             let mut spec = FaultSpec {
                 mode,
@@ -240,7 +250,9 @@ impl FromStr for FaultPlan {
                     continue;
                 }
                 let Some((key, value)) = param.split_once('=') else {
-                    return Err(ParseFaultError::new(format!("malformed parameter `{param}`")));
+                    return Err(ParseFaultError::new(format!(
+                        "malformed parameter `{param}`"
+                    )));
                 };
                 match key.trim() {
                     "p" => {
@@ -565,7 +577,10 @@ mod tests {
 
     #[test]
     fn removed_serve_stage_is_rejected_naming_the_remaining_stages() {
-        let err = "io:stage=serve".parse::<FaultPlan>().unwrap_err().to_string();
+        let err = "io:stage=serve"
+            .parse::<FaultPlan>()
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown stage `serve`"), "{err}");
         assert!(err.contains("stage=synth|sta|cache|import,"), "{err}");
     }

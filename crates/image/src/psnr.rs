@@ -78,12 +78,8 @@ mod tests {
     #[test]
     fn psnr_decreases_with_distortion() {
         let reference = Image::from_fn(16, 16, |x, y| ((x * 16 + y) % 256) as u8);
-        let mild = Image::from_fn(16, 16, |x, y| {
-            reference.pixel(x, y).saturating_add(2)
-        });
-        let severe = Image::from_fn(16, 16, |x, y| {
-            reference.pixel(x, y).saturating_add(50)
-        });
+        let mild = Image::from_fn(16, 16, |x, y| reference.pixel(x, y).saturating_add(2));
+        let severe = Image::from_fn(16, 16, |x, y| reference.pixel(x, y).saturating_add(50));
         assert!(psnr(&reference, &mild) > psnr(&reference, &severe));
     }
 

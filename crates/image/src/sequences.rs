@@ -200,14 +200,7 @@ mod tests {
         assert_eq!(
             labels,
             [
-                "akiyo",
-                "carphone",
-                "foreman",
-                "grand",
-                "miss",
-                "mobile",
-                "mother",
-                "salesman",
+                "akiyo", "carphone", "foreman", "grand", "miss", "mobile", "mother", "salesman",
                 "suzie"
             ]
         );

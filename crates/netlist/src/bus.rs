@@ -50,7 +50,11 @@ mod tests {
     #[test]
     fn roundtrip_various_widths() {
         for width in [1usize, 7, 8, 16, 32, 63, 64] {
-            let mask = if width == 64 { u64::MAX } else { (1 << width) - 1 };
+            let mask = if width == 64 {
+                u64::MAX
+            } else {
+                (1 << width) - 1
+            };
             for value in [0u64, 1, 0x5555_5555_5555_5555, u64::MAX] {
                 let v = value & mask;
                 assert_eq!(bus_to_u64(&bus_from_u64(v, width)), v, "w={width} v={v:#x}");

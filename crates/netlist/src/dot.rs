@@ -62,12 +62,7 @@ pub fn to_dot(netlist: &Netlist) -> String {
                     let _ = writeln!(out, "  g{} -> g{};", src.index(), id.index());
                 }
                 NetDriver::Constant(v) => {
-                    let _ = writeln!(
-                        out,
-                        "  const{} -> g{};",
-                        u8::from(v),
-                        id.index()
-                    );
+                    let _ = writeln!(out, "  const{} -> g{};", u8::from(v), id.index());
                 }
             }
         }

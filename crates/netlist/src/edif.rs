@@ -208,7 +208,10 @@ pub fn to_edif(netlist: &Netlist) -> String {
     }
     out.push_str("        )))\n");
     out.push_str("  )\n");
-    let _ = writeln!(out, "  (design {module} (cellref {module} (libraryref work))))");
+    let _ = writeln!(
+        out,
+        "  (design {module} (cellref {module} (libraryref work))))"
+    );
     out
 }
 
@@ -225,7 +228,9 @@ mod tests {
     #[test]
     fn structure_of_a_half_adder() {
         let lib = lib();
-        let ha = lib.find(CellFunction::HalfAdder, DriveStrength::X1).unwrap();
+        let ha = lib
+            .find(CellFunction::HalfAdder, DriveStrength::X1)
+            .unwrap();
         let mut nl = Netlist::new("ha", lib.clone());
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -269,6 +274,8 @@ mod tests {
         let e = to_edif(&nl);
         assert!(e.contains("(cell TIE1"));
         assert!(e.contains("(instance tie1 (viewref netlist (cellref TIE1 (libraryref cells))))"));
-        assert!(e.contains("(net tie1 (joined (portref y (instanceref tie1)) (portref b (instanceref g0))))"));
+        assert!(e.contains(
+            "(net tie1 (joined (portref y (instanceref tie1)) (portref b (instanceref g0))))"
+        ));
     }
 }

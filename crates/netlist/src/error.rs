@@ -96,7 +96,10 @@ impl fmt::Display for NetlistError {
                 "net {net} has invalid delay annotation {delay} ps (must be finite and >= 0)"
             ),
             NetlistError::NotRetimeable(why) => {
-                write!(f, "delay annotation cannot be re-timed incrementally: {why}")
+                write!(
+                    f,
+                    "delay annotation cannot be re-timed incrementally: {why}"
+                )
             }
             NetlistError::InvalidClock { clock } => {
                 write!(f, "invalid clock period {clock} ps (must be >= 0 or +inf)")

@@ -345,7 +345,10 @@ mod tests {
         let order = nl.topological_order().unwrap();
         assert_eq!(order.len(), 10);
         for window in order.windows(2) {
-            assert!(window[0].index() < window[1].index(), "chain order is id order");
+            assert!(
+                window[0].index() < window[1].index(),
+                "chain order is id order"
+            );
         }
     }
 
@@ -414,7 +417,10 @@ mod tests {
         nl.mark_output("y", x);
         let first = nl.schedule().unwrap();
         let again = nl.schedule().unwrap();
-        assert!(std::sync::Arc::ptr_eq(&first, &again), "second call hits the cache");
+        assert!(
+            std::sync::Arc::ptr_eq(&first, &again),
+            "second call hits the cache"
+        );
         let y = nl.add_gate(inv, &[x]).unwrap()[0];
         nl.mark_output("z", y);
         let rebuilt = nl.schedule().unwrap();

@@ -841,7 +841,10 @@ mod tests {
         // Net q drives the output port directly — no wire, no assign.
         assert!(d.wires.is_empty());
         assert!(d.assigns.is_empty());
-        assert_eq!(d.instances[0].conns[1].target, Some(NetRef::Name("q".into())));
+        assert_eq!(
+            d.instances[0].conns[1].target,
+            Some(NetRef::Name("q".into()))
+        );
     }
 
     #[test]

@@ -119,8 +119,7 @@ pub(super) fn tokenize(source: &str) -> Result<Vec<Lexed>, ImportError> {
         }
         if c.is_ascii_alphabetic() || c == '_' || c == '$' {
             let mut name = String::new();
-            while i < n
-                && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '$')
+            while i < n && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '$')
             {
                 name.push(chars[i]);
                 advance!();
@@ -205,7 +204,11 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<Token> {
-        tokenize(src).unwrap().into_iter().map(|l| l.token).collect()
+        tokenize(src)
+            .unwrap()
+            .into_iter()
+            .map(|l| l.token)
+            .collect()
     }
 
     #[test]

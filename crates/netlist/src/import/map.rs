@@ -72,10 +72,13 @@ impl Mapper {
         match net_ref {
             NetRef::Const(_) => Ok(None),
             NetRef::Name(name) => {
-                let decl = self.decls.get(name).ok_or_else(|| ImportError::UndeclaredNet {
-                    loc,
-                    name: name.clone(),
-                })?;
+                let decl = self
+                    .decls
+                    .get(name)
+                    .ok_or_else(|| ImportError::UndeclaredNet {
+                        loc,
+                        name: name.clone(),
+                    })?;
                 match decl.width {
                     None => Ok(Some(name.clone())),
                     Some(1) => Ok(Some(format!("{name}[0]"))),
@@ -87,10 +90,13 @@ impl Mapper {
                 }
             }
             NetRef::Bit(name, index) => {
-                let decl = self.decls.get(name).ok_or_else(|| ImportError::UndeclaredNet {
-                    loc,
-                    name: name.clone(),
-                })?;
+                let decl = self
+                    .decls
+                    .get(name)
+                    .ok_or_else(|| ImportError::UndeclaredNet {
+                        loc,
+                        name: name.clone(),
+                    })?;
                 let width = decl.width.ok_or(ImportError::BitOutOfRange {
                     loc,
                     name: name.clone(),
@@ -112,7 +118,10 @@ impl Mapper {
 
     /// Binds `key` to `net`, failing if something already drives it.
     fn bind(&mut self, key: &str, net: NetId, loc: Loc) -> Result<(), ImportError> {
-        let bit = self.bits.get_mut(key).expect("key comes from a declaration");
+        let bit = self
+            .bits
+            .get_mut(key)
+            .expect("key comes from a declaration");
         if bit.net.is_some() {
             return Err(ImportError::MultipleDrivers {
                 loc,
@@ -197,11 +206,7 @@ fn pin_slots(
             instance: instance.name.clone(),
             cell: cell_name.to_owned(),
             expected,
-            provided: instance
-                .conns
-                .iter()
-                .filter(|c| c.target.is_some())
-                .count(),
+            provided: instance.conns.iter().filter(|c| c.target.is_some()).count(),
         });
     }
     Ok(slots)
@@ -328,14 +333,16 @@ pub(super) fn build(
                 let Some((target, loc)) = slots.into_iter().next().flatten() else {
                     continue; // dangling tie instance drives nothing
                 };
-                let key = m.key_of(&target, loc)?.ok_or(ImportError::MultipleDrivers {
-                    loc,
-                    name: if matches!(target, NetRef::Const(true)) {
-                        "1'b1".to_owned()
-                    } else {
-                        "1'b0".to_owned()
-                    },
-                })?;
+                let key = m
+                    .key_of(&target, loc)?
+                    .ok_or(ImportError::MultipleDrivers {
+                        loc,
+                        name: if matches!(target, NetRef::Const(true)) {
+                            "1'b1".to_owned()
+                        } else {
+                            "1'b0".to_owned()
+                        },
+                    })?;
                 let net = m.constant(*value);
                 m.bind(&key, net, loc)?;
             }
@@ -349,10 +356,11 @@ pub(super) fn build(
                     let slot = &slots[ic + pin];
                     let name = match slot {
                         Some((target, loc)) => Some((
-                            m.key_of(target, *loc)?.ok_or(ImportError::MultipleDrivers {
-                                loc: *loc,
-                                name: "literal".to_owned(),
-                            })?,
+                            m.key_of(target, *loc)?
+                                .ok_or(ImportError::MultipleDrivers {
+                                    loc: *loc,
+                                    name: "literal".to_owned(),
+                                })?,
                             *loc,
                         )),
                         None => None,
@@ -438,10 +446,7 @@ pub(super) fn build(
 
     // Pass C: gate inputs.
     for (gate_index, slots) in slots_by_gate.iter().enumerate() {
-        let input_count = library
-            .cell(gates[gate_index].cell)
-            .function
-            .input_count();
+        let input_count = library.cell(gates[gate_index].cell).function.input_count();
         let mut input_nets = Pins::new();
         for slot in &slots[..input_count] {
             let (target, loc) = slot.as_ref().expect("checked in pin_slots");
@@ -449,9 +454,9 @@ pub(super) fn build(
                 NetRef::Const(value) => m.constant(*value),
                 other => {
                     let key = m.key_of(other, *loc)?.expect("non-const has a key");
-                    m.bits[&key].net.ok_or(ImportError::UndrivenNet {
-                        name: key.clone(),
-                    })?
+                    m.bits[&key]
+                        .net
+                        .ok_or(ImportError::UndrivenNet { name: key.clone() })?
                 }
             };
             input_nets.push(net);
@@ -466,9 +471,9 @@ pub(super) fn build(
             continue;
         }
         for key in bit_keys(&port.name, port.width) {
-            let net = m.bits[&key].net.ok_or(ImportError::UndrivenNet {
-                name: key.clone(),
-            })?;
+            let net = m.bits[&key]
+                .net
+                .ok_or(ImportError::UndrivenNet { name: key.clone() })?;
             outputs.push((key, net));
         }
     }

@@ -213,9 +213,7 @@ impl fmt::Display for ImportError {
             Self::DepthExceeded { limit, .. } => {
                 write!(f, "s-expression nesting exceeds depth limit {limit}")
             }
-            Self::UnknownCell {
-                instance, cell, ..
-            } => write!(
+            Self::UnknownCell { instance, cell, .. } => write!(
                 f,
                 "unknown cell `{cell}` instantiated by `{instance}` \
                  (not in the library or alias table)"
@@ -241,10 +239,7 @@ impl fmt::Display for ImportError {
                 "bus `{name}` has width {width} where a 1-bit net is required"
             ),
             Self::BitOutOfRange {
-                name,
-                width,
-                index,
-                ..
+                name, width, index, ..
             } => write!(
                 f,
                 "bit-select `{name}[{index}]` out of range for width-{width} net"

@@ -407,7 +407,10 @@ fn resolve_header_ports(
     if let Some(orphan) = remaining.first() {
         return Err(ImportError::Syntax {
             loc: orphan.loc,
-            message: format!("`{}` declared as a port but not listed in the header", orphan.name),
+            message: format!(
+                "`{}` declared as a port but not listed in the header",
+                orphan.name
+            ),
         });
     }
     // Header duplicates surface as the duplicated declaration being
@@ -562,7 +565,10 @@ mod tests {
     #[test]
     fn missing_direction_decl_is_an_error() {
         let err = parse("module m (a, y);\n input a;\nendmodule").unwrap_err();
-        assert!(err.to_string().contains("no input/output declaration"), "{err}");
+        assert!(
+            err.to_string().contains("no input/output declaration"),
+            "{err}"
+        );
     }
 
     #[test]

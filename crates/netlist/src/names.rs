@@ -17,7 +17,15 @@ use std::collections::HashSet;
 /// equally safe to avoid in EDIF, whose identifier rules are stricter
 /// anyway.)
 const KEYWORDS: [&str; 10] = [
-    "module", "endmodule", "input", "output", "inout", "wire", "assign", "reg", "supply0",
+    "module",
+    "endmodule",
+    "input",
+    "output",
+    "inout",
+    "wire",
+    "assign",
+    "reg",
+    "supply0",
     "supply1",
 ];
 

@@ -57,11 +57,7 @@ fn net_expr(netlist: &Netlist, names: &NameTable, net: NetId) -> String {
 pub fn to_verilog(netlist: &Netlist) -> String {
     let names = NameTable::build(netlist);
     let mut out = String::new();
-    let inputs: Vec<&str> = netlist
-        .inputs()
-        .iter()
-        .map(|&n| names.net(n))
-        .collect();
+    let inputs: Vec<&str> = netlist.inputs().iter().map(|&n| names.net(n)).collect();
     let _ = writeln!(
         out,
         "module {} ({});",
@@ -133,7 +129,9 @@ mod tests {
     #[test]
     fn full_adder_module_structure() {
         let lib = lib();
-        let fa = lib.find(CellFunction::FullAdder, DriveStrength::X2).unwrap();
+        let fa = lib
+            .find(CellFunction::FullAdder, DriveStrength::X2)
+            .unwrap();
         let mut nl = Netlist::new("fa1", lib.clone());
         let a = nl.add_input("a");
         let b = nl.add_input("b");

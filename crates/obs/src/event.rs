@@ -130,7 +130,11 @@ impl Event {
     /// The canonical single-line JSON rendering (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
-        let _ = write!(out, "{{\"seq\":{},\"ev\":\"{}\",\"name\":", self.seq, self.kind);
+        let _ = write!(
+            out,
+            "{{\"seq\":{},\"ev\":\"{}\",\"name\":",
+            self.seq, self.kind
+        );
         let _ = write_json_string(&mut out, &self.name);
         for (key, value) in &self.fields {
             out.push(',');
@@ -250,8 +254,14 @@ mod tests {
     fn schema_violations_are_named() {
         for (line, needle) in [
             ("{\"ev\":\"counter\",\"seq\":1,\"name\":\"x\"}", "first key"),
-            ("{\"seq\":-1,\"ev\":\"counter\",\"name\":\"x\"}", "non-negative"),
-            ("{\"seq\":1,\"ev\":\"nope\",\"name\":\"x\"}", "unknown event kind"),
+            (
+                "{\"seq\":-1,\"ev\":\"counter\",\"name\":\"x\"}",
+                "non-negative",
+            ),
+            (
+                "{\"seq\":1,\"ev\":\"nope\",\"name\":\"x\"}",
+                "unknown event kind",
+            ),
             ("{\"seq\":1,\"ev\":\"counter\",\"name\":\"\"}", "non-empty"),
             ("{\"seq\":1,\"ev\":\"counter\"}", "third key"),
             (
@@ -261,7 +271,10 @@ mod tests {
             ("not json", "invalid JSON"),
         ] {
             let err = Event::parse(line).unwrap_err().to_string();
-            assert!(err.contains(needle), "`{line}` → `{err}` must mention `{needle}`");
+            assert!(
+                err.contains(needle),
+                "`{line}` → `{err}` must mention `{needle}`"
+            );
         }
     }
 

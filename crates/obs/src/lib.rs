@@ -211,7 +211,9 @@ pub fn enabled() -> bool {
 /// Installs `recorder` as the global sink, returning the previous one.
 pub fn install(recorder: Recorder) -> Option<Recorder> {
     let mut guard = lock();
-    let previous = guard.replace(recorder.state).map(|state| Recorder { state });
+    let previous = guard
+        .replace(recorder.state)
+        .map(|state| Recorder { state });
     ENABLED.store(true, Ordering::SeqCst);
     previous
 }
@@ -238,7 +240,9 @@ fn lock() -> std::sync::MutexGuard<'static, Option<State>> {
     // A panic while holding the lock (e.g. a quarantined job mid-emit)
     // must not take observability down with it: the state is an
     // append-only log, valid at every intermediate step.
-    GLOBAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    GLOBAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> Option<R> {
@@ -444,16 +448,22 @@ mod tests {
         let _ = uninstall(); // clean slate
         assert!(!enabled());
         let mut evaluated = false;
-        let guard = span!("synth", flag = {
-            evaluated = true;
-            true
-        });
+        let guard = span!(
+            "synth",
+            flag = {
+                evaluated = true;
+                true
+            }
+        );
         assert!(!guard.is_live());
         assert!(!evaluated, "fields must not be evaluated when disabled");
-        count!("cache_hit", job = {
-            evaluated = true;
-            "x"
-        });
+        count!(
+            "cache_hit",
+            job = {
+                evaluated = true;
+                "x"
+            }
+        );
         assert!(!evaluated);
         drop(guard);
     }
@@ -489,14 +499,20 @@ mod tests {
         assert_eq!(seqs, (0..7).collect::<Vec<u64>>(), "seq is dense");
         // span_close refers back to its own open.
         let synth_open = rec.events()[2].seq;
-        assert_eq!(rec.events()[4].int_field("open_seq"), Some(synth_open as i64));
+        assert_eq!(
+            rec.events()[4].int_field("open_seq"),
+            Some(synth_open as i64)
+        );
         assert!(rec.events()[4].field("elapsed_us").is_some());
         let summary = TraceSummary::from_events(rec.events(), true).unwrap();
         assert_eq!(summary.counter("cache_hit"), 1);
         assert_eq!(summary.counter("cache_miss"), 1);
         let synth = summary.stages.iter().find(|s| s.name == "synth").unwrap();
         assert_eq!((synth.spans, synth.unclosed), (1, 0));
-        assert!(synth.total_us.is_some(), "timings on: the close has its time");
+        assert!(
+            synth.total_us.is_some(),
+            "timings on: the close has its time"
+        );
     }
 
     #[test]

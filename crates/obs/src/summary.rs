@@ -193,7 +193,9 @@ impl TraceSummary {
                     open_spans.insert(event.seq, event.name.clone());
                 }
                 EventKind::SpanClose => {
-                    let open_seq = event.int_field("open_seq").and_then(|s| u64::try_from(s).ok());
+                    let open_seq = event
+                        .int_field("open_seq")
+                        .and_then(|s| u64::try_from(s).ok());
                     let paired = open_seq
                         .and_then(|seq| open_spans.remove(&seq))
                         .is_some_and(|open_name| open_name == event.name);
@@ -206,7 +208,9 @@ impl TraceSummary {
                     }
                     let agg = stages.entry(event.name.clone()).or_default();
                     agg.closes += 1;
-                    if let Some(us) = event.int_field("elapsed_us").and_then(|v| u64::try_from(v).ok())
+                    if let Some(us) = event
+                        .int_field("elapsed_us")
+                        .and_then(|v| u64::try_from(v).ok())
                     {
                         agg.total_us = Some(agg.total_us.unwrap_or(0).saturating_add(us));
                         agg.max_us = Some(agg.max_us.unwrap_or(0).max(us));
@@ -372,8 +376,7 @@ mod tests {
     #[test]
     fn summarises_stages_counters_and_quarantines() {
         let lines = trace_lines();
-        let summary =
-            TraceSummary::from_lines(lines.iter().map(String::as_str), true).unwrap();
+        let summary = TraceSummary::from_lines(lines.iter().map(String::as_str), true).unwrap();
         assert_eq!(summary.label, "t");
         assert!(summary.timings);
         assert_eq!(summary.events, 7);
@@ -394,8 +397,7 @@ mod tests {
     #[test]
     fn bench_record_starts_with_label_and_reparses() {
         let lines = trace_lines();
-        let summary =
-            TraceSummary::from_lines(lines.iter().map(String::as_str), true).unwrap();
+        let summary = TraceSummary::from_lines(lines.iter().map(String::as_str), true).unwrap();
         let record = summary.to_json_record();
         assert!(record.starts_with("{\"label\":\"trace:t\""), "{record}");
         let fields = crate::parse_object(&record).unwrap();
@@ -411,15 +413,11 @@ mod tests {
     fn torn_tail_tolerated_only_when_lenient() {
         let mut lines = trace_lines();
         lines.push("{\"seq\":7,\"ev\":\"counter\",\"na".to_owned()); // torn mid-write
-        let lenient =
-            TraceSummary::from_lines(lines.iter().map(String::as_str), false).unwrap();
+        let lenient = TraceSummary::from_lines(lines.iter().map(String::as_str), false).unwrap();
         assert!(lenient.torn_tail);
         assert_eq!(lenient.events, 7);
         let strict = TraceSummary::from_lines(lines.iter().map(String::as_str), true);
-        assert!(matches!(
-            strict,
-            Err(SummaryError::Line { number: 8, .. })
-        ));
+        assert!(matches!(strict, Err(SummaryError::Line { number: 8, .. })));
     }
 
     #[test]
@@ -454,8 +452,9 @@ mod tests {
         assert!(err.contains("dense"), "{err}");
 
         // Wrong schema token.
-        let wrong =
-            ["{\"seq\":0,\"ev\":\"run_start\",\"name\":\"t\",\"schema\":\"other/v9\"}".to_owned()];
+        let wrong = [
+            "{\"seq\":0,\"ev\":\"run_start\",\"name\":\"t\",\"schema\":\"other/v9\"}".to_owned(),
+        ];
         let err = TraceSummary::from_lines(wrong.iter().map(String::as_str), true)
             .unwrap_err()
             .to_string();

@@ -23,7 +23,18 @@ static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 /// and non-ASCII so the JSON escaping paths all get exercised.
 fn char_from_word(word: u64) -> char {
     const AWKWARD: [char; 12] = [
-        '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '/', 'µ', '→', '語', '\u{10348}',
+        '"',
+        '\\',
+        '\n',
+        '\r',
+        '\t',
+        '\u{1}',
+        '\u{1f}',
+        '/',
+        'µ',
+        '→',
+        '語',
+        '\u{10348}',
     ];
     if word.is_multiple_of(3) {
         AWKWARD[(word / 3) as usize % AWKWARD.len()]
@@ -57,7 +68,10 @@ fn event_from_words(words: &[u64; 16]) -> Event {
     let fields = (0..field_count)
         .map(|i| {
             let key = format!("f{i}_{}", char_from_word(words[5 + i]));
-            (key, value_from_words(words[10 + i], words[5 + i].rotate_left(13)))
+            (
+                key,
+                value_from_words(words[10 + i], words[5 + i].rotate_left(13)),
+            )
         })
         .collect();
     Event::new(words[15] % (i64::MAX as u64), kind, &name, fields)

@@ -247,8 +247,7 @@ mod tests {
         )
         .unwrap();
         let cfg = PowerConfig::at_frequency_ghz(1.0);
-        let act_full =
-            Activity::collect(&full, NormalOperands::new(32, 5).vectors(200)).unwrap();
+        let act_full = Activity::collect(&full, NormalOperands::new(32, 5).vectors(200)).unwrap();
         let act_cut = Activity::collect(&cut, NormalOperands::new(32, 5).vectors(200)).unwrap();
         let p_full = analyze_power(&full, &act_full, &cfg);
         let p_cut = analyze_power(&cut, &act_cut, &cfg);

@@ -189,10 +189,7 @@ impl StressHistogram {
         if total == 0 {
             return vec![0.0; Self::BINS];
         }
-        self.bins
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
+        self.bins.iter().map(|&c| c as f64 / total as f64).collect()
     }
 
     /// L1 distance between two normalized histograms, in `[0, 2]`.
@@ -212,8 +209,8 @@ impl StressHistogram {
 pub fn stress_histogram(pairs: &[StressPair]) -> StressHistogram {
     let mut bins = vec![0u64; StressHistogram::BINS];
     let mut push = |s: StressFactor| {
-        let bin = ((s.value() * StressHistogram::BINS as f64) as usize)
-            .min(StressHistogram::BINS - 1);
+        let bin =
+            ((s.value() * StressHistogram::BINS as f64) as usize).min(StressHistogram::BINS - 1);
         bins[bin] += 1;
     };
     for pair in pairs {
@@ -302,11 +299,9 @@ mod tests {
         use aix_arith::{build_multiplier, ComponentSpec, MultiplierKind};
         let lib = Arc::new(Library::nangate45_like());
         let nl = build_multiplier(&lib, MultiplierKind::Array, ComponentSpec::full(8)).unwrap();
-        let vectors: Vec<Vec<bool>> =
-            NormalOperands::new(8, 9).vectors(150).collect();
+        let vectors: Vec<Vec<bool>> = NormalOperands::new(8, 9).vectors(150).collect();
         let functional = Activity::collect(&nl, vectors.clone()).unwrap();
-        let timed =
-            crate::oracle::timed_activity(&nl, &NetDelays::fresh(&nl), vectors).unwrap();
+        let timed = crate::oracle::timed_activity(&nl, &NetDelays::fresh(&nl), vectors).unwrap();
         let mut strictly_more = 0;
         for (id, _) in nl.nets() {
             let f = functional.toggle_rate(id.index());

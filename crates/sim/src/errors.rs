@@ -218,7 +218,10 @@ mod tests {
         let y1 = rate(1.0);
         let y10 = rate(10.0);
         assert!(y10 > 0.0, "10-year worst-case aging must produce errors");
-        assert!(y10 >= y1, "errors must not shrink with lifetime: {y1} vs {y10}");
+        assert!(
+            y10 >= y1,
+            "errors must not shrink with lifetime: {y1} vs {y10}"
+        );
     }
 
     #[test]
@@ -227,14 +230,9 @@ mod tests {
         let model = AgingModel::calibrated();
         let rate = |scenario| {
             let delays = NetDelays::aged(&nl, &model, scenario);
-            measure_errors(
-                &nl,
-                &delays,
-                clock,
-                NormalOperands::new(16, 3).vectors(400),
-            )
-            .unwrap()
-            .error_rate()
+            measure_errors(&nl, &delays, clock, NormalOperands::new(16, 3).vectors(400))
+                .unwrap()
+                .error_rate()
         };
         let balanced = rate(AgingScenario::balanced(Lifetime::YEARS_10));
         let worst = rate(AgingScenario::worst_case(Lifetime::YEARS_10));
@@ -245,18 +243,9 @@ mod tests {
     fn error_magnitude_tracked() {
         let (nl, clock) = setup(16);
         let model = AgingModel::calibrated();
-        let delays = NetDelays::aged(
-            &nl,
-            &model,
-            AgingScenario::worst_case(Lifetime::YEARS_10),
-        );
-        let stats = measure_errors(
-            &nl,
-            &delays,
-            clock,
-            NormalOperands::new(16, 4).vectors(400),
-        )
-        .unwrap();
+        let delays = NetDelays::aged(&nl, &model, AgingScenario::worst_case(Lifetime::YEARS_10));
+        let stats =
+            measure_errors(&nl, &delays, clock, NormalOperands::new(16, 4).vectors(400)).unwrap();
         if stats.erroneous > 0 {
             assert!(stats.wrong_bits >= stats.erroneous);
             assert!(stats.max_abs_error > 0);

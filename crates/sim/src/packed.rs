@@ -552,7 +552,9 @@ mod tests {
     #[test]
     fn numeric_output_extraction() {
         let lib = lib();
-        let ha = lib.find(CellFunction::HalfAdder, DriveStrength::X1).unwrap();
+        let ha = lib
+            .find(CellFunction::HalfAdder, DriveStrength::X1)
+            .unwrap();
         let mut nl = Netlist::new("ha", lib.clone());
         let a = nl.add_input("a");
         let b = nl.add_input("b");

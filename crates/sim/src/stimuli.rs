@@ -295,7 +295,9 @@ mod tests {
         let vectors: Vec<_> = UniformOperands::new(8, 3).vectors(7).collect();
         assert_eq!(vectors.len(), 7);
         assert!(vectors.iter().all(|v| v.len() == 16));
-        let with_acc: Vec<_> = UniformOperands::new(8, 3).vectors_with_zeros(2, 16).collect();
+        let with_acc: Vec<_> = UniformOperands::new(8, 3)
+            .vectors_with_zeros(2, 16)
+            .collect();
         assert!(with_acc.iter().all(|v| v.len() == 32));
         assert!(with_acc.iter().all(|v| v[16..].iter().all(|&b| !b)));
     }

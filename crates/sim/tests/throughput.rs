@@ -68,7 +68,11 @@ fn packed_value_simulation_is_at_least_4x_scalar() {
             .collect();
         let (scalar_s, scalar) = timed(|| oracle::activity(netlist, stimuli.iter().cloned()));
         let (packed_s, packed) = timed(|| Activity::collect(netlist, stimuli.iter().cloned()));
-        assert_eq!(scalar.unwrap(), packed.unwrap(), "{label}: activity differs");
+        assert_eq!(
+            scalar.unwrap(),
+            packed.unwrap(),
+            "{label}: activity differs"
+        );
         assert_floor(label, scalar_s, packed_s);
     }
 }
@@ -88,12 +92,15 @@ fn packed_timed_simulation_is_at_least_4x_scalar() {
         let stimuli: Vec<Vec<bool>> = NormalOperands::new(WIDTH, 23 + index as u64)
             .vectors(VECTORS)
             .collect();
-        let (scalar_s, scalar) = timed(|| {
-            oracle::measure_errors(netlist, &delays, clock_ps, stimuli.iter().cloned())
-        });
+        let (scalar_s, scalar) =
+            timed(|| oracle::measure_errors(netlist, &delays, clock_ps, stimuli.iter().cloned()));
         let (packed_s, packed) =
             timed(|| measure_errors(netlist, &delays, clock_ps, stimuli.iter().cloned()));
-        assert_eq!(scalar.unwrap(), packed.unwrap(), "{label}: error statistics differ");
+        assert_eq!(
+            scalar.unwrap(),
+            packed.unwrap(),
+            "{label}: error statistics differ"
+        );
         assert_floor(label, scalar_s, packed_s);
     }
 }

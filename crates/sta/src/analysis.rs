@@ -96,17 +96,18 @@ pub(crate) fn retime_gate(
 /// critical output; ties keep the earliest port. An outputless netlist
 /// reports `None` and a 0 ps delay.
 pub(crate) fn latest_output(netlist: &Netlist, arrival: &[f64]) -> (Option<usize>, f64) {
-    netlist.outputs().iter().enumerate().fold(
-        (None, 0.0f64),
-        |(best, max), (i, (_, net))| {
+    netlist
+        .outputs()
+        .iter()
+        .enumerate()
+        .fold((None, 0.0f64), |(best, max), (i, (_, net))| {
             let t = arrival[net.index()];
             if best.is_none() || t > max {
                 (Some(i), t)
             } else {
                 (best, max)
             }
-        },
-    )
+        })
 }
 
 impl TimingReport {
@@ -204,11 +205,7 @@ mod tests {
         let delays = NetDelays::fresh(&nl);
         let report = analyze(&nl, &delays).unwrap();
 
-        fn longest(
-            nl: &aix_netlist::Netlist,
-            delays: &NetDelays,
-            net: aix_netlist::NetId,
-        ) -> f64 {
+        fn longest(nl: &aix_netlist::Netlist, delays: &NetDelays, net: aix_netlist::NetId) -> f64 {
             match nl.net(net).driver {
                 aix_netlist::NetDriver::Gate { gate, .. } => {
                     let g = nl.gate(gate);
@@ -243,7 +240,11 @@ mod tests {
         let delays = NetDelays::fresh(&nl);
         let report = analyze(&nl, &delays).unwrap();
         assert_eq!(report.max_delay_ps(), 0.0);
-        assert_eq!(report.critical_output(), Some(0), "ties keep the first port");
+        assert_eq!(
+            report.critical_output(),
+            Some(0),
+            "ties keep the first port"
+        );
         // No gates on the path, but the output itself is identified.
         assert!(critical_path(&nl, &report).is_empty());
     }
@@ -283,8 +284,7 @@ mod tests {
     #[test]
     fn critical_path_is_connected_and_ends_at_output() {
         let lib = lib();
-        let nl =
-            build_multiplier(&lib, MultiplierKind::Array, ComponentSpec::full(8)).unwrap();
+        let nl = build_multiplier(&lib, MultiplierKind::Array, ComponentSpec::full(8)).unwrap();
         let delays = NetDelays::fresh(&nl);
         let report = analyze(&nl, &delays).unwrap();
         let path = critical_path(&nl, &report);
@@ -318,7 +318,10 @@ mod tests {
         let rca = delay(AdderKind::RippleCarry);
         let csel = delay(AdderKind::CarrySelect);
         let ks = delay(AdderKind::KoggeStone);
-        assert!(ks < csel, "Kogge-Stone {ks} should beat carry-select {csel}");
+        assert!(
+            ks < csel,
+            "Kogge-Stone {ks} should beat carry-select {csel}"
+        );
         assert!(csel < rca, "carry-select {csel} should beat ripple {rca}");
     }
 

@@ -149,10 +149,8 @@ impl NetDelays {
                     .iter()
                     .map(|n| toggle_rates[n.index()])
                     .fold(0.0f64, f64::max);
-                let base =
-                    model.delay_factor(stress.pair_for(gate.index()), rate, lifetime);
-                delays[id.index()] =
-                    cell.aged_delay_ps(loads[id.index()], base.max(1.0));
+                let base = model.delay_factor(stress.pair_for(gate.index()), rate, lifetime);
+                delays[id.index()] = cell.aged_delay_ps(loads[id.index()], base.max(1.0));
             }
         }
         Self::opaque(delays)
@@ -188,7 +186,9 @@ impl NetDelays {
             if let NetDriver::Gate { gate, .. } = net.driver {
                 let g = netlist.gate(gate);
                 let cell = netlist.library().cell(g.cell);
-                let factor = derating.of(gate.index()).expect("built with a known derating");
+                let factor = derating
+                    .of(gate.index())
+                    .expect("built with a known derating");
                 delays[id.index()] = cell.aged_delay_ps(loads[id.index()], factor);
             }
         }
@@ -278,11 +278,7 @@ mod tests {
         let nl = adder();
         let model = AgingModel::calibrated();
         let fresh = NetDelays::fresh(&nl);
-        let aged = NetDelays::aged(
-            &nl,
-            &model,
-            AgingScenario::worst_case(Lifetime::YEARS_10),
-        );
+        let aged = NetDelays::aged(&nl, &model, AgingScenario::worst_case(Lifetime::YEARS_10));
         for (id, net) in nl.nets() {
             if matches!(net.driver, aix_netlist::NetDriver::Gate { .. }) {
                 let ratio = aged.of(id.index()) / fresh.of(id.index());
@@ -305,14 +301,10 @@ mod tests {
     fn table_lookup_close_to_analytic() {
         let nl = adder();
         let model = AgingModel::calibrated();
-        let tables =
-            DegradationAwareLibrary::generate(nl.library(), &model, Lifetime::YEARS_10);
-        let stress = StressSource::Uniform(StressPair::uniform(
-            StressFactor::new(0.63).unwrap(),
-        ));
+        let tables = DegradationAwareLibrary::generate(nl.library(), &model, Lifetime::YEARS_10);
+        let stress = StressSource::Uniform(StressPair::uniform(StressFactor::new(0.63).unwrap()));
         let from_tables = NetDelays::aged_from_tables(&nl, &tables, &stress);
-        let analytic =
-            NetDelays::aged_with_stress(&nl, &model, &stress, Lifetime::YEARS_10);
+        let analytic = NetDelays::aged_with_stress(&nl, &model, &stress, Lifetime::YEARS_10);
         for (id, net) in nl.nets() {
             if matches!(net.driver, aix_netlist::NetDriver::Gate { .. }) {
                 let t = from_tables.of(id.index());
@@ -328,8 +320,7 @@ mod tests {
         let bti = AgingModel::calibrated();
         let combined = CombinedAgingModel::calibrated();
         let stress = StressSource::Uniform(StressPair::BALANCED);
-        let bti_only =
-            NetDelays::aged_with_stress(&nl, &bti, &stress, Lifetime::YEARS_10);
+        let bti_only = NetDelays::aged_with_stress(&nl, &bti, &stress, Lifetime::YEARS_10);
         let idle = NetDelays::aged_combined(
             &nl,
             &combined,
@@ -347,7 +338,10 @@ mod tests {
         for (id, net) in nl.nets() {
             if matches!(net.driver, aix_netlist::NetDriver::Gate { .. }) {
                 let i = id.index();
-                assert!((idle.of(i) - bti_only.of(i)).abs() < 1e-9, "idle = BTI only");
+                assert!(
+                    (idle.of(i) - bti_only.of(i)).abs() < 1e-9,
+                    "idle = BTI only"
+                );
                 assert!(busy.of(i) > idle.of(i), "toggling gates age faster");
             }
         }

@@ -151,8 +151,7 @@ mod tests {
     #[test]
     fn clocked_at_critical_path_has_zero_worst_slack() {
         let (nl, delays, report) = setup();
-        let slack =
-            SlackReport::compute(&nl, &delays, &report, report.max_delay_ps()).unwrap();
+        let slack = SlackReport::compute(&nl, &delays, &report, report.max_delay_ps()).unwrap();
         assert!(slack.worst_slack_ps().abs() < 1e-9);
         assert_eq!(slack.violation_count(), 0);
     }
@@ -171,8 +170,7 @@ mod tests {
         let (nl, delays, report) = setup();
         let margin = 100.0;
         let slack =
-            SlackReport::compute(&nl, &delays, &report, report.max_delay_ps() + margin)
-                .unwrap();
+            SlackReport::compute(&nl, &delays, &report, report.max_delay_ps() + margin).unwrap();
         assert!((slack.worst_slack_ps() - margin).abs() < 1e-9);
     }
 

@@ -71,9 +71,9 @@ pub fn to_sdf(netlist: &Netlist, delays: &NetDelays, corner: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aix_aging::{AgingModel, AgingScenario, Lifetime};
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_cells::Library;
-    use aix_aging::{AgingModel, AgingScenario, Lifetime};
     use std::sync::Arc;
 
     fn adder() -> Netlist {

@@ -74,14 +74,12 @@ mod tests {
     #[test]
     fn baseline_reduces_aged_delay_at_area_cost() {
         let lib = Arc::new(Library::nangate45_like());
-        let mut nl =
-            build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
+        let mut nl = build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
         let model = AgingModel::calibrated();
         let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
         let fresh_cp = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
         let area_before = nl.stats().area_um2;
-        let outcome =
-            aging_aware_synthesize(&mut nl, &model, scenario, fresh_cp, 300).unwrap();
+        let outcome = aging_aware_synthesize(&mut nl, &model, scenario, fresh_cp, 300).unwrap();
         assert!(outcome.aged_delay_after_ps < outcome.aged_delay_before_ps);
         assert!(nl.stats().area_um2 > area_before, "resilience costs area");
         assert!(outcome.upsized_gates > 0);
@@ -91,8 +89,7 @@ mod tests {
     fn baseline_preserves_function() {
         use aix_netlist::{bus_from_u64, bus_to_u64};
         let lib = Arc::new(Library::nangate45_like());
-        let mut nl =
-            build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(8)).unwrap();
+        let mut nl = build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(8)).unwrap();
         let model = AgingModel::calibrated();
         let fresh_cp = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
         aging_aware_synthesize(

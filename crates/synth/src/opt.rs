@@ -854,10 +854,9 @@ mod tests {
     #[test]
     fn truncated_adder_sheds_gates_proportionally() {
         let lib = lib();
-        let full = optimize(
-            &build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(32)).unwrap(),
-        )
-        .unwrap();
+        let full =
+            optimize(&build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(32)).unwrap())
+                .unwrap();
         let cut = optimize(
             &build_adder(
                 &lib,

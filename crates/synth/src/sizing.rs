@@ -189,9 +189,7 @@ pub fn recover_area(
             let worst_penalty = gate
                 .outputs
                 .iter()
-                .map(|n| {
-                    new_cell.delay_ps(loads[n.index()]) - old_cell.delay_ps(loads[n.index()])
-                })
+                .map(|n| new_cell.delay_ps(loads[n.index()]) - old_cell.delay_ps(loads[n.index()]))
                 .fold(0.0f64, f64::max);
             let min_slack = gate
                 .outputs
@@ -244,10 +242,8 @@ mod tests {
     #[test]
     fn sizing_improves_critical_path() {
         let lib = Arc::new(Library::nangate45_like());
-        let mut nl =
-            build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
-        let outcome =
-            size_for_performance(&mut nl, NetDelays::fresh, 200).unwrap();
+        let mut nl = build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
+        let outcome = size_for_performance(&mut nl, NetDelays::fresh, 200).unwrap();
         assert!(outcome.final_delay_ps <= outcome.initial_delay_ps);
         assert!(
             outcome.improvement() > 0.02,
@@ -261,8 +257,7 @@ mod tests {
     fn sizing_preserves_function() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let lib = Arc::new(Library::nangate45_like());
-        let mut nl =
-            build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(12)).unwrap();
+        let mut nl = build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(12)).unwrap();
         size_for_performance(&mut nl, NetDelays::fresh, 100).unwrap();
         nl.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(3);
@@ -278,8 +273,7 @@ mod tests {
     #[test]
     fn sizing_grows_area() {
         let lib = Arc::new(Library::nangate45_like());
-        let mut nl =
-            build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
+        let mut nl = build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
         let before = nl.stats().area_um2;
         size_for_performance(&mut nl, NetDelays::fresh, 200).unwrap();
         assert!(nl.stats().area_um2 > before, "faster costs area");
@@ -288,8 +282,7 @@ mod tests {
     #[test]
     fn area_recovery_shrinks_area_and_meets_target() {
         let lib = Arc::new(Library::nangate45_like());
-        let mut nl =
-            build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(16)).unwrap();
+        let mut nl = build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(16)).unwrap();
         size_for_performance(&mut nl, NetDelays::fresh, 200).unwrap();
         let target = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
         let outcome = recover_area(&mut nl, NetDelays::fresh, target, 20).unwrap();
@@ -302,8 +295,7 @@ mod tests {
     fn area_recovery_preserves_function() {
         use aix_netlist::{bus_from_u64, bus_to_u64};
         let lib = Arc::new(Library::nangate45_like());
-        let mut nl =
-            build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(12)).unwrap();
+        let mut nl = build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(12)).unwrap();
         let target = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
         recover_area(&mut nl, NetDelays::fresh, target, 20).unwrap();
         for (a, b) in [(0u64, 0u64), (4095, 1), (1234, 2345)] {
@@ -316,8 +308,7 @@ mod tests {
     #[test]
     fn zero_iterations_is_identity() {
         let lib = Arc::new(Library::nangate45_like());
-        let mut nl =
-            build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(8)).unwrap();
+        let mut nl = build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(8)).unwrap();
         let before = nl.clone();
         let outcome = size_for_performance(&mut nl, NetDelays::fresh, 0).unwrap();
         assert_eq!(outcome.upsized_gates, 0);

@@ -163,7 +163,10 @@ impl Synthesizer {
     /// generator writes the gates, so the unoptimized netlist is never
     /// built.
     fn synthesize(&self, component: Canonical) -> Result<Netlist, NetlistError> {
-        size(Planner::plan(&component, &self.library)?.finish()?, self.effort)
+        size(
+            Planner::plan(&component, &self.library)?.finish()?,
+            self.effort,
+        )
     }
 
     /// Synthesizes an adder.
@@ -308,8 +311,12 @@ mod tests {
         let synth = Synthesizer::new(lib(), Effort::Ultra);
         let full = synth.adder(ComponentSpec::full(32)).unwrap();
         let cut = synth.adder(ComponentSpec::new(32, 22).unwrap()).unwrap();
-        let d_full = analyze(&full, &NetDelays::fresh(&full)).unwrap().max_delay_ps();
-        let d_cut = analyze(&cut, &NetDelays::fresh(&cut)).unwrap().max_delay_ps();
+        let d_full = analyze(&full, &NetDelays::fresh(&full))
+            .unwrap()
+            .max_delay_ps();
+        let d_cut = analyze(&cut, &NetDelays::fresh(&cut))
+            .unwrap()
+            .max_delay_ps();
         assert!(
             d_cut < d_full * 0.93,
             "10-bit truncation should buy >7% delay: {d_cut} vs {d_full}"

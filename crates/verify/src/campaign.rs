@@ -92,7 +92,10 @@ impl MarginStats {
     ///
     /// Panics if `margins` is empty.
     pub fn from_margins(margins: &[f64], target_ps: f64) -> Self {
-        assert!(!margins.is_empty(), "campaign must draw at least one sample");
+        assert!(
+            !margins.is_empty(),
+            "campaign must draw at least one sample"
+        );
         let mut sorted = margins.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("margins are finite"));
         let p99_index = (margins.len() as f64 * 0.01).floor() as usize;
@@ -486,7 +489,11 @@ pub fn verify_library(
         })??;
         entry_span.close();
         aix_obs::count!(
-            if verdict.passed { names::PASS } else { names::FAIL },
+            if verdict.passed {
+                names::PASS
+            } else {
+                names::FAIL
+            },
             entry = &entry_site,
         );
         entries.push(verdict);
@@ -628,8 +635,7 @@ mod tests {
             sim_vectors: 0,
             ..VerifyConfig::default()
         };
-        let report =
-            verify_library(&cells, &library, &AgingModel::calibrated(), &config).unwrap();
+        let report = verify_library(&cells, &library, &AgingModel::calibrated(), &config).unwrap();
         assert!(!report.all_passed());
         for failure in report.failures() {
             assert_eq!(failure.stats.unwrap().first_failure, Some(0));

@@ -50,8 +50,8 @@ pub mod perturb;
 pub mod policy;
 
 pub use campaign::{
-    measure_margins, verify_library,
-    CampaignReport, EntryVerdict, MarginStats, VerdictKind, VerifyConfig,
+    measure_margins, verify_library, CampaignReport, EntryVerdict, MarginStats, VerdictKind,
+    VerifyConfig,
 };
 pub use perturb::{entry_rng, Perturbation};
 pub use policy::{

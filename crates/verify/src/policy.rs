@@ -12,7 +12,9 @@ use crate::campaign::{measure_margins, MarginStats, VerifyConfig};
 use aix_aging::AgingModel;
 use aix_arith::ComponentSpec;
 use aix_cells::Library;
-use aix_core::{apply_aging_approximations, AixError, ApproxLibrary, ApproximationPlan, MicroarchDesign};
+use aix_core::{
+    apply_aging_approximations, AixError, ApproxLibrary, ApproximationPlan, MicroarchDesign,
+};
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;

@@ -97,7 +97,11 @@ fn campaign_catches_corrupted_entry() {
         &VerifyConfig::nominal(),
     )
     .expect("campaign runs");
-    assert!(!report.all_passed(), "the lie must be detected:\n{}", report.render());
+    assert!(
+        !report.all_passed(),
+        "the lie must be detected:\n{}",
+        report.render()
+    );
     let failure = report.failures().next().expect("a failing entry");
     assert_eq!(failure.precision, Some(lying_k));
     let stats = failure.stats.expect("mc stats");
@@ -169,7 +173,9 @@ fn degrade_repairs_corrupted_library_and_eq2_holds_measurably() {
     let full = ComponentKind::Adder
         .synthesize(&cells, ComponentSpec::full(16), design.effort())
         .unwrap();
-    let constraint = analyze(&full, &NetDelays::fresh(&full)).unwrap().max_delay_ps();
+    let constraint = analyze(&full, &NetDelays::fresh(&full))
+        .unwrap()
+        .max_delay_ps();
     let repaired = ComponentKind::Adder
         .synthesize(
             &cells,
@@ -256,7 +262,11 @@ fn honest_library_passes_under_every_policy() {
     );
     let design = single_adder_design(&cells);
     let model = AgingModel::calibrated();
-    for policy in [VerifyPolicy::WarnOnly, VerifyPolicy::Degrade, VerifyPolicy::FailFast] {
+    for policy in [
+        VerifyPolicy::WarnOnly,
+        VerifyPolicy::Degrade,
+        VerifyPolicy::FailFast,
+    ] {
         let verified = apply_aging_approximations_verified(
             &cells,
             &design,
@@ -267,6 +277,9 @@ fn honest_library_passes_under_every_policy() {
             &VerifyConfig::nominal(),
         )
         .unwrap_or_else(|e| panic!("honest library must pass under {policy}: {e}"));
-        assert!(verified.blocks.iter().all(|b| b.passed && b.degraded_bits() == 0));
+        assert!(verified
+            .blocks
+            .iter()
+            .all(|b| b.passed && b.degraded_bits() == 0));
     }
 }

@@ -21,11 +21,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. The fresh cell library, Liberty-style.
     fs::write("out/aix_45nm.lib", to_liberty(&cells))?;
-    println!("out/aix_45nm.lib            fresh cell library ({} cells)", cells.len());
+    println!(
+        "out/aix_45nm.lib            fresh cell library ({} cells)",
+        cells.len()
+    );
 
     // 2. The degradation-aware tables (the DAC'16-style artifact).
     let aged = DegradationAwareLibrary::generate(&cells, &model, Lifetime::YEARS_10);
-    fs::write("out/aix_45nm_aged10y.tbl", degradation_to_text(&cells, &aged))?;
+    fs::write(
+        "out/aix_45nm_aged10y.tbl",
+        degradation_to_text(&cells, &aged),
+    )?;
     println!("out/aix_45nm_aged10y.tbl    11x11 stress-indexed delay factors");
 
     // 3. A synthesized component as structural Verilog and Graphviz DOT.

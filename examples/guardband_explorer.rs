@@ -25,7 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let characterization = characterize_component(&cells, &config)?;
         let constraint = characterization.fresh_full_delay_ps();
         println!("{kind}-{width}  (fresh critical path {constraint:.0} ps)");
-        println!("  {:<14} {:>14} {:>22}", "scenario", "guardband", "Eq. 2 precision");
+        println!(
+            "  {:<14} {:>14} {:>22}",
+            "scenario", "guardband", "Eq. 2 precision"
+        );
         for scenario in lifetimes_and_stresses().into_iter().skip(1) {
             let guardband = characterization
                 .guardband_ps(width, scenario)

@@ -5,9 +5,7 @@
 //! Run with `cargo run --release --example image_pipeline`.
 //! Writes reconstructed frames to `out/example_*.pgm`.
 
-use aix::dct::{
-    decode_image, encode_image, DatapathPrecision, FixedPointTransform, OPERAND_SHIFT,
-};
+use aix::dct::{decode_image, encode_image, DatapathPrecision, FixedPointTransform, OPERAND_SHIFT};
 use aix::image::{psnr, write_pgm, Sequence};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,8 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let encoded = encode_image(&frame, &exact);
         let mut row = format!("{:<12}", sequence.label());
         for truncation in [0u32, 8, 10, 12, 14] {
-            let decoder =
-                FixedPointTransform::new(DatapathPrecision::new(truncation, 0));
+            let decoder = FixedPointTransform::new(DatapathPrecision::new(truncation, 0));
             let decoded = decode_image(&encoded, &decoder);
             row.push_str(&format!(" {:>6.1}", psnr(&frame, &decoded)));
             if truncation == 12 {

@@ -8,8 +8,8 @@
 use aix::aging::{AgingModel, AgingScenario, Lifetime};
 use aix::cells::Library;
 use aix::core::{
-    apply_aging_approximations, characterize_component, compare_against_aging_aware,
-    ApproxLibrary, CharacterizationConfig, ComponentKind, MicroarchDesign,
+    apply_aging_approximations, characterize_component, compare_against_aging_aware, ApproxLibrary,
+    CharacterizationConfig, ComponentKind, MicroarchDesign,
 };
 use aix::synth::Effort;
 use std::sync::Arc;
@@ -39,7 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         library.insert(characterize_component(&cells, &config)?);
     }
-    println!("approximation library built ({} components)\n", library.len());
+    println!(
+        "approximation library built ({} components)\n",
+        library.len()
+    );
 
     // 3. The Fig. 6 flow: slack -> precision per block.
     let plan = apply_aging_approximations(&design, &library, &model, scenario)?;
@@ -58,7 +61,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let validation = plan.validate(&cells, effort, &model)?;
     println!(
         "\nvalidation: timing under {scenario} {}",
-        if validation.timing_met { "MET" } else { "VIOLATED" }
+        if validation.timing_met {
+            "MET"
+        } else {
+            "VIOLATED"
+        }
     );
 
     // 5. Compare with the aging-aware synthesis baseline (Fig. 8c).

@@ -55,8 +55,7 @@ fn characterize_persist_reload_apply_validate() {
         .expect("synthesis");
     let model = AgingModel::calibrated();
     let scenario = AgingScenario::worst_case(Lifetime::YEARS_10);
-    let plan =
-        apply_aging_approximations(&design, &reloaded, &model, scenario).expect("flow");
+    let plan = apply_aging_approximations(&design, &reloaded, &model, scenario).expect("flow");
     assert!(
         plan.has_approximations(),
         "10-year worst-case aging must force some approximation"

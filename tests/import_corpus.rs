@@ -60,7 +60,9 @@ fn corpus_matches_the_pinned_golden() {
     for name in POSITIVE {
         let netlist = import_corpus_file(name)
             .unwrap_or_else(|e| panic!("corpus file {name} must import: {e}"));
-        netlist.validate().expect("imported corpus designs validate");
+        netlist
+            .validate()
+            .expect("imported corpus designs validate");
         let _ = write!(rendered, "{}", render_entry(name, &netlist));
     }
     if std::env::var("UPDATE_GOLDEN").is_ok() {

@@ -14,9 +14,7 @@
 //!    nesting fail cleanly (positioned errors, no stack overflow).
 
 use aix::cells::{CellFunction, Library};
-use aix::netlist::{
-    import_edif, import_verilog, to_edif, to_verilog, ImportError, Netlist,
-};
+use aix::netlist::{import_edif, import_verilog, to_edif, to_verilog, ImportError, Netlist};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -39,7 +37,14 @@ fn random_netlist(lib: &Arc<Library>, seed: u64, inputs: usize, gates: usize) ->
     // Names that stress the sanitizer: spaces, brackets, digits first,
     // keywords, duplicates-after-sanitizing.
     const NAMES: [&str; 8] = [
-        "a", "data[3]", "3начало", "clk enable", "module", "a+b", "_", "véry-long.name",
+        "a",
+        "data[3]",
+        "3начало",
+        "clk enable",
+        "module",
+        "a+b",
+        "_",
+        "véry-long.name",
     ];
     let mut state = seed | 1;
     let mut nl = Netlist::new(format!("rand_{seed}"), Arc::clone(lib));
@@ -72,7 +77,8 @@ fn random_netlist(lib: &Arc<Library>, seed: u64, inputs: usize, gates: usize) ->
     }
     // Guarantee at least one output.
     nl.mark_output("last", *nets.last().expect("nonempty"));
-    nl.validate().expect("random DAGs are valid by construction");
+    nl.validate()
+        .expect("random DAGs are valid by construction");
     nl
 }
 

@@ -11,9 +11,7 @@ use aix::arith::{
     build_adder, build_mac, build_multiplier, AdderKind, ComponentSpec, MultiplierKind,
 };
 use aix::cells::Library;
-use aix::netlist::{
-    import_edif, import_verilog, to_edif, to_verilog, NetDriver, Netlist,
-};
+use aix::netlist::{import_edif, import_verilog, to_edif, to_verilog, NetDriver, Netlist};
 use aix::sim::{measure_errors, oracle, stress_pairs, Activity};
 use aix::sta::{analyze, NetDelays, StressSource};
 use std::sync::Arc;
@@ -202,7 +200,12 @@ fn verilog_reexport_is_a_fixpoint() {
         let imported = import_verilog(&first, &lib)
             .unwrap_or_else(|e| panic!("{} fails to re-import: {e}", netlist.name()));
         let second = to_verilog(&imported);
-        assert_eq!(first, second, "{} verilog re-export drifted", netlist.name());
+        assert_eq!(
+            first,
+            second,
+            "{} verilog re-export drifted",
+            netlist.name()
+        );
     }
 }
 

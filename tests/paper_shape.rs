@@ -73,10 +73,11 @@ fn idct_flow_headline_shape() {
         "negative relative slack of the right magnitude: {}",
         mult.relative_slack
     );
-    assert!(plan
-        .validate(&cells, effort, &model)
-        .expect("validation")
-        .timing_met);
+    assert!(
+        plan.validate(&cells, effort, &model)
+            .expect("validation")
+            .timing_met
+    );
 }
 
 /// Fig. 8(b) — the quality cost of the headline truncation is mild: the
@@ -86,8 +87,7 @@ fn quality_shape_matches_fig8b() {
     let precision = DatapathPrecision::new(9, 0);
     let results = evaluate_sequences(precision, 88, 72);
     let average = average_psnr_db(&results);
-    let exact: f64 =
-        results.iter().map(|r| r.exact_psnr_db).sum::<f64>() / results.len() as f64;
+    let exact: f64 = results.iter().map(|r| r.exact_psnr_db).sum::<f64>() / results.len() as f64;
     let drop = exact - average;
     assert!(
         (0.1..12.0).contains(&drop),
@@ -140,8 +140,14 @@ fn savings_shape_matches_fig8c() {
         .expect("comparison");
     assert!(savings.frequency_gain() > 0.0, "faster than the baseline");
     assert!(savings.area_saving() > 0.0, "smaller than the baseline");
-    assert!(savings.leakage_saving() > 0.0, "leaks less than the baseline");
-    assert!(savings.energy_saving() > 0.0, "more efficient than the baseline");
+    assert!(
+        savings.leakage_saving() > 0.0,
+        "leaks less than the baseline"
+    );
+    assert!(
+        savings.energy_saving() > 0.0,
+        "more efficient than the baseline"
+    );
     // Rough factor: the paper reports low-double-digit percentages.
     assert!(
         savings.area_saving() < 0.8,

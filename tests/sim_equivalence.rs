@@ -14,8 +14,8 @@ use aix::arith::{
 use aix::cells::Library;
 use aix::netlist::Netlist;
 use aix::sim::{
-    measure_errors, oracle, Activity, OperandSource, TimedSimulator, TimedStreams,
-    UniformOperands, LANES,
+    measure_errors, oracle, Activity, OperandSource, TimedSimulator, TimedStreams, UniformOperands,
+    LANES,
 };
 use aix::sta::{analyze, NetDelays};
 use std::sync::Arc;
@@ -41,7 +41,8 @@ fn assert_engines_agree(name: &str, netlist: &Netlist, vectors: &[Vec<bool>]) {
     let packed_activity =
         Activity::collect(netlist, vectors.iter().cloned()).expect("packed activity");
     assert_eq!(
-        scalar_activity, packed_activity,
+        scalar_activity,
+        packed_activity,
         "{name}: Activity diverges over {} vectors",
         vectors.len()
     );
@@ -60,7 +61,8 @@ fn assert_engines_agree(name: &str, netlist: &Netlist, vectors: &[Vec<bool>]) {
     let packed_errors = measure_errors(netlist, &aged, clock, vectors.iter().cloned())
         .expect("packed error measurement");
     assert_eq!(
-        scalar_errors, packed_errors,
+        scalar_errors,
+        packed_errors,
         "{name}: ErrorStats diverges over {} vectors",
         vectors.len()
     );
@@ -147,7 +149,9 @@ fn assert_timed_engines_agree(
             let batch: Vec<Vec<bool>> = group.iter().map(|stream| stream[step].clone()).collect();
             let error_lanes = packed.step(&batch).expect("timed step");
             for (lane, scalar) in scalars.iter_mut().enumerate() {
-                let expected = scalar.step(&batch[lane], clock_ps).expect("scalar timed step");
+                let expected = scalar
+                    .step(&batch[lane], clock_ps)
+                    .expect("scalar timed step");
                 let bits = |words: &[u64]| -> Vec<bool> {
                     words.iter().map(|word| (word >> lane) & 1 == 1).collect()
                 };

@@ -277,7 +277,10 @@ fn trace_summarize_renders_the_table_and_validates_strictly() {
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
     for needle in ["stage", "synth", "cache_miss", "quarantines: 0"] {
-        assert!(stdout.contains(needle), "summary table must mention `{needle}`:\n{stdout}");
+        assert!(
+            stdout.contains(needle),
+            "summary table must mention `{needle}`:\n{stdout}"
+        );
     }
 
     // Without `--no-record` the summary is appended to the benchmark log
@@ -316,7 +319,10 @@ fn trace_summarize_renders_the_table_and_validates_strictly() {
         .arg(&torn)
         .output()
         .expect("spawn aix");
-    assert!(!strict.status.success(), "--strict must reject a torn trace");
+    assert!(
+        !strict.status.success(),
+        "--strict must reject a torn trace"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
