@@ -26,7 +26,6 @@
 //! ```
 
 mod calibration;
-mod hci;
 mod law;
 mod lifetime;
 mod scenario;
@@ -37,7 +36,6 @@ pub use calibration::{
     Calibration, ALPHA, CALIBRATION_VERSION, DELTA_VTH_10Y_WORST_V, STRESS_EXPONENT, TIME_EXPONENT,
     VDD_V, VTH0_V,
 };
-pub use hci::{CombinedAgingModel, HciModel};
 pub use law::AlphaPowerLaw;
 pub use lifetime::{InvalidLifetimeError, Lifetime};
 pub use scenario::{AgingScenario, StressCondition};

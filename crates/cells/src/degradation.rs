@@ -47,28 +47,6 @@ impl DegradationTable {
         Self { lifetime, grid }
     }
 
-    /// Reconstructs a table from a raw factor grid (e.g. parsed back from
-    /// the exported text artifact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any factor is below 1.0 or not finite — delays never
-    /// shrink under aging.
-    pub fn from_grid(
-        lifetime: Lifetime,
-        grid: [[f64; STRESS_GRID_POINTS]; STRESS_GRID_POINTS],
-    ) -> Self {
-        for row in &grid {
-            for &factor in row {
-                assert!(
-                    factor.is_finite() && factor >= 1.0,
-                    "degradation factors must be finite and >= 1, got {factor}"
-                );
-            }
-        }
-        Self { lifetime, grid }
-    }
-
     /// The lifetime this table was generated for.
     pub fn lifetime(&self) -> Lifetime {
         self.lifetime

@@ -31,5 +31,5 @@ mod library;
 pub use cell::{Cell, CellId, DriveStrength};
 pub use degradation::{DegradationAwareLibrary, DegradationTable, STRESS_GRID_POINTS};
 pub use function::{CellFunction, MAX_INPUTS, MAX_OUTPUTS};
-pub use liberty::{degradation_to_text, parse_degradation_text, to_liberty, ParseDegradationError};
+pub use liberty::{degradation_to_text, to_liberty};
 pub use library::{Library, UnknownCellError};

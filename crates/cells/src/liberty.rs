@@ -7,10 +7,7 @@
 //! library, so the characterization inputs are inspectable, diffable files
 //! rather than opaque in-memory state.
 
-use crate::{DegradationAwareLibrary, DegradationTable, Library, STRESS_GRID_POINTS};
-use aix_aging::Lifetime;
-use std::error::Error;
-use std::fmt;
+use crate::{DegradationAwareLibrary, Library, STRESS_GRID_POINTS};
 use std::fmt::Write as _;
 
 /// Renders the fresh library as a Liberty-flavoured text document: one
@@ -94,79 +91,6 @@ pub fn degradation_to_text(library: &Library, aged: &DegradationAwareLibrary) ->
     out
 }
 
-/// Error produced while parsing the degradation-table text artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseDegradationError(String);
-
-impl fmt::Display for ParseDegradationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed degradation artifact: {}", self.0)
-    }
-}
-
-impl Error for ParseDegradationError {}
-
-/// Parses the artifact produced by [`degradation_to_text`] back into
-/// per-cell tables, keyed by cell name.
-///
-/// # Errors
-///
-/// Returns [`ParseDegradationError`] on any syntax or shape violation.
-pub fn parse_degradation_text(
-    text: &str,
-) -> Result<Vec<(String, DegradationTable)>, ParseDegradationError> {
-    let err = |message: &str| ParseDegradationError(message.to_owned());
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| err("empty input"))?;
-    if !header.starts_with("aix-degradation-library ") {
-        return Err(err("missing header"));
-    }
-    let lifetime_years: f64 = header
-        .split_whitespace()
-        .find_map(|field| field.strip_prefix("lifetime="))
-        .and_then(|v| v.strip_suffix('y'))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| err("missing lifetime"))?;
-    let lifetime = Lifetime::try_from_years(lifetime_years).map_err(|_| err("bad lifetime"))?;
-    let mut tables = Vec::new();
-    let mut current: Option<(String, Vec<[f64; STRESS_GRID_POINTS]>)> = None;
-    let finish = |current: &mut Option<(String, Vec<[f64; STRESS_GRID_POINTS]>)>,
-                  tables: &mut Vec<(String, DegradationTable)>|
-     -> Result<(), ParseDegradationError> {
-        if let Some((name, rows)) = current.take() {
-            let grid: [[f64; STRESS_GRID_POINTS]; STRESS_GRID_POINTS] = rows
-                .try_into()
-                .map_err(|_| err("wrong number of grid rows"))?;
-            tables.push((name, DegradationTable::from_grid(lifetime, grid)));
-        }
-        Ok(())
-    };
-    for line in lines {
-        if let Some(name) = line.strip_prefix("cell ") {
-            finish(&mut current, &mut tables)?;
-            current = Some((name.trim().to_owned(), Vec::new()));
-        } else if !line.trim().is_empty() {
-            let (_, rows) = current
-                .as_mut()
-                .ok_or_else(|| err("data row before any cell"))?;
-            let mut row = [0.0; STRESS_GRID_POINTS];
-            let mut fields = line.split_whitespace();
-            for slot in &mut row {
-                *slot = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| err("short or non-numeric grid row"))?;
-            }
-            if fields.next().is_some() {
-                return Err(err("grid row too long"));
-            }
-            rows.push(row);
-        }
-    }
-    finish(&mut current, &mut tables)?;
-    Ok(tables)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,64 +127,35 @@ mod tests {
     }
 
     #[test]
-    fn degradation_artifact_roundtrips() {
-        let lib = Library::nangate45_like();
-        let aged =
-            DegradationAwareLibrary::generate(&lib, &AgingModel::calibrated(), Lifetime::YEARS_10);
-        let text = degradation_to_text(&lib, &aged);
-        let parsed = parse_degradation_text(&text).unwrap();
-        assert_eq!(parsed.len(), lib.len());
-        for ((name, table), (id, cell)) in parsed.iter().zip(lib.iter()) {
-            assert_eq!(name, &cell.name);
-            for p in 0..STRESS_GRID_POINTS {
-                for n in 0..STRESS_GRID_POINTS {
-                    let diff = (table.at(p, n) - aged.table(id).at(p, n)).abs();
-                    assert!(diff < 1e-5, "{name} ({p},{n})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parser_rejects_malformed_artifacts() {
-        assert!(parse_degradation_text("").is_err());
-        assert!(parse_degradation_text("not a header").is_err());
-        assert!(parse_degradation_text(
-            "aix-degradation-library lifetime=10y grid=11x11
-  1.0 1.0"
-        )
-        .is_err());
-        assert!(parse_degradation_text(
-            "aix-degradation-library lifetime=10y grid=11x11
-cell X
-  1.0"
-        )
-        .is_err());
-    }
-
-    #[test]
     fn degradation_export_has_full_grids() {
         let lib = Library::nangate45_like();
         let aged =
             DegradationAwareLibrary::generate(&lib, &AgingModel::calibrated(), Lifetime::YEARS_10);
         let text = degradation_to_text(&lib, &aged);
-        assert!(text.starts_with("aix-degradation-library lifetime=10y grid=11x11"));
-        assert_eq!(text.matches("cell ").count(), lib.len());
-        // Every cell contributes STRESS_GRID_POINTS data rows.
-        let data_rows = text
-            .lines()
-            .filter(|l| l.starts_with("  ") && !l.contains("cell"))
-            .count();
-        assert_eq!(data_rows, lib.len() * STRESS_GRID_POINTS);
-        // The worst-case corner of every table exceeds 1.1.
-        for line in text.lines().filter(|l| l.starts_with("  ")) {
-            let last: f64 = line
-                .split_whitespace()
-                .last()
-                .expect("row has entries")
-                .parse()
-                .expect("numeric entry");
-            assert!(last >= 1.0);
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some("aix-degradation-library lifetime=10y grid=11x11")
+        );
+        // Every cell in library order: its name, then one row per pMOS
+        // stress point, each printed factor the table's own value.
+        for (id, cell) in lib.iter() {
+            assert_eq!(lines.next(), Some(format!("cell {}", cell.name).as_str()));
+            for p in 0..STRESS_GRID_POINTS {
+                let row: Vec<f64> = lines
+                    .next()
+                    .and_then(|line| line.strip_prefix("  "))
+                    .expect("indented grid row")
+                    .split_whitespace()
+                    .map(|field| field.parse().expect("numeric entry"))
+                    .collect();
+                assert_eq!(row.len(), STRESS_GRID_POINTS, "{} row {p}", cell.name);
+                for (n, printed) in row.into_iter().enumerate() {
+                    let diff = (printed - aged.table(id).at(p, n)).abs();
+                    assert!(diff < 1e-5, "{} ({p},{n}): {printed}", cell.name);
+                }
+            }
         }
+        assert_eq!(lines.next(), None);
     }
 }

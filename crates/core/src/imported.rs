@@ -29,6 +29,7 @@ use aix_sim::reference_outputs;
 use aix_sta::{analyze, NetDelays};
 use aix_synth::Planner;
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -469,7 +470,7 @@ pub fn verify_imported(
     netlist: &Netlist,
     model: &AgingModel,
     config: &ImportedConfig,
-    samples: usize,
+    samples: NonZeroUsize,
     sigma: f64,
     seed: u64,
 ) -> Result<Option<ImportedVerify>, AixError> {
@@ -482,7 +483,7 @@ pub fn verify_imported(
     let mut state = seed.wrapping_mul(2) | 1;
     let mut failures = 0usize;
     let mut worst = f64::INFINITY;
-    for _ in 0..samples {
+    for _ in 0..samples.get() {
         let mut factors = vec![1.0f64; variant.gate_count()];
         for factor in &mut factors {
             state = state
@@ -503,9 +504,9 @@ pub fn verify_imported(
     }
     Ok(Some(ImportedVerify {
         cut,
-        samples,
+        samples: samples.get(),
         failures,
-        worst_margin_ps: if samples == 0 { 0.0 } else { worst },
+        worst_margin_ps: worst,
     }))
 }
 
@@ -514,6 +515,7 @@ mod tests {
     use super::*;
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_netlist::to_verilog;
+    use aix_sim::oracle;
 
     fn lib() -> Arc<Library> {
         Arc::new(Library::nangate45_like())
@@ -621,8 +623,8 @@ mod tests {
                 let truncated = truncate_imported(netlist, variant.cut).unwrap();
                 let (mut erroneous, mut sum_abs, mut max_abs) = (0usize, 0.0f64, 0.0f64);
                 for vector in &vectors {
-                    let golden = netlist.eval(vector).unwrap();
-                    let approx = truncated.eval(vector).unwrap();
+                    let golden = oracle::eval(netlist, vector).unwrap();
+                    let approx = oracle::eval(&truncated, vector).unwrap();
                     if golden != approx {
                         erroneous += 1;
                         let mut diff = 0.0f64;
@@ -665,10 +667,41 @@ mod tests {
             vectors: 64,
             ..ImportedConfig::default()
         };
-        let verify = verify_imported(&netlist, &model, &config, 8, 0.02, 7)
-            .unwrap()
-            .expect("an 8-bit adder truncation compensates 10y aging");
+        let verify = verify_imported(
+            &netlist,
+            &model,
+            &config,
+            NonZeroUsize::new(8).unwrap(),
+            0.02,
+            7,
+        )
+        .unwrap()
+        .expect("an 8-bit adder truncation compensates 10y aging");
         assert_eq!(verify.samples, 8);
         assert!(verify.worst_margin_ps.is_finite());
+    }
+
+    #[test]
+    fn one_sample_reports_its_own_margin() {
+        // `samples` is a `NonZeroUsize`: a run of zero samples that
+        // reports a pass cannot be asked for, so the worst margin is
+        // always a measured one.
+        let (_, netlist) = imported_adder(8);
+        let model = AgingModel::calibrated();
+        let config = ImportedConfig {
+            vectors: 64,
+            ..ImportedConfig::default()
+        };
+        let verify = verify_imported(&netlist, &model, &config, NonZeroUsize::MIN, 0.0, 7)
+            .unwrap()
+            .expect("an 8-bit adder truncation compensates 10y aging");
+        let clock_ps = characterize_imported(&netlist, &model, &config)
+            .unwrap()
+            .clock_ps;
+        let variant = truncate_imported(&netlist, verify.cut).unwrap();
+        let aged = NetDelays::aged(&variant, &model, config.scenario);
+        let delay = analyze(&variant, &aged).unwrap().max_delay_ps();
+        assert_eq!(verify.samples, 1);
+        assert_eq!(verify.worst_margin_ps, clock_ps - delay);
     }
 }

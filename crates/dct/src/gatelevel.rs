@@ -350,6 +350,7 @@ mod tests {
     use aix_aging::Lifetime;
     use aix_image::{psnr, Sequence};
     use aix_netlist::bus_to_u64;
+    use aix_sim::oracle;
 
     fn library() -> Arc<Library> {
         Arc::new(Library::nangate45_like())
@@ -373,7 +374,7 @@ mod tests {
             (-1, -1, 0),
             (131_072, 120_000, -4_000_000_000),
         ] {
-            let out = nl.eval(&mac_inputs(a, b, acc)).unwrap();
+            let out = oracle::eval(&nl, &mac_inputs(a, b, acc)).unwrap();
             let got = from_bus(bus_to_u64(&out));
             let expect = from_bus(to_acc(a.wrapping_mul(b).wrapping_add(acc)));
             assert_eq!(got, expect, "{a}*{b}+{acc}");

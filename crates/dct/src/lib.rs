@@ -41,7 +41,6 @@ mod gatelevel;
 mod pipeline;
 mod precision;
 mod quant;
-mod rate;
 
 pub use coeffs::{dct_coefficient, idct_coefficient, COEFF_FRACTION_BITS};
 pub use engine::OPERAND_SHIFT;
@@ -52,4 +51,3 @@ pub use pipeline::{
 };
 pub use precision::DatapathPrecision;
 pub use quant::Quantizer;
-pub use rate::{estimate_bits_per_pixel, estimate_block_bits, ZIGZAG};

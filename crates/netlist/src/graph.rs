@@ -7,8 +7,8 @@ use crate::{GateId, NetDriver, Netlist, NetlistError};
 /// level (the longest gate-path distance from a primary input), and the
 /// gate list sorted by `(level, gate id)`.
 ///
-/// The order is a valid topological order, so it drives the scalar
-/// [`Evaluator`](crate::Evaluator) directly; the level structure is what
+/// The order is a valid topological order, so a scalar evaluator can
+/// walk it directly; the level structure is what
 /// bit-parallel and (future) data-parallel engines key on — all gates of a
 /// level are independent of one another. Netlists cache their schedule
 /// (see [`Netlist::schedule`]), so levelization is a one-time cost however

@@ -7,11 +7,12 @@
 //! components and analyzes timing.
 //!
 //! The crate provides construction, validation, topological ordering,
-//! functional (zero-delay) evaluation, structural statistics and DOT export.
+//! structural statistics, import and Verilog, EDIF and DOT export.
+//! Evaluation lives with the simulators in `aix-sim`.
 //!
 //! # Examples
 //!
-//! Build and evaluate a one-bit half adder:
+//! Build and validate a one-bit half adder:
 //!
 //! ```
 //! use aix_cells::{CellFunction, DriveStrength, Library};
@@ -27,7 +28,8 @@
 //! nl.mark_output("sum", out[0]);
 //! nl.mark_output("carry", out[1]);
 //! nl.validate()?;
-//! assert_eq!(nl.eval(&[true, true])?, vec![false, true]);
+//! assert_eq!(nl.gate_count(), 1);
+//! assert_eq!((nl.inputs().len(), nl.outputs().len()), (2, 2));
 //! # Ok::<(), aix_netlist::NetlistError>(())
 //! ```
 
@@ -35,7 +37,6 @@ mod bus;
 mod dot;
 mod edif;
 mod error;
-mod eval;
 mod graph;
 pub mod import;
 mod names;
@@ -49,7 +50,6 @@ pub use bus::{bus_from_u64, bus_to_u64, Bus};
 pub use dot::to_dot;
 pub use edif::to_edif;
 pub use error::NetlistError;
-pub use eval::Evaluator;
 pub use graph::Schedule;
 pub use import::{
     import_edif, import_edif_with, import_netlist, import_verilog, import_verilog_with,

@@ -521,20 +521,6 @@ impl Netlist {
         }
         loads
     }
-
-    /// Evaluates the netlist functionally (zero delay) on one input vector,
-    /// returning output values in port order.
-    ///
-    /// For repeated evaluation use [`crate::Evaluator`], which reuses its
-    /// buffers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::Evaluator`] construction and width errors.
-    pub fn eval(&self, inputs: &[bool]) -> Result<Vec<bool>, NetlistError> {
-        let mut evaluator = crate::Evaluator::new(self)?;
-        Ok(evaluator.eval(inputs)?.to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -561,8 +547,6 @@ mod tests {
         nl.mark_output("y", y[0]);
         nl.validate().unwrap();
         assert_eq!(nl.gate_count(), 2);
-        assert_eq!(nl.eval(&[true]).unwrap(), vec![true]);
-        assert_eq!(nl.eval(&[false]).unwrap(), vec![false]);
     }
 
     #[test]
@@ -617,8 +601,11 @@ mod tests {
         let and = cell(&lib, CellFunction::And2);
         let y = nl.add_gate(and, &[a, one]).unwrap();
         nl.mark_output("y", y[0]);
-        assert_eq!(nl.eval(&[true]).unwrap(), vec![true]);
-        assert_eq!(nl.eval(&[false]).unwrap(), vec![false]);
+        // The values are checked by `aix-sim`'s scalar evaluator tests;
+        // here the constant is a driven net the gate reads.
+        nl.validate().unwrap();
+        assert_eq!(nl.net(one).driver, NetDriver::Constant(true));
+        assert_eq!(nl.gate(GateId(0)).inputs[..], [a, one]);
     }
 
     #[test]
@@ -653,7 +640,7 @@ mod tests {
         nl.mark_output("sum", out[0]);
         nl.mark_output("cout", out[1]);
         nl.validate().unwrap();
-        assert_eq!(nl.eval(&[true, true, true]).unwrap(), vec![true, true]);
+        assert_eq!(nl.gate(GateId(0)).outputs[..], out[..]);
     }
 
     #[test]

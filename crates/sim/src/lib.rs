@@ -22,11 +22,12 @@
 //! actual-case STA).
 //!
 //! The reference implementations the differential suites compare the
-//! packed engines against — the scalar event-driven `TimedSimulator` and
-//! the one-vector-per-walk loops of the `oracle` module — are built only
-//! for tests: under `cfg(test)`, or with the `oracle` feature, which the
-//! workspace switches on through dev-dependencies alone, so no release
-//! binary contains them.
+//! packed engines against — the scalar zero-delay `Evaluator`, the scalar
+//! event-driven `TimedSimulator` and the one-vector-per-walk loops of the
+//! `oracle` module, whose `eval` is what the other crates' tests check
+//! netlist functions with — are built only for tests: under `cfg(test)`,
+//! or with the `oracle` feature, which the workspace switches on through
+//! dev-dependencies alone, so no release binary contains them.
 //!
 //! # Examples
 //!
@@ -57,6 +58,8 @@
 
 mod activity;
 mod errors;
+#[cfg(any(test, feature = "oracle"))]
+mod eval;
 mod golden;
 #[cfg(any(test, feature = "oracle"))]
 pub mod oracle;
@@ -69,6 +72,8 @@ mod timed_program;
 
 pub use activity::{stress_histogram, stress_pairs, Activity, StressHistogram};
 pub use errors::{measure_errors, ErrorStats};
+#[cfg(any(test, feature = "oracle"))]
+pub use eval::Evaluator;
 pub use golden::{golden_lane_word, golden_lane_words, golden_word, reference_outputs};
 pub use packed::{lane_mask, pack_batch, PackedEvaluator, BLOCK_BATCHES, BLOCK_VECTORS, LANES};
 pub use stimuli::{

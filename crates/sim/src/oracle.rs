@@ -16,9 +16,19 @@
 use crate::errors::new_stats;
 use crate::golden::golden_word;
 use crate::ticks::clock_ticks;
-use crate::{Activity, ErrorStats, TimedSimulator};
-use aix_netlist::{Evaluator, Netlist, NetlistError};
+use crate::{Activity, ErrorStats, Evaluator, TimedSimulator};
+use aix_netlist::{Netlist, NetlistError};
 use aix_sta::NetDelays;
+
+/// The zero-delay outputs of one input vector, in port order: the
+/// one-shot form of [`Evaluator::eval`].
+///
+/// # Errors
+///
+/// Propagates evaluator errors (cyclic netlist, width mismatch).
+pub fn eval(netlist: &Netlist, inputs: &[bool]) -> Result<Vec<bool>, NetlistError> {
+    Ok(Evaluator::new(netlist)?.eval(inputs)?.to_vec())
+}
 
 /// Scalar reference for [`measure_errors`](crate::measure_errors): one
 /// timed step per vector.

@@ -426,8 +426,8 @@ pub fn lane_mask(lanes: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Evaluator;
     use aix_cells::{DriveStrength, Library};
-    use aix_netlist::Evaluator;
     use std::sync::Arc;
 
     fn lib() -> Arc<Library> {

@@ -9,7 +9,8 @@
 //! differential testing possible.
 
 use crate::ticks::{clock_ticks, quantize_delays, ticks_to_ps};
-use aix_netlist::{Evaluator, NetDriver, Netlist, NetlistError};
+use crate::Evaluator;
+use aix_netlist::{NetDriver, Netlist, NetlistError};
 use aix_sta::NetDelays;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

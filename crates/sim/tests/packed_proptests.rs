@@ -7,10 +7,10 @@
 //! the timed error measurement must equal its oracle too.
 
 use aix_cells::{CellFunction, DriveStrength, Library};
-use aix_netlist::{import_verilog, Evaluator, NetId, Netlist};
+use aix_netlist::{import_verilog, NetId, Netlist};
 use aix_sim::{
-    lane_mask, measure_errors, oracle, pack_batch, Activity, PackedEvaluator, BLOCK_BATCHES,
-    BLOCK_VECTORS, LANES,
+    lane_mask, measure_errors, oracle, pack_batch, Activity, Evaluator, PackedEvaluator,
+    BLOCK_BATCHES, BLOCK_VECTORS, LANES,
 };
 use aix_sta::NetDelays;
 use proptest::prelude::*;

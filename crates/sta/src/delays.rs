@@ -1,6 +1,6 @@
 //! Per-net delay calculation, fresh and under aging.
 
-use aix_aging::{AgingModel, AgingScenario, CombinedAgingModel, Lifetime, StressPair};
+use aix_aging::{AgingModel, AgingScenario, Lifetime, StressPair};
 use aix_cells::DegradationAwareLibrary;
 use aix_netlist::{NetDriver, Netlist};
 
@@ -50,7 +50,7 @@ pub struct NetDelays {
 /// The per-gate factor an annotation scaled every arc by.
 #[derive(Debug, Clone)]
 pub(crate) enum Derating {
-    /// Unknown: raw, re-scaled, table-based or combined-model delays.
+    /// Unknown: raw, re-scaled or table-based delays.
     Opaque,
     /// The same factor for every gate.
     Uniform(f64),
@@ -117,43 +117,6 @@ impl NetDelays {
             ),
         };
         Self::build(netlist, derating)
-    }
-
-    /// Delays under the combined BTI + HCI model: duty-cycle stress per
-    /// gate plus per-net toggle rates (HCI damage accrues on transitions).
-    /// `toggle_rates` is indexed by net id, as produced by an
-    /// activity extraction; a gate's rate is the maximum over its outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `toggle_rates` is shorter than the net count.
-    pub fn aged_combined(
-        netlist: &Netlist,
-        model: &CombinedAgingModel,
-        stress: &StressSource,
-        toggle_rates: &[f64],
-        lifetime: Lifetime,
-    ) -> Self {
-        assert!(
-            toggle_rates.len() >= netlist.net_count(),
-            "toggle rates must cover every net"
-        );
-        let mut delays = vec![0.0; netlist.net_count()];
-        let loads = netlist.net_loads_ff();
-        for (id, net) in netlist.nets() {
-            if let NetDriver::Gate { gate, .. } = net.driver {
-                let g = netlist.gate(gate);
-                let cell = netlist.library().cell(g.cell);
-                let rate = g
-                    .outputs
-                    .iter()
-                    .map(|n| toggle_rates[n.index()])
-                    .fold(0.0f64, f64::max);
-                let base = model.delay_factor(stress.pair_for(gate.index()), rate, lifetime);
-                delays[id.index()] = cell.aged_delay_ps(loads[id.index()], base.max(1.0));
-            }
-        }
-        Self::opaque(delays)
     }
 
     /// Delays looked up from pre-generated degradation tables — the exact
@@ -251,7 +214,9 @@ impl NetDelays {
 mod tests {
     use super::*;
     use aix_aging::StressFactor;
-    use aix_arith::{build_adder, AdderKind, ComponentSpec};
+    use aix_arith::{
+        build_adder, build_mac, build_multiplier, AdderKind, ComponentSpec, MultiplierKind,
+    };
     use aix_cells::Library;
     use std::sync::Arc;
 
@@ -314,35 +279,74 @@ mod tests {
         }
     }
 
+    /// The uniform scenarios the paper's approximation library
+    /// characterizes: worst case at every year of ten, balanced at 1 and
+    /// 10 years. Both stress pairs, (1, 1) and (0.5, 0.5), are grid points
+    /// of the degradation tables.
+    fn library_scenarios() -> Vec<(StressPair, Lifetime)> {
+        let mut scenarios: Vec<(StressPair, Lifetime)> = (1..=10)
+            .map(|y| (StressPair::WORST, Lifetime::from_years(f64::from(y))))
+            .collect();
+        scenarios.push((StressPair::BALANCED, Lifetime::YEARS_1));
+        scenarios.push((StressPair::BALANCED, Lifetime::YEARS_10));
+        scenarios
+    }
+
     #[test]
-    fn combined_model_adds_hci_on_top_of_bti() {
-        let nl = adder();
-        let bti = AgingModel::calibrated();
-        let combined = CombinedAgingModel::calibrated();
-        let stress = StressSource::Uniform(StressPair::BALANCED);
-        let bti_only = NetDelays::aged_with_stress(&nl, &bti, &stress, Lifetime::YEARS_10);
-        let idle = NetDelays::aged_combined(
-            &nl,
-            &combined,
-            &stress,
-            &vec![0.0; nl.net_count()],
-            Lifetime::YEARS_10,
-        );
-        let busy = NetDelays::aged_combined(
-            &nl,
-            &combined,
-            &stress,
-            &vec![1.0; nl.net_count()],
-            Lifetime::YEARS_10,
-        );
-        for (id, net) in nl.nets() {
-            if matches!(net.driver, aix_netlist::NetDriver::Gate { .. }) {
-                let i = id.index();
-                assert!(
-                    (idle.of(i) - bti_only.of(i)).abs() < 1e-9,
-                    "idle = BTI only"
+    fn table_cells_equal_analytic_cells_on_grid_scenarios() {
+        // At a grid point the bilinear weights are exactly 0 and 1, and a
+        // table entry is the expression `Cell::aged_delay_ps` evaluates,
+        // so every cell (every drive sizing can pick) at any load gets
+        // the same bits from the exported tables as from the model.
+        let lib = Library::nangate45_like();
+        let model = AgingModel::calibrated();
+        for (pair, lifetime) in library_scenarios() {
+            let tables = DegradationAwareLibrary::generate(&lib, &model, lifetime);
+            let factor = model.pair_delay_factor(pair, lifetime).max(1.0);
+            for (id, cell) in lib.iter() {
+                for load in [0.0, 0.9, 2.0, 3.7, 12.5, 40.0] {
+                    let analytic = cell.aged_delay_ps(load, factor);
+                    let from_table = cell.delay_ps(load) * tables.delay_factor(id, pair);
+                    assert_eq!(
+                        from_table.to_bits(),
+                        analytic.to_bits(),
+                        "{} at {load} fF, {pair:?} after {} y",
+                        cell.name,
+                        lifetime.years()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_sta_equals_analytic_sta_on_library_scenarios() {
+        let lib = Arc::new(Library::nangate45_like());
+        let model = AgingModel::calibrated();
+        let mut netlists = Vec::new();
+        for width in [8, 16] {
+            let spec = ComponentSpec::full(width);
+            for kind in AdderKind::ALL {
+                netlists.push(build_adder(&lib, kind, spec).unwrap());
+            }
+            for kind in MultiplierKind::ALL {
+                netlists.push(build_multiplier(&lib, kind, spec).unwrap());
+            }
+            netlists.push(build_mac(&lib, spec).unwrap());
+        }
+        for (pair, lifetime) in library_scenarios() {
+            let tables = DegradationAwareLibrary::generate(&lib, &model, lifetime);
+            let stress = StressSource::Uniform(pair);
+            for nl in &netlists {
+                let from_tables = NetDelays::aged_from_tables(nl, &tables, &stress);
+                let analytic = NetDelays::aged_with_stress(nl, &model, &stress, lifetime);
+                assert_eq!(
+                    from_tables,
+                    analytic,
+                    "{}: {pair:?} after {} y",
+                    nl.name(),
+                    lifetime.years()
                 );
-                assert!(busy.of(i) > idle.of(i), "toggling gates age faster");
             }
         }
     }

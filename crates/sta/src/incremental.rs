@@ -75,8 +75,8 @@ impl<'a> IncrementalTimer<'a> {
     /// # Errors
     ///
     /// [`NetlistError::NotRetimeable`] when `delays` carries no per-gate
-    /// derating factor (`from_raw`, `scaled_by_gate`, `aged_from_tables`,
-    /// `aged_combined`) or does not match the netlist's size, and
+    /// derating factor (`from_raw`, `scaled_by_gate`, `aged_from_tables`)
+    /// or does not match the netlist's size, and
     /// [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn new(netlist: &'a mut Netlist, delays: NetDelays) -> Result<Self, NetlistError> {
         match delays.derating() {

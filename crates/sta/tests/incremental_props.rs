@@ -192,18 +192,10 @@ fn every_opaque_constructor_is_rejected() {
     let fresh = NetDelays::fresh(&nl);
     let tables = aix_cells::DegradationAwareLibrary::generate(&lib, &model, Lifetime::YEARS_10);
     let stress = StressSource::Uniform(StressPair::WORST);
-    let combined = NetDelays::aged_combined(
-        &nl,
-        &aix_aging::CombinedAgingModel::calibrated(),
-        &stress,
-        &vec![0.5; nl.net_count()],
-        Lifetime::YEARS_10,
-    );
     for delays in [
         NetDelays::from_raw(fresh.as_slice().to_vec()),
         fresh.scaled_by_gate(&nl, |_| 1.05),
         NetDelays::aged_from_tables(&nl, &tables, &stress),
-        combined,
     ] {
         let err = IncrementalTimer::new(&mut nl, delays).unwrap_err();
         assert!(

@@ -780,6 +780,7 @@ mod tests {
     };
     use aix_cells::Library;
     use aix_netlist::{bus_from_u64, bus_to_u64};
+    use aix_sim::oracle;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::sync::Arc;
 
@@ -797,8 +798,8 @@ mod tests {
                 .map(|_| rng.gen::<bool>())
                 .collect();
             assert_eq!(
-                original.eval(&vector).unwrap(),
-                optimized.eval(&vector).unwrap(),
+                oracle::eval(original, &vector).unwrap(),
+                oracle::eval(optimized, &vector).unwrap(),
                 "mismatch on {vector:?}"
             );
         }
@@ -888,7 +889,7 @@ mod tests {
                 let b = u64::from(rng.gen::<u16>() & 0xFFF);
                 let mut inputs = bus_from_u64(a, 12);
                 inputs.extend(bus_from_u64(b, 12));
-                let out = bus_to_u64(&nl.eval(&inputs).unwrap());
+                let out = bus_to_u64(&oracle::eval(&nl, &inputs).unwrap());
                 assert_eq!(out, spec.truncate(a) * spec.truncate(b), "{kind:?}");
             }
         }
@@ -928,7 +929,7 @@ mod tests {
         nl.mark_output("y", y);
         let opt = optimize(&nl).unwrap();
         assert_eq!(opt.gate_count(), 0);
-        assert_eq!(opt.eval(&[true]).unwrap(), vec![false]);
+        assert_eq!(oracle::eval(&opt, &[true]).unwrap(), vec![false]);
         // Unused input port is preserved.
         assert_eq!(opt.inputs().len(), 1);
     }
@@ -944,7 +945,7 @@ mod tests {
         nl.mark_output("y", live);
         let swept = optimize(&nl).unwrap();
         assert_eq!(swept.gate_count(), 1);
-        assert_eq!(swept.eval(&[true]).unwrap(), vec![false]);
+        assert_eq!(oracle::eval(&swept, &[true]).unwrap(), vec![false]);
     }
 
     #[test]
@@ -959,8 +960,8 @@ mod tests {
         nl.mark_output("y", y);
         let opt = optimize(&nl).unwrap();
         assert_eq!(opt.gate_count(), 0, "mux folds to a wire to b");
-        assert_eq!(opt.eval(&[false, true]).unwrap(), vec![true]);
-        assert_eq!(opt.eval(&[true, false]).unwrap(), vec![false]);
+        assert_eq!(oracle::eval(&opt, &[false, true]).unwrap(), vec![true]);
+        assert_eq!(oracle::eval(&opt, &[true, false]).unwrap(), vec![false]);
     }
 
     #[test]
@@ -976,7 +977,7 @@ mod tests {
         assert_eq!(opt.gate_count(), 1);
         let (_, g) = opt.gates().next().unwrap();
         assert_eq!(opt.library().cell(g.cell).function, CellFunction::Inv);
-        assert_eq!(opt.eval(&[true]).unwrap(), vec![false]);
+        assert_eq!(oracle::eval(&opt, &[true]).unwrap(), vec![false]);
     }
 
     use aix_cells::{CellFunction, DriveStrength};
@@ -1024,8 +1025,8 @@ mod tests {
                 for bits in 0..1usize << width {
                     let vector: Vec<bool> = (0..width).map(|i| bits >> i & 1 == 1).collect();
                     assert_eq!(
-                        nl.eval(&vector).unwrap(),
-                        opt.eval(&vector).unwrap(),
+                        oracle::eval(&nl, &vector).unwrap(),
+                        oracle::eval(&opt, &vector).unwrap(),
                         "{function} pattern {pattern} vector {bits:b}"
                     );
                 }

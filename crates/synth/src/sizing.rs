@@ -236,6 +236,7 @@ mod tests {
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_cells::Library;
     use aix_netlist::{bus_from_u64, bus_to_u64};
+    use aix_sim::oracle;
     use aix_sta::analyze;
     use std::sync::Arc;
 
@@ -266,7 +267,7 @@ mod tests {
             let b = u64::from(rng.gen::<u16>() & 0xFFF);
             let mut inputs = bus_from_u64(a, 12);
             inputs.extend(bus_from_u64(b, 12));
-            assert_eq!(bus_to_u64(&nl.eval(&inputs).unwrap()), a + b);
+            assert_eq!(bus_to_u64(&oracle::eval(&nl, &inputs).unwrap()), a + b);
         }
     }
 
@@ -301,7 +302,7 @@ mod tests {
         for (a, b) in [(0u64, 0u64), (4095, 1), (1234, 2345)] {
             let mut inputs = bus_from_u64(a, 12);
             inputs.extend(bus_from_u64(b, 12));
-            assert_eq!(bus_to_u64(&nl.eval(&inputs).unwrap()), a + b);
+            assert_eq!(bus_to_u64(&oracle::eval(&nl, &inputs).unwrap()), a + b);
         }
     }
 

@@ -246,6 +246,7 @@ impl Synthesizer {
 mod tests {
     use super::*;
     use aix_netlist::{bus_from_u64, bus_to_u64};
+    use aix_sim::oracle;
     use aix_sta::analyze;
 
     fn lib() -> Arc<Library> {
@@ -298,11 +299,11 @@ mod tests {
             let b = u64::from(rng.gen::<u16>());
             let mut inputs = bus_from_u64(a, 16);
             inputs.extend(bus_from_u64(b, 16));
-            assert_eq!(bus_to_u64(&adder.eval(&inputs).unwrap()), a + b);
+            assert_eq!(bus_to_u64(&oracle::eval(&adder, &inputs).unwrap()), a + b);
             let (a, b) = (a & 0xFFF, b & 0xFFF);
             let mut inputs = bus_from_u64(a, 12);
             inputs.extend(bus_from_u64(b, 12));
-            assert_eq!(bus_to_u64(&mult.eval(&inputs).unwrap()), a * b);
+            assert_eq!(bus_to_u64(&oracle::eval(&mult, &inputs).unwrap()), a * b);
         }
     }
 
@@ -333,6 +334,6 @@ mod tests {
         inputs.extend(bus_from_u64(b, 8));
         inputs.extend(bus_from_u64(acc, 16));
         let expect = (spec.truncate(a) * spec.truncate(b) + acc) & 0xFFFF;
-        assert_eq!(bus_to_u64(&nl.eval(&inputs).unwrap()), expect);
+        assert_eq!(bus_to_u64(&oracle::eval(&nl, &inputs).unwrap()), expect);
     }
 }

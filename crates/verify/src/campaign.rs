@@ -23,13 +23,14 @@ use aix_sta::{analyze, NetDelays};
 use aix_synth::Effort;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Configuration of one verification campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyConfig {
     /// Monte-Carlo samples per entry.
-    pub samples: usize,
+    pub samples: NonZeroUsize,
     /// The variation model applied to aged delays.
     pub perturbation: Perturbation,
     /// Campaign seed; the same seed reproduces the identical report.
@@ -48,7 +49,7 @@ pub struct VerifyConfig {
 impl Default for VerifyConfig {
     fn default() -> Self {
         Self {
-            samples: 64,
+            samples: NonZeroUsize::new(64).expect("64 is not zero"),
             perturbation: Perturbation::DEFAULT,
             seed: 42,
             margin_target_ps: 0.0,
@@ -63,7 +64,7 @@ impl VerifyConfig {
     /// guarantee characterization claims.
     pub fn nominal() -> Self {
         Self {
-            samples: 1,
+            samples: NonZeroUsize::MIN,
             perturbation: Perturbation::NONE,
             ..Self::default()
         }
@@ -259,8 +260,8 @@ pub fn measure_margins(
     let base = NetDelays::aged(netlist, model, scenario);
     let nominal = analyze(netlist, &base)?.max_delay_ps();
     let mut rng = entry_rng(config.seed, label);
-    let mut margins = Vec::with_capacity(config.samples.max(1));
-    for _ in 0..config.samples.max(1) {
+    let mut margins = Vec::with_capacity(config.samples.get());
+    for _ in 0..config.samples.get() {
         let perturbed = config.perturbation.perturb(&mut rng, netlist, &base);
         let delay = analyze(netlist, &perturbed)?.max_delay_ps();
         margins.push(constraint_ps - delay);
@@ -501,7 +502,7 @@ pub fn verify_library(
     campaign_span.close();
     Ok(CampaignReport {
         seed: config.seed,
-        samples: config.samples.max(1),
+        samples: config.samples.get(),
         perturbation: config.perturbation,
         margin_target_ps: config.margin_target_ps,
         entries,
@@ -604,7 +605,7 @@ mod tests {
         let library = quick_library(&cells);
         let model = AgingModel::calibrated();
         let config = VerifyConfig {
-            samples: 16,
+            samples: NonZeroUsize::new(16).unwrap(),
             ..VerifyConfig::default()
         };
         let a = verify_library(&cells, &library, &model, &config).unwrap();
@@ -617,7 +618,7 @@ mod tests {
             &model,
             &VerifyConfig {
                 seed: 7,
-                samples: 16,
+                samples: NonZeroUsize::new(16).unwrap(),
                 ..VerifyConfig::default()
             },
         )
@@ -630,7 +631,7 @@ mod tests {
         let cells = cells();
         let library = quick_library(&cells);
         let config = VerifyConfig {
-            samples: 4,
+            samples: NonZeroUsize::new(4).unwrap(),
             margin_target_ps: 1e6,
             sim_vectors: 0,
             ..VerifyConfig::default()
@@ -639,6 +640,36 @@ mod tests {
         assert!(!report.all_passed());
         for failure in report.failures() {
             assert_eq!(failure.stats.unwrap().first_failure, Some(0));
+        }
+    }
+
+    #[test]
+    fn measure_margins_draws_one_margin_per_sample() {
+        // The sample count is a `NonZeroUsize`: no campaign can ask for
+        // zero samples and quietly be given one.
+        let cells = cells();
+        let nl = aix_arith::build_adder(
+            &cells,
+            aix_arith::AdderKind::RippleCarry,
+            ComponentSpec::full(8),
+        )
+        .unwrap();
+        let scenario = AgingScenario::worst_case(aix_aging::Lifetime::YEARS_10);
+        for samples in [1, 3] {
+            let config = VerifyConfig {
+                samples: NonZeroUsize::new(samples).unwrap(),
+                ..VerifyConfig::default()
+            };
+            let (_, margins) = measure_margins(
+                &nl,
+                &AgingModel::calibrated(),
+                scenario,
+                1e3,
+                &config,
+                "rca8",
+            )
+            .unwrap();
+            assert_eq!(margins.len(), samples);
         }
     }
 }

@@ -5,6 +5,7 @@ use aix_cells::Library;
 use aix_core::{characterize_component, ApproxLibrary, CharacterizationConfig, ComponentKind};
 use aix_verify::{verify_library, Perturbation, VerifyConfig};
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn cells() -> Arc<Library> {
@@ -33,7 +34,7 @@ proptest! {
             .expect("characterize"),
         );
         let config = VerifyConfig {
-            samples,
+            samples: NonZeroUsize::new(samples).unwrap(),
             perturbation: Perturbation::NONE,
             seed,
             margin_target_ps: 0.0,

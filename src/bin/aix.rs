@@ -38,6 +38,7 @@ use aix::verify::{
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -408,7 +409,7 @@ fn parse_policy(
 fn parse_verify_config(options: &HashMap<String, String>) -> Result<VerifyConfig, AixError> {
     let defaults = VerifyConfig::default();
     Ok(VerifyConfig {
-        samples: parse_positive(options, "--samples", defaults.samples, "a positive integer")?,
+        samples: parse_or(options, "--samples", defaults.samples, "a positive integer")?,
         perturbation: Perturbation {
             global_sigma: parse_or(
                 options,
@@ -774,7 +775,12 @@ fn verify_netlist(path: &str, options: &HashMap<String, String>) -> CliResult {
     let cells = Arc::new(Library::nangate45_like());
     let netlist = load_imported(path, &cells)?;
     let config = parse_imported_config(options)?;
-    let samples = parse_positive(options, "--samples", 24, "a positive sample count")?;
+    let samples = parse_or(
+        options,
+        "--samples",
+        NonZeroUsize::new(24).expect("24 is not zero"),
+        "a positive sample count",
+    )?;
     let sigma: f64 = parse_or(options, "--sigma-gate", 0.03, "a relative delay spread")?;
     let seed: u64 = parse_or(options, "--seed", 42, "an unsigned integer")?;
     let outcome = verify_imported(
